@@ -13,7 +13,8 @@ STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
 .PHONY: all build vet lint test race bench bench-json bench-trajectory \
-	bench-smoke fleet-smoke gang-smoke results examples trace install-lint-tools
+	bench-smoke fleet-smoke gang-smoke identical results examples trace \
+	install-lint-tools
 
 # The committed engine-performance baseline. Bump the number when a PR
 # intentionally moves the trajectory; `make bench-trajectory` regenerates
@@ -115,6 +116,26 @@ gang-smoke:
 		if ($$1 == "straddle" && $$2 >= nv) exit 1 } \
 		END { exit rows != 5 }' gang_serial.txt
 	@echo "gang-smoke OK"
+
+# Byte-identity oracle for refactors: extracts REF (default HEAD) with
+# git archive into a temporary directory, builds swbench there and from
+# the working tree, and requires the full sweep's stdout to match; the
+# working tree's serial and parallel runs must match too.
+REF ?= HEAD
+IDENTICAL_FLAGS := -exp all -iters 20 -requests 40
+
+identical:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/ref"; \
+	git archive $(REF) | tar -x -C "$$tmp/ref"; \
+	(cd "$$tmp/ref" && go build -o "$$tmp/swbench-ref" ./cmd/swbench); \
+	go build -o "$$tmp/swbench" ./cmd/swbench; \
+	"$$tmp/swbench-ref" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/ref.txt" 2>/dev/null; \
+	"$$tmp/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/serial.txt" 2>/dev/null; \
+	"$$tmp/swbench" $(IDENTICAL_FLAGS) -parallel 8 > "$$tmp/parallel.txt" 2>/dev/null; \
+	cmp "$$tmp/ref.txt" "$$tmp/serial.txt"; \
+	cmp "$$tmp/serial.txt" "$$tmp/parallel.txt"; \
+	echo "identical OK: $$(wc -l < "$$tmp/serial.txt") lines match $(REF) and -parallel 8"
 
 # Chrome trace-event artifact from the canned two-ResNet50 co-run on a
 # V100 (the switchflow cell). Open trace.json in https://ui.perfetto.dev.

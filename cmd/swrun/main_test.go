@@ -25,7 +25,7 @@ func TestParseJob(t *testing.T) {
 				t.Fatal(err)
 			}
 			if spec.Model != tt.wantModel || spec.Batch != tt.wantBatch ||
-				spec.Priority != tt.wantPrio || spec.GPU != tt.wantGPU {
+				spec.Priority != tt.wantPrio || spec.Placement.Device != tt.wantGPU {
 				t.Fatalf("spec = %+v", spec)
 			}
 			if spec.Train != tt.wantTrain || spec.ClosedLoop != tt.wantClosed || spec.Saturated != tt.wantSat {
@@ -40,10 +40,10 @@ func TestParseJobTrainingGetsFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spec.FallbackCPU {
+	if !spec.Placement.AllowCPU {
 		t.Error("training job missing CPU fallback")
 	}
-	for _, gpu := range spec.FallbackGPUs {
+	for _, gpu := range spec.Placement.Fallbacks {
 		if gpu == 1 {
 			t.Error("fallbacks include the preferred GPU")
 		}

@@ -62,9 +62,8 @@ type JobRequest struct {
 	BatchWaitMillis float64 `json:"batchWaitMillis,omitempty"`
 	// VNodes requests elastic virtual-node placement: the batch splits
 	// across these GPUs and the binding can change at runtime via the
-	// resize/rebind/drain endpoints. When set, the gpu/fallback fields
-	// above are ignored in favour of the placement (vnodes[0] is the
-	// primary, fallbackGpus/fallbackCpu become the placement fallbacks).
+	// resize/rebind/drain endpoints. When set, vnodes[0] is the primary
+	// device and the gpu field is ignored.
 	VNodes []int `json:"vnodes,omitempty"`
 	// Gang makes an elastic training job a synchronous data-parallel gang:
 	// one replica per virtual node, meeting at a topology-priced ring
@@ -104,9 +103,9 @@ type JobInfo struct {
 	Restarts int    `json:"restarts,omitempty"`
 	// Gang reports a synchronous data-parallel gang job (replicas meet at
 	// a ring all-reduce barrier and preempt/resume as one unit).
-	Gang bool `json:"gang,omitempty"`
-	Crashed  bool   `json:"crashed"`
-	Error    string `json:"error,omitempty"`
+	Gang    bool   `json:"gang,omitempty"`
+	Crashed bool   `json:"crashed"`
+	Error   string `json:"error,omitempty"`
 }
 
 // StatusInfo is the simulation-wide status payload.
@@ -642,17 +641,16 @@ func toSpec(req JobRequest) switchflow.JobSpec {
 		Gang:            req.Gang,
 		Replicas:        req.Replicas,
 	}
+	// The gpu/fallbackGpus/fallbackCpu wire fields always lower into a
+	// Placement; with vnodes set, vnodes[0] is the primary.
+	spec.Placement = switchflow.Placement{
+		Device:    req.GPU,
+		Fallbacks: req.FallbackGPUs,
+		AllowCPU:  req.FallbackCPU,
+		VNodes:    req.VNodes,
+	}
 	if len(req.VNodes) > 0 {
-		spec.Placement = switchflow.Placement{
-			Device:    req.VNodes[0],
-			Fallbacks: req.FallbackGPUs,
-			AllowCPU:  req.FallbackCPU,
-			VNodes:    req.VNodes,
-		}
-	} else {
-		spec.GPU = req.GPU
-		spec.FallbackGPUs = req.FallbackGPUs
-		spec.FallbackCPU = req.FallbackCPU
+		spec.Placement.Device = req.VNodes[0]
 	}
 	return spec
 }

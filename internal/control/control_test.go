@@ -179,6 +179,29 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// Fallbacks that repeat or include the primary GPU are an invalid
+// placement, rejected at the door with the status every spec error uses.
+func TestBadFallbacksRejected(t *testing.T) {
+	ts := newTestServer(t)
+	for _, req := range []JobRequest{
+		{Name: "dup", Model: "ResNet50", Batch: 8, Train: true, FallbackGPUs: []int{1, 1}},
+		{Name: "self", Model: "ResNet50", Batch: 8, Train: true, GPU: 1, FallbackGPUs: []int{2, 1}},
+	} {
+		var out map[string]string
+		if code := doJSON(t, "POST", ts.URL+"/v1/jobs", req, &out); code != http.StatusConflict {
+			t.Errorf("%s: status = %d, want %d", req.Name, code, http.StatusConflict)
+		}
+		if !strings.Contains(out["error"], "invalid job spec") {
+			t.Errorf("%s: error = %q, want an invalid job spec", req.Name, out["error"])
+		}
+	}
+	var listed []JobInfo
+	doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &listed)
+	if len(listed) != 0 {
+		t.Fatalf("rejected requests admitted jobs: %+v", listed)
+	}
+}
+
 func TestBatchedServingOverHTTP(t *testing.T) {
 	ts := newTestServer(t)
 	var created JobInfo

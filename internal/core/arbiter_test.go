@@ -24,7 +24,7 @@ func arbiterHarness(t *testing.T, prios ...int) (*Manager, []*jobState) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		states[i] = &jobState{job: job, current: device.GPUID(0), weightsReady: true}
+		states[i] = newJobState(job)
 	}
 	return m, states
 }

@@ -5,266 +5,22 @@ import (
 	"time"
 
 	"switchflow/internal/device"
-	"switchflow/internal/executor"
 	"switchflow/internal/obs"
 	"switchflow/internal/vnode"
 	"switchflow/internal/workload"
 )
 
-// This file drives elastic jobs — jobs admitted with Config.VNodes, whose
-// batch is split across virtual nodes by internal/vnode (VirtualFlow,
-// arXiv:2009.09523). One training step preprocesses the global batch
-// once, then fans a share-sized shard out to every bound device; the step
-// completes when all shards do, so heterogeneous shares (priced by
-// internal/cost) finish together. The binding is runtime state: Resize,
-// RebindJob and DrainDevice re-split it, and every mutation lands at an
-// epoch-safe point — between steps, with no shard in flight — via the
-// job's pending-op queue. Each distinct bound device holds a full
-// data-parallel weight replica, which is what makes zero-restart healing
-// possible: losing one device re-seeds its replacement from a surviving
-// replica instead of rolling back to a checkpoint.
-
-// shardState is the scheduler-side state of one virtual node.
-type shardState struct {
-	idx     int
-	dev     device.ID
-	share   int
-	holding bool
-	waiting bool
-	// preempting gates the shard between Suspend and its drain callback.
-	preempting bool
-	run        *executor.Run
-	scratch    int64
-	done       bool
-}
-
-// rebuildShards derives fresh shard states from the job's binding. Only
-// call at epoch-safe points: any in-flight run must be discarded first.
-func (m *Manager) rebuildShards(js *jobState) {
-	b := js.job.Binding()
-	js.shards = make([]*shardState, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		n := b.Node(i)
-		js.shards[i] = &shardState{idx: i, dev: n.Device, share: n.Share}
-	}
-}
-
-// pumpShards advances an elastic job's compute side: apply pending
-// binding ops between steps, begin the next step when an input is ready,
-// and drive every shard toward its device grant.
-func (m *Manager) pumpShards(js *jobState) {
-	if !js.weightsReady || js.restoring {
-		return
-	}
-	if js.shards == nil {
-		m.rebuildShards(js)
-	}
-	if !js.job.ComputeRunning {
-		if m.applyPendingOps(js) {
-			// Ops re-split the binding; every op path re-pumps when its
-			// transfers land (or pumped inline), so this pass is done.
-			m.pump(js)
-			return
-		}
-		if js.stopped || js.job.Crashed() || !js.weightsReady {
-			return
-		}
-		if !js.job.InputAvailable() {
-			return
-		}
-		js.job.BeginCompute()
-		for _, sh := range js.shards {
-			sh.done = false
-		}
-	}
-	if js.job.Gang() {
-		m.pumpGangShards(js)
-		return
-	}
-	for _, sh := range js.shards {
-		m.pumpShard(js, sh)
-	}
-}
-
-// pumpShard drives one shard: CPU shards launch freely; GPU shards
-// acquire their device's arbiter first (invariant 1 applies per device).
-func (m *Manager) pumpShard(js *jobState, sh *shardState) {
-	if sh.done || sh.preempting {
-		return
-	}
-	if sh.run != nil && !sh.run.Suspended() {
-		return // executing
-	}
-	if sh.dev.Kind != device.KindGPU || m.opts.DisableGPUExclusive {
-		m.startShard(js, sh)
-		return
-	}
-	if sh.holding {
-		m.startShard(js, sh)
-		return
-	}
-	if sh.waiting {
-		return
-	}
-	sh.waiting = true
-	js.acquiredAt = m.eng.Now()
-	m.acquire(sh.dev.Index, js, func() {
-		sh.waiting = false
-		sh.holding = true
-		m.startShard(js, sh)
-	})
-}
-
-// startShard launches (or resumes) the shard's share-sized compute run on
-// its bound device.
-func (m *Manager) startShard(js *jobState, sh *shardState) {
-	if sh.run != nil && sh.run.Suspended() {
-		n := js.job.VNodeScratchBytes(sh.idx)
-		if err := js.job.AllocScratchBytes(sh.dev, n); err != nil {
-			js.job.Crash(err)
-			m.emitJobLost(js, sh.dev, "scratch alloc failed")
-			m.releaseShard(sh)
-			return
-		}
-		sh.scratch = n
-		m.bus.Emit(obs.Event{
-			Kind:   obs.KindResume,
-			Ctx:    js.job.Ctx,
-			Job:    js.job.Cfg.Name,
-			Device: sh.dev.String(),
-		})
-		sh.run.Resume()
-		return
-	}
-	v, err := js.job.VNodeVersion(sh.idx)
-	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, sh.dev, "no graph version")
-		m.releaseShard(sh)
-		return
-	}
-	n := js.job.VNodeScratchBytes(sh.idx)
-	if err := js.job.AllocScratchBytes(sh.dev, n); err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, sh.dev, "scratch alloc failed")
-		m.releaseShard(sh)
-		return
-	}
-	sh.scratch = n
-	cfg := executor.Config{Pool: m.poolFor(js), Stream: js.job.Stream(sh.dev)}
-	run, err := js.job.StartExec(v.Compute, cfg, func() { m.finishShard(js, sh) })
-	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, sh.dev, "compute start failed")
-		js.job.FreeScratchBytes(sh.dev, sh.scratch)
-		sh.scratch = 0
-		m.releaseShard(sh)
-		return
-	}
-	sh.run = run
-}
-
-// finishShard retires one shard; the last one home completes the step.
-func (m *Manager) finishShard(js *jobState, sh *shardState) {
-	sh.run = nil
-	js.job.FreeScratchBytes(sh.dev, sh.scratch)
-	sh.scratch = 0
-	sh.done = true
-	m.releaseShard(sh)
-	for _, s := range js.shards {
-		if !s.done {
-			return
-		}
-	}
-	if js.job.Gang() && len(js.shards) > 1 {
-		// Data-parallel replicas meet at the step barrier: the step commits
-		// only after the priced all-reduce (gang.go).
-		m.finishGangStep(js)
-		return
-	}
-	js.job.FinishCompute()
-	// Regaining a full step across all shards completes any pending
-	// "stay" preemption recovery: back to the global pool.
-	js.inTempPool = false
-	m.pump(js)
-}
-
-func (m *Manager) releaseShard(sh *shardState) {
-	if !sh.holding {
-		return
-	}
-	sh.holding = false
-	m.release(sh.dev.Index)
-}
-
-// preemptShard is the elastic arm of preemption: only the shard holding
-// the contended GPU is suspended; sibling shards on other devices keep
-// computing. The victim shard stays and waits for a re-grant — rebinding
-// is an explicit control-plane decision, never a preemption side effect.
-func (m *Manager) preemptShard(gpu int, victim *jobState) {
-	var sh *shardState
-	for _, s := range victim.shards {
-		if s.holding && s.dev.Kind == device.KindGPU && s.dev.Index == gpu {
-			sh = s
-			break
-		}
-	}
-	if sh == nil || sh.preempting {
-		return
-	}
-	sh.preempting = true
-	m.Preemptions++
-	m.emitPreempt(gpu, victim, "abort")
-	if !m.opts.DisableTempPoolIsolation {
-		victim.inTempPool = true
-	}
-	epoch := victim.epoch
-	finish := func() {
-		if victim.epoch != epoch {
-			return // a fault re-split the binding while kernels drained
-		}
-		victim.job.FreeScratchBytes(sh.dev, sh.scratch)
-		sh.scratch = 0
-		sh.preempting = false
-		m.releaseShard(sh)
-		m.pump(victim)
-	}
-	if sh.run != nil {
-		sh.run.Suspend(finish)
-		return
-	}
-	m.eng.After(0, finish)
-}
-
-// queueOp schedules a binding mutation for the job's next epoch-safe
-// point. Between steps it applies immediately; mid-step it waits for the
-// step (or the legacy iteration) to complete.
-func (m *Manager) queueOp(js *jobState, op func()) {
-	if js.job.Elastic() {
-		js.pendingOps = append(js.pendingOps, op)
-		m.pump(js)
-		return
-	}
-	if js.job.ComputeRunning || js.computeRun != nil || js.preempting || js.restoring {
-		js.pendingOps = append(js.pendingOps, op)
-		return
-	}
-	op()
-}
-
-// applyPendingOps runs queued binding ops while the job sits at an
-// epoch-safe point; it reports whether any op ran.
-func (m *Manager) applyPendingOps(js *jobState) bool {
-	ran := false
-	for len(js.pendingOps) > 0 && !js.job.ComputeRunning &&
-		!js.stopped && !js.job.Crashed() {
-		op := js.pendingOps[0]
-		js.pendingOps = js.pendingOps[1:]
-		op()
-		ran = true
-	}
-	return ran
-}
+// This file holds the binding operations of elastic jobs — jobs admitted
+// with Config.VNodes, whose batch is split across virtual nodes by
+// internal/vnode (VirtualFlow, arXiv:2009.09523) and run by the step
+// engine (step.go); heterogeneous shares (priced by internal/cost) finish
+// together. The binding is runtime state: Resize, RebindJob and
+// DrainDevice re-split it, and every mutation lands at an epoch-safe
+// point — between steps, with no shard in flight — via the job's
+// pending-op queue. Each distinct bound device holds a full data-parallel
+// weight replica, which is what makes zero-restart healing possible:
+// losing one device re-seeds its replacement from a surviving replica
+// instead of rolling back to a checkpoint.
 
 // Resize grows or shrinks a running elastic job to n virtual nodes at
 // its next epoch-safe point, re-splitting the batch without a restart.
@@ -353,9 +109,9 @@ func (m *Manager) applyRebindVNode(js *jobState, i int, dev device.ID) {
 // DrainDevice marks the GPU as draining and moves every bound virtual
 // node off it at each owning job's next epoch-safe point. Elastic jobs
 // rebind (paying at most a peer-path replica copy, restart counter
-// untouched); legacy single-vnode jobs migrate gracefully through the
-// same machinery preemption migration uses. Jobs with nowhere to go keep
-// running on the draining device — drain is administrative, not a fault.
+// untouched); plain jobs migrate gracefully through the same machinery
+// preemption migration uses. Jobs with nowhere to go keep running on the
+// draining device — drain is administrative, not a fault.
 func (m *Manager) DrainDevice(dev device.ID) error {
 	if dev.Kind != device.KindGPU || dev.Index < 0 || dev.Index >= len(m.machine.GPUs) {
 		return fmt.Errorf("core: drain: no such GPU %v", dev)
@@ -363,16 +119,12 @@ func (m *Manager) DrainDevice(dev device.ID) error {
 	m.machine.GPU(dev.Index).SetDraining(true)
 	for _, js := range m.jobs {
 		js := js
-		if js.stopped || js.job.Crashed() {
+		if js.stopped || js.job.Crashed() || !js.job.Binding().Uses(dev) {
 			continue
 		}
 		if js.job.Elastic() {
-			if js.job.Binding().Uses(dev) {
-				m.queueOp(js, func() { m.applyDrainRebind(js, dev) })
-			}
-			continue
-		}
-		if js.current == dev {
+			m.queueOp(js, func() { m.applyDrainRebind(js, dev) })
+		} else {
 			m.queueOp(js, func() { m.applyDrainMigrate(js, dev) })
 		}
 	}
@@ -390,27 +142,17 @@ func (m *Manager) UndrainDevice(dev device.ID) error {
 }
 
 func (m *Manager) applyDrainRebind(js *jobState, dev device.ID) {
-	b := js.job.Binding()
-	if !b.Uses(dev) {
+	if !js.job.Binding().Uses(dev) {
 		return // a fault (or an earlier op) already moved it
 	}
-	targets := m.rebindTargets(js, dev)
-	if len(targets) == 0 {
-		return // nowhere to go; stay on the draining device
+	if devs, ok := m.rebindAway(js, dev); ok {
+		_ = m.applyBinding(js, devs, "drain", nil)
 	}
-	devs := b.DeviceList()
-	k := 0
-	for i, d := range devs {
-		if d == dev {
-			devs[i] = targets[k%len(targets)]
-			k++
-		}
-	}
-	_ = m.applyBinding(js, devs, "drain", nil)
+	// Otherwise there is nowhere to go: stay on the draining device.
 }
 
 func (m *Manager) applyDrainMigrate(js *jobState, from device.ID) {
-	if js.current != from || js.stopped || js.job.Crashed() {
+	if js.current() != from || js.stopped || js.job.Crashed() {
 		return
 	}
 	to, ok := m.drainMigrateTarget(js, from)
@@ -418,55 +160,42 @@ func (m *Manager) applyDrainMigrate(js *jobState, from device.ID) {
 		return // nowhere to go; stay on the draining device
 	}
 	m.purgeRequests(js)
-	m.releaseFrom(js)
+	m.releaseShard(js.shards[0])
 	m.migrate(js, from, to, "drain", nil)
 }
 
-// drainMigrateTarget picks where a legacy job leaves a draining device:
+// drainMigrateTarget picks where a plain job leaves a draining device:
 // the first placeable configured fallback with room, else any placeable
 // GPU with room (drain is operator-driven, so liberality beats stalling).
 func (m *Manager) drainMigrateTarget(js *jobState, from device.ID) (device.ID, bool) {
-	fits := func(d device.ID) bool {
-		if d == from || !m.machine.Placeable(d) {
-			return false
-		}
-		if d.Kind == device.KindGPU {
-			gpu := m.machine.GPU(d.Index)
-			if gpu == nil || gpu.Mem.Available() < js.job.WeightBytes() {
-				return false
-			}
-		}
-		return true
-	}
-	for _, d := range js.job.Cfg.Fallbacks {
-		if fits(d) {
-			return d, true
-		}
+	if d, ok := m.fallbackWithRoom(js, from, m.machine.Placeable); ok {
+		return d, true
 	}
 	for i := range m.machine.GPUs {
-		if d := device.GPUID(i); fits(d) {
+		if d := device.GPUID(i); d != from && m.hasRoom(js, d) && m.machine.Placeable(d) {
 			return d, true
 		}
 	}
 	return device.ID{}, false
 }
 
-// rebindTargets lists where displaced vnodes may go, in preference
-// order: devices already in the binding (a replica is resident — zero
-// transfer), then configured GPU fallbacks, then any placeable GPU.
-// The excluded device never appears.
-func (m *Manager) rebindTargets(js *jobState, exclude device.ID) []device.ID {
-	var out []device.ID
+// rebindAway returns the binding's per-vnode device list with every vnode
+// on dev moved, round-robin, to where displaced vnodes may go, in
+// preference order: devices already in the binding (a replica is
+// resident — zero transfer), then configured GPU fallbacks, then any
+// placeable GPU. ok is false when there is nowhere to go.
+func (m *Manager) rebindAway(js *jobState, dev device.ID) ([]device.ID, bool) {
+	var targets []device.ID
 	add := func(d device.ID) {
-		if d == exclude || d.Kind != device.KindGPU || !m.machine.Placeable(d) {
+		if d == dev || d.Kind != device.KindGPU || !m.machine.Placeable(d) {
 			return
 		}
-		for _, e := range out {
+		for _, e := range targets {
 			if e == d {
 				return
 			}
 		}
-		out = append(out, d)
+		targets = append(targets, d)
 	}
 	for _, d := range js.job.Binding().Devices() {
 		add(d)
@@ -477,7 +206,18 @@ func (m *Manager) rebindTargets(js *jobState, exclude device.ID) []device.ID {
 	for i := range m.machine.GPUs {
 		add(device.GPUID(i))
 	}
-	return out
+	if len(targets) == 0 {
+		return nil, false
+	}
+	devs := js.job.Binding().DeviceList()
+	k := 0
+	for i, d := range devs {
+		if d == dev {
+			devs[i] = targets[k%len(targets)]
+			k++
+		}
+	}
+	return devs, true
 }
 
 // applyBinding commits a re-split binding at an epoch-safe point: it
@@ -575,8 +315,7 @@ func (m *Manager) applyBinding(js *jobState, devs []device.ID, reason string, on
 	}
 
 	job.SetBinding(nb)
-	js.current = nb.Node(0).Device
-	m.rebuildShards(js)
+	js.rebuildShards()
 
 	finish := func() {
 		for _, d := range drops {
@@ -631,30 +370,16 @@ func (m *Manager) applyBinding(js *jobState, devs []device.ID, reason string, on
 }
 
 // healElastic is zero-restart fault healing: a lost device takes one
-// replica and any in-flight shards with it, but the surviving replicas
-// still hold the current weights, so the step is simply redone on a
-// re-split binding — no checkpoint rollback, no Restarts increment.
+// replica and any in-flight shards with it (the caller discarded the
+// step), but the surviving replicas still hold the current weights, so
+// the step is simply redone on a re-split binding — no checkpoint
+// rollback, no Restarts increment.
 func (m *Manager) healElastic(js *jobState, lost device.ID, faultAt time.Duration) {
-	b := js.job.Binding()
-	if !b.Uses(lost) {
-		return
-	}
-	js.epoch++
-	m.discardStep(js, lost)
-	js.restarting, js.restoring = false, false
-	targets := m.rebindTargets(js, lost)
-	if len(targets) == 0 {
+	devs, ok := m.rebindAway(js, lost)
+	if !ok {
 		js.job.Crash(fmt.Errorf("core: %s: device %v lost with no healthy rebind target", js.job.Cfg.Name, lost))
 		m.emitJobLost(js, lost, "no healthy rebind target")
 		return
-	}
-	devs := b.DeviceList()
-	k := 0
-	for i, d := range devs {
-		if d == lost {
-			devs[i] = targets[k%len(targets)]
-			k++
-		}
 	}
 	err := m.applyBinding(js, devs, "fault", func() {
 		m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
@@ -665,124 +390,42 @@ func (m *Manager) healElastic(js *jobState, lost device.ID, faultAt time.Duratio
 	}
 }
 
-// handleElasticTransient recovers an elastic job from a transient
-// kernel/ECC fault on dev. With a surviving sibling replica the
-// corrupted one is re-seeded over the peer path — again no rollback and
-// no restart; a single-replica binding falls back to the legacy
-// checkpoint-restart protocol.
-func (m *Manager) handleElasticTransient(js *jobState, dev device.ID) {
-	js.epoch++
-	m.discardStep(js, device.ID{})
-	faultAt := m.eng.Now()
-	epoch := js.epoch
-	var src device.ID
-	hasSrc := false
-	for _, d := range js.job.Binding().Devices() {
-		if d != dev && js.job.WeightsOn(d) && m.machine.Healthy(d) {
-			src, hasSrc = d, true
-			break
-		}
+// resyncReplica heals an elastic job's transient kernel/ECC fault on dev
+// when a sibling replica survives: the corrupted replica is re-seeded
+// over the peer path — no rollback and no restart. It reports false when
+// there is no sibling to copy from.
+func (m *Manager) resyncReplica(js *jobState, dev device.ID) bool {
+	if !js.job.WeightsOn(dev) {
+		return false
 	}
-	if hasSrc && js.job.WeightsOn(dev) {
-		if path, err := m.machine.CopyPath(src, dev); err == nil {
-			js.weightsReady = false
-			m.bus.Emit(obs.Event{
-				Kind:   obs.KindRestore,
-				Ctx:    js.job.Ctx,
-				Job:    js.job.Cfg.Name,
-				Device: dev.String(),
-				From:   src.String(),
-				Name:   "replica-sync",
-			})
-			path.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), func() {
-				if js.epoch != epoch || js.stopped || js.job.Crashed() {
-					return
-				}
-				js.weightsReady = true
-				m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
-				m.pump(js)
-			})
-			return
+	for _, src := range js.job.Binding().Devices() {
+		if src == dev || !js.job.WeightsOn(src) || !m.machine.Healthy(src) {
+			continue
 		}
-	}
-	// Single replica: the corruption takes the only copy, so this is the
-	// legacy story — roll back, back off, reload from the host checkpoint.
-	js.restarting = true
-	js.job.Restarted()
-	m.bus.Emit(obs.Event{
-		Kind:   obs.KindRestore,
-		Ctx:    js.job.Ctx,
-		Job:    js.job.Cfg.Name,
-		Device: dev.String(),
-		Name:   "transient",
-		Count:  js.job.RollbackToCheckpoint(),
-	})
-	backoff := js.job.NextRestartBackoff()
-	m.eng.After(backoff, func() {
-		if js.epoch != epoch || js.stopped || js.job.Crashed() {
-			return
+		path, err := m.machine.CopyPath(src, dev)
+		if err != nil {
+			return false
 		}
-		finish := func() {
+		faultAt := m.eng.Now()
+		epoch := js.epoch
+		js.weightsReady = false
+		m.bus.Emit(obs.Event{
+			Kind:   obs.KindRestore,
+			Ctx:    js.job.Ctx,
+			Job:    js.job.Cfg.Name,
+			Device: dev.String(),
+			From:   src.String(),
+			Name:   "replica-sync",
+		})
+		path.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), func() {
 			if js.epoch != epoch || js.stopped || js.job.Crashed() {
 				return
 			}
-			js.restarting = false
+			js.weightsReady = true
 			m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
 			m.pump(js)
-		}
-		if dev.Kind == device.KindGPU && m.machine.Healthy(dev) {
-			m.machine.HostToDevice(dev.Index).Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), finish)
-			return
-		}
-		finish()
-	})
-}
-
-// discardStep tears down an elastic job's in-flight step: every shard
-// run is discarded, scratch freed, grants released (except on lost,
-// whose arbiter the fault handler reset wholesale) and queued grant
-// requests purged, then the consumed input returns to the ready pool.
-func (m *Manager) discardStep(js *jobState, lost device.ID) {
-	for _, sh := range js.shards {
-		if sh.run != nil {
-			sh.run.Discard()
-			sh.run = nil
-		}
-		if sh.scratch > 0 {
-			js.job.FreeScratchBytes(sh.dev, sh.scratch)
-			sh.scratch = 0
-		}
-		if sh.holding && sh.dev != lost {
-			m.release(sh.dev.Index)
-		}
-		sh.holding, sh.waiting, sh.preempting, sh.done = false, false, false, false
+		})
+		return true
 	}
-	for _, arb := range m.arbs {
-		kept := arb.queue[:0]
-		for _, req := range arb.queue {
-			if req.js != js {
-				kept = append(kept, req)
-			}
-		}
-		for i := len(kept); i < len(arb.queue); i++ {
-			arb.queue[i] = nil
-		}
-		arb.queue = kept
-	}
-	if js.job.ComputeRunning {
-		js.job.AbandonCompute()
-	}
-	// A torn-down step also tears down any in-flight gang suspension; the
-	// epoch bump above the call site already invalidates its callbacks.
-	js.gangPreempting, js.gangSuspended = false, false
-}
-
-// stateOf finds the scheduler state of a job.
-func (m *Manager) stateOf(job *workload.Job) *jobState {
-	for _, js := range m.jobs {
-		if js.job == job {
-			return js
-		}
-	}
-	return nil
+	return false
 }

@@ -45,19 +45,19 @@ func (m *Manager) HandleFault(ev fault.Event) {
 	}
 }
 
-// handleDeviceLost migrates every job on the lost device to a healthy
-// fallback, restoring weights from the host checkpoint (the device copy
-// is gone, so the cheap peer path of §3.3 is unavailable). Jobs without
-// a viable fallback crash — even SwitchFlow cannot run a job with
-// nowhere to put it.
+// handleDeviceLost recovers every job bound to the lost device by its
+// policy: an elastic job heals onto a re-split binding from its surviving
+// replicas; a plain job migrates to a healthy fallback, restoring weights
+// from the host checkpoint (the device copy is gone, so the cheap peer
+// path of §3.3 is unavailable). Jobs with nowhere to go crash — even
+// SwitchFlow cannot run a job with nowhere to put it.
 func (m *Manager) handleDeviceLost(dev device.ID) {
 	if dev.Kind != device.KindGPU || dev.Index >= len(m.machine.GPUs) {
 		return
 	}
-	// The arbiter's grant queue only ever holds jobs computing on this GPU
-	// (legacy jobs placed here, elastic shards bound here); every one of
-	// them is about to be migrated, healed, or crashed, so the whole
-	// arbiter resets.
+	// The arbiter's grant queue only ever holds shards bound to this GPU;
+	// every one of them is about to be migrated, healed, or crashed, so the
+	// whole arbiter resets.
 	m.arbs[dev.Index] = &arbiter{}
 	faultAt := m.eng.Now()
 	for _, js := range m.jobs {
@@ -65,31 +65,19 @@ func (m *Manager) handleDeviceLost(dev device.ID) {
 		// migration source not yet freed); the pool was invalidated
 		// wholesale, so drop the accounting rather than double-freeing.
 		js.job.ForgetDevice(dev)
-		if js.stopped || js.job.Crashed() {
-			continue
-		}
-		if js.job.Elastic() {
-			// Zero-restart healing: surviving replicas re-seed a re-split
-			// binding; no rollback, no Restarts increment.
-			m.healElastic(js, dev, faultAt)
-			continue
-		}
-		if js.current != dev {
+		if js.stopped || js.job.Crashed() || !js.job.Binding().Uses(dev) {
 			continue
 		}
 		js.epoch++
-		if js.computeRun != nil {
-			js.computeRun.Discard()
-			js.computeRun = nil
+		m.discardStep(js, dev)
+		js.restarting, js.restoring, js.checkpointRequested = false, false, false
+		if js.job.Elastic() {
+			m.healElastic(js, dev, faultAt)
+			continue
 		}
-		if js.job.ComputeRunning {
-			js.job.AbandonCompute()
-		}
-		js.holding, js.waiting, js.preempting = false, false, false
-		js.restoring, js.restarting = false, false
-		js.checkpointRequested = false
-
-		to, ok := m.pickRecoveryTarget(js, dev)
+		// Unlike preemption's pickFallback, recovery ignores who owns the
+		// target — surviving beats avoiding contention.
+		to, ok := m.fallbackWithRoom(js, dev, m.machine.Healthy)
 		if !ok {
 			js.job.Crash(fmt.Errorf("core: %s: %w (%v, no healthy fallback)",
 				js.job.Cfg.Name, fault.ErrDeviceLost, dev))
@@ -114,7 +102,7 @@ func (m *Manager) handleDeviceLost(dev device.ID) {
 			Name:   "device-lost",
 			Count:  js.job.RollbackToCheckpoint(),
 		})
-		js.current = to
+		m.moveTo(js, to)
 		if js.checkpointed {
 			// Gandiva-mode job already checkpointed out to host memory; the
 			// normal restore path rebuilds it on the new device.
@@ -125,37 +113,19 @@ func (m *Manager) handleDeviceLost(dev device.ID) {
 	}
 }
 
-// pickRecoveryTarget chooses the first healthy configured fallback with
-// room for the job's weights. Unlike preemption's pickFallback it ignores
-// who currently owns the target — surviving beats avoiding contention.
-func (m *Manager) pickRecoveryTarget(js *jobState, lost device.ID) (device.ID, bool) {
-	for _, dev := range js.job.Cfg.Fallbacks {
-		if dev == lost || !m.machine.Healthy(dev) {
-			continue
-		}
-		if dev.Kind == device.KindGPU {
-			gpu := m.machine.GPU(dev.Index)
-			if gpu == nil || gpu.Mem.Available() < js.job.WeightBytes() {
-				continue
-			}
-		}
-		return dev, true
-	}
-	return device.ID{}, false
-}
-
-// restoreFromHost rebuilds a job's state on js.current from the host
-// checkpoint: allocate weights, pay the H2D transfer (free for CPU
+// restoreFromHost rebuilds a plain job's state on its device from the
+// host checkpoint: allocate weights, pay the H2D transfer (free for CPU
 // placements — host state is already in host memory), then resume.
 func (m *Manager) restoreFromHost(js *jobState, faultAt time.Duration) {
-	if _, err := js.job.Version(js.current); err != nil {
+	dev := js.current()
+	if _, err := js.job.Version(dev); err != nil {
 		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
+		m.emitJobLost(js, dev, "no graph version")
 		return
 	}
-	if err := js.job.AllocWeights(js.current); err != nil {
+	if err := js.job.AllocWeights(dev); err != nil {
 		js.job.Crash(fmt.Errorf("core: restore %s: %w", js.job.Cfg.Name, err))
-		m.emitJobLost(js, js.current, "restore allocation failed")
+		m.emitJobLost(js, dev, "restore allocation failed")
 		return
 	}
 	js.weightsReady = false
@@ -165,46 +135,43 @@ func (m *Manager) restoreFromHost(js *jobState, faultAt time.Duration) {
 			return
 		}
 		js.weightsReady = true
-		if js.current.Kind == device.KindGPU {
+		if dev.Kind == device.KindGPU {
 			js.inTempPool = false
 		}
 		m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
 		m.pump(js)
 	}
-	if js.current.Kind != device.KindGPU {
+	if dev.Kind != device.KindGPU {
 		m.eng.After(0, finish)
 		return
 	}
-	h2d := m.machine.HostToDevice(js.current.Index)
+	h2d := m.machine.HostToDevice(dev.Index)
 	h2d.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), finish)
 }
 
-// handleTransient restarts the job computing on dev from its last
-// checkpoint: the in-flight iteration is corrupted and discarded, the
-// job backs off exponentially in virtual time, reloads its weights from
-// the host checkpoint (ECC faults taint device state), and resumes. The
-// hardware itself stays usable, so no migration happens.
+// handleTransient recovers the job the kernel/ECC fault on dev hits: the
+// in-flight step is corrupted and discarded. An elastic job with a
+// surviving sibling replica re-seeds the corrupted one without a restart;
+// otherwise the fault takes the only copy and the job restarts from its
+// last checkpoint. The hardware itself stays usable, so nothing migrates.
 func (m *Manager) handleTransient(dev device.ID) {
 	js := m.transientVictim(dev)
 	if js == nil {
 		return
 	}
-	if js.job.Elastic() {
-		m.handleElasticTransient(js, dev)
+	js.epoch++
+	m.discardStep(js, device.ID{})
+	if js.job.Elastic() && m.resyncReplica(js, dev) {
 		return
 	}
-	js.epoch++
-	if js.computeRun != nil {
-		js.computeRun.Discard()
-		js.computeRun = nil
-	}
-	if js.job.ComputeRunning {
-		js.job.AbandonCompute()
-	}
-	js.job.FreeIntermediate(dev)
-	m.purgeRequests(js)
-	m.releaseFrom(js)
-	js.preempting = false
+	m.restart(js, dev)
+}
+
+// restart is crash-and-restart with exponential backoff after a fault on
+// dev: the job rolls back to its last checkpoint, backs off in virtual
+// time, reloads its weights from the host checkpoint (ECC faults taint
+// device state), and resumes.
+func (m *Manager) restart(js *jobState, dev device.ID) {
 	js.restarting = true
 	js.job.Restarted()
 	m.bus.Emit(obs.Event{
@@ -230,8 +197,14 @@ func (m *Manager) handleTransient(dev device.ID) {
 			m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
 			m.pump(js)
 		}
-		if js.current.Kind == device.KindGPU && m.machine.Healthy(js.current) {
-			h2d := m.machine.HostToDevice(js.current.Index)
+		// A plain job reloads onto the device it now runs on; an elastic
+		// one onto the corrupted replica's device.
+		reload := dev
+		if !js.job.Elastic() {
+			reload = js.current()
+		}
+		if reload.Kind == device.KindGPU && m.machine.Healthy(reload) {
+			h2d := m.machine.HostToDevice(reload.Index)
 			h2d.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), finish)
 			return
 		}
@@ -240,9 +213,11 @@ func (m *Manager) handleTransient(dev device.ID) {
 }
 
 // transientVictim picks the job the fault hits: the device's current
-// owner, else the first job with state exposed there — computing, or
-// merely resident (an ECC error corrupts resident memory just as well as
-// a running kernel). Admission order keeps the choice deterministic.
+// owner, else the first job with state exposed there. A plain job is
+// exposed on its own device while its weights are resident (an ECC error
+// corrupts resident memory just as well as a running kernel); an elastic
+// job wherever it binds a vnode or holds a replica. Admission order keeps
+// the choice deterministic.
 func (m *Manager) transientVictim(dev device.ID) *jobState {
 	if dev.Kind == device.KindGPU && dev.Index < len(m.arbs) {
 		if arb := m.arbs[dev.Index]; arb.owner != nil &&
@@ -254,44 +229,12 @@ func (m *Manager) transientVictim(dev device.ID) *jobState {
 		if js.stopped || js.job.Crashed() || js.restarting {
 			continue
 		}
-		if js.job.Elastic() {
-			// An elastic job is exposed on every device its binding touches,
-			// not just its primary.
-			if js.job.Binding().Uses(dev) || js.job.WeightsOn(dev) {
-				return js
-			}
-			continue
-		}
-		if js.current != dev {
-			continue
-		}
-		if js.job.ComputeRunning || js.computeRun != nil || js.job.WeightsOn(dev) {
+		bound, resident := js.job.Binding().Uses(dev), js.job.WeightsOn(dev)
+		if (bound && resident) || (js.job.Elastic() && (bound || resident)) {
 			return js
 		}
 	}
 	return nil
-}
-
-// purgeRequests removes a job's pending grant requests from every
-// arbiter so a grant cannot fire into a restarting job and stall the
-// device for the backoff window.
-func (m *Manager) purgeRequests(js *jobState) {
-	if !js.waiting {
-		return
-	}
-	for _, arb := range m.arbs {
-		kept := arb.queue[:0]
-		for _, req := range arb.queue {
-			if req.js != js {
-				kept = append(kept, req)
-			}
-		}
-		for i := len(kept); i < len(arb.queue); i++ {
-			arb.queue[i] = nil
-		}
-		arb.queue = kept
-	}
-	js.waiting = false
 }
 
 // scheduleCheckpoint arms the next periodic host checkpoint for a
@@ -309,7 +252,8 @@ func (m *Manager) takeCheckpoint(js *jobState) {
 		return
 	}
 	bytes := js.job.CheckpointBytes()
-	onGPU := js.current.Kind == device.KindGPU && m.machine.Healthy(js.current) &&
+	dev := js.current()
+	onGPU := dev.Kind == device.KindGPU && m.machine.Healthy(dev) &&
 		!js.checkpointed && js.weightsReady
 	if bytes == 0 || !onGPU {
 		// State already host-resident (CPU placement, Gandiva checkpoint-out,
@@ -319,7 +263,7 @@ func (m *Manager) takeCheckpoint(js *jobState) {
 		m.scheduleCheckpoint(js)
 		return
 	}
-	d2h := m.machine.DeviceToHost(js.current.Index)
+	d2h := m.machine.DeviceToHost(dev.Index)
 	epoch := js.epoch
 	d2h.Transfer(bytes, js.job.Cfg.Model.WeightVars(), func() {
 		if js.stopped || js.job.Crashed() {
@@ -350,7 +294,7 @@ func (m *Manager) emitCheckpoint(js *jobState) {
 		Kind:   obs.KindCheckpoint,
 		Ctx:    js.job.Ctx,
 		Job:    js.job.Cfg.Name,
-		Device: js.current.String(),
+		Device: js.current().String(),
 		Name:   "periodic",
 	})
 }

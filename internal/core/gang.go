@@ -1,8 +1,8 @@
 package core
 
-// Gang scheduling semantics for synchronous data-parallel jobs (ROADMAP
-// item 4): a gang's replicas are elastic shards with two extra
-// invariants layered on top of the vnode machinery.
+// Gang scheduling semantics for synchronous data-parallel jobs: a gang's
+// replicas are elastic shards with two extra invariants layered on top of
+// the step engine (step.go).
 //
 //  1. All-or-nothing occupancy: no replica launches until every replica
 //     holds its device grant. Grants are acquired one at a time in
@@ -108,8 +108,7 @@ func (m *Manager) finishGangStep(js *jobState) {
 		if js.epoch != epoch || js.stopped || js.job.Crashed() || !js.job.ComputeRunning {
 			return // a fault or stop tore the step down mid-collective
 		}
-		js.job.FinishCompute()
-		js.inTempPool = false
+		m.commitStep(js)
 		m.pump(js)
 	})
 }
@@ -167,30 +166,10 @@ func (m *Manager) preemptGang(gpu int, victim *jobState) {
 		// the grant back immediately.
 		m.releaseShard(sh)
 	}
-	m.purgeGangRequests(victim)
+	// A grant must not fire into a gang being displaced; re-entry starts
+	// the ordered acquisition from scratch.
+	m.purgeRequests(victim)
 	m.eng.After(0, finishOne)
-}
-
-// purgeGangRequests removes a suspended gang's queued grant requests
-// from every arbiter — a grant must not fire into a gang that is being
-// displaced — and resets the per-replica waiting flags so re-entry
-// starts the ordered acquisition from scratch.
-func (m *Manager) purgeGangRequests(js *jobState) {
-	for _, arb := range m.arbs {
-		kept := arb.queue[:0]
-		for _, req := range arb.queue {
-			if req.js != js {
-				kept = append(kept, req)
-			}
-		}
-		for i := len(kept); i < len(arb.queue); i++ {
-			arb.queue[i] = nil
-		}
-		arb.queue = kept
-	}
-	for _, sh := range js.shards {
-		sh.waiting = false
-	}
 }
 
 // gangOrder returns the gang's shards sorted by GPU index — the global

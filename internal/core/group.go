@@ -57,7 +57,8 @@ func (m *Manager) AddSharedGroup(cfgs []workload.Config) (*Group, []*workload.Jo
 		if err := job.AllocWeights(cfg.Device); err != nil {
 			return nil, nil, fmt.Errorf("core: admit %s: %w", cfg.Name, err)
 		}
-		js := &jobState{job: job, current: cfg.Device, weightsReady: true}
+		js := newJobState(job)
+		js.group = g
 		g.members = append(g.members, js)
 		jobs = append(jobs, job)
 	}
@@ -86,7 +87,7 @@ func (g *Group) pump() {
 		return
 	}
 	g.pumpInput()
-	g.pumpCompute()
+	g.pumpTurn()
 }
 
 func (g *Group) pumpInput() {
@@ -94,10 +95,10 @@ func (g *Group) pumpInput() {
 		return
 	}
 	master := g.members[0]
-	v, err := master.job.Version(master.current)
+	v, err := master.job.Version(master.current())
 	if err != nil {
 		master.job.Crash(err)
-		g.m.emitJobLost(master, master.current, "no graph version")
+		g.m.emitJobLost(master, master.current(), "no graph version")
 		return
 	}
 	if v.Input == nil {
@@ -112,14 +113,14 @@ func (g *Group) pumpInput() {
 	})
 	if err != nil {
 		master.job.Crash(err)
-		g.m.emitJobLost(master, master.current, "input start failed")
+		g.m.emitJobLost(master, master.current(), "input start failed")
 		g.inputRunning = false
 	}
 }
 
-// pumpCompute runs the next member's GPU executor on the cached batch.
+// pumpTurn runs the next member's GPU executor on the cached batch.
 // A batch is consumed once every member has processed it.
-func (g *Group) pumpCompute() {
+func (g *Group) pumpTurn() {
 	if g.busy || g.inputReady == 0 {
 		return
 	}
@@ -129,47 +130,61 @@ func (g *Group) pumpCompute() {
 		return
 	}
 	g.busy = true
-	dev := js.current
+	sh := js.shards[0]
 	js.acquiredAt = g.m.eng.Now()
-	g.m.acquire(dev.Index, js, func() {
-		js.holding = true
-		g.runMember(js)
+	g.m.acquire(sh.dev.Index, js, func() {
+		sh.holding = true
+		g.runMember(js, sh)
 	})
 }
 
-func (g *Group) runMember(js *jobState) {
-	v, err := js.job.Version(js.current)
+// requeue puts the member whose turn it is back in line for the GPU after
+// a preemption or restart took the device from it mid-batch; the member
+// resumes in its turn and never runs its own input stage.
+func (g *Group) requeue() {
+	g.busy = false
+	g.pump()
+}
+
+func (g *Group) runMember(js *jobState, sh *shardState) {
+	if sh.run != nil {
+		g.m.resumeShard(js, sh)
+		return
+	}
+	v, err := js.job.Version(sh.dev)
 	if err != nil {
-		g.memberFailed(js, err)
+		g.memberFailed(js, sh, err)
 		return
 	}
-	if err := js.job.AllocIntermediate(js.current); err != nil {
-		g.memberFailed(js, err)
+	n := js.job.VNodeScratchBytes(sh.idx)
+	if err := js.job.AllocScratchBytes(sh.dev, n); err != nil {
+		g.memberFailed(js, sh, err)
 		return
 	}
-	cfg := executor.Config{Pool: g.m.global, Stream: js.job.Stream(js.current)}
+	sh.scratch = n
+	cfg := executor.Config{Pool: g.m.global, Stream: js.job.Stream(sh.dev)}
 	run, err := js.job.StartExec(v.Compute, cfg, func() {
-		js.computeRun = nil
-		js.job.FreeIntermediate(js.current)
+		sh.run = nil
+		js.job.FreeScratchBytes(sh.dev, sh.scratch)
+		sh.scratch = 0
 		js.job.Iterations++
-		js.holding = false
-		g.m.release(js.current.Index)
+		g.m.releaseShard(sh)
 		g.busy = false
 		g.advanceTurn()
 	})
 	if err != nil {
-		js.job.FreeIntermediate(js.current)
-		g.memberFailed(js, err)
+		js.job.FreeScratchBytes(sh.dev, sh.scratch)
+		sh.scratch = 0
+		g.memberFailed(js, sh, err)
 		return
 	}
-	js.computeRun = run
+	sh.run = run
 }
 
-func (g *Group) memberFailed(js *jobState, err error) {
+func (g *Group) memberFailed(js *jobState, sh *shardState, err error) {
 	js.job.Crash(err)
-	g.m.emitJobLost(js, js.current, "coupled member failed")
-	js.holding = false
-	g.m.release(js.current.Index)
+	g.m.emitJobLost(js, sh.dev, "coupled member failed")
+	g.m.releaseShard(sh)
 	g.busy = false
 	g.advanceTurn()
 }

@@ -61,16 +61,16 @@ type Manager struct {
 	eng     *sim.Engine
 	machine *device.Machine
 	opts    Options
-	global *threadpool.Pool
-	temp   *threadpool.Pool
+	global  *threadpool.Pool
+	temp    *threadpool.Pool
 	// arbs holds one arbiter per GPU, indexed by GPU index. It is a slice,
 	// not a map, so every sweep over the arbiters (fault recovery, request
 	// purging) runs in ascending device order — map iteration order is
 	// randomized and would leak into grant sequencing.
-	arbs []*arbiter
-	jobs []*jobState
-	groups  []*Group
-	ctxSeq  int
+	arbs   []*arbiter
+	jobs   []*jobState
+	groups []*Group
+	ctxSeq int
 	// grantSeq orders grant requests FIFO within a priority class. It is
 	// per-manager, not package-level, so concurrent experiment cells never
 	// share it (and one cell's request order can never leak into another).
@@ -98,15 +98,13 @@ type Manager struct {
 
 type jobState struct {
 	job          *workload.Job
-	current      device.ID
 	weightsReady bool
 	inTempPool   bool
-	holding      bool
-	waiting      bool
-	preempting   bool
-	stopped      bool
-	computeRun   *executor.Run
-	acquiredAt   time.Duration
+	// preempting pauses a plain job's whole pipeline while its shard
+	// drains after a preemption (step.go).
+	preempting bool
+	stopped    bool
+	acquiredAt time.Duration
 
 	// Checkpoint-preemption state (Options.CheckpointPreemption).
 	checkpointRequested bool
@@ -119,11 +117,15 @@ type jobState struct {
 	restarting bool
 	epoch      int
 
-	// Elastic state (jobs admitted with Config.VNodes): one shard per
-	// virtual node of the current binding, plus binding mutations queued
-	// for the next epoch-safe point.
+	// Step state (step.go): one shard per virtual node of the current
+	// binding (a plain job has one), whether a step is open, and binding
+	// mutations queued for the next epoch-safe point.
 	shards     []*shardState
+	stepOpen   bool
 	pendingOps []func()
+
+	// group is the shared-input group the job is a member of, if any.
+	group *Group
 
 	// Gang state (Config.Gang): gangPreempting gates the pump while the
 	// whole gang is being suspended; gangSuspended marks a displaced gang
@@ -175,10 +177,11 @@ func (m *Manager) GlobalPool() *threadpool.Pool { return m.global }
 // TempPool exposes the temporary pool.
 func (m *Manager) TempPool() *threadpool.Pool { return m.temp }
 
-// AddJob admits a job: its persistent state is allocated on the preferred
-// device up front, so admission fails (rather than the job crashing later)
-// when the aggregate weights of collocated models exceed GPU memory —
-// SwitchFlow's OOM-freedom contract (§3.4).
+// AddJob admits a job: its persistent state is allocated up front, one
+// full weight replica per distinct bound device (a plain job has one), so
+// admission fails (rather than the job crashing later) when the aggregate
+// weights of collocated models exceed GPU memory — SwitchFlow's
+// OOM-freedom contract (§3.4). A failed replica unwinds the others.
 func (m *Manager) AddJob(cfg workload.Config) (*workload.Job, error) {
 	m.ctxSeq++
 	if m.opts.DisableDynamicBatching {
@@ -189,25 +192,17 @@ func (m *Manager) AddJob(cfg workload.Config) (*workload.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if job.Elastic() {
-		// One full data-parallel weight replica per distinct bound device;
-		// admission fails atomically when any replica does not fit.
-		placed := make([]device.ID, 0, len(job.Binding().Devices()))
-		for _, dev := range job.Binding().Devices() {
-			if err := job.AllocWeights(dev); err != nil {
-				for _, d := range placed {
-					job.FreeWeights(d)
-				}
-				return nil, fmt.Errorf("core: admit %s: replica on %v: %w", cfg.Name, dev, err)
+	devs := job.Binding().Devices()
+	for i, dev := range devs {
+		if err := job.AllocWeights(dev); err != nil {
+			for _, d := range devs[:i] {
+				job.FreeWeights(d)
 			}
-			placed = append(placed, dev)
+			return nil, fmt.Errorf("core: admit %s: replica on %v: %w", cfg.Name, dev, err)
 		}
-	} else if err := job.AllocWeights(cfg.Device); err != nil {
-		return nil, fmt.Errorf("core: admit %s: %w", cfg.Name, err)
 	}
-	js := &jobState{job: job, current: cfg.Device, weightsReady: true}
+	js := newJobState(job)
 	if job.Elastic() {
-		m.rebuildShards(js)
 		for i := 0; i < job.Binding().Len(); i++ {
 			m.bus.Emit(obs.Event{
 				Kind:   obs.KindBind,
@@ -232,23 +227,29 @@ func (m *Manager) AddJob(cfg workload.Config) (*workload.Job, error) {
 
 // StopJob halts a job's loop after its in-flight stages complete.
 func (m *Manager) StopJob(job *workload.Job) {
-	for _, js := range m.jobs {
-		if js.job == job {
-			js.stopped = true
-			job.StopArrivals()
-			return
-		}
+	if js := m.stateOf(job); js != nil {
+		js.stopped = true
+		job.StopArrivals()
 	}
 }
 
-// JobDevice reports the device a job currently runs on.
+// JobDevice reports the device a job currently runs on (its first
+// virtual node's).
 func (m *Manager) JobDevice(job *workload.Job) device.ID {
-	for _, js := range m.jobs {
-		if js.job == job {
-			return js.current
-		}
+	if js := m.stateOf(job); js != nil {
+		return js.current()
 	}
 	return device.ID{}
+}
+
+// stateOf finds the scheduler state of a job.
+func (m *Manager) stateOf(job *workload.Job) *jobState {
+	for _, js := range m.jobs {
+		if js.job == job {
+			return js
+		}
+	}
+	return nil
 }
 
 // pump advances a job's pipeline; it is called on every relevant state
@@ -257,20 +258,16 @@ func (m *Manager) pump(js *jobState) {
 	if js.stopped || js.job.Crashed() || js.preempting || js.restarting {
 		return
 	}
-	if js.job.Elastic() {
-		// Elastic jobs fan each step out across their virtual-node shards;
-		// input stays the free-CPU-executor path (invariant 2 is about CPU
-		// stages, which vnodes do not change).
-		m.pumpInput(js)
-		m.pumpShards(js)
+	if js.group != nil {
+		js.group.requeue()
 		return
 	}
-	if m.opts.DisableFreeCPUExecutors {
+	if m.opts.DisableFreeCPUExecutors && !js.job.Elastic() {
 		m.pumpCoupled(js)
 		return
 	}
 	m.pumpInput(js)
-	m.pumpCompute(js)
+	m.pumpShards(js)
 }
 
 // pumpInput starts the CPU input stage whenever a prefetch slot is free —
@@ -279,10 +276,11 @@ func (m *Manager) pumpInput(js *jobState) {
 	if m.eng.Now() < m.stallUntil {
 		return // input pipelines stalled; handleInputStall re-pumps
 	}
-	v, err := js.job.Version(js.current)
+	dev := js.current()
+	v, err := js.job.Version(dev)
 	if err != nil {
 		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
+		m.emitJobLost(js, dev, "no graph version")
 		return
 	}
 	if v.Input == nil {
@@ -303,62 +301,23 @@ func (m *Manager) pumpInput(js *jobState) {
 		})
 		if err != nil {
 			js.job.Crash(err)
-			m.emitJobLost(js, js.current, "input start failed")
+			m.emitJobLost(js, dev, "input start failed")
 			return
 		}
 	}
 }
 
-// pumpCompute starts (or resumes) the compute stage when work is ready,
-// acquiring the GPU arbiter first — invariant 1 (§3.4).
-func (m *Manager) pumpCompute(js *jobState) {
-	if !js.weightsReady && !js.checkpointed {
-		return
-	}
-	if js.restoring {
-		return
-	}
-	resumable := js.computeRun != nil && js.computeRun.Suspended()
-	if js.job.ComputeRunning && !resumable {
-		return
-	}
-	if !js.job.ComputeRunning && !js.job.InputAvailable() {
-		return
-	}
-	if !js.job.ComputeRunning && js.job.HoldForBatch() {
-		// The micro-batch is still filling; the batch-wait timer (or the
-		// next ready input) re-pumps by the deadline.
-		return
-	}
-	if js.current.Kind != device.KindGPU || m.opts.DisableGPUExclusive {
-		m.startCompute(js)
-		return
-	}
-	if js.holding {
-		m.startCompute(js)
-		return
-	}
-	if js.waiting {
-		return
-	}
-	js.waiting = true
-	js.acquiredAt = m.eng.Now()
-	m.acquire(js.current.Index, js, func() {
-		js.waiting = false
-		js.holding = true
-		m.pump(js)
-	})
-}
-
-// pumpCoupled is the DisableFreeCPUExecutors ablation: input and compute
-// run back-to-back under the GPU grant, like session-based time slicing.
+// pumpCoupled is the DisableFreeCPUExecutors input policy for plain jobs:
+// input and compute run back-to-back under the GPU grant, like
+// session-based time slicing.
 func (m *Manager) pumpCoupled(js *jobState) {
 	if !js.weightsReady {
 		return
 	}
-	// A preempted session resumes through the normal compute path.
-	if js.computeRun != nil && js.computeRun.Suspended() {
-		m.pumpCompute(js)
+	sh := js.shards[0]
+	// A preempted session resumes through the normal shard path.
+	if sh.run != nil && sh.run.Suspended() {
+		m.pumpShards(js)
 		return
 	}
 	if js.job.ComputeRunning || js.job.InputsInFlight > 0 || !js.job.HasWork() {
@@ -367,117 +326,56 @@ func (m *Manager) pumpCoupled(js *jobState) {
 	if m.eng.Now() < m.stallUntil {
 		return // coupled sessions start with input; stalled like pumpInput
 	}
-	if js.current.Kind != device.KindGPU {
+	if sh.dev.Kind != device.KindGPU {
 		m.pumpInput(js)
-		m.pumpCompute(js)
+		m.pumpShards(js)
 		return
 	}
-	if js.holding || js.waiting {
+	if sh.holding || sh.waiting {
 		return
 	}
-	js.waiting = true
+	sh.waiting = true
 	js.acquiredAt = m.eng.Now()
-	m.acquire(js.current.Index, js, func() {
-		js.waiting = false
-		js.holding = true
-		m.runCoupledSession(js)
+	m.acquire(sh.dev.Index, js, func() {
+		sh.waiting = false
+		sh.holding = true
+		m.runCoupledSession(js, sh)
 	})
 }
 
-func (m *Manager) runCoupledSession(js *jobState) {
-	v, err := js.job.Version(js.current)
+func (m *Manager) runCoupledSession(js *jobState, sh *shardState) {
+	v, err := js.job.Version(sh.dev)
 	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
-		m.releaseFrom(js)
+		m.shardFailed(js, sh, err, "no graph version")
 		return
 	}
 	if !js.job.CanStartInput() && !js.job.InputAvailable() {
-		m.releaseFrom(js)
+		m.releaseShard(sh)
 		return
 	}
-	if js.job.CanStartInput() {
-		js.job.BeginInput()
-		if v.Input == nil {
-			js.job.FinishInput()
-			m.startCompute(js)
-			return
-		}
-		_, err := js.job.StartExec(v.Input, executor.Config{Pool: m.poolFor(js)}, func() {
-			js.job.FinishInput()
-			m.startCompute(js)
-		})
-		if err != nil {
-			js.job.Crash(err)
-			m.emitJobLost(js, js.current, "input start failed")
-			m.releaseFrom(js)
-			return
-		}
+	// The session launches whichever shard the job has when its input
+	// lands: a preemption may have moved it mid-input.
+	launch := func() {
+		m.openStep(js)
+		m.startShard(js, js.shards[0])
+	}
+	if !js.job.CanStartInput() {
+		launch()
 		return
 	}
-	m.startCompute(js)
-}
-
-// startCompute runs the compute subgraph on the current device, resuming
-// a suspended session run if one is pending and restoring a checkpoint
-// first when the job was checkpointed out.
-func (m *Manager) startCompute(js *jobState) {
-	if js.checkpointed {
-		m.restoreCheckpoint(js)
+	js.job.BeginInput()
+	if v.Input == nil {
+		js.job.FinishInput()
+		launch()
 		return
 	}
-	if js.computeRun != nil && js.computeRun.Suspended() {
-		if err := js.job.AllocIntermediate(js.current); err != nil {
-			js.job.Crash(err)
-			m.emitJobLost(js, js.current, "intermediate alloc failed")
-			m.releaseFrom(js)
-			return
-		}
-		m.bus.Emit(obs.Event{
-			Kind:   obs.KindResume,
-			Ctx:    js.job.Ctx,
-			Job:    js.job.Cfg.Name,
-			Device: js.current.String(),
-		})
-		js.computeRun.Resume()
-		return
-	}
-	v, err := js.job.NextComputeVersion(js.current)
-	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "no graph version")
-		m.releaseFrom(js)
-		return
-	}
-	if err := js.job.AllocIntermediate(js.current); err != nil {
-		// Cannot happen under the exclusivity invariant unless a single
-		// job exceeds the device by itself.
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "intermediate alloc failed")
-		m.releaseFrom(js)
-		return
-	}
-	js.job.BeginCompute()
-	cfg := executor.Config{Pool: m.poolFor(js), Stream: js.job.Stream(js.current)}
-	run, err := js.job.StartExec(v.Compute, cfg, func() {
-		js.computeRun = nil
-		js.job.FreeIntermediate(js.current)
-		js.job.FinishCompute()
-		// Regaining a full iteration on the GPU completes any pending
-		// "stay" preemption recovery: back to the global pool.
-		if js.current.Kind == device.KindGPU {
-			js.inTempPool = false
-		}
-		m.afterCompute(js)
+	_, err = js.job.StartExec(v.Input, executor.Config{Pool: m.poolFor(js)}, func() {
+		js.job.FinishInput()
+		launch()
 	})
 	if err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "compute start failed")
-		js.job.FreeIntermediate(js.current)
-		m.releaseFrom(js)
-		return
+		m.shardFailed(js, sh, err, "input start failed")
 	}
-	js.computeRun = run
 }
 
 // poolFor returns the inter-op pool a job's tasks go to: the temporary
@@ -487,105 +385,8 @@ func (m *Manager) poolFor(js *jobState) *threadpool.Pool {
 	if m.opts.DisableTempPoolIsolation {
 		return m.global
 	}
-	if js.inTempPool || js.current.Kind == device.KindCPU {
+	if js.inTempPool || js.current().Kind == device.KindCPU {
 		return m.temp
 	}
 	return m.global
-}
-
-// afterCompute runs the post-iteration path: under checkpoint preemption
-// a requested checkpoint streams the job's state to host memory before
-// the GPU is released (Gandiva's suspend path, §6); otherwise the GPU is
-// released immediately.
-func (m *Manager) afterCompute(js *jobState) {
-	if js.checkpointRequested && js.current.Kind == device.KindGPU {
-		js.checkpointRequested = false
-		from := js.current
-		epoch := js.epoch
-		d2h := m.machine.DeviceToHost(from.Index)
-		d2h.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), func() {
-			js.job.FreeWeights(from)
-			if js.epoch != epoch {
-				return // a fault already relocated the job mid-transfer
-			}
-			m.bus.Emit(obs.Event{
-				Kind:   obs.KindCheckpoint,
-				Ctx:    js.job.Ctx,
-				Job:    js.job.Cfg.Name,
-				Device: from.String(),
-				Name:   "preempt",
-			})
-			js.checkpointed = true
-			js.weightsReady = false
-			m.releaseFrom(js)
-			m.pump(js)
-		})
-		return
-	}
-	m.releaseFrom(js)
-	// A legacy job's epoch-safe point is right here, between iterations
-	// with the grant released: apply any queued binding ops (drain
-	// migrations) before pumping the next iteration.
-	m.applyPendingOps(js)
-	m.pump(js)
-}
-
-// restoreCheckpoint streams a checkpointed job's state back onto the GPU
-// it just re-acquired, then starts its compute. The restore occupies the
-// grant — Gandiva's resume cost.
-func (m *Manager) restoreCheckpoint(js *jobState) {
-	if js.restoring {
-		return
-	}
-	js.restoring = true
-	if err := js.job.AllocWeights(js.current); err != nil {
-		js.job.Crash(err)
-		m.emitJobLost(js, js.current, "restore allocation failed")
-		js.restoring = false
-		m.releaseFrom(js)
-		return
-	}
-	epoch := js.epoch
-	h2d := m.machine.HostToDevice(js.current.Index)
-	h2d.Transfer(js.job.WeightBytes(), js.job.Cfg.Model.WeightVars(), func() {
-		if js.epoch != epoch {
-			return // a fault already relocated the job mid-transfer
-		}
-		m.bus.Emit(obs.Event{
-			Kind:   obs.KindRestore,
-			Ctx:    js.job.Ctx,
-			Job:    js.job.Cfg.Name,
-			Device: js.current.String(),
-			Name:   "preempt",
-		})
-		js.restoring = false
-		js.checkpointed = false
-		js.weightsReady = true
-		m.pump(js)
-	})
-}
-
-func (m *Manager) releaseFrom(js *jobState) {
-	if !js.holding {
-		return
-	}
-	js.holding = false
-	m.release(js.current.Index)
-}
-
-// DebugJobState renders a job's scheduler state for test diagnostics.
-func (m *Manager) DebugJobState(job *workload.Job) string {
-	for _, js := range m.jobs {
-		if js.job == job {
-			suspended := js.computeRun != nil && js.computeRun.Suspended()
-			done, total := 0, 0
-			if js.computeRun != nil {
-				done, total = js.computeRun.Progress()
-			}
-			return fmt.Sprintf("holding=%v waiting=%v preempting=%v temp=%v run=%v suspended=%v progress=%d/%d",
-				js.holding, js.waiting, js.preempting, js.inTempPool,
-				js.computeRun != nil, suspended, done, total)
-		}
-	}
-	return "?"
 }

@@ -325,6 +325,55 @@ func TestSharedInputGroupLockstep(t *testing.T) {
 	}
 }
 
+// TestPreemptedGroupMemberKeepsLockstep: a high-priority server that
+// preempts a shared-group member must not break the group's lockstep. The
+// member suspends, the group re-acquires the GPU in its turn, and the
+// member resumes there — it never runs an input stage of its own.
+func TestPreemptedGroupMemberKeepsLockstep(t *testing.T) {
+	eng, _, m := newHarness(t, Options{}, device.ClassV100)
+	group, members, err := m.AddSharedGroup([]workload.Config{
+		trainCfg(t, "m0", "MobileNetV2", 16, 1, device.GPUID(0)),
+		trainCfg(t, "m1", "MobileNetV2", 16, 1, device.GPUID(0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve, err := m.AddJob(workload.Config{
+		Name: "serve", Model: spec(t, "ResNet50"), Batch: 1,
+		Kind: workload.KindServing, Priority: 2, Device: device.GPUID(0),
+		ArrivalEvery: 30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownInputs := 0
+	for at := 10 * time.Millisecond; at <= 10*time.Second; at += 10 * time.Millisecond {
+		eng.Schedule(at, func() {
+			for _, j := range members {
+				ownInputs += j.InputsInFlight
+			}
+		})
+	}
+	eng.RunUntil(10 * time.Second)
+	if m.Preemptions == 0 {
+		t.Fatal("the server never preempted a group member")
+	}
+	if serve.Latencies.Count() == 0 {
+		t.Fatal("the server completed no requests")
+	}
+	counts := group.Iterations()
+	t.Logf("iterations %v, %d preemptions, %d requests", counts, m.Preemptions, serve.Latencies.Count())
+	if counts[0] == 0 {
+		t.Fatal("group made no progress")
+	}
+	if diff := counts[0] - counts[1]; diff < -1 || diff > 1 {
+		t.Fatalf("lockstep violated under preemption: iterations %v", counts)
+	}
+	if ownInputs != 0 {
+		t.Fatalf("group members ran their own input stages (%d in-flight samples)", ownInputs)
+	}
+}
+
 func TestSharedGroupRejectsMismatchedMembers(t *testing.T) {
 	_, _, m := newHarness(t, Options{}, device.ClassV100, device.ClassV100)
 	a := workload.Config{Name: "a", Model: spec(t, "ResNet50"), Batch: 32,

@@ -5,6 +5,7 @@ import (
 
 	"switchflow/internal/device"
 	"switchflow/internal/obs"
+	"switchflow/internal/vnode"
 )
 
 // arbiter serializes GPU executors on one GPU (scheduling invariant 1) and
@@ -82,28 +83,24 @@ func (m *Manager) emitPreempt(gpu int, victim *jobState, how string) {
 	})
 }
 
-// preempt suspends the victim's compute stage: queued nodes are aborted
-// from the thread pools and the stream's backlog is dropped; in-flight
-// kernels drain (the only component on the new job's critical path,
-// §5.2.3). The victim's unfinished iteration is repopulated, and the
-// victim either migrates to a fallback device or waits in the temporary
-// pool until it regains the GPU.
+// preempt displaces the victim from GPU gpu according to its policy
+// (step.go): a gang suspends whole, an elastic job or group member
+// suspends just the shard on gpu, and a plain job aborts (or, under
+// Options.CheckpointPreemption, checkpoints out after its step).
 func (m *Manager) preempt(gpu int, victim *jobState) {
-	if victim.job.Elastic() {
-		if victim.job.Gang() {
-			// Gang victims suspend whole: a lone displaced replica would
-			// stall its siblings at the step barrier while they sit on GPUs
-			// other jobs need (gang.go).
-			m.preemptGang(gpu, victim)
-			return
+	switch {
+	case victim.job.Gang():
+		// A lone displaced replica would stall its siblings at the step
+		// barrier while they sit on GPUs other jobs need (gang.go).
+		m.preemptGang(gpu, victim)
+	case victim.job.Elastic() || victim.group != nil:
+		for _, sh := range victim.shards {
+			if sh.holding && sh.dev.Kind == device.KindGPU && sh.dev.Index == gpu {
+				m.preemptShard(gpu, victim, sh)
+				return
+			}
 		}
-		// Elastic victims are preempted per shard: only the shard on the
-		// contended GPU suspends; siblings keep computing. (The checkpoint
-		// ablation does not apply — vnode replicas make it moot.)
-		m.preemptShard(gpu, victim)
-		return
-	}
-	if m.opts.CheckpointPreemption {
+	case m.opts.CheckpointPreemption:
 		// Gandiva-style: no abort; the victim runs its mini-batch to
 		// completion, then checkpoints out (§6). The grant follows the
 		// checkpoint transfer.
@@ -112,12 +109,25 @@ func (m *Manager) preempt(gpu int, victim *jobState) {
 			m.Preemptions++
 			m.emitPreempt(gpu, victim, "checkpoint")
 		}
+	default:
+		m.preemptShard(gpu, victim, victim.shards[0])
+	}
+}
+
+// preemptShard suspends one shard's compute: queued nodes are aborted
+// from the thread pools and the stream's backlog is dropped; in-flight
+// kernels drain (the only component on the new job's critical path,
+// §5.2.3). A plain victim then migrates to a fallback device with room,
+// abandoning the partial step but keeping its input; otherwise the victim
+// stays and resumes its suspended run when it regains the GPU, so no work
+// is lost (§3.3).
+func (m *Manager) preemptShard(gpu int, victim *jobState, sh *shardState) {
+	if sh.preempting || victim.preempting {
 		return
 	}
-	if victim.preempting {
-		return
-	}
-	victim.preempting = true
+	plain := !victim.job.Elastic() && victim.group == nil
+	sh.preempting = true
+	victim.preempting = plain
 	m.Preemptions++
 	m.emitPreempt(gpu, victim, "abort")
 	if !m.opts.DisableTempPoolIsolation {
@@ -131,82 +141,87 @@ func (m *Manager) preempt(gpu int, victim *jobState) {
 			// fault handler already settled the arbiter.
 			return
 		}
-		from := victim.current
-		// The iteration's intermediate data is discarded either way,
-		// freeing the bulk of GPU memory for the preempter (§3.4); the
-		// resumed session reallocates it.
-		victim.job.FreeIntermediate(from)
-		victim.holding = false
+		// The step's intermediate data is discarded either way, freeing the
+		// bulk of GPU memory for the preempter (§3.4); a resumed run
+		// reallocates it.
+		victim.job.FreeScratchBytes(sh.dev, sh.scratch)
+		sh.scratch = 0
 		release := func() {
-			victim.preempting = false
+			sh.holding, sh.preempting, victim.preempting = false, false, false
 			m.release(gpu)
 			m.pump(victim)
 		}
-		fallback, ok := m.pickFallback(victim)
-		if !ok {
-			// Stay and wait: the suspended run is kept and resumed when
-			// the job regains the GPU — no work is lost (§3.3).
-			release()
-			return
+		if fallback, ok := m.pickFallback(victim); plain && ok {
+			if sh.run != nil {
+				sh.run.Discard()
+				sh.run = nil
+			}
+			m.abandonStep(victim)
+			if m.opts.SyncStateTransfer {
+				// Ablation: the state transfer joins the preemption critical
+				// path — the new job waits for it.
+				m.migrate(victim, sh.dev, fallback, "preempt", release)
+				return
+			}
+			m.migrate(victim, sh.dev, fallback, "preempt", nil)
 		}
-		// Migrating to a different device discards the partial iteration
-		// (its tasks repopulate a fresh session there) but keeps the
-		// prefetched input batch.
-		if victim.computeRun != nil {
-			victim.computeRun.Discard()
-			victim.computeRun = nil
-		}
-		if victim.job.ComputeRunning {
-			victim.job.AbandonCompute()
-		}
-		if m.opts.SyncStateTransfer {
-			// Ablation: the state transfer joins the preemption critical
-			// path — the new job waits for it.
-			m.migrate(victim, from, fallback, "preempt", release)
-			return
-		}
-		m.migrate(victim, from, fallback, "preempt", nil)
 		release()
 	}
 
-	if victim.computeRun != nil {
-		victim.computeRun.Suspend(finish)
+	if sh.run != nil {
+		sh.run.Suspend(finish)
 		return
 	}
-	// Owner was granted but has not started its executor (e.g. waiting on
-	// input); nothing to drain.
+	// The shard was granted but has not started its executor (e.g. waiting
+	// on input); nothing to drain.
 	m.eng.After(0, finish)
 }
 
-// pickFallback chooses the first configured fallback device with room for
-// the victim's weights. ok is false when the victim should stay and wait.
+// pickFallback chooses the first healthy configured fallback device with
+// room for the victim's weights. ok is false when the victim should stay
+// and wait.
 func (m *Manager) pickFallback(victim *jobState) (device.ID, bool) {
-	for _, dev := range victim.job.Cfg.Fallbacks {
-		if dev == victim.current || !m.machine.Healthy(dev) {
-			continue
+	return m.fallbackWithRoom(victim, victim.current(), func(d device.ID) bool {
+		if !m.machine.Healthy(d) {
+			return false
 		}
-		if dev.Kind == device.KindGPU {
-			gpu := m.machine.GPU(dev.Index)
-			if gpu == nil || gpu.Mem.Available() < victim.job.WeightBytes() {
-				continue
-			}
-			// The fallback GPU must not currently host a higher-priority
-			// owner the victim would immediately be preempted by.
-			if owner := m.arbs[dev.Index].owner; owner != nil &&
-				owner.job.Cfg.Priority > victim.job.Cfg.Priority {
-				continue
-			}
+		if d.Kind != device.KindGPU {
+			return true
 		}
-		return dev, true
+		// A fallback GPU must not currently host a higher-priority owner
+		// the victim would immediately be preempted by.
+		owner := m.arbs[d.Index].owner
+		return owner == nil || owner.job.Cfg.Priority <= victim.job.Cfg.Priority
+	})
+}
+
+// fallbackWithRoom returns the first configured fallback other than skip
+// that has room for the job's weights and that usable accepts.
+func (m *Manager) fallbackWithRoom(js *jobState, skip device.ID, usable func(device.ID) bool) (device.ID, bool) {
+	for _, d := range js.job.Cfg.Fallbacks {
+		if d != skip && m.hasRoom(js, d) && usable(d) {
+			return d, true
+		}
 	}
 	return device.ID{}, false
 }
 
-// migrate moves the victim to dev: weights are copied off the preemption
-// critical path; the source GPU retains the weight bytes until the
-// transfer completes (§3.3, Table 1). reason tags the migrate event
-// ("preempt", "fault", "drain"); onDone, when non-nil, fires at transfer
-// completion (used by the synchronous-transfer ablation).
+// hasRoom reports whether dev can take the job's weights; host memory is
+// not modelled, so the CPU always can.
+func (m *Manager) hasRoom(js *jobState, dev device.ID) bool {
+	if dev.Kind != device.KindGPU {
+		return true
+	}
+	gpu := m.machine.GPU(dev.Index)
+	return gpu != nil && gpu.Mem.Available() >= js.job.WeightBytes()
+}
+
+// migrate moves a plain job to dev: its vnode is rebound there and the
+// weights are copied off the preemption critical path; the source GPU
+// retains the weight bytes until the transfer completes (§3.3, Table 1).
+// reason tags the migrate event ("preempt", "drain"); onDone, when
+// non-nil, fires at transfer completion (used by the synchronous-transfer
+// ablation).
 func (m *Manager) migrate(victim *jobState, from, to device.ID, reason string, onDone func()) {
 	if _, err := victim.job.Version(to); err != nil {
 		victim.job.Crash(err)
@@ -229,7 +244,7 @@ func (m *Manager) migrate(victim *jobState, from, to device.ID, reason string, o
 		Device: to.String(),
 		Name:   reason,
 	})
-	victim.current = to
+	m.moveTo(victim, to)
 	victim.weightsReady = false
 	path, err := m.machine.CopyPath(from, to)
 	if err != nil {
@@ -262,4 +277,11 @@ func (m *Manager) migrate(victim *jobState, from, to device.ID, reason string, o
 			onDone()
 		}
 	})
+}
+
+// moveTo rebinds a plain job's one implicit vnode to dev; its next step
+// starts there on a fresh shard.
+func (m *Manager) moveTo(js *jobState, dev device.ID) {
+	js.job.SetBinding(vnode.Single(dev, js.job.Cfg.Batch))
+	js.rebuildShards()
 }

@@ -79,7 +79,7 @@ func chaosCell(policy switchflow.Policy, seed int64) ChaosRow {
 	}
 	serve, err := sched.AddJob(switchflow.JobSpec{
 		Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2,
-		GPU: 0, FallbackGPUs: []int{1}, FallbackCPU: true,
+		Placement:  switchflow.Placement{Fallbacks: []int{1}, AllowCPU: true},
 		ServeEvery: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -87,7 +87,7 @@ func chaosCell(policy switchflow.Policy, seed int64) ChaosRow {
 	}
 	train, err := sched.AddJob(switchflow.JobSpec{
 		Name: "train", Model: "ResNet50", Batch: 16, Train: true,
-		Priority: 1, GPU: 1,
+		Priority: 1, Placement: switchflow.Placement{Device: 1},
 	})
 	if err != nil {
 		panic(err)

@@ -46,7 +46,7 @@ type Binding struct {
 // from internal/cost). Split uses it to size heterogeneous shares.
 type Pricer func(dev device.ID, samples int) (time.Duration, error)
 
-// Single is the degenerate one-vnode binding every legacy job has: the
+// Single is the degenerate one-vnode binding every plain job has: the
 // whole batch on one device.
 func Single(dev device.ID, batch int) Binding {
 	return Binding{nodes: []VNode{{Index: 0, Device: dev, Share: batch}}}

@@ -54,8 +54,8 @@ type Config struct {
 	// split across one virtual node per listed device (devices may repeat
 	// to time-multiplex), with shares priced by internal/cost, and the
 	// binding becomes a runtime property the scheduler may change at
-	// epoch-safe points. Device must equal VNodes[0]. Empty keeps the
-	// legacy single implicit vnode covering the whole batch on Device.
+	// epoch-safe points. Device must equal VNodes[0]. Empty makes a plain
+	// job: one implicit vnode covering the whole batch on Device.
 	VNodes []device.ID
 	// Gang makes an elastic training job a synchronous data-parallel gang
 	// (TensorFlow OSDI'16's replicated synchronous training): one replica
@@ -160,9 +160,9 @@ type Job struct {
 	// ComputeRunning flags an in-flight compute stage.
 	ComputeRunning bool
 
-	eng      *sim.Engine
-	machine  *device.Machine
-	bus      *obs.Bus
+	eng     *sim.Engine
+	machine *device.Machine
+	bus     *obs.Bus
 	// serving aggregates the job's admission/batching outcomes from the
 	// observability spine (it subscribes to the machine bus, filtered by
 	// context) instead of being hand-incremented at each call site.

@@ -24,13 +24,13 @@ type shardKey struct {
 }
 
 // Elastic reports whether the job runs on explicit virtual nodes (it was
-// admitted with Config.VNodes). Elastic jobs are driven by the shard
-// scheduler path; everything else keeps the legacy single-device path
-// byte-for-byte.
+// admitted with Config.VNodes). Every job runs on the scheduler's shard
+// path; elasticity only changes its preemption and recovery policies.
 func (j *Job) Elastic() bool { return len(j.Cfg.VNodes) > 0 }
 
-// Binding returns the job's current virtual-node binding. Legacy jobs
-// report a single implicit vnode covering the whole batch on Device.
+// Binding returns the job's current virtual-node binding. Plain jobs
+// report a single implicit vnode covering the whole batch on the device
+// they currently run on.
 func (j *Job) Binding() vnode.Binding { return j.binding }
 
 // SetBinding installs a new binding. Callers (the scheduler core) must
@@ -77,22 +77,32 @@ func (j *Job) shardVersion(dev device.ID, samples int) (*Version, error) {
 }
 
 // VNodeVersion returns the compute graph version of vnode i under the
-// current binding, sized to the vnode's batch share.
+// current binding, sized to the vnode's batch share. A full-batch share
+// is sized to the micro-batch its next launch consumes, so a serving
+// job's one implicit vnode runs fused request batches.
 func (j *Job) VNodeVersion(i int) (*Version, error) {
 	if i < 0 || i >= j.binding.Len() {
 		return nil, fmt.Errorf("workload: job %q: vnode %d out of range (%d vnodes)", j.Cfg.Name, i, j.binding.Len())
 	}
 	n := j.binding.Node(i)
+	if n.Share == j.Cfg.Batch {
+		return j.versionFor(n.Device, j.computeBatchSize())
+	}
 	return j.shardVersion(n.Device, n.Share)
 }
 
 // VNodeScratchBytes is the per-step intermediate footprint of vnode i's
-// shard: activations sized to the share, not the global batch.
+// shard: activations sized to the share (times the micro-batch for a
+// full-batch share), not the global batch.
 func (j *Job) VNodeScratchBytes(i int) int64 {
 	if i < 0 || i >= j.binding.Len() {
 		return 0
 	}
-	return j.Cfg.Model.IntermediateBytes(j.binding.Node(i).Share, j.Training())
+	samples := j.binding.Node(i).Share
+	if samples == j.Cfg.Batch {
+		samples *= j.computeBatchSize()
+	}
+	return j.Cfg.Model.IntermediateBytes(samples, j.Training())
 }
 
 // AllocScratchBytes reserves n bytes of iteration scratch on dev,

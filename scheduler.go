@@ -186,10 +186,7 @@ func (s *Simulation) specConfig(spec JobSpec) (workload.Config, error) {
 	if err := spec.Validate(); err != nil {
 		return workload.Config{}, err
 	}
-	p, err := spec.placement()
-	if err != nil {
-		return workload.Config{}, err
-	}
+	p := spec.placement()
 	if p.Device >= s.GPUCount() {
 		return workload.Config{}, fmt.Errorf("%w: GPU index %d out of range (machine has %d GPUs)",
 			ErrInvalidJobSpec, p.Device, s.GPUCount())
