@@ -12,15 +12,8 @@ SHELL := /bin/bash
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build vet lint test race bench bench-json bench-trajectory \
-	bench-smoke fleet-smoke gang-smoke identical results examples trace \
+.PHONY: all build vet lint test race bench identical results examples trace \
 	install-lint-tools
-
-# The committed engine-performance baseline. Bump the number when a PR
-# intentionally moves the trajectory; `make bench-trajectory` regenerates
-# it and `make bench-smoke` (the CI gate) compares a smoke-sized run's
-# machine-portable ratios against it.
-BENCH_BASELINE := BENCH_010.json
 
 all: build vet lint test race
 
@@ -30,12 +23,20 @@ build:
 vet:
 	go vet ./...
 
-# Static analysis: go vet, then swlint (the project's own determinism and
+# Static analysis: go vet, a gofmt check (fails when any file needs
+# formatting), then swlint (the project's own determinism and
 # concurrency checks — see docs/architecture.md "Determinism & concurrency
-# invariants"), then staticcheck and govulncheck when installed. swlint is
-# plain module code, so it always runs, offline included; the external
-# tools are best-effort locally and mandatory in CI.
+# invariants"), then staticcheck and govulncheck when installed. gofmt and
+# swlint ship with the toolchain and the module, so they always run,
+# offline included; the external tools are best-effort locally and
+# mandatory in CI.
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
 	go run ./cmd/swlint ./...
 	@if command -v staticcheck >/dev/null; then \
 		staticcheck ./...; \
@@ -64,58 +65,6 @@ race:
 
 bench:
 	go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-
-# Machine-readable benchmark output (one JSON object per test event) for
-# tracking the performance trajectory across commits.
-bench-json:
-	go test -json -run='^$$' -bench=. -benchmem ./... | tee bench_output.json
-
-# Regenerate the committed engine-performance baseline: full-size micro
-# (wheel vs heap at depths 256/4k/64k) and macro (serial vs sharded
-# fleet) runs, normalized into $(BENCH_BASELINE). Run on a quiet machine.
-bench-trajectory:
-	go run ./cmd/swbench -exp engine -bench-label $(basename $(BENCH_BASELINE)) -bench-out $(BENCH_BASELINE)
-
-# CI regression gate: smoke-sized engine bench, compared against the
-# committed baseline on machine-portable speedup ratios (>25% regression
-# fails). Writes bench_smoke.json for the workflow artifact upload.
-bench-smoke:
-	go run ./cmd/swbench -exp engine -bench-smoke -bench-label smoke \
-		-bench-out bench_smoke.json -bench-check $(BENCH_BASELINE)
-
-# CI smoke for the million-user fleet scenario, shrunk to a 30s window
-# and 100k clients (~10s wall serial): the three routing arms must be
-# byte-identical serial vs parallel, the autoscaled arms must actually
-# scale out on the flash crowd and back in on the trough, and they must
-# shed less than the static arm.
-fleet-smoke:
-	go run ./cmd/swbench -exp fleet -fleet-window 30s -clients 100000 -parallel 1 > fleet_serial.txt
-	go run ./cmd/swbench -exp fleet -fleet-window 30s -clients 100000 -parallel 8 > fleet_parallel.txt
-	cmp fleet_serial.txt fleet_parallel.txt
-	awk 'NR > 3 { rows++; \
-		if ($$2 == "false") staticShed = $$6; \
-		if ($$2 == "true" && ($$9 == 0 || $$10 == 0 || $$11 == 0 || $$12 == 0 || $$6 >= staticShed)) exit 1 } \
-		END { exit rows != 3 }' fleet_serial.txt
-	@echo "fleet-smoke OK"
-
-# CI smoke for gang-scheduled data-parallel training: the five arms must
-# be byte-identical serial vs parallel, no arm may leave a partial gang
-# or resume a straggler replica, the contended-gang arm must place two
-# whole gangs and queue the third whole, the preempt arm must suspend and
-# resume whole gangs, and the NVLink ring must out-iterate the
-# island-straddling one.
-gang-smoke:
-	go run ./cmd/swbench -exp gang -parallel 1 > gang_serial.txt
-	go run ./cmd/swbench -exp gang -parallel 8 > gang_parallel.txt
-	cmp gang_serial.txt gang_parallel.txt
-	awk 'NR > 3 { rows++; \
-		if ($$10 != 0 || $$8 != 0) exit 1; \
-		if ($$1 == "gang" && ($$5 != 2 || $$9 != 1)) exit 1; \
-		if ($$1 == "preempt" && ($$6 == 0 || $$7 == 0)) exit 1; \
-		if ($$1 == "nvlink") nv = $$2; \
-		if ($$1 == "straddle" && $$2 >= nv) exit 1 } \
-		END { exit rows != 5 }' gang_serial.txt
-	@echo "gang-smoke OK"
 
 # Byte-identity oracle for refactors: extracts REF (default HEAD) with
 # git archive into a temporary directory, builds swbench there and from

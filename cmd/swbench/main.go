@@ -7,8 +7,8 @@
 //	swbench -exp f6 -requests 100
 //	swbench -exp f8 -iters 200
 //
-// Experiments: f2, f3, f6, f7, f8, f9, f10, t1, preempt, ablation, chaos,
-// elastic, gang, serving, all.
+// Experiments: f2, f3, f6, f7, f8, f9, f10, t1, preempt, gandiva, load,
+// serving, eager, fleet, ablation, chaos, elastic, gang, all.
 package main
 
 import (
@@ -25,30 +25,18 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment id: f2,f3,f6,f7,f8,f9,f10,t1,preempt,gandiva,load,serving,eager,fleet,ablation,chaos,elastic,gang,engine,all")
-		iters      = flag.Int("iters", 200, "iterations per measurement (figures 3, 8, 9, 10)")
-		requests   = flag.Int("requests", 200, "inference requests per cell (figure 6, preempt, ablation)")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for experiment sweeps (1 = serial)")
-		traceOut   = flag.String("trace", "", "write a Chrome trace-event file of the canned two-ResNet50 co-run and exit")
-		benchOut   = flag.String("bench-out", "", "with -exp engine: write the benchmark JSON artifact to this path")
-		benchSmoke = flag.Bool("bench-smoke", false, "with -exp engine: CI-sized run (fewer iterations, smaller fleets)")
-		benchCheck = flag.String("bench-check", "", "with -exp engine: compare against this baseline JSON; exit 1 on >25% ratio regression")
-		benchLabel = flag.String("bench-label", "dev", "with -exp engine: label stored in the JSON artifact")
-		clients    = flag.Int("clients", 1_000_000, "with -exp fleet: simulated client population (aggregated, base rate stays fixed)")
-		fleetWin   = flag.Duration("fleet-window", 75*time.Second, "with -exp fleet: virtual horizon of the fleet scenario")
+		exp      = flag.String("exp", "all", "experiment id: f2,f3,f6,f7,f8,f9,f10,t1,preempt,gandiva,load,serving,eager,fleet,ablation,chaos,elastic,gang,all")
+		iters    = flag.Int("iters", 200, "iterations per measurement (figures 3, 8, 9, 10)")
+		requests = flag.Int("requests", 200, "inference requests per cell (figure 6, preempt, ablation)")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for experiment sweeps (1 = serial)")
+		traceOut = flag.String("trace", "", "write a Chrome trace-event file of the canned two-ResNet50 co-run and exit")
+		clients  = flag.Int("clients", 1_000_000, "with -exp fleet: simulated client population (aggregated, base rate stays fixed)")
+		fleetWin = flag.Duration("fleet-window", 75*time.Second, "with -exp fleet: virtual horizon of the fleet scenario")
 	)
 	flag.Parse()
 	harness.SetParallelism(*parallel)
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "swbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "engine" {
-		opts := benchOpts{smoke: *benchSmoke, label: *benchLabel, out: *benchOut, check: *benchCheck}
-		if err := engineBench(opts); err != nil {
 			fmt.Fprintln(os.Stderr, "swbench:", err)
 			os.Exit(1)
 		}

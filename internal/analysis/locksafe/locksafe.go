@@ -6,15 +6,14 @@
 //     that intentionally return holding the lock carry
 //     //swlint:allow locksafe <reason>.
 //
-//  2. Work under the lock that can re-enter or block indefinitely:
-//     - calling a function *value* (parameter, field, stored callback)
-//       while a mutex is held — the callback may try to take the same
-//       lock, and the single-threaded simulation behind the control
-//       plane deadlocks;
-//     - writing an HTTP response while a mutex is held — the write
-//       blocks on the client's socket, so one slow reader stalls every
-//       other request on the control plane. Build the payload under the
-//       lock; write after unlocking.
+//  2. Work under the lock that can re-enter or block indefinitely.
+//     Calling a function *value* (parameter, field, stored callback)
+//     while a mutex is held may take the same lock again, and the
+//     single-threaded simulation behind the control plane deadlocks.
+//     Writing an HTTP response while a mutex is held blocks on the
+//     client's socket, so one slow reader stalls every other request on
+//     the control plane. Build the payload under the lock; write after
+//     unlocking.
 //
 //  3. Mutex copies: passing or copying a sync.Mutex (or a struct
 //     containing one) by value splits the critical section in two. This

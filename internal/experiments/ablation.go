@@ -53,28 +53,15 @@ func ablationOne(name, desc string, opts core.Options, requests int) AblationRow
 	eng := sim.NewEngine()
 	machine := machineFor(eng, "V100")
 	m := core.NewManager(eng, machine, opts)
-	train, err := m.AddJob(trainConfig("train", "VGG16", 32, 1))
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(2 * time.Second)
-	serve, err := m.AddJob(serveConfig("serve", "ResNet50", 1, 2))
-	if err != nil {
-		panic(err)
-	}
-	start, startIters := eng.Now(), train.Iterations
-	runUntil(eng, time.Hour, func() bool { return serve.Latencies.Count() >= requests })
-	window := eng.Now() - start
-	row := AblationRow{
+	run := collocate(eng, m.AddJob, trainConfig("train", "VGG16", 32, 1),
+		serveConfig("serve", "ResNet50", 1, 2), requests, time.Hour)
+	return AblationRow{
 		Variant:     name,
 		Description: desc,
-		ServeP95MS:  serve.Latencies.Percentile(95).Seconds() * 1e3,
+		ServeP95MS:  run.serve.Latencies.Percentile(95).Seconds() * 1e3,
+		TrainImgPS:  run.trainRate(32),
 		PreemptP95:  m.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
 	}
-	if window > 0 {
-		row.TrainImgPS = float64((train.Iterations-startIters)*32) / window.Seconds()
-	}
-	return row
 }
 
 // AblationMigration compares async vs sync state transfer in the

@@ -2,10 +2,31 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"switchflow/internal/harness"
 )
+
+// elasticRuns holds one serial and one 4-worker Elastic() sweep, shared
+// by the determinism test and the recovery test so neither re-runs the
+// arms.
+var elasticRuns struct {
+	once             sync.Once
+	serial, parallel []ElasticRow
+}
+
+func elasticSerialParallel() (serial, parallel []ElasticRow) {
+	elasticRuns.once.Do(func() {
+		prev := harness.SetParallelism(1)
+		defer harness.SetParallelism(prev)
+		elasticRuns.serial = Elastic()
+
+		harness.SetParallelism(4)
+		elasticRuns.parallel = Elastic()
+	})
+	return elasticRuns.serial, elasticRuns.parallel
+}
 
 // TestElasticRecoveryBeatsRestart is the acceptance contract of the
 // elastic experiment: the elastic arm survives the drain by rebinding
@@ -13,9 +34,9 @@ import (
 // restart plus checkpoint rollback, and the process-model baselines
 // lose the job outright.
 func TestElasticRecoveryBeatsRestart(t *testing.T) {
-	rows := Elastic()
-	byMode := make(map[string]ElasticRow, len(rows))
-	for _, r := range rows {
+	serial, _ := elasticSerialParallel()
+	byMode := make(map[string]ElasticRow, len(serial))
+	for _, r := range serial {
 		byMode[r.Mode] = r
 	}
 
@@ -71,14 +92,7 @@ func TestElasticRecoveryBeatsRestart(t *testing.T) {
 // contract to the elastic sweep: arms that mutate bindings mid-run
 // (grow, drain) must still be byte-identical across worker counts.
 func TestParallelElasticMatchesSerial(t *testing.T) {
-	prev := harness.SetParallelism(1)
-	defer harness.SetParallelism(prev)
-
-	serial := Elastic()
-
-	harness.SetParallelism(4)
-	parallel := Elastic()
-
+	serial, parallel := elasticSerialParallel()
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel Elastic rows differ from serial:\nserial:   %+v\nparallel: %+v",
 			serial, parallel)

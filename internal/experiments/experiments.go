@@ -8,6 +8,8 @@ package experiments
 import (
 	"time"
 
+	"switchflow/internal/baseline"
+	"switchflow/internal/core"
 	"switchflow/internal/device"
 	"switchflow/internal/models"
 	"switchflow/internal/sim"
@@ -32,6 +34,57 @@ func runUntil(eng *sim.Engine, horizon time.Duration, cond func() bool) bool {
 			return cond != nil && cond()
 		}
 	}
+}
+
+// collocation is the outcome of one collocate run. The window spans from
+// the serving job's arrival to the end of the run.
+type collocation struct {
+	serve      *workload.Job
+	trainIters int // training iterations completed within the window
+	window     time.Duration
+}
+
+// trainRate is the training throughput over the window, in units of
+// perIter per second (1 for steps/s, the batch size for images/s).
+func (c collocation) trainRate(perIter int) float64 {
+	if c.window <= 0 {
+		return 0
+	}
+	return float64(c.trainIters*perIter) / c.window.Seconds()
+}
+
+// collocate runs the serving-vs-training collocation the single-GPU
+// experiments share: add the training job, let it run alone for 2s, add
+// the serving job, then run until the serving job has completed requests
+// requests or the virtual horizon passes. add is the scheduler's AddJob,
+// passed as a method value.
+func collocate(eng *sim.Engine, add func(workload.Config) (*workload.Job, error),
+	train, serve workload.Config, requests int, horizon time.Duration) collocation {
+	trainJob, err := add(train)
+	if err != nil {
+		panic(err)
+	}
+	eng.RunUntil(2 * time.Second)
+	serveJob, err := add(serve)
+	if err != nil {
+		panic(err)
+	}
+	start, startIters := eng.Now(), trainJob.Iterations
+	runUntil(eng, horizon, func() bool { return serveJob.Latencies.Count() >= requests })
+	return collocation{
+		serve:      serveJob,
+		trainIters: trainJob.Iterations - startIters,
+		window:     eng.Now() - start,
+	}
+}
+
+// tfOrSwitchFlow builds the one scheduler a TF-vs-SwitchFlow arm runs on
+// machine, multi-threaded TF or SwitchFlow, and returns its AddJob.
+func tfOrSwitchFlow(eng *sim.Engine, machine *device.Machine, switchFlow bool) func(workload.Config) (*workload.Job, error) {
+	if switchFlow {
+		return core.NewManager(eng, machine, core.Options{}).AddJob
+	}
+	return baseline.NewThreadedTF(eng, machine).AddJob
 }
 
 // mustSpec resolves a model name; experiment tables only reference models

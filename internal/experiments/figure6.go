@@ -3,8 +3,6 @@ package experiments
 import (
 	"time"
 
-	"switchflow/internal/baseline"
-	"switchflow/internal/core"
 	"switchflow/internal/harness"
 	"switchflow/internal/sim"
 )
@@ -51,18 +49,14 @@ func Figure6(requests int) []Figure6Row {
 		cells = append(cells, cell{bg, "NMT"})
 	}
 	return harness.Map(cells, func(c cell) Figure6Row {
-		return figure6Cell(c.train, c.infer, requests)
+		return Figure6Cell(c.train, c.infer, requests)
 	})
 }
 
 // Figure6Cell runs one (training, inference) pair.
 func Figure6Cell(trainModel, inferModel string, requests int) Figure6Row {
-	return figure6Cell(trainModel, inferModel, requests)
-}
-
-func figure6Cell(trainModel, inferModel string, requests int) Figure6Row {
-	tf := figure6TF(trainModel, inferModel, requests)
-	sf := figure6SF(trainModel, inferModel, requests)
+	tf := figure6P95(trainModel, inferModel, requests, false)
+	sf := figure6P95(trainModel, inferModel, requests, true)
 	row := Figure6Row{
 		TrainModel: trainModel,
 		InferModel: inferModel,
@@ -75,44 +69,12 @@ func figure6Cell(trainModel, inferModel string, requests int) Figure6Row {
 	return row
 }
 
-const (
-	figure6TrainBatch = 32
-	figure6Warmup     = 2 * time.Second
-	figure6Horizon    = 30 * time.Minute
-)
-
-func figure6TF(trainModel, inferModel string, requests int) float64 {
+// figure6P95 collocates the pair under threaded TF or SwitchFlow and
+// returns the inference stream's p95 latency in ms.
+func figure6P95(trainModel, inferModel string, requests int, switchFlow bool) float64 {
 	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
-	sched := baseline.NewThreadedTF(eng, machine)
-	if _, err := sched.AddJob(trainConfig("train", trainModel, figure6TrainBatch, 1)); err != nil {
-		panic(err)
-	}
-	eng.RunUntil(figure6Warmup)
-	serve, err := sched.AddJob(serveConfig("serve", inferModel, 1, 2))
-	if err != nil {
-		panic(err)
-	}
-	runUntil(eng, figure6Horizon, func() bool {
-		return serve.Latencies.Count() >= requests
-	})
-	return serve.Latencies.Percentile(95).Seconds() * 1e3
-}
-
-func figure6SF(trainModel, inferModel string, requests int) float64 {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
-	m := core.NewManager(eng, machine, core.Options{})
-	if _, err := m.AddJob(trainConfig("train", trainModel, figure6TrainBatch, 1)); err != nil {
-		panic(err)
-	}
-	eng.RunUntil(figure6Warmup)
-	serve, err := m.AddJob(serveConfig("serve", inferModel, 1, 2))
-	if err != nil {
-		panic(err)
-	}
-	runUntil(eng, figure6Horizon, func() bool {
-		return serve.Latencies.Count() >= requests
-	})
-	return serve.Latencies.Percentile(95).Seconds() * 1e3
+	add := tfOrSwitchFlow(eng, machineFor(eng, "V100"), switchFlow)
+	run := collocate(eng, add, trainConfig("train", trainModel, 32, 1),
+		serveConfig("serve", inferModel, 1, 2), requests, 30*time.Minute)
+	return run.serve.Latencies.Percentile(95).Seconds() * 1e3
 }

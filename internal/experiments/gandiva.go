@@ -53,22 +53,9 @@ func gandivaOne(trainModel string, requests int, opts core.Options) (p95, grantP
 	eng := sim.NewEngine()
 	machine := machineFor(eng, "V100")
 	m := core.NewManager(eng, machine, opts)
-	train, err := m.AddJob(trainConfig("train", trainModel, 32, 1))
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(2 * time.Second)
-	serve, err := m.AddJob(serveConfig("serve", "ResNet50", 1, 2))
-	if err != nil {
-		panic(err)
-	}
-	start, startIters := eng.Now(), train.Iterations
-	runUntil(eng, time.Hour, func() bool { return serve.Latencies.Count() >= requests })
-	window := eng.Now() - start
-	p95 = serve.Latencies.Percentile(95).Seconds() * 1e3
-	grantP95 = m.PreemptionLatencies.Percentile(95).Seconds() * 1e3
-	if window > 0 {
-		trainPS = float64(train.Iterations-startIters) / window.Seconds()
-	}
-	return p95, grantP95, trainPS
+	run := collocate(eng, m.AddJob, trainConfig("train", trainModel, 32, 1),
+		serveConfig("serve", "ResNet50", 1, 2), requests, time.Hour)
+	return run.serve.Latencies.Percentile(95).Seconds() * 1e3,
+		m.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
+		run.trainRate(1)
 }

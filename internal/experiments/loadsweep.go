@@ -3,11 +3,8 @@ package experiments
 import (
 	"time"
 
-	"switchflow/internal/baseline"
-	"switchflow/internal/core"
 	"switchflow/internal/harness"
 	"switchflow/internal/sim"
-	"switchflow/internal/workload"
 )
 
 // LoadRow is one point of the open-loop load sweep: a Poisson stream of
@@ -49,7 +46,7 @@ func LoadPoint(ratePerSec float64, requests int) LoadRow {
 
 func loadOne(ratePerSec float64, requests int, switchFlow bool) (p95, p99 float64) {
 	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
+	add := tfOrSwitchFlow(eng, machineFor(eng, "V100"), switchFlow)
 
 	serveCfg := serveConfig("serve", "ResNet50", 1, 2)
 	serveCfg.ClosedLoop = false
@@ -59,31 +56,7 @@ func loadOne(ratePerSec float64, requests int, switchFlow bool) (p95, p99 float6
 	// A deep prefetch window lets queued requests pipeline.
 	serveCfg.PrefetchDepth = 4
 
-	var serve *workload.Job
-	if switchFlow {
-		m := core.NewManager(eng, machine, core.Options{})
-		if _, err := m.AddJob(trainConfig("train", "VGG16", 32, 1)); err != nil {
-			panic(err)
-		}
-		eng.RunUntil(2 * time.Second)
-		job, err := m.AddJob(serveCfg)
-		if err != nil {
-			panic(err)
-		}
-		serve = job
-	} else {
-		s := baseline.NewThreadedTF(eng, machine)
-		if _, err := s.AddJob(trainConfig("train", "VGG16", 32, 1)); err != nil {
-			panic(err)
-		}
-		eng.RunUntil(2 * time.Second)
-		job, err := s.AddJob(serveCfg)
-		if err != nil {
-			panic(err)
-		}
-		serve = job
-	}
-	runUntil(eng, 30*time.Minute, func() bool { return serve.Latencies.Count() >= requests })
+	serve := collocate(eng, add, trainConfig("train", "VGG16", 32, 1), serveCfg, requests, 30*time.Minute).serve
 	return serve.Latencies.Percentile(95).Seconds() * 1e3,
 		serve.Latencies.Percentile(99).Seconds() * 1e3
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"switchflow/internal/harness"
 )
@@ -24,29 +23,6 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel Figure3 rows differ from serial:\nserial:   %+v\nparallel: %+v",
-			serial, parallel)
-	}
-}
-
-// TestParallelFleetMatchesSerial covers the sharded-cluster path: each
-// Fleet cell advances its per-node engines through shard epoch barriers,
-// so this asserts determinism across BOTH levels of parallelism — the
-// sweep over policies and the intra-cell fan-out over node engines.
-func TestParallelFleetMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy cells; skipped in -short mode")
-	}
-	prev := harness.SetParallelism(1)
-	defer harness.SetParallelism(prev)
-
-	const window = 10 * time.Second
-	serial := Fleet(window, 100_000)
-
-	harness.SetParallelism(8)
-	parallel := Fleet(window, 100_000)
-
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel Fleet rows differ from serial:\nserial:   %+v\nparallel: %+v",
 			serial, parallel)
 	}
 }

@@ -11,15 +11,14 @@ import (
 // high-priority arrival to GPU grant (bounded by the in-flight kernel) and
 // the state-transfer window during which the source GPU retains weights.
 type PreemptionResult struct {
-	TrainModel   string
-	Preemptions  int
-	MeanGrantMS  float64
-	P95GrantMS   float64
-	MaxGrantMS   float64
-	StateMB      float64 // retained during migration (Table 1 column)
-	TransferMS   float64
-	ServedP95MS  float64
-	TrainStepsPS float64 // background progress while being preempted
+	TrainModel  string
+	Preemptions int
+	MeanGrantMS float64
+	P95GrantMS  float64
+	MaxGrantMS  float64
+	StateMB     float64 // retained during migration (Table 1 column)
+	TransferMS  float64
+	ServedP95MS float64
 }
 
 // PreemptionOverhead collocates a BS=1 inference stream with a background
@@ -29,22 +28,12 @@ func PreemptionOverhead(trainModel string, requests int) PreemptionResult {
 	eng := sim.NewEngine()
 	machine := machineFor(eng, "V100")
 	m := core.NewManager(eng, machine, core.Options{})
-	train, err := m.AddJob(trainConfig("train", trainModel, 32, 1))
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(2 * time.Second)
-	serve, err := m.AddJob(serveConfig("serve", "ResNet50", 1, 2))
-	if err != nil {
-		panic(err)
-	}
-	start := eng.Now()
-	runUntil(eng, time.Hour, func() bool { return serve.Latencies.Count() >= requests })
-	window := eng.Now() - start
+	run := collocate(eng, m.AddJob, trainConfig("train", trainModel, 32, 1),
+		serveConfig("serve", "ResNet50", 1, 2), requests, time.Hour)
 
 	spec := mustSpec(trainModel)
 	peerMS := machine.Peer().TransferTime(spec.StatefulBytes(), spec.WeightVars())
-	res := PreemptionResult{
+	return PreemptionResult{
 		TrainModel:  trainModel,
 		Preemptions: m.Preemptions,
 		MeanGrantMS: m.PreemptionLatencies.Mean().Seconds() * 1e3,
@@ -52,10 +41,6 @@ func PreemptionOverhead(trainModel string, requests int) PreemptionResult {
 		MaxGrantMS:  m.PreemptionLatencies.Max().Seconds() * 1e3,
 		StateMB:     float64(spec.StatefulBytes()) / (1 << 20),
 		TransferMS:  peerMS.Seconds() * 1e3,
-		ServedP95MS: serve.Latencies.Percentile(95).Seconds() * 1e3,
+		ServedP95MS: run.serve.Latencies.Percentile(95).Seconds() * 1e3,
 	}
-	if window > 0 {
-		res.TrainStepsPS = float64(train.Iterations) / window.Seconds()
-	}
-	return res
 }

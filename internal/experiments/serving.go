@@ -17,9 +17,9 @@ type ServingArm struct {
 	GoodputPS float64 // SLO-met requests per second of the window
 	P95MS     float64
 	P99MS     float64
-	Offered int
-	Served  int
-	Shed    int
+	Offered   int
+	Served    int
+	Shed      int
 	// AttainPct is the SLO-met fraction of the OFFERED load — a shed
 	// request is a missed SLO from the client's perspective, so shedding
 	// keeps the served tail clean but still costs attainment here.

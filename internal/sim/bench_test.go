@@ -130,9 +130,9 @@ func BenchmarkEngineDepth(b *testing.B) {
 }
 
 // BenchmarkEngineRescheduleStorm compares wheel vs heap under cancel-heavy
-// churn at fleet-scale depth.
+// churn at the same depths as BenchmarkEngineDepth.
 func BenchmarkEngineRescheduleStorm(b *testing.B) {
-	for _, depth := range []time.Duration{4096, 65536} {
+	for _, depth := range []time.Duration{256, 4096, 65536} {
 		depth := depth
 		b.Run("wheel/"+depth.String(), func(b *testing.B) {
 			benchRescheduleStorm[Event](b, NewEngine(), depth)

@@ -190,6 +190,52 @@ func TestSteadyStateReusesEvents(t *testing.T) {
 	}
 }
 
+// TestWheelStepAllocFree pins the wheel's zero-allocation steady state in
+// both loop shapes BenchmarkEngineDepth and BenchmarkEngineRescheduleStorm
+// time: schedule+step, and the cancel-heavy storm that also cancels a
+// 64-entry pending slice whenever it fills. Each measured run is one full
+// drain-and-refill of the standing queue, and every allocation in it
+// counts. The storm's sort buffer and free list reach their final
+// capacity during its second drain-and-refill, so three run first.
+func TestWheelStepAllocFree(t *testing.T) {
+	fn := func() {}
+	for _, depth := range []time.Duration{256, 4096, 65536} {
+		for _, storm := range []bool{false, true} {
+			e := NewEngine()
+			for i := time.Duration(0); i < depth; i++ {
+				e.Schedule(i, fn)
+			}
+			pending := make([]Event, 0, 64)
+			cycle := func() {
+				if storm {
+					if len(pending) == cap(pending) {
+						for _, ev := range pending {
+							ev.Cancel()
+						}
+						pending = pending[:0]
+					}
+					pending = append(pending, e.Schedule(e.Now()+depth/2, fn))
+				}
+				e.Schedule(e.Now()+depth, fn)
+				e.Step()
+			}
+			refill := func() {
+				for i := time.Duration(0); i < depth; i++ {
+					cycle()
+				}
+			}
+			refill()
+			refill()
+			// AllocsPerRun makes one more, unmeasured, warm-up call.
+			allocs := testing.AllocsPerRun(1, refill)
+			if allocs != 0 {
+				t.Errorf("depth %d storm=%v: %v allocations over %d cycles, want 0",
+					depth, storm, allocs, depth)
+			}
+		}
+	}
+}
+
 // Property: cancelling an arbitrary subset leaves the survivors firing in
 // exactly the original (time, schedule-order) sequence.
 func TestCancelPreservesOrderProperty(t *testing.T) {
