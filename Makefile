@@ -67,21 +67,42 @@ bench:
 	go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Byte-identity oracle for refactors: extracts REF (default HEAD) with
-# git archive into a temporary directory, builds swbench there and from
-# the working tree, and requires the full sweep's stdout to match; the
-# working tree's serial and parallel runs must match too.
+# git archive into a temporary directory and builds swbench, swrun and
+# every example there and from the working tree. The two builds must
+# print the same stdout for the examples, for swrun on each
+# docs/scenarios file, and for swrun's baseline schedulers under a device
+# loss and a seeded fault mix (the facade baseline path); then for the
+# full swbench sweep, whose serial and parallel runs must match too.
 REF ?= HEAD
 IDENTICAL_FLAGS := -exp all -iters 20 -requests 40
+IDENTICAL_EXAMPLES := $(notdir $(wildcard examples/*))
+IDENTICAL_SWRUN := -machine 2gpu -jobs train:ResNet50:16:1@0,train:VGG16:16:1@1,serve:ResNet50:1:2@0 -for 20s
 
 identical:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	mkdir "$$tmp/ref"; \
+	mkdir "$$tmp/ref" "$$tmp/bin-ref" "$$tmp/bin" "$$tmp/out-ref" "$$tmp/out"; \
 	git archive $(REF) | tar -x -C "$$tmp/ref"; \
-	(cd "$$tmp/ref" && go build -o "$$tmp/swbench-ref" ./cmd/swbench); \
-	go build -o "$$tmp/swbench" ./cmd/swbench; \
-	"$$tmp/swbench-ref" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/ref.txt" 2>/dev/null; \
-	"$$tmp/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/serial.txt" 2>/dev/null; \
-	"$$tmp/swbench" $(IDENTICAL_FLAGS) -parallel 8 > "$$tmp/parallel.txt" 2>/dev/null; \
+	build() { \
+		(cd "$$1" && go build -o "$$2/" ./cmd/swbench ./cmd/swrun && \
+		for ex in $(IDENTICAL_EXAMPLES); do go build -o "$$2/ex-$$ex" ./examples/$$ex; done); \
+	}; \
+	outputs() { \
+		for ex in $(IDENTICAL_EXAMPLES); do "$$1/ex-$$ex" > "$$2/ex-$$ex.txt"; done; \
+		for sc in docs/scenarios/*.json; do "$$1/swrun" -scenario "$$sc" > "$$2/scenario-$${sc##*/}.txt"; done; \
+		for s in threaded timeslice mps; do \
+			"$$1/swrun" -sched $$s $(IDENTICAL_SWRUN) -lose-gpu 0@5s > "$$2/swrun-$$s-lose-gpu.txt"; \
+			"$$1/swrun" -sched $$s $(IDENTICAL_SWRUN) -fault-seed 7 > "$$2/swrun-$$s-fault-seed.txt"; \
+		done; \
+	}; \
+	build "$$tmp/ref" "$$tmp/bin-ref"; \
+	build . "$$tmp/bin"; \
+	outputs "$$tmp/bin-ref" "$$tmp/out-ref"; \
+	outputs "$$tmp/bin" "$$tmp/out"; \
+	diff -r "$$tmp/out-ref" "$$tmp/out"; \
+	echo "identical: $$(ls "$$tmp/out" | wc -l) example/swrun outputs match $(REF)"; \
+	"$$tmp/bin-ref/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/ref.txt" 2>/dev/null; \
+	"$$tmp/bin/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/serial.txt" 2>/dev/null; \
+	"$$tmp/bin/swbench" $(IDENTICAL_FLAGS) -parallel 8 > "$$tmp/parallel.txt" 2>/dev/null; \
 	cmp "$$tmp/ref.txt" "$$tmp/serial.txt"; \
 	cmp "$$tmp/serial.txt" "$$tmp/parallel.txt"; \
 	echo "identical OK: $$(wc -l < "$$tmp/serial.txt") lines match $(REF) and -parallel 8"

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"switchflow/internal/baseline"
 	"switchflow/internal/experiments"
 )
 
@@ -68,7 +69,7 @@ func BenchmarkFigure6NMT(b *testing.B) {
 func BenchmarkFigure7Throughput(b *testing.B) {
 	var threaded, sf experiments.Figure7Row
 	for i := 0; i < b.N; i++ {
-		threaded = experiments.Figure7Threaded("a", "GTX 1080 Ti", "ResNet50", "VGG16")
+		threaded = experiments.Figure7Baseline(baseline.ThreadedTF, "a", "GTX 1080 Ti", "ResNet50", "VGG16")
 		sf = experiments.Figure7SwitchFlow("e", nil, "ResNet50", "VGG16")
 	}
 	b.ReportMetric(threaded.ModelCoRun, "threaded-corun-img/s")

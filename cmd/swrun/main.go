@@ -206,13 +206,13 @@ func run(machineName, schedName, jobsSpec string, window time.Duration,
 	if traf.enabled() && serving.every > 0 {
 		return fmt.Errorf("-traffic and -serve-every are mutually exclusive")
 	}
-	spec, err := machineSpec(machineName)
+	spec, err := control.MachineSpec(machineName)
 	if err != nil {
 		return err
 	}
 	sim := switchflow.NewSimulation(spec)
 
-	policy, err := parsePolicy(schedName)
+	policy, err := control.ParsePolicy(schedName)
 	if err != nil {
 		return err
 	}
@@ -370,21 +370,6 @@ func run(machineName, schedName, jobsSpec string, window time.Duration,
 	return nil
 }
 
-func parsePolicy(name string) (switchflow.Policy, error) {
-	switch name {
-	case "switchflow":
-		return switchflow.PolicySwitchFlow, nil
-	case "threaded":
-		return switchflow.PolicyThreadedTF, nil
-	case "timeslice":
-		return switchflow.PolicyTimeSlice, nil
-	case "mps":
-		return switchflow.PolicyMPS, nil
-	default:
-		return 0, fmt.Errorf("unknown scheduler %q", name)
-	}
-}
-
 // faultOptions builds the NewScheduler options for the fault flags; nil
 // when no fault injection was requested.
 func faultOptions(sim *switchflow.Simulation, seed int64, loseGPU string,
@@ -508,21 +493,6 @@ func parseElasticOps(drainFlag, resizeFlag string, byName map[string]*switchflow
 		}
 	}
 	return ops, nil
-}
-
-func machineSpec(name string) (switchflow.MachineSpec, error) {
-	switch strings.ToLower(name) {
-	case "v100":
-		return switchflow.V100Server(), nil
-	case "nvlink":
-		return switchflow.NVLinkV100Server(), nil
-	case "2gpu":
-		return switchflow.TwoGPUServer(), nil
-	case "tx2":
-		return switchflow.JetsonTX2(), nil
-	default:
-		return switchflow.SingleGPU(name)
-	}
 }
 
 // parseJob parses kind:model:batch[:prio][@gpu].

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"switchflow/internal/control"
+)
 
 func TestParseJob(t *testing.T) {
 	tests := []struct {
@@ -66,12 +70,13 @@ func TestParseJobErrors(t *testing.T) {
 }
 
 func TestMachineSpecNames(t *testing.T) {
-	for _, name := range []string{"v100", "2gpu", "tx2", "V100"} {
-		if _, err := machineSpec(name); err != nil {
-			t.Errorf("machineSpec(%q): %v", name, err)
+	// The -machine flag's names, as documented in its usage.
+	for _, name := range []string{"v100", "nvlink", "2gpu", "tx2", "V100", "GTX 1080 Ti", ""} {
+		if _, err := control.MachineSpec(name); err != nil {
+			t.Errorf("MachineSpec(%q): %v", name, err)
 		}
 	}
-	if _, err := machineSpec("abacus"); err == nil {
-		t.Error("machineSpec(abacus) accepted")
+	if _, err := control.MachineSpec("abacus"); err == nil {
+		t.Error("MachineSpec(abacus) accepted")
 	}
 }

@@ -89,7 +89,7 @@ func run(modelList, gpuName, sched, format, prios, outPath string, window time.D
 
 	switch sched {
 	case "threaded":
-		s := baseline.NewThreadedTF(eng, machine)
+		s := baseline.New(eng, machine, baseline.ThreadedTF)
 		for _, cfg := range cfgs {
 			if _, err := s.AddJob(cfg); err != nil {
 				return err

@@ -37,7 +37,7 @@ func newMachine(gpus ...device.GPUClass) (*sim.Engine, *device.Machine) {
 
 func TestThreadedTFSoloJobProgresses(t *testing.T) {
 	eng, machine := newMachine(device.ClassV100)
-	s := NewThreadedTF(eng, machine)
+	s := New(eng, machine, ThreadedTF)
 	job, err := s.AddJob(trainCfg(t, "solo", "ResNet50", 16, device.GPUID(0)))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestThreadedTFCoRunSlowsBothDown(t *testing.T) {
 	// Figure 2: two ResNet50s sharing a V100 drop from 226 to ~116 img/s
 	// each.
 	eng, machine := newMachine(device.ClassV100)
-	s := NewThreadedTF(eng, machine)
+	s := New(eng, machine, ThreadedTF)
 	a, _ := s.AddJob(trainCfg(t, "a", "ResNet50", 16, device.GPUID(0)))
 	b, _ := s.AddJob(trainCfg(t, "b", "ResNet50", 16, device.GPUID(0)))
 	eng.RunUntil(10 * time.Second)
@@ -77,7 +77,7 @@ func TestThreadedTFCoRunOOMKillsBigModels(t *testing.T) {
 	// Figure 7 a: freely co-running two large models on an 11 GB GPU dies
 	// of OOM when their combined live memory peaks.
 	eng, machine := newMachine(device.ClassGTX1080Ti)
-	s := NewThreadedTF(eng, machine)
+	s := New(eng, machine, ThreadedTF)
 	a, _ := s.AddJob(trainCfg(t, "a", "NASNetLarge", 32, device.GPUID(0)))
 	b, _ := s.AddJob(trainCfg(t, "b", "ResNet50", 32, device.GPUID(0)))
 	eng.RunUntil(30 * time.Second)
@@ -96,7 +96,7 @@ func TestThreadedTFCoRunOOMKillsBigModels(t *testing.T) {
 
 func TestTimeSliceAlternatesJobs(t *testing.T) {
 	eng, machine := newMachine(device.ClassV100)
-	s := NewTimeSlice(eng, machine)
+	s := New(eng, machine, TimeSlice)
 	a, _ := s.AddJob(trainCfg(t, "a", "ResNet50", 32, device.GPUID(0)))
 	b, _ := s.AddJob(trainCfg(t, "b", "ResNet50", 32, device.GPUID(0)))
 	eng.RunUntil(20 * time.Second)
@@ -113,7 +113,7 @@ func TestTimeSliceAlternatesJobs(t *testing.T) {
 
 func TestTimeSliceNeverOOMs(t *testing.T) {
 	eng, machine := newMachine(device.ClassGTX1080Ti)
-	s := NewTimeSlice(eng, machine)
+	s := New(eng, machine, TimeSlice)
 	a, _ := s.AddJob(trainCfg(t, "a", "NASNetLarge", 32, device.GPUID(0)))
 	b, _ := s.AddJob(trainCfg(t, "b", "ResNet50", 32, device.GPUID(0)))
 	eng.RunUntil(60 * time.Second)
@@ -130,7 +130,7 @@ func TestTimeSliceSerializesPipeline(t *testing.T) {
 	// GPU compute, so two inference jobs take ~sum of stage times. The
 	// interleaving gain of Figure 10 comes from removing exactly this.
 	eng, machine := newMachine(device.ClassV100)
-	s := NewTimeSlice(eng, machine)
+	s := New(eng, machine, TimeSlice)
 	cfg := workload.Config{
 		Name:   "infer",
 		Model:  spec(t, "MobileNetV2"),
@@ -160,7 +160,7 @@ func TestMPSCrashesOn11GBFitsOnV100(t *testing.T) {
 	// Figure 7 c: two training processes under MPS need their combined
 	// peak reserved; 11 GB fails, the 32 GB V100 fits.
 	eng, machine := newMachine(device.ClassRTX2080Ti)
-	s := NewMPS(eng, machine)
+	s := New(eng, machine, MPS)
 	a, _ := s.AddJob(trainCfg(t, "a", "ResNet50", 32, device.GPUID(0)))
 	b, _ := s.AddJob(trainCfg(t, "b", "VGG16", 32, device.GPUID(0)))
 	eng.RunUntil(time.Second)
@@ -169,7 +169,7 @@ func TestMPSCrashesOn11GBFitsOnV100(t *testing.T) {
 	}
 
 	eng2, machine2 := newMachine(device.ClassV100)
-	s2 := NewMPS(eng2, machine2)
+	s2 := New(eng2, machine2, MPS)
 	c, _ := s2.AddJob(trainCfg(t, "c", "ResNet50", 16, device.GPUID(0)))
 	d, _ := s2.AddJob(trainCfg(t, "d", "ResNet50", 16, device.GPUID(0)))
 	eng2.RunUntil(10 * time.Second)
@@ -190,7 +190,7 @@ func TestServingUnderThreadedTFSuffersLongTails(t *testing.T) {
 	// The Figure 6 baseline: a BS=1 inference stream co-running freely
 	// with VGG16 training sees its kernels contend with training kernels.
 	eng, machine := newMachine(device.ClassV100)
-	s := NewThreadedTF(eng, machine)
+	s := New(eng, machine, ThreadedTF)
 	if _, err := s.AddJob(trainCfg(t, "train", "VGG16", 32, device.GPUID(0))); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestServingUnderThreadedTFSuffersLongTails(t *testing.T) {
 
 func TestStopJobStopsBaselines(t *testing.T) {
 	eng, machine := newMachine(device.ClassV100)
-	s := NewThreadedTF(eng, machine)
+	s := New(eng, machine, ThreadedTF)
 	job, _ := s.AddJob(trainCfg(t, "x", "MobileNetV2", 16, device.GPUID(0)))
 	eng.RunUntil(2 * time.Second)
 	s.StopJob(job)
@@ -227,6 +227,51 @@ func TestStopJobStopsBaselines(t *testing.T) {
 	if job.Iterations > at+2 {
 		t.Fatalf("stopped job kept iterating: %d -> %d", at, job.Iterations)
 	}
+	if got := machine.GPU(0).Mem.Used(); got != 0 {
+		t.Fatalf("stopped job still holds %d bytes", got)
+	}
+}
+
+func TestMPSStopReleasesReservation(t *testing.T) {
+	// A stopped MPS process exits: its weights, intermediates and allocator
+	// headroom go back to the pool once its in-flight step finishes.
+	eng, machine := newMachine(device.ClassV100)
+	s := New(eng, machine, MPS)
+	job, _ := s.AddJob(trainCfg(t, "x", "ResNet50", 16, device.GPUID(0)))
+	eng.RunUntil(2 * time.Second)
+	if job.Crashed() {
+		t.Fatalf("MPS process died: %v", job.CrashErr)
+	}
+	s.StopJob(job)
+	eng.RunUntil(4 * time.Second)
+	if got := machine.GPU(0).Mem.Used(); got != 0 {
+		t.Fatalf("stopped MPS process still reserves %d bytes", got)
+	}
+}
+
+func TestTimeSliceReleasesMachineWhenSessionOOMs(t *testing.T) {
+	// NASNetLarge's weights fit the 11 GB GPU but its first compute launch
+	// does not: the OOM must end its session, or the dead job holds the
+	// machine and every other job starves.
+	eng, machine := newMachine(device.ClassGTX1080Ti, device.ClassRTX2080Ti)
+	s := New(eng, machine, TimeSlice)
+	big, err := s.AddJob(trainCfg(t, "big", "NASNetLarge", 48, device.GPUID(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor, err := s.AddJob(trainCfg(t, "survivor", "ResNet50", 32, device.GPUID(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(30 * time.Second)
+	var oom *device.OOMError
+	if !errors.As(big.CrashErr, &oom) {
+		t.Fatalf("NASNetLarge BS=48 did not OOM: %v", big.CrashErr)
+	}
+	if survivor.Crashed() || survivor.Iterations == 0 {
+		t.Fatalf("survivor starved after the session's job OOMed: crashed=%v iterations=%d",
+			survivor.Crashed(), survivor.Iterations)
+	}
 }
 
 func TestTimeSliceHasNoPreemption(t *testing.T) {
@@ -234,7 +279,7 @@ func TestTimeSliceHasNoPreemption(t *testing.T) {
 	// high-priority inference job still makes requests wait out the
 	// current training session — no preemption exists (§5.2.1).
 	eng, machine := newMachine(device.ClassV100)
-	s := NewTimeSlice(eng, machine)
+	s := New(eng, machine, TimeSlice)
 	train, err := s.AddJob(trainCfg(t, "train", "VGG16", 32, device.GPUID(0)))
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +311,7 @@ func TestTimeSliceHasNoPreemption(t *testing.T) {
 func TestNMTRunsEndToEnd(t *testing.T) {
 	// The RNN path: 120 sequential LSTM cells + attention + projections.
 	eng, machine := newMachine(device.ClassV100)
-	s := NewThreadedTF(eng, machine)
+	s := New(eng, machine, ThreadedTF)
 	job, err := s.AddJob(workload.Config{
 		Name: "nmt", Model: spec(t, "NMT"), Batch: 1,
 		Kind: workload.KindServing, Device: device.GPUID(0),

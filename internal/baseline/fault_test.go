@@ -7,59 +7,103 @@ import (
 
 	"switchflow/internal/device"
 	"switchflow/internal/fault"
+	"switchflow/internal/sim"
+	"switchflow/internal/workload"
 )
 
-func TestThreadedTFLosesJobsOnDeviceLoss(t *testing.T) {
-	eng, machine := newMachine(device.ClassV100, device.ClassV100)
-	s := NewThreadedTF(eng, machine)
-	victim, _ := s.AddJob(trainCfg(t, "victim", "ResNet50", 16, device.GPUID(0)))
-	bystander, _ := s.AddJob(trainCfg(t, "bystander", "ResNet50", 16, device.GPUID(1)))
-	var p fault.Plan
-	p.LoseGPU(3*time.Second, 0)
-	in := fault.NewInjector(eng, machine, p)
+// faultRig runs one ResNet50 trainer on each of two V100s under policy,
+// with plan armed: victim on gpu:0, bystander on gpu:1.
+func faultRig(t *testing.T, policy Policy, plan fault.Plan) (eng *sim.Engine, machine *device.Machine, s *Scheduler, victim, bystander *workload.Job) {
+	t.Helper()
+	eng, machine = newMachine(device.ClassV100, device.ClassV100)
+	s = New(eng, machine, policy)
+	victim, err := s.AddJob(trainCfg(t, "victim", "ResNet50", 16, device.GPUID(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bystander, err = s.AddJob(trainCfg(t, "bystander", "ResNet50", 16, device.GPUID(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := fault.NewInjector(eng, machine, plan)
 	in.Attach(s)
 	in.Arm()
-
-	eng.RunUntil(10 * time.Second)
-	if !victim.Crashed() || !errors.Is(victim.CrashErr, fault.ErrDeviceLost) {
-		t.Fatalf("victim should die with the device, got crashed=%v err=%v",
-			victim.Crashed(), victim.CrashErr)
-	}
-	if bystander.Crashed() {
-		t.Fatalf("job on the surviving GPU crashed: %v", bystander.CrashErr)
-	}
-	if victim.Restarts != 0 {
-		t.Fatalf("baseline job restarted %d times; baselines have no recovery", victim.Restarts)
-	}
-	st := s.FaultStats()
-	if st.DeviceLost != 1 || st.JobsLost != 1 {
-		t.Fatalf("fault stats = %+v", st)
-	}
+	return eng, machine, s, victim, bystander
 }
 
-func TestThreadedTFTransientKillsComputingJob(t *testing.T) {
-	eng, machine := newMachine(device.ClassV100)
-	s := NewThreadedTF(eng, machine)
-	job, _ := s.AddJob(trainCfg(t, "job", "ResNet50", 16, device.GPUID(0)))
-	var p fault.Plan
-	p.Transient(3*time.Second, 0)
-	in := fault.NewInjector(eng, machine, p)
-	in.Attach(s)
-	in.Arm()
-
-	eng.RunUntil(10 * time.Second)
-	if !job.Crashed() || !errors.Is(job.CrashErr, fault.ErrTransient) {
-		t.Fatalf("transient should kill the baseline process, got crashed=%v err=%v",
-			job.Crashed(), job.CrashErr)
-	}
-	if got := machine.GPU(0).Mem.Used(); got != 0 {
-		t.Fatalf("dead process left %d bytes reserved on a healthy device", got)
+func TestFaults(t *testing.T) {
+	for _, policy := range []Policy{ThreadedTF, TimeSlice, MPS} {
+		t.Run(policy.String(), func(t *testing.T) {
+			t.Run("device-loss", func(t *testing.T) {
+				var p fault.Plan
+				p.LoseGPU(3*time.Second, 0)
+				eng, machine, s, victim, bystander := faultRig(t, policy, p)
+				eng.RunUntil(10 * time.Second)
+				if !victim.Crashed() || !errors.Is(victim.CrashErr, fault.ErrDeviceLost) {
+					t.Fatalf("victim should die with the device, got crashed=%v err=%v",
+						victim.Crashed(), victim.CrashErr)
+				}
+				if victim.Restarts != 0 {
+					t.Fatalf("baseline job restarted %d times; baselines have no recovery", victim.Restarts)
+				}
+				if bystander.Crashed() {
+					t.Fatalf("job on the surviving GPU crashed: %v", bystander.CrashErr)
+				}
+				if st := s.FaultStats(); st.DeviceLost != 1 || st.JobsLost != 1 {
+					t.Fatalf("fault stats = %+v", st)
+				}
+				if got := machine.GPU(0).Mem.Used(); got != 0 {
+					t.Fatalf("invalidated pool reports %d bytes used", got)
+				}
+				if got := s.jobs[0].headroom; got != 0 {
+					t.Fatalf("lost device still accounts %d bytes of headroom", got)
+				}
+			})
+			t.Run("transient", func(t *testing.T) {
+				var p fault.Plan
+				p.Transient(3*time.Second, 0)
+				eng, machine, s, victim, bystander := faultRig(t, policy, p)
+				eng.RunUntil(10 * time.Second)
+				if !victim.Crashed() || !errors.Is(victim.CrashErr, fault.ErrTransient) {
+					t.Fatalf("transient should kill the process, got crashed=%v err=%v",
+						victim.Crashed(), victim.CrashErr)
+				}
+				if bystander.Crashed() {
+					t.Fatalf("job on another GPU crashed: %v", bystander.CrashErr)
+				}
+				if st := s.FaultStats(); st.Transients != 1 || st.JobsLost != 1 {
+					t.Fatalf("fault stats = %+v", st)
+				}
+				if got := machine.GPU(0).Mem.Used(); got != 0 {
+					t.Fatalf("dead process left %d bytes reserved on a healthy device", got)
+				}
+			})
+			t.Run("input-stall", func(t *testing.T) {
+				var p fault.Plan
+				p.StallInputs(2*time.Second, 3*time.Second)
+				eng, _, s, a, b := faultRig(t, policy, p)
+				eng.RunUntil(5 * time.Second)
+				atEnd := [2]int{a.Iterations, b.Iterations}
+				eng.RunUntil(10 * time.Second)
+				for i, job := range []*workload.Job{a, b} {
+					if job.Crashed() {
+						t.Fatalf("%s crashed during the stall: %v", job.Cfg.Name, job.CrashErr)
+					}
+					if job.Iterations <= atEnd[i] {
+						t.Fatalf("%s never resumed after the stall: %d iterations", job.Cfg.Name, job.Iterations)
+					}
+				}
+				if st := s.FaultStats(); st.InputStalls != 1 || st.JobsLost != 0 {
+					t.Fatalf("fault stats = %+v", st)
+				}
+			})
+		})
 	}
 }
 
 func TestTimeSliceReleasesLockWhenActiveSessionDies(t *testing.T) {
 	eng, machine := newMachine(device.ClassV100, device.ClassV100)
-	s := NewTimeSlice(eng, machine)
+	s := New(eng, machine, TimeSlice)
 	a, _ := s.AddJob(trainCfg(t, "a", "ResNet50", 16, device.GPUID(0)))
 	b, _ := s.AddJob(trainCfg(t, "b", "ResNet50", 16, device.GPUID(1)))
 	var p fault.Plan
@@ -78,53 +122,9 @@ func TestTimeSliceReleasesLockWhenActiveSessionDies(t *testing.T) {
 		t.Fatalf("survivor crashed: %v", b.CrashErr)
 	}
 	// The survivor must keep getting sessions: a dead active session on the
-	// lost device would otherwise hold the machine lock forever.
+	// lost device would otherwise hold the machine forever.
 	if b.Iterations <= atLoss {
 		t.Fatalf("survivor starved after device loss: %d iterations then, %d now",
 			atLoss, b.Iterations)
-	}
-}
-
-func TestMPSDeviceLossDropsReservations(t *testing.T) {
-	eng, machine := newMachine(device.ClassV100)
-	s := NewMPS(eng, machine)
-	job, _ := s.AddJob(trainCfg(t, "job", "ResNet50", 16, device.GPUID(0)))
-	var p fault.Plan
-	p.LoseGPU(3*time.Second, 0)
-	in := fault.NewInjector(eng, machine, p)
-	in.Attach(s)
-	in.Arm()
-
-	eng.RunUntil(10 * time.Second)
-	if !job.Crashed() || !errors.Is(job.CrashErr, fault.ErrDeviceLost) {
-		t.Fatalf("MPS process should die with the device, got %v", job.CrashErr)
-	}
-	if len(s.headroom) != 0 {
-		t.Fatalf("%d headroom reservations left after device loss", len(s.headroom))
-	}
-	if got := machine.GPU(0).Mem.Used(); got != 0 {
-		t.Fatalf("invalidated pool reports %d bytes used", got)
-	}
-}
-
-func TestBaselineInputStallPausesPrefetch(t *testing.T) {
-	eng, machine := newMachine(device.ClassV100)
-	s := NewThreadedTF(eng, machine)
-	job, _ := s.AddJob(trainCfg(t, "job", "ResNet50", 16, device.GPUID(0)))
-	var p fault.Plan
-	p.StallInputs(2*time.Second, 3*time.Second)
-	in := fault.NewInjector(eng, machine, p)
-	in.Attach(s)
-	in.Arm()
-
-	eng.RunUntil(10 * time.Second)
-	if job.Crashed() {
-		t.Fatalf("job crashed during stall: %v", job.CrashErr)
-	}
-	if s.FaultStats().InputStalls != 1 {
-		t.Fatalf("fault stats = %+v", s.FaultStats())
-	}
-	if job.Iterations == 0 {
-		t.Fatal("job never resumed after the stall")
 	}
 }

@@ -185,7 +185,7 @@ type jobEntry struct {
 // NewServer creates a control server over a fresh simulation of the named
 // machine ("v100", "2gpu", "tx2").
 func NewServer(machine string) (*Server, error) {
-	spec, err := machineSpec(machine)
+	spec, err := MachineSpec(machine)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,9 @@ func NewServer(machine string) (*Server, error) {
 	}, nil
 }
 
-func machineSpec(name string) (switchflow.MachineSpec, error) {
+// MachineSpec resolves a machine name, case-insensitively: "v100" (the
+// default, also ""), "nvlink", "2gpu", "tx2", or one GPU's name.
+func MachineSpec(name string) (switchflow.MachineSpec, error) {
 	switch strings.ToLower(name) {
 	case "v100", "":
 		return switchflow.V100Server(), nil
@@ -225,6 +227,23 @@ func machineSpec(name string) (switchflow.MachineSpec, error) {
 		return switchflow.JetsonTX2(), nil
 	default:
 		return switchflow.SingleGPU(name)
+	}
+}
+
+// ParsePolicy resolves a scheduler name: "switchflow" (the default, also
+// ""), "threaded", "timeslice" or "mps".
+func ParsePolicy(name string) (switchflow.Policy, error) {
+	switch name {
+	case "switchflow", "":
+		return switchflow.PolicySwitchFlow, nil
+	case "threaded":
+		return switchflow.PolicyThreadedTF, nil
+	case "timeslice":
+		return switchflow.PolicyTimeSlice, nil
+	case "mps":
+		return switchflow.PolicyMPS, nil
+	default:
+		return 0, fmt.Errorf("unknown scheduler %q", name)
 	}
 }
 

@@ -408,6 +408,11 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := RunScenario(sc); err == nil {
 		t.Fatal("group under non-switchflow scheduler accepted")
 	}
+	sc = Scenario{Scheduler: "fifo", DurationMillis: 100,
+		Jobs: []JobRequest{{Name: "a", Model: "ResNet50", Batch: 8}}}
+	if _, err := RunScenario(sc); err == nil || err.Error() != `control: unknown scheduler "fifo"` {
+		t.Fatalf("unknown scheduler: err = %v", err)
+	}
 }
 
 func TestTraceAndMetricsEndpoints(t *testing.T) {

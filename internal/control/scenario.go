@@ -62,34 +62,21 @@ func (r JobRequest) ToSpec() switchflow.JobSpec { return toSpec(r) }
 // RunScenario executes the scenario in virtual time and returns the
 // outcomes.
 func RunScenario(sc Scenario) (ScenarioResult, error) {
-	spec, err := machineSpec(sc.Machine)
+	spec, err := MachineSpec(sc.Machine)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	sim := switchflow.NewSimulation(spec)
 
-	var sched switchflow.Scheduler
-	var sf *switchflow.SwitchFlowScheduler
-	var policy switchflow.Policy
-	switch sc.Scheduler {
-	case "switchflow", "":
-		policy = switchflow.PolicySwitchFlow
-	case "threaded":
-		policy = switchflow.PolicyThreadedTF
-	case "timeslice":
-		policy = switchflow.PolicyTimeSlice
-	case "mps":
-		policy = switchflow.PolicyMPS
-	default:
-		return ScenarioResult{}, fmt.Errorf("control: unknown scheduler %q", sc.Scheduler)
+	policy, err := ParsePolicy(sc.Scheduler)
+	if err != nil {
+		return ScenarioResult{}, fmt.Errorf("control: %w", err)
 	}
-	sched, err = sim.NewScheduler(policy)
+	sched, err := sim.NewScheduler(policy)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	if policy == switchflow.PolicySwitchFlow {
-		sf = sched.(*switchflow.SwitchFlowScheduler)
-	}
+	sf, _ := sched.(*switchflow.SwitchFlowScheduler)
 
 	// requestDriven rewrites a spec for trace-driven arrivals: the
 	// traffic block owns the clock, so the job must sit idle between

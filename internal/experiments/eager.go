@@ -54,7 +54,7 @@ func EagerCell(model string, batch int) EagerRow {
 func eagerOne(model string, batch int, eager, fuse bool) float64 {
 	eng := sim.NewEngine()
 	machine := machineFor(eng, "V100")
-	sched := baseline.NewThreadedTF(eng, machine)
+	sched := baseline.New(eng, machine, baseline.ThreadedTF)
 	cfg := trainConfig("solo", model, batch, 1)
 	cfg.Eager = eager
 	cfg.Fuse = fuse

@@ -84,7 +84,7 @@ func tfOrSwitchFlow(eng *sim.Engine, machine *device.Machine, switchFlow bool) f
 	if switchFlow {
 		return core.NewManager(eng, machine, core.Options{}).AddJob
 	}
-	return baseline.NewThreadedTF(eng, machine).AddJob
+	return baseline.New(eng, machine, baseline.ThreadedTF).AddJob
 }
 
 // mustSpec resolves a model name; experiment tables only reference models

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"switchflow/internal/baseline"
 )
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -105,7 +107,7 @@ func TestFigure6NMTHasLargestGap(t *testing.T) {
 }
 
 func TestFigure7ThreadedSlowsOrOOMs(t *testing.T) {
-	row := Figure7Threaded("a", "GTX 1080 Ti", "ResNet50", "InceptionResNetV2")
+	row := Figure7Baseline(baseline.ThreadedTF, "a", "GTX 1080 Ti", "ResNet50", "InceptionResNetV2")
 	if row.OOM {
 		return // a crash is an acceptable Figure 7 outcome
 	}
@@ -119,19 +121,19 @@ func TestFigure7ThreadedSlowsOrOOMs(t *testing.T) {
 
 func TestFigure7ThreadedOOMOnBigPair(t *testing.T) {
 	// NASNetLarge-class activations cannot share 11 GB with ResNet50.
-	row := Figure7Threaded("a", "GTX 1080 Ti", "ResNet50", "InceptionResNetV2")
-	big := Figure7Threaded("a", "GTX 1080 Ti", "ResNet50", "VGG16")
+	row := Figure7Baseline(baseline.ThreadedTF, "a", "GTX 1080 Ti", "ResNet50", "InceptionResNetV2")
+	big := Figure7Baseline(baseline.ThreadedTF, "a", "GTX 1080 Ti", "ResNet50", "VGG16")
 	if !row.OOM && !big.OOM {
 		t.Skip("no OOM for these pairs at BS=32; covered by baseline tests with NASNetLarge")
 	}
 }
 
 func TestFigure7MPSCrashesOn11GB(t *testing.T) {
-	row := Figure7MPS("x", "GTX 1080 Ti", "ResNet50", "ResNet50")
+	row := Figure7Baseline(baseline.MPS, "x", "GTX 1080 Ti", "ResNet50", "ResNet50")
 	if !row.OOM {
 		t.Error("MPS fit two reservations in 11 GB")
 	}
-	v100 := Figure7MPS("c", "V100", "ResNet50", "MobileNetV2")
+	v100 := Figure7Baseline(baseline.MPS, "c", "V100", "ResNet50", "MobileNetV2")
 	if v100.OOM {
 		t.Error("MPS crashed on the 32 GB V100")
 	}

@@ -32,7 +32,7 @@ func Figure2(window time.Duration) Figure2Result {
 	// Solo run.
 	soloEng := sim.NewEngine()
 	soloMachine := machineFor(soloEng, "V100")
-	solo := baseline.NewThreadedTF(soloEng, soloMachine)
+	solo := baseline.New(soloEng, soloMachine, baseline.ThreadedTF)
 	soloJob, err := solo.AddJob(trainConfig("solo", "ResNet50", batch, 1))
 	if err != nil {
 		panic(err)
@@ -47,7 +47,7 @@ func Figure2(window time.Duration) Figure2Result {
 	machine := machineFor(eng, "V100")
 	tl := &trace.Timeline{}
 	tl.AttachBus(machine.Bus())
-	sched := baseline.NewThreadedTF(eng, machine)
+	sched := baseline.New(eng, machine, baseline.ThreadedTF)
 	a, err := sched.AddJob(trainConfig("resnet50-a", "ResNet50", batch, 1))
 	if err != nil {
 		panic(err)

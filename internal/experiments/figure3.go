@@ -66,7 +66,7 @@ func Figure3(iters int) []Figure3Row {
 func figure3One(gpu, model string, training bool, batch, iters int) Figure3Row {
 	eng := sim.NewEngine()
 	machine := machineFor(eng, gpu)
-	sched := baseline.NewThreadedTF(eng, machine)
+	sched := baseline.New(eng, machine, baseline.ThreadedTF)
 
 	var cfg workload.Config
 	mode := "inference"

@@ -45,13 +45,13 @@ const (
 func Figure7() []Figure7Row {
 	var rows []Figure7Row
 	for _, model := range figure7Models {
-		rows = append(rows, Figure7Threaded("a", "GTX 1080 Ti", "ResNet50", model))
+		rows = append(rows, Figure7Baseline(baseline.ThreadedTF, "a", "GTX 1080 Ti", "ResNet50", model))
 	}
 	for _, model := range figure7Models {
-		rows = append(rows, Figure7Threaded("b", "RTX 2080 Ti", "VGG16", model))
+		rows = append(rows, Figure7Baseline(baseline.ThreadedTF, "b", "RTX 2080 Ti", "VGG16", model))
 	}
 	for _, model := range figure7Models {
-		rows = append(rows, Figure7MPS("c", "V100", "ResNet50", model))
+		rows = append(rows, Figure7Baseline(baseline.MPS, "c", "V100", "ResNet50", model))
 	}
 	for _, model := range figure7Models {
 		rows = append(rows, Figure7SwitchFlow("d", nil, "ResNet50", model))
@@ -76,7 +76,7 @@ func twoGPU() []device.GPUClass {
 func soloThroughput(gpus []device.GPUClass, gpu device.ID, model string) float64 {
 	eng := sim.NewEngine()
 	machine := device.NewMachine(eng, device.ClassXeonDual, gpus...)
-	sched := baseline.NewThreadedTF(eng, machine)
+	sched := baseline.New(eng, machine, baseline.ThreadedTF)
 	cfg := trainConfig("solo", model, figure7Batch, 1)
 	cfg.Device = gpu
 	job, err := sched.AddJob(cfg)
@@ -92,12 +92,13 @@ func soloThroughput(gpus []device.GPUClass, gpu device.ID, model string) float64
 	return float64((job.Iterations-start)*figure7Batch) / figure7Measure.Seconds()
 }
 
-// Figure7Threaded runs one threaded-TF co-run cell on the named GPU.
-func Figure7Threaded(sub, gpu, background, model string) Figure7Row {
+// Figure7Baseline runs one co-run cell of a baseline policy (threaded TF
+// or MPS) on the named GPU; the row's Scheduler is the policy's name.
+func Figure7Baseline(policy baseline.Policy, sub, gpu, background, model string) Figure7Row {
 	gpus := []device.GPUClass{gpuByName(gpu)}
 	row := Figure7Row{
 		Subfigure:      sub,
-		Scheduler:      "threaded-tf",
+		Scheduler:      policy.String(),
 		Background:     background,
 		Model:          model,
 		BackgroundSolo: soloThroughput(gpus, device.GPUID(0), background),
@@ -105,42 +106,7 @@ func Figure7Threaded(sub, gpu, background, model string) Figure7Row {
 	}
 	eng := sim.NewEngine()
 	machine := device.NewMachine(eng, device.ClassXeonDual, gpus...)
-	sched := baseline.NewThreadedTF(eng, machine)
-	bg, err := sched.AddJob(trainConfig("bg", background, figure7Batch, 1))
-	if err != nil {
-		panic(err)
-	}
-	other, err := sched.AddJob(trainConfig("model", model, figure7Batch, 1))
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(figure7Warm)
-	bgStart, otherStart := bg.Iterations, other.Iterations
-	eng.RunUntil(figure7Warm + figure7Measure)
-	row.OOM = bg.Crashed() || other.Crashed()
-	if !bg.Crashed() {
-		row.BackgroundCoRun = float64((bg.Iterations-bgStart)*figure7Batch) / figure7Measure.Seconds()
-	}
-	if !other.Crashed() {
-		row.ModelCoRun = float64((other.Iterations-otherStart)*figure7Batch) / figure7Measure.Seconds()
-	}
-	return row
-}
-
-// Figure7MPS runs one MPS co-run cell.
-func Figure7MPS(sub, gpu, background, model string) Figure7Row {
-	gpus := []device.GPUClass{gpuByName(gpu)}
-	row := Figure7Row{
-		Subfigure:      sub,
-		Scheduler:      "mps",
-		Background:     background,
-		Model:          model,
-		BackgroundSolo: soloThroughput(gpus, device.GPUID(0), background),
-		ModelSolo:      soloThroughput(gpus, device.GPUID(0), model),
-	}
-	eng := sim.NewEngine()
-	machine := device.NewMachine(eng, device.ClassXeonDual, gpus...)
-	sched := baseline.NewMPS(eng, machine)
+	sched := baseline.New(eng, machine, policy)
 	bg, err := sched.AddJob(trainConfig("bg", background, figure7Batch, 1))
 	if err != nil {
 		panic(err)

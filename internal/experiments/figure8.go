@@ -107,7 +107,7 @@ const measurementHorizon = 6 * time.Hour
 func measureTimeSlice(gpu string, cfgs []workload.Config, iters int) time.Duration {
 	eng := sim.NewEngine()
 	machine := machineFor(eng, gpu)
-	sched := baseline.NewTimeSlice(eng, machine)
+	sched := baseline.New(eng, machine, baseline.TimeSlice)
 	jobs := make([]*workload.Job, 0, len(cfgs))
 	for _, cfg := range cfgs {
 		job, err := sched.AddJob(cfg)

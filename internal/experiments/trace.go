@@ -53,7 +53,7 @@ func ChromeTrace(window time.Duration) []ChromeTraceResult {
 		cfgB := trainConfig("resnet50-b", "ResNet50", batch, 1)
 		switch sched {
 		case "threaded":
-			s := baseline.NewThreadedTF(eng, machine)
+			s := baseline.New(eng, machine, baseline.ThreadedTF)
 			mustAdd(s.AddJob(cfgA))
 			mustAdd(s.AddJob(cfgB))
 		case "switchflow":

@@ -42,6 +42,14 @@ func (p Policy) String() string {
 	}
 }
 
+// baselinePolicies maps the facade's baseline policies onto the baseline
+// runtime's.
+var baselinePolicies = map[Policy]baseline.Policy{
+	PolicyThreadedTF: baseline.ThreadedTF,
+	PolicyTimeSlice:  baseline.TimeSlice,
+	PolicyMPS:        baseline.MPS,
+}
+
 // DefaultCheckpointEvery is the periodic host-checkpoint interval used
 // when a fault plan is attached without an explicit WithCheckpointEvery.
 const DefaultCheckpointEvery = 10 * time.Second
@@ -170,21 +178,9 @@ func (s *Simulation) NewScheduler(policy Policy, opts ...Option) (Scheduler, err
 		m := core.NewManager(s.eng, s.machine, coreOpts)
 		sf := &SwitchFlowScheduler{m: m, sim: s}
 		sched, handler = sf, m
-	case PolicyThreadedTF:
-		b := baseline.NewThreadedTF(s.eng, s.machine)
-		sched = &baselineScheduler{name: policy.String(), sim: s,
-			add: adaptThreaded(b), faults: b.FaultStats}
-		handler = b
-	case PolicyTimeSlice:
-		b := baseline.NewTimeSlice(s.eng, s.machine)
-		sched = &baselineScheduler{name: policy.String(), sim: s,
-			add: adaptTimeSlice(b), faults: b.FaultStats}
-		handler = b
-	case PolicyMPS:
-		b := baseline.NewMPS(s.eng, s.machine)
-		sched = &baselineScheduler{name: policy.String(), sim: s,
-			add: adaptMPS(b), faults: b.FaultStats}
-		handler = b
+	case PolicyThreadedTF, PolicyTimeSlice, PolicyMPS:
+		b := baseline.New(s.eng, s.machine, baselinePolicies[policy])
+		sched, handler = &baselineScheduler{name: policy.String(), sim: s, rt: b}, b
 	default:
 		return nil, fmt.Errorf("switchflow: unknown policy %d", int(policy))
 	}

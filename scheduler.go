@@ -8,7 +8,6 @@ import (
 	"switchflow/internal/baseline"
 	"switchflow/internal/core"
 	"switchflow/internal/device"
-	"switchflow/internal/metrics"
 	"switchflow/internal/workload"
 )
 
@@ -206,17 +205,12 @@ func (s *Simulation) specConfig(spec JobSpec) (workload.Config, error) {
 	return spec.toConfig()
 }
 
-// baselineScheduler adapts the three baselines to the Scheduler interface.
+// baselineScheduler exposes the baseline runtime through the Scheduler
+// interface.
 type baselineScheduler struct {
-	name   string
-	sim    *Simulation
-	add    baselineOps
-	faults func() metrics.FaultCounters
-}
-
-type baselineOps struct {
-	addJob  func(workload.Config) (*workload.Job, error)
-	stopJob func(*workload.Job)
+	name string
+	sim  *Simulation
+	rt   *baseline.Scheduler
 }
 
 var _ Scheduler = (*baselineScheduler)(nil)
@@ -231,16 +225,16 @@ func (b *baselineScheduler) AddJob(spec JobSpec) (*Job, error) {
 	if len(cfg.VNodes) > 0 {
 		return nil, fmt.Errorf("%s: job %q uses virtual nodes: %w", b.name, spec.Name, ErrNotElastic)
 	}
-	inner, err := b.add.addJob(cfg)
+	inner, err := b.rt.AddJob(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Job{inner: inner}, nil
 }
 
-func (b *baselineScheduler) StopJob(j *Job) { b.add.stopJob(j.inner) }
+func (b *baselineScheduler) StopJob(j *Job) { b.rt.StopJob(j.inner) }
 
-func (b *baselineScheduler) FaultStats() FaultStats { return faultStatsFrom(b.faults()) }
+func (b *baselineScheduler) FaultStats() FaultStats { return faultStatsFrom(b.rt.FaultStats()) }
 
 // Grow implements Scheduler; baselines have no elastic path.
 func (b *baselineScheduler) Grow(j *Job, n int) error {
@@ -260,16 +254,4 @@ func (b *baselineScheduler) Rebind(j *Job, vn, gpu int) error {
 // Drain implements Scheduler; baselines cannot move a running job.
 func (b *baselineScheduler) Drain(gpu int) error {
 	return fmt.Errorf("%s: drain: %w", b.name, ErrNotElastic)
-}
-
-func adaptThreaded(s *baseline.ThreadedTF) baselineOps {
-	return baselineOps{addJob: s.AddJob, stopJob: s.StopJob}
-}
-
-func adaptTimeSlice(s *baseline.TimeSlice) baselineOps {
-	return baselineOps{addJob: s.AddJob, stopJob: s.StopJob}
-}
-
-func adaptMPS(s *baseline.MPS) baselineOps {
-	return baselineOps{addJob: s.AddJob, stopJob: s.StopJob}
 }
