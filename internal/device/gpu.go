@@ -24,6 +24,20 @@ type Kernel struct {
 	Ctx int
 	// OnDone fires at kernel completion, in virtual time.
 	OnDone func()
+	// Done, when set, fires with Tag at kernel completion instead of
+	// OnDone. It is the allocation-free form for callers that launch many
+	// kernels: one callback bound once, with the per-kernel state in Tag.
+	Done func(tag int32)
+	Tag  int32
+}
+
+// fire runs k's completion callback, the tagged form first.
+func (k *Kernel) fire() {
+	if k.Done != nil {
+		k.Done(k.Tag)
+	} else if k.OnDone != nil {
+		k.OnDone()
+	}
 }
 
 // Span records one executed kernel interval, for Figure 2 style timelines.
@@ -34,7 +48,8 @@ type Span struct {
 	End   time.Duration
 }
 
-// kernelExec is a kernel in flight or queued at the device.
+// kernelExec is a kernel in flight or queued at the device. Retired and
+// dropped ones return to the GPU's free list.
 type kernelExec struct {
 	Kernel
 
@@ -63,9 +78,12 @@ type GPU struct {
 	eng        *sim.Engine
 	running    []*kernelExec
 	queue      []*kernelExec
+	free       []*kernelExec // recycled kernelExec structs
+	done       []*kernelExec // reused by complete to stage retirees
 	usedOcc    float64
 	lastUpdate time.Duration
 	completion sim.Event
+	completeFn func() // g.complete, bound once so reschedule allocates nothing
 	busy       time.Duration
 	busySince  time.Duration
 	launched   uint64
@@ -77,12 +95,14 @@ type GPU struct {
 
 // NewGPU creates a GPU of the given class bound to the engine.
 func NewGPU(eng *sim.Engine, id ID, class GPUClass) *GPU {
-	return &GPU{
+	g := &GPU{
 		Class: class,
 		Mem:   NewMemPool(id.String()+" ("+class.Name+")", class.MemoryBytes),
 		id:    id,
 		eng:   eng,
 	}
+	g.completeFn = g.complete
+	return g
 }
 
 // ID returns the device identifier.
@@ -101,11 +121,12 @@ func (g *GPU) EventBus() *obs.Bus {
 // SetBus points the GPU at a shared bus (called by NewMachine).
 func (g *GPU) SetBus(b *obs.Bus) { g.bus = b }
 
-// Submit queues k for execution. It starts immediately if its occupancy
-// fits alongside the kernels already running, otherwise it waits FIFO.
-// Kernels submitted to a failed device are dropped and never complete,
-// like launches against a lost CUDA context; schedulers are expected to
-// abort the owning executor runs when they handle the device-lost fault.
+// Submit queues a copy of k for execution, so callers may reuse theirs. It
+// starts immediately if its occupancy fits alongside the kernels already
+// running, otherwise it waits FIFO. Kernels submitted to a failed device
+// are dropped and never complete, like launches against a lost CUDA
+// context; schedulers are expected to abort the owning executor runs when
+// they handle the device-lost fault.
 func (g *GPU) Submit(k Kernel) {
 	if g.failed {
 		g.dropped++
@@ -119,11 +140,16 @@ func (g *GPU) Submit(k Kernel) {
 	if occ > 1 {
 		occ = 1
 	}
-	exec := &kernelExec{
-		Kernel:    k,
-		remaining: k.Work.Seconds(),
-		occ:       occ,
+	var exec *kernelExec
+	if n := len(g.free); n > 0 {
+		exec = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		exec = new(kernelExec)
 	}
+	exec.Kernel = k
+	exec.remaining = k.Work.Seconds()
+	exec.occ = occ
 	g.queue = append(g.queue, exec)
 	g.launched++
 	g.admit()
@@ -189,6 +215,12 @@ func (g *GPU) Fail() int {
 	}
 	lost := len(g.running) + len(g.queue)
 	g.dropped += uint64(lost)
+	for _, e := range g.running {
+		g.recycle(e)
+	}
+	for _, e := range g.queue {
+		g.recycle(e)
+	}
 	g.running = g.running[:0]
 	g.queue = g.queue[:0]
 	g.usedOcc = 0
@@ -236,13 +268,15 @@ func (g *GPU) OutstandingWork() time.Duration {
 
 // admit moves queued kernels into execution while they fit, in FIFO order
 // (a big kernel at the head blocks the lane, like a hardware work queue).
+// Admitted kernels are copied down out of the queue rather than resliced
+// off its front, so the queue keeps its capacity and appends stay free.
 func (g *GPU) admit() {
-	for len(g.queue) > 0 {
-		head := g.queue[0]
+	n := 0
+	for _, head := range g.queue {
 		if g.usedOcc+head.occ > 1.0001 {
-			return
+			break
 		}
-		g.queue = g.queue[1:]
+		n++
 		if len(g.running) == 0 {
 			g.busySince = g.eng.Now()
 		}
@@ -250,6 +284,13 @@ func (g *GPU) admit() {
 		g.usedOcc += head.occ
 		g.running = append(g.running, head)
 	}
+	g.queue = g.queue[:copy(g.queue, g.queue[n:])]
+}
+
+// recycle returns e to the free list, dropping its callback references.
+func (g *GPU) recycle(e *kernelExec) {
+	*e = kernelExec{}
+	g.free = append(g.free, e)
 }
 
 // advance applies elapsed virtual time to running kernels at the current
@@ -301,7 +342,7 @@ func (g *GPU) reschedule() {
 	// Round up to a whole nanosecond so a kernel with sub-nanosecond
 	// residue cannot reschedule a zero-delay completion forever.
 	delay := time.Duration(math.Ceil(minLeft * float64(time.Second)))
-	g.completion = g.eng.After(delay, g.complete)
+	g.completion = g.eng.After(delay, g.completeFn)
 }
 
 // complete retires every kernel whose work has drained, fires callbacks,
@@ -311,7 +352,7 @@ func (g *GPU) complete() {
 	// Anything under a nanosecond of solo work is done: the event queue's
 	// resolution is 1 ns, so finer residues can never drain.
 	const eps = 1e-9
-	var done []*kernelExec
+	done := g.done[:0]
 	remaining := g.running[:0]
 	for _, e := range g.running {
 		if e.remaining <= eps {
@@ -341,10 +382,13 @@ func (g *GPU) complete() {
 				Dur:    g.eng.Now() - e.started,
 			})
 		}
-		if e.OnDone != nil {
-			e.OnDone()
-		}
+		// Copy the kernel out before recycling its slot: the callback may
+		// submit a new kernel that reuses it.
+		k := e.Kernel
+		g.recycle(e)
+		k.fire()
 	}
+	g.done = done[:0]
 	// Callbacks may have submitted new kernels (Submit reschedules), but
 	// if they did not we still need a completion event for survivors.
 	if !g.completion.Scheduled() {

@@ -206,6 +206,60 @@ func TestGPUChainedSubmissionFromCallback(t *testing.T) {
 	}
 }
 
+// Fail recycles the dropped kernels' slots; fresh submissions after Heal
+// reuse them, and no dropped kernel's callback may ever fire.
+func TestGPUFailThenReuseNeverFiresDropped(t *testing.T) {
+	eng, gpu := newTestGPU()
+	fired := map[string]int{}
+	onDone := func(name string) func() { return func() { fired[name]++ } }
+	tags := map[int32]string{}
+	tagged := func(tag int32) { fired[tags[tag]]++ }
+	submit := func(name string, occ float64) {
+		k := Kernel{Name: name, Work: 10 * time.Millisecond, Occupancy: occ}
+		if len(tags)%2 == 0 {
+			k.OnDone = onDone(name)
+		} else {
+			k.Done, k.Tag = tagged, int32(len(tags))
+		}
+		tags[int32(len(tags))] = name
+		gpu.Submit(k)
+	}
+	submit("running-a", 0.4)
+	submit("running-b", 0.4)
+	submit("queued-c", 0.9)
+	submit("queued-d", 0.9)
+	if gpu.Active() != 2 || gpu.Waiting() != 2 {
+		t.Fatalf("active=%d waiting=%d, want 2/2", gpu.Active(), gpu.Waiting())
+	}
+	eng.Schedule(5*time.Millisecond, func() {
+		if n := gpu.Fail(); n != 4 {
+			t.Errorf("Fail() dropped %d, want 4", n)
+		}
+		submit("while-failed", 0.4)
+		gpu.Heal()
+		for _, name := range []string{"fresh-0", "fresh-1", "fresh-2", "fresh-3", "fresh-4"} {
+			submit(name, 0.4)
+		}
+	})
+	eng.Run()
+	for _, name := range []string{"running-a", "running-b", "queued-c", "queued-d", "while-failed"} {
+		if fired[name] != 0 {
+			t.Errorf("dropped kernel %s fired %d times", name, fired[name])
+		}
+	}
+	for _, name := range []string{"fresh-0", "fresh-1", "fresh-2", "fresh-3", "fresh-4"} {
+		if fired[name] != 1 {
+			t.Errorf("fresh kernel %s fired %d times, want 1", name, fired[name])
+		}
+	}
+	if got := gpu.DroppedKernels(); got != 5 {
+		t.Errorf("DroppedKernels() = %d, want 5", got)
+	}
+	if gpu.Active() != 0 || gpu.Waiting() != 0 {
+		t.Errorf("device not drained: active=%d waiting=%d", gpu.Active(), gpu.Waiting())
+	}
+}
+
 func TestGPUCoTrainSlowdownMatchesCalibration(t *testing.T) {
 	// Serialized heavy kernels halve per-job throughput: 226 img/s solo
 	// drops to ~113, matching the paper's 116 (Figure 2).

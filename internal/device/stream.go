@@ -12,11 +12,17 @@ type Stream struct {
 	inflight bool
 	aborted  uint64
 	drainFns []func()
+	// current is the in-flight kernel; the GPU sees kernelDoneFn
+	// (s.kernelDone, bound once) in place of its callbacks.
+	current      Kernel
+	kernelDoneFn func()
 }
 
 // NewStream creates a stream bound to gpu.
 func NewStream(gpu *GPU) *Stream {
-	return &Stream{gpu: gpu}
+	s := &Stream{gpu: gpu}
+	s.kernelDoneFn = s.kernelDone
+	return s
 }
 
 // GPU returns the device the stream issues to.
@@ -42,7 +48,8 @@ func (s *Stream) InFlight() bool { return s.inflight }
 // kernels' OnDone callbacks never fire.
 func (s *Stream) Abort() int {
 	n := len(s.queue)
-	s.queue = nil
+	clear(s.queue)
+	s.queue = s.queue[:0]
 	s.aborted += uint64(n)
 	return n
 }
@@ -65,18 +72,23 @@ func (s *Stream) pump() {
 		return
 	}
 	k := s.queue[0]
-	s.queue = s.queue[1:]
+	left := copy(s.queue, s.queue[1:])
+	s.queue[left] = Kernel{}
+	s.queue = s.queue[:left]
 	s.inflight = true
-	userDone := k.OnDone
-	k.OnDone = func() {
-		s.inflight = false
-		if userDone != nil {
-			userDone()
-		}
-		s.pump()
-		s.notifyDrained()
-	}
+	s.current = k
+	k.OnDone, k.Done = s.kernelDoneFn, nil
 	s.gpu.Submit(k)
+}
+
+// kernelDone is the GPU-side callback of every kernel the stream issues.
+func (s *Stream) kernelDone() {
+	s.inflight = false
+	k := s.current
+	s.current = Kernel{}
+	k.fire()
+	s.pump()
+	s.notifyDrained()
 }
 
 func (s *Stream) notifyDrained() {

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -127,6 +128,40 @@ func TestStreamEnqueueAfterAbortResumes(t *testing.T) {
 	eng.Run()
 	if !done {
 		t.Fatal("kernel enqueued after abort never ran")
+	}
+}
+
+// The stream holds the in-flight kernel's callback itself; aborting and
+// re-enqueueing behind it must fire only the in-flight and new kernels,
+// and a drain waiter exactly once.
+func TestStreamAbortThenReenqueue(t *testing.T) {
+	eng, gpu := newTestGPU()
+	s := NewStream(gpu)
+	var fired []string
+	record := func(name string) func() { return func() { fired = append(fired, name) } }
+	names := []string{"a", "b", "c", "d", "e"}
+	tagged := func(tag int32) { fired = append(fired, names[tag]) }
+	s.Enqueue(Kernel{Name: "a", Work: 10 * time.Millisecond, Occupancy: 0.9, OnDone: record("a")})
+	s.Enqueue(Kernel{Name: "b", Work: 10 * time.Millisecond, Occupancy: 0.9, Done: tagged, Tag: 1})
+	s.Enqueue(Kernel{Name: "c", Work: 10 * time.Millisecond, Occupancy: 0.9, OnDone: record("c")})
+	drained := 0
+	eng.Schedule(2*time.Millisecond, func() {
+		if got := s.Abort(); got != 2 {
+			t.Errorf("Abort() discarded %d kernels, want 2", got)
+		}
+		s.Enqueue(Kernel{Name: "d", Work: time.Millisecond, Occupancy: 0.9, Done: tagged, Tag: 3})
+		s.Enqueue(Kernel{Name: "e", Work: time.Millisecond, Occupancy: 0.9, OnDone: record("e")})
+		s.Drain(func() { drained++ })
+	})
+	eng.Run()
+	if want := []string{"a", "d", "e"}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if drained != 1 {
+		t.Errorf("drain fired %d times, want 1", drained)
+	}
+	if eng.Now() != 12*time.Millisecond {
+		t.Errorf("stream drained at %v, want 12ms", eng.Now())
 	}
 }
 

@@ -74,8 +74,14 @@ type Run struct {
 	total      int
 	suspended  bool
 	aborted    bool
-	epoch      int
+	epoch      uint32
 	onDone     func()
+	// nodes is the parent graph's node table, indexed by Node.ID. Worker
+	// tasks and kernels carry a node ID (tasks also the epoch) to the two
+	// callbacks bound once per Run, so dispatch allocates no closures.
+	nodes        []*graph.Node
+	runTaskFn    func(arg uint64)
+	kernelDoneFn func(tag int32)
 }
 
 // Start begins executing sub and returns its Run handle. onDone fires when
@@ -96,7 +102,10 @@ func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Ru
 		doneSet: make([]bool, plan.NumNodes),
 		total:   len(sub.Nodes),
 		onDone:  onDone,
+		nodes:   sub.Graph.Nodes(),
 	}
+	r.runTaskFn = r.runTask
+	r.kernelDoneFn = r.kernelDone
 	copy(r.pending, plan.Deps)
 	if r.total == 0 {
 		eng.After(0, r.finish)
@@ -208,12 +217,11 @@ func (r *Run) Abort(onDrained func()) {
 func (r *Run) Discard() { r.Abort(nil) }
 
 // dispatch hands node n to a worker. preferred/front implement the
-// expensive/inexpensive local-queue policy. The captured epoch invalidates
-// callbacks from before a suspension, so a node cannot be processed twice
-// when a suspend races with a worker mid-task.
+// expensive/inexpensive local-queue policy. The epoch packed into the
+// task's Arg invalidates tasks from before a suspension, so a node cannot
+// be processed twice when a suspend races with a worker mid-task.
 func (r *Run) dispatch(n *graph.Node, preferred int, front bool) {
 	duration := r.workerTime(n)
-	epoch := r.epoch
 	pool := r.cfg.Pool
 	if n.Op == graph.OpPreprocess && r.cfg.DataPool != nil {
 		pool = r.cfg.DataPool
@@ -242,13 +250,21 @@ func (r *Run) dispatch(n *graph.Node, preferred int, front bool) {
 		Name:     n.Name,
 		Owner:    r,
 		Duration: duration,
-		Run: func() {
-			if epoch == r.epoch {
-				r.process(n)
-			}
-		},
+		Fire:     r.runTaskFn,
+		Arg:      uint64(r.epoch)<<32 | uint64(uint32(n.ID)),
 	}, preferred, front)
 }
+
+// runTask is every dispatched task's callback: arg packs the epoch it was
+// dispatched in (high half) and the node ID (low half).
+func (r *Run) runTask(arg uint64) {
+	if uint32(arg>>32) == r.epoch {
+		r.process(r.nodes[uint32(arg)])
+	}
+}
+
+// kernelDone is every launched kernel's callback; tag is the node ID.
+func (r *Run) kernelDone(tag int32) { r.complete(r.nodes[tag]) }
 
 // dispatchSharded fans a heavy CPU op over several worker threads with
 // MKL-style imperfect scaling; the node completes when every shard does.
@@ -349,7 +365,8 @@ func (r *Run) process(n *graph.Node) {
 			Work:      work,
 			Occupancy: cost.Occupancy(n),
 			Ctx:       r.cfg.Ctx,
-			OnDone:    func() { r.complete(n) },
+			Done:      r.kernelDoneFn,
+			Tag:       int32(n.ID),
 		})
 	default:
 		r.complete(n)

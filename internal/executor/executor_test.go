@@ -341,6 +341,40 @@ func TestSuspendResumeProperty(t *testing.T) {
 	}
 }
 
+// Suspending twice while the node's first two worker tasks are still on
+// their threads: both tasks come from older epochs and must be ignored, so
+// the node launches its kernel once, from the third dispatch.
+func TestSuspendTwiceIgnoresOlderEpochTasks(t *testing.T) {
+	f := newFixture(4)
+	g := graph.New("one")
+	g.AddNode(&graph.Node{Name: "conv", Op: graph.OpConv2D, Device: device.GPUID(0), FLOPs: 5.6e9})
+	subs, _ := graph.Partition(g)
+	cfg := f.gpuConfig(device.NewStream(f.machine.GPU(0)))
+	cfg.Eager = true // 75µs of worker time per op: room to suspend inside it
+	done := false
+	run, err := Start(f.eng, subs[0], cfg, func() { done = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []time.Duration{10 * time.Microsecond, 20 * time.Microsecond} {
+		f.eng.Schedule(at, func() {
+			run.Suspend(nil)
+			run.Resume()
+		})
+	}
+	f.eng.RunUntil(50 * time.Microsecond)
+	if busy := f.pool.Busy(); busy != 3 {
+		t.Fatalf("%d worker tasks in flight, want 3 (one per epoch)", busy)
+	}
+	f.eng.Run()
+	if !done {
+		t.Fatal("run did not complete")
+	}
+	if got := f.machine.GPU(0).Launched(); got != 1 {
+		t.Fatalf("node launched %d kernels, want 1", got)
+	}
+}
+
 // Property: a suspended run retains monotone progress — resuming never
 // loses completed nodes.
 func TestSuspendKeepsProgress(t *testing.T) {

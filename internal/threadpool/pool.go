@@ -22,6 +22,11 @@ type Task struct {
 	Duration time.Duration
 	// Run fires when the task's duration elapses, still "on" the worker.
 	Run func()
+	// Fire, when set, fires with Arg instead of Run. It is the
+	// allocation-free form for callers that submit many tasks: one
+	// callback bound once, with the per-task state in Arg.
+	Fire func(arg uint64)
+	Arg  uint64
 }
 
 // Pool is a set of virtual worker threads.
@@ -38,15 +43,20 @@ type Pool struct {
 
 type worker struct {
 	id    int
-	queue []*Task
+	queue []Task
 	busy  bool
+	// task is the running task; finish (bound once) completes it.
+	task   Task
+	finish func()
 }
 
 // New creates a pool of n workers, all active.
 func New(eng *sim.Engine, name string, n int) *Pool {
 	p := &Pool{Name: name, eng: eng, activeLimit: n}
 	for i := 0; i < n; i++ {
-		p.workers = append(p.workers, &worker{id: i})
+		w := &worker{id: i}
+		w.finish = func() { p.finish(w) }
+		p.workers = append(p.workers, w)
 	}
 	return p
 }
@@ -87,29 +97,31 @@ func (p *Pool) Queued() int {
 // BusyTime returns accumulated worker-seconds of executed task time.
 func (p *Pool) BusyTime() time.Duration { return p.busyTime }
 
-// Submit enqueues t. preferred selects the worker whose local queue should
-// hold the task (the parent op's worker for inexpensive successors, §2.1);
-// pass -1 for no affinity. front pushes to the head of the local queue
-// (inexpensive ops ride immediately after their parent).
+// Submit enqueues a copy of *t, so callers may reuse or change theirs.
+// preferred selects the worker whose local queue should hold the task (the
+// parent op's worker for inexpensive successors, §2.1); pass -1 for no
+// affinity. front pushes to the head of the local queue (inexpensive ops
+// ride immediately after their parent).
 func (p *Pool) Submit(t *Task, preferred int, front bool) {
-	if t.Duration < 0 {
-		t.Duration = 0
+	task := *t
+	if task.Duration < 0 {
+		task.Duration = 0
 	}
 	w := p.pickWorker(preferred)
 	if !w.busy && p.busy < p.activeLimit {
-		p.start(w, t)
+		p.start(w, task)
 		return
 	}
 	// The preferred worker is busy; an idle worker steals the task right
 	// away if the active limit allows (work stealing keeps queues short).
 	if idle := p.idleWorker(); idle != nil && p.busy < p.activeLimit {
-		p.start(idle, t)
+		p.start(idle, task)
 		return
 	}
+	w.queue = append(w.queue, task)
 	if front {
-		w.queue = append([]*Task{t}, w.queue...)
-	} else {
-		w.queue = append(w.queue, t)
+		copy(w.queue[1:], w.queue)
+		w.queue[0] = task
 	}
 }
 
@@ -127,6 +139,7 @@ func (p *Pool) Abort(owner any) int {
 			}
 			kept = append(kept, t)
 		}
+		clear(w.queue[len(kept):])
 		w.queue = kept
 	}
 	return removed
@@ -158,35 +171,49 @@ func (p *Pool) idleWorker() *worker {
 	return nil
 }
 
-func (p *Pool) start(w *worker, t *Task) {
+func (p *Pool) start(w *worker, t Task) {
 	w.busy = true
+	w.task = t
 	p.busy++
 	p.busyTime += t.Duration
-	p.eng.After(t.Duration, func() {
-		if t.Run != nil {
-			t.Run()
-		}
-		w.busy = false
-		p.busy--
-		p.next(w)
-	})
+	p.eng.After(t.Duration, w.finish)
+}
+
+// finish completes w's running task, still "on" the worker, then lets w
+// pick its next one.
+func (p *Pool) finish(w *worker) {
+	t := w.task
+	w.task = Task{}
+	if t.Fire != nil {
+		t.Fire(t.Arg)
+	} else if t.Run != nil {
+		t.Run()
+	}
+	w.busy = false
+	p.busy--
+	p.next(w)
 }
 
 // next lets worker w pick its next task: own queue first, then steal from
-// the longest peer queue, else go idle.
+// the longest peer queue, else go idle. Queues are popped by copying down,
+// not reslicing, so they keep their capacity.
 func (p *Pool) next(w *worker) {
 	if p.busy >= p.activeLimit {
 		return
 	}
 	if len(w.queue) > 0 {
 		t := w.queue[0]
-		w.queue = w.queue[1:]
+		left := copy(w.queue, w.queue[1:])
+		w.queue[left] = Task{}
+		w.queue = w.queue[:left]
 		p.start(w, t)
 		return
 	}
 	if victim := p.longestQueue(); victim != nil {
-		t := victim.queue[len(victim.queue)-1] // steal from the tail
-		victim.queue = victim.queue[:len(victim.queue)-1]
+		last := len(victim.queue) - 1
+		t := victim.queue[last] // steal from the tail
+		victim.queue[last] = Task{}
+		victim.queue = victim.queue[:last]
 		p.start(w, t)
 	}
 }

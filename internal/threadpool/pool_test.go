@@ -1,6 +1,7 @@
 package threadpool
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,6 +102,62 @@ func TestPoolAbortRemovesQueuedOnly(t *testing.T) {
 	eng.Run()
 	if len(ran) != 2 || ran[0] != "running" || ran[1] != "queued-other" {
 		t.Fatalf("ran %v, want [running queued-other]", ran)
+	}
+}
+
+func TestPoolAbortKeepsOthersInOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New(eng, "global", 1)
+	type jobKey struct{ name string }
+	a, b := &jobKey{"a"}, &jobKey{"b"}
+	var ran []string
+	names := []string{"running", "b1", "a1", "b2", "a2", "b3"}
+	fire := func(i uint64) { ran = append(ran, names[i]) }
+	submit := func(i int, owner *jobKey, front bool) {
+		task := &Task{Owner: owner, Duration: time.Millisecond}
+		if i%2 == 0 {
+			task.Run = func() { ran = append(ran, names[i]) }
+		} else {
+			task.Fire, task.Arg = fire, uint64(i)
+		}
+		p.Submit(task, 0, front)
+	}
+	submit(0, a, false)
+	submit(1, b, false)
+	submit(2, a, false)
+	submit(3, b, false)
+	submit(4, a, true)
+	submit(5, b, true)
+	// Queue: b3 a2 b1 a1 b2.
+	if got := p.Abort(a); got != 2 {
+		t.Fatalf("Abort removed %d, want 2", got)
+	}
+	eng.Run()
+	if want := []string{"running", "b3", "b1", "b2"}; !slices.Equal(ran, want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+}
+
+func TestPoolSubmitCopiesTask(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New(eng, "global", 1)
+	var ran []string
+	var at []time.Duration
+	record := func(name string) func() {
+		return func() { ran, at = append(ran, name), append(at, eng.Now()) }
+	}
+	p.Submit(&Task{Duration: time.Millisecond, Run: record("first")}, 0, false)
+	task := &Task{Name: "queued", Duration: 2 * time.Millisecond, Run: record("queued")}
+	p.Submit(task, 0, false)
+	// Reuse the caller's task: the queued copy must not change.
+	*task = Task{Name: "reused", Duration: 5 * time.Millisecond, Run: record("reused")}
+	p.Submit(task, 0, false)
+	eng.Run()
+	if want := []string{"first", "queued", "reused"}; !slices.Equal(ran, want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+	if want := []time.Duration{time.Millisecond, 3 * time.Millisecond, 8 * time.Millisecond}; !slices.Equal(at, want) {
+		t.Fatalf("finished at %v, want %v", at, want)
 	}
 }
 
