@@ -77,29 +77,31 @@ var kernelMemo sync.Map // kernelKey -> time.Duration
 
 // KernelDuration returns the solo execution time of node n on a GPU of the
 // given class: max(compute time, memory time) under the roofline model.
-// Send/Recv and CPU-only ops have no GPU kernel and return zero. Results
-// are memoized twice over: a per-node slot serves the steady-state case
-// (the same node re-costed every iteration on the same GPU), and a global
-// per-(op signature, GPU class) table shares results across the identical
-// model graphs that every experiment cell rebuilds.
+// Send/Recv and CPU-only ops have no GPU kernel and return zero, and so
+// does every op on a class with no throughput (the zero class CPU
+// subgraphs classify with), which runs no kernels. Results are memoized
+// per (op signature, GPU class), shared across the identical model graphs
+// that every experiment cell rebuilds. The executor does not call this per
+// kernel: it reads the subgraph's Table.
 func KernelDuration(n *graph.Node, class device.GPUClass) time.Duration {
-	if d, ok := n.CachedKernelDuration(class); ok {
-		return d
-	}
-	if _, ok := computeEfficiency[n.Op]; !ok {
-		n.SetCachedKernelDuration(class, 0)
+	if _, ok := computeEfficiency[n.Op]; !ok || !hasThroughput(class) {
 		return 0
 	}
 	key := kernelKey{op: n.Op, flops: n.FLOPs, mem: n.MemBytes, class: class}
-	var d time.Duration
 	if v, ok := kernelMemo.Load(key); ok {
-		d = v.(time.Duration)
-	} else {
-		d = kernelDurationSlow(n, class)
-		kernelMemo.Store(key, d)
+		return v.(time.Duration)
 	}
-	n.SetCachedKernelDuration(class, d)
+	d := kernelDurationSlow(n, class)
+	kernelMemo.Store(key, d)
 	return d
+}
+
+// hasThroughput reports whether the roofline model can price kernels on
+// class: both its compute and its memory throughput are positive. On any
+// other class the model would divide by zero, and converting the infinite
+// result to a time.Duration is implementation-defined in Go.
+func hasThroughput(class device.GPUClass) bool {
+	return class.FP32TFLOPS*class.Efficiency > 0 && class.MemBandwidthGBps > 0
 }
 
 // kernelDurationSlow evaluates the roofline model without the memo.
@@ -134,7 +136,8 @@ func Occupancy(n *graph.Node) float64 {
 
 // IsExpensive reproduces TF's executor cost classification: ops whose
 // estimated cost exceeds a threshold get their own local queue; cheap ops
-// ride on their parent's queue (§2.1).
+// ride on their parent's queue (§2.1). On a class with no throughput the
+// op family alone decides: every op outside the switch is inexpensive.
 func IsExpensive(n *graph.Node, class device.GPUClass) bool {
 	switch n.Op {
 	case graph.OpConv2D, graph.OpDepthwiseConv2D, graph.OpDense,
@@ -164,9 +167,22 @@ func CPUDuration(n *graph.Node, class device.CPUClass) time.Duration {
 	return time.Duration(float64(3*time.Microsecond) / class.SpeedFactor)
 }
 
-// LaunchOverhead returns the CPU-side cost of dispatching n to the GPU.
-func LaunchOverhead(class device.GPUClass) time.Duration {
-	return class.LaunchOverhead
+// Table returns sub's per-node kernel costs on class: work, occupancy and
+// the expensive classification of every member node. It is computed once
+// per (subgraph, class) and cached on the subgraph's ExecPlan, so a job
+// migrating between GPU classes keeps one table per class.
+func Table(sub *graph.Subgraph, class device.GPUClass) *graph.KernelTable {
+	t, fresh := sub.Plan().KernelTable(class)
+	if fresh {
+		for _, n := range sub.Nodes {
+			t.Costs[n.ID] = graph.KernelCost{
+				Work:      KernelDuration(n, class),
+				Occupancy: Occupancy(n),
+				Expensive: IsExpensive(n, class),
+			}
+		}
+	}
+	return t
 }
 
 // SerialGPUEstimate prices one execution of sub on a GPU of the given

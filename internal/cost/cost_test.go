@@ -86,6 +86,66 @@ func TestIsExpensiveClassification(t *testing.T) {
 	}
 }
 
+// CPU subgraphs classify their ops on the zero GPU class. The roofline
+// would divide by its zero throughput, and converting the infinite result
+// to a time.Duration differs between architectures, so the op family
+// alone must decide, without the roofline ever running.
+func TestIsExpensiveOnClassWithoutThroughput(t *testing.T) {
+	var none device.GPUClass
+	bn := &graph.Node{Op: graph.OpBatchNorm, FLOPs: 3e9, MemBytes: 1 << 30}
+	if IsExpensive(bn, none) {
+		t.Error("BatchNorm on the zero class classified expensive")
+	}
+	if d := KernelDuration(bn, none); d != 0 {
+		t.Errorf("KernelDuration on the zero class = %v, want 0", d)
+	}
+	key := kernelKey{op: bn.Op, flops: bn.FLOPs, mem: bn.MemBytes, class: none}
+	if _, ok := kernelMemo.Load(key); ok {
+		t.Error("the roofline was evaluated on the zero class")
+	}
+	conv := &graph.Node{Op: graph.OpConv2D, FLOPs: 1e6}
+	if !IsExpensive(conv, none) {
+		t.Error("Conv2D on the zero class should stay expensive by family")
+	}
+}
+
+// Table holds the same answers as the per-node calls, for member nodes
+// only, and is built once per class.
+func TestTableMatchesPerNodeCosts(t *testing.T) {
+	g := graph.New("t")
+	conv := g.AddNode(&graph.Node{Op: graph.OpConv2D, FLOPs: 2.3e9, MemBytes: 48 << 20, Device: device.GPUID(0)})
+	add := g.AddNode(&graph.Node{Op: graph.OpAdd, FLOPs: 1e6, MemBytes: 4 << 20, Device: device.GPUID(0)})
+	pre := g.AddNode(&graph.Node{Op: graph.OpPreprocess, CPUTime: time.Millisecond, Device: device.CPUID})
+	g.Connect(pre, conv)
+	g.Connect(conv, add)
+	subs, err := graph.Partition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := subs[1]
+	for _, class := range []device.GPUClass{device.ClassV100, device.ClassRTX2080Ti} {
+		tab := Table(gpu, class)
+		if tab.Class != class {
+			t.Fatalf("table for %s holds class %s", class.Name, tab.Class.Name)
+		}
+		for _, n := range gpu.Nodes {
+			want := graph.KernelCost{Work: KernelDuration(n, class), Occupancy: Occupancy(n), Expensive: IsExpensive(n, class)}
+			if got := tab.Costs[n.ID]; got != want {
+				t.Errorf("%s on %s: table holds %+v, per-node calls give %+v", n.Op, class.Name, got, want)
+			}
+		}
+		if tab.Costs[pre.ID] != (graph.KernelCost{}) {
+			t.Errorf("table on %s has an entry for a node outside the subgraph", class.Name)
+		}
+		if again := Table(gpu, class); again != tab {
+			t.Errorf("second Table call on %s built a new table", class.Name)
+		}
+	}
+	if n := gpu.Plan().KernelTables(); n != 2 {
+		t.Fatalf("plan holds %d kernel tables, want 2", n)
+	}
+}
+
 func TestCPUDurationPreprocessOverride(t *testing.T) {
 	n := &graph.Node{Op: graph.OpPreprocess, CPUTime: 100 * time.Millisecond}
 	if got := CPUDuration(n, device.ClassXeonDual); got != 100*time.Millisecond {

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"runtime"
 	"testing"
 
 	"switchflow/internal/device"
@@ -12,8 +13,33 @@ import (
 // the subgraph's node count.
 const allocsPerRunBound = 5
 
+// runSizeClass is the Go allocation size class a Run fits in. Every
+// activation allocates one, so a field that pushes Run into the next class
+// (240 B) costs 16 B per Start on every iteration of every job.
+const runSizeClass = 224
+
+// boundCallbackBytes is what the two method values bound per Run take: a
+// code pointer and the receiver each.
+const boundCallbackBytes = 2 * 16
+
+// Sinks keep the reference allocations below on the heap.
+var (
+	depsSink []int32
+	doneSink []bool
+)
+
+// heapBytes returns the bytes f allocates on the heap.
+func heapBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // Back-to-back ResNet50 BS=32 training iterations: after warm-up, each
-// Run's allocations are a constant, not one or more per kernel.
+// Run's allocations are a constant, not one or more per kernel, and their
+// bytes are the Run's size class plus its per-node slices and callbacks.
 func TestRunAllocsBoundedPerRun(t *testing.T) {
 	f := newFixture(device.ClassXeonDual.Cores - 4)
 	spec, err := models.ByName("ResNet50")
@@ -48,5 +74,21 @@ func TestRunAllocsBoundedPerRun(t *testing.T) {
 	if allocs > allocsPerRunBound {
 		t.Errorf("%v allocations per run of %d nodes and %d kernels, want at most %d",
 			allocs, len(compute.Nodes), kernels, allocsPerRunBound)
+	}
+
+	n := compute.Plan().NumNodes
+	perNode := heapBytes(func() {
+		depsSink = make([]int32, n)
+		doneSink = make([]bool, n)
+	})
+	const measured = 3
+	got := heapBytes(func() {
+		for i := 0; i < measured; i++ {
+			oneRun()
+		}
+	})
+	if bound := measured * (runSizeClass + perNode + boundCallbackBytes); got > bound {
+		t.Errorf("%d runs allocated %d B, want at most %d B: each a Run in the %d B size class, %d B of per-node slices and %d B of callbacks",
+			measured, got, bound, runSizeClass, perNode, boundCallbackBytes)
 	}
 }

@@ -76,10 +76,13 @@ type Run struct {
 	aborted    bool
 	epoch      uint32
 	onDone     func()
-	// nodes is the parent graph's node table, indexed by Node.ID. Worker
-	// tasks and kernels carry a node ID (tasks also the epoch) to the two
-	// callbacks bound once per Run, so dispatch allocates no closures.
-	nodes        []*graph.Node
+	// kern is the subgraph's cost table on this run's GPU class (the zero
+	// class on CPU subgraphs), indexed by Node.ID.
+	kern *graph.KernelTable
+	// Worker tasks and kernels carry a node ID (tasks also the epoch) to
+	// the two callbacks bound once per Run, so dispatch allocates no
+	// closures. Keep Run within its 224-byte allocation size class: every
+	// activation allocates one.
 	runTaskFn    func(arg uint64)
 	kernelDoneFn func(tag int32)
 }
@@ -94,6 +97,10 @@ func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Ru
 		return nil, fmt.Errorf("executor: %s: GPU subgraph needs a stream", sub.Name())
 	}
 	plan := sub.Plan()
+	var class device.GPUClass
+	if cfg.Stream != nil {
+		class = cfg.Stream.GPU().Class
+	}
 	r := &Run{
 		sub:     sub,
 		cfg:     cfg,
@@ -102,7 +109,7 @@ func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Ru
 		doneSet: make([]bool, plan.NumNodes),
 		total:   len(sub.Nodes),
 		onDone:  onDone,
-		nodes:   sub.Graph.Nodes(),
+		kern:    cost.Table(sub, class),
 	}
 	r.runTaskFn = r.runTask
 	r.kernelDoneFn = r.kernelDone
@@ -259,12 +266,12 @@ func (r *Run) dispatch(n *graph.Node, preferred int, front bool) {
 // dispatched in (high half) and the node ID (low half).
 func (r *Run) runTask(arg uint64) {
 	if uint32(arg>>32) == r.epoch {
-		r.process(r.nodes[uint32(arg)])
+		r.process(r.sub.Graph.Nodes()[uint32(arg)])
 	}
 }
 
 // kernelDone is every launched kernel's callback; tag is the node ID.
-func (r *Run) kernelDone(tag int32) { r.complete(r.nodes[tag]) }
+func (r *Run) kernelDone(tag int32) { r.complete(r.sub.Graph.Nodes()[tag]) }
 
 // dispatchSharded fans a heavy CPU op over several worker threads with
 // MKL-style imperfect scaling; the node completes when every shard does.
@@ -304,8 +311,8 @@ func (r *Run) workerTime(n *graph.Node) time.Duration {
 	if r.cfg.Eager {
 		eager = eagerDispatchOverhead
 	}
-	if cost.KernelDuration(n, r.cfg.Stream.GPU().Class) > 0 {
-		return eager + cost.LaunchOverhead(r.cfg.Stream.GPU().Class)
+	if r.kern.Costs[n.ID].Work > 0 {
+		return eager + r.kern.Class.LaunchOverhead
 	}
 	return eager + time.Microsecond
 }
@@ -345,9 +352,8 @@ func (r *Run) process(n *graph.Node) {
 	case n.Op == graph.OpSend:
 		r.startSend(n)
 	case r.sub.Device.Kind == device.KindGPU:
-		class := r.cfg.Stream.GPU().Class
-		work := cost.KernelDuration(n, class)
-		if work == 0 {
+		k := &r.kern.Costs[n.ID]
+		if k.Work == 0 {
 			r.complete(n)
 			return
 		}
@@ -357,13 +363,13 @@ func (r *Run) process(n *graph.Node) {
 				Ctx:    r.cfg.Ctx,
 				Device: r.sub.Device.String(),
 				Name:   n.Name,
-				Dur:    work,
+				Dur:    k.Work,
 			})
 		}
 		r.cfg.Stream.Enqueue(device.Kernel{
 			Name:      n.Name,
-			Work:      work,
-			Occupancy: cost.Occupancy(n),
+			Work:      k.Work,
+			Occupancy: k.Occupancy,
 			Ctx:       r.cfg.Ctx,
 			Done:      r.kernelDoneFn,
 			Tag:       int32(n.ID),
@@ -411,11 +417,7 @@ func (r *Run) complete(n *graph.Node) {
 		if deps-1 > 0 || r.suspended {
 			continue
 		}
-		class := device.GPUClass{}
-		if r.cfg.Stream != nil {
-			class = r.cfg.Stream.GPU().Class
-		}
-		if cost.IsExpensive(succ, class) {
+		if r.kern.Costs[succ.ID].Expensive {
 			// Expensive nodes get their own local queue (any worker).
 			r.dispatch(succ, -1, false)
 		} else {

@@ -5,9 +5,11 @@ import (
 	"testing/quick"
 	"time"
 
+	"switchflow/internal/cost"
 	"switchflow/internal/device"
 	"switchflow/internal/graph"
 	"switchflow/internal/models"
+	"switchflow/internal/obs"
 	"switchflow/internal/sim"
 	"switchflow/internal/threadpool"
 )
@@ -409,5 +411,78 @@ func TestSuspendKeepsProgress(t *testing.T) {
 	after, _ := run.Progress()
 	if after != total || !done {
 		t.Fatalf("after resume: %d/%d done=%v", after, total, done)
+	}
+}
+
+// A migration runs the same subgraph on another GPU class. Each run's
+// kernels must carry its own class's roofline durations, the plan must end
+// up with one kernel table per class, and starting again on a class the
+// plan already holds must reuse its table.
+func TestKernelTablesPerGPUClass(t *testing.T) {
+	eng := sim.NewEngine()
+	machine := device.NewMachine(eng, device.ClassXeonDual, device.ClassRTX2080Ti, device.ClassV100)
+	pool := threadpool.New(eng, "global", 8)
+	g := graph.New("mixed")
+	var prev *graph.Node
+	for i, n := range []*graph.Node{
+		{Name: "conv", Op: graph.OpConv2D, FLOPs: 2.3e9, MemBytes: 48 << 20},
+		{Name: "bn", Op: graph.OpBatchNorm, FLOPs: 1e7, MemBytes: 200 << 20},
+		{Name: "relu", Op: graph.OpActivation, FLOPs: 1e6, MemBytes: 1 << 20},
+		{Name: "dense", Op: graph.OpDense, FLOPs: 5.1e8, MemBytes: 12 << 20},
+	} {
+		n.Device = device.GPUID(0)
+		g.AddNode(n)
+		if i > 0 {
+			g.Connect(prev, n)
+		}
+		prev = n
+	}
+	subs, err := graph.Partition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := subs[0]
+	byName := map[string]*graph.Node{}
+	for _, n := range sub.Nodes {
+		byName[n.Name] = n
+	}
+	launched := map[string]time.Duration{}
+	machine.Bus().Subscribe(obs.SinkFunc(func(e obs.Event) { launched[e.Name] = e.Dur }), obs.KindLaunch)
+
+	runOn := func(gpu int) *Run {
+		t.Helper()
+		clear(launched)
+		cfg := Config{Pool: pool, CPUClass: machine.CPU, Machine: machine, Bus: machine.Bus(),
+			Stream: device.NewStream(machine.GPU(gpu))}
+		run, err := Start(eng, sub, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if !run.Done() {
+			t.Fatalf("run on gpu:%d did not complete", gpu)
+		}
+		class := machine.GPU(gpu).Class
+		if len(launched) != len(sub.Nodes) {
+			t.Fatalf("%d kernels launched on %s, want %d", len(launched), class.Name, len(sub.Nodes))
+		}
+		for name, work := range launched {
+			if want := cost.KernelDuration(byName[name], class); work != want {
+				t.Errorf("%s on %s launched with %v, want %v", name, class.Name, work, want)
+			}
+		}
+		return run
+	}
+	first := runOn(0) // RTX 2080 Ti
+	runOn(1)          // V100, after the migration
+	if n := sub.Plan().KernelTables(); n != 2 {
+		t.Fatalf("plan holds %d kernel tables after runs on two classes, want 2", n)
+	}
+	again := runOn(0)
+	if n := sub.Plan().KernelTables(); n != 2 {
+		t.Fatalf("plan holds %d kernel tables after a second run on one class, want 2", n)
+	}
+	if again.kern != first.kern {
+		t.Fatal("second run on the RTX 2080 Ti built a new kernel table")
 	}
 }

@@ -106,30 +106,6 @@ type Node struct {
 
 	in  []*Node
 	out []*Node
-
-	// Kernel-duration cache maintained by internal/cost. A node is
-	// re-costed on every iteration of its job, always for the same GPU
-	// class (until a migration), so one slot per node removes the cost
-	// model from the executor's hot path. The node, like its graph, is
-	// owned by a single engine, so no locking is needed.
-	memoClass device.GPUClass
-	memoDur   time.Duration
-	memoSet   bool
-}
-
-// CachedKernelDuration returns the memoized kernel duration for class, if
-// one is cached.
-func (n *Node) CachedKernelDuration(class device.GPUClass) (time.Duration, bool) {
-	if n.memoSet && n.memoClass == class {
-		return n.memoDur, true
-	}
-	return 0, false
-}
-
-// SetCachedKernelDuration memoizes the kernel duration for class,
-// replacing any previously cached class.
-func (n *Node) SetCachedKernelDuration(class device.GPUClass, d time.Duration) {
-	n.memoClass, n.memoDur, n.memoSet = class, d, true
 }
 
 // Inputs returns the node's predecessors. The slice is shared; callers must

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"time"
 
 	"switchflow/internal/device"
 )
@@ -22,9 +23,10 @@ type Subgraph struct {
 }
 
 // ExecPlan is the per-activation executor bootstrap for a subgraph:
-// intra-subgraph dependency counts and the initially-ready frontier. It is
-// identical for every iteration of a job, so the executor copies the
-// template instead of recomputing membership maps each activation.
+// intra-subgraph dependency counts, the initially-ready frontier and one
+// kernel table per GPU class the subgraph has run on. It is identical for
+// every iteration of a job, so the executor copies the template instead of
+// recomputing membership maps each activation.
 type ExecPlan struct {
 	// NumNodes is the parent graph's node count; per-node executor state
 	// is indexed by Node.ID, which is dense in the parent graph.
@@ -35,7 +37,49 @@ type ExecPlan struct {
 	// Ready lists member nodes with no intra-subgraph dependencies, in
 	// subgraph order.
 	Ready []*Node
+
+	kernels []*KernelTable
 }
+
+// KernelTable is a subgraph's kernel costs on one GPU class.
+// internal/cost fills it once per (subgraph, class), and the executor
+// reads it on every dispatch, launch and completion instead of re-running
+// the cost model per kernel.
+type KernelTable struct {
+	// Class is the GPU class the costs are for; CPU subgraphs use the zero
+	// class.
+	Class device.GPUClass
+	// Costs is indexed by Node.ID like the plan's Deps; entries of nodes
+	// outside the subgraph stay zero.
+	Costs []KernelCost
+}
+
+// KernelCost is one node's entry in a KernelTable.
+type KernelCost struct {
+	// Work is the solo kernel duration, zero for ops with no GPU kernel.
+	Work time.Duration
+	// Occupancy is the kernel's launch occupancy in [0,1].
+	Occupancy float64
+	// Expensive is TF's executor cost classification (§2.1).
+	Expensive bool
+}
+
+// KernelTable returns the plan's table for class. The first call for a
+// class creates it, zeroed and sized NumNodes, and reports fresh so the
+// caller fills it.
+func (p *ExecPlan) KernelTable(class device.GPUClass) (t *KernelTable, fresh bool) {
+	for _, t := range p.kernels {
+		if t.Class == class {
+			return t, false
+		}
+	}
+	t = &KernelTable{Class: class, Costs: make([]KernelCost, p.NumNodes)}
+	p.kernels = append(p.kernels, t)
+	return t, true
+}
+
+// KernelTables returns how many GPU classes the plan holds tables for.
+func (p *ExecPlan) KernelTables() int { return len(p.kernels) }
 
 // Plan returns the subgraph's executor bootstrap, computing and caching it
 // on first use. The subgraph must not gain or lose nodes afterwards (it

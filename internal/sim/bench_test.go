@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -63,82 +64,79 @@ func BenchmarkEngineMixed(b *testing.B) {
 	}
 }
 
-// eventQueue abstracts over the wheel Engine and the HeapEngine reference
-// so the depth benchmarks below run both from one body and report the
-// speedup regime-by-regime.
-type eventQueue[E any] interface {
-	Schedule(at time.Duration, fn func()) E
-	Step() bool
-	Now() time.Duration
+// kernelDelays returns n delays spread log-uniformly over 1 µs to ~8 ms,
+// the span of worker-task and kernel durations on the kernel path.
+func kernelDelays(n int) []time.Duration {
+	rng := diffRNG(7)
+	ds := make([]time.Duration, n)
+	for i := range ds {
+		ds[i] = time.Microsecond << (rng.next() % 13)
+		ds[i] += time.Duration(rng.next() % uint64(ds[i]))
+	}
+	return ds
 }
 
-type cancellable interface{ Cancel() }
-
-// benchScheduleStep is the steady-state schedule-then-fire cycle at a fixed
-// queue depth — the regime fleet-scale serving sweeps live in once every
-// machine has thousands of in-flight arrival/completion events.
-func benchScheduleStep[E any](b *testing.B, e eventQueue[E], depth time.Duration) {
-	fn := func() {}
-	for i := time.Duration(0); i < depth; i++ {
-		e.Schedule(i, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+depth, fn)
-		e.Step()
-	}
-}
-
-// benchRescheduleStorm is the cancel-heavy pattern the GPU model produces
-// under preemption churn: every iteration cancels a pending completion and
-// schedules its replacement, on top of a deep standing queue.
-func benchRescheduleStorm[E cancellable](b *testing.B, e eventQueue[E], depth time.Duration) {
-	fn := func() {}
-	for i := time.Duration(0); i < depth; i++ {
-		e.Schedule(i, fn)
-	}
-	pending := make([]E, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(pending) == cap(pending) {
-			for _, ev := range pending {
-				ev.Cancel()
-			}
-			pending = pending[:0]
-		}
-		pending = append(pending, e.Schedule(e.Now()+depth/2, fn))
-		e.Schedule(e.Now()+depth, fn)
-		e.Step()
-	}
-}
-
-// BenchmarkEngineDepth compares wheel vs heap across queue depths. Depth
-// 256 is the PR-1 regime; 4k and 64k are the fleet-scale regimes that
-// motivated the wheel (ROADMAP item 2).
+// BenchmarkEngineDepth times the steady-state schedule-then-fire cycle.
+// The dense shapes hold 256, 4k and 64k events spaced 1 ns apart. The
+// sparse shape is the regime the workloads run in: 32 pending events, each
+// replaced by one due microseconds to milliseconds later.
 func BenchmarkEngineDepth(b *testing.B) {
+	fn := func() {}
 	for _, depth := range []time.Duration{256, 4096, 65536} {
-		depth := depth
-		b.Run("wheel/"+depth.String(), func(b *testing.B) {
-			benchScheduleStep[Event](b, NewEngine(), depth)
-		})
-		b.Run("heap/"+depth.String(), func(b *testing.B) {
-			benchScheduleStep[HeapEvent](b, NewHeapEngine(), depth)
+		b.Run(fmt.Sprintf("dense/%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			for i := time.Duration(0); i < depth; i++ {
+				e.Schedule(i, fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Schedule(e.Now()+depth, fn)
+				e.Step()
+			}
 		})
 	}
+	b.Run("sparse/32", func(b *testing.B) {
+		delays := kernelDelays(1024)
+		e := NewEngine()
+		for _, d := range delays[:32] {
+			e.Schedule(d, fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Schedule(e.Now()+delays[i%len(delays)], fn)
+			e.Step()
+		}
+	})
 }
 
-// BenchmarkEngineRescheduleStorm compares wheel vs heap under cancel-heavy
-// churn at the same depths as BenchmarkEngineDepth.
+// BenchmarkEngineRescheduleStorm is the cancel-heavy pattern the GPU model
+// produces under preemption churn: every iteration cancels a pending
+// completion and schedules its replacement, on top of a deep standing
+// queue.
 func BenchmarkEngineRescheduleStorm(b *testing.B) {
+	fn := func() {}
 	for _, depth := range []time.Duration{256, 4096, 65536} {
-		depth := depth
-		b.Run("wheel/"+depth.String(), func(b *testing.B) {
-			benchRescheduleStorm[Event](b, NewEngine(), depth)
-		})
-		b.Run("heap/"+depth.String(), func(b *testing.B) {
-			benchRescheduleStorm[HeapEvent](b, NewHeapEngine(), depth)
+		b.Run(fmt.Sprint(depth), func(b *testing.B) {
+			e := NewEngine()
+			for i := time.Duration(0); i < depth; i++ {
+				e.Schedule(i, fn)
+			}
+			pending := make([]Event, 0, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(pending) == cap(pending) {
+					for _, ev := range pending {
+						ev.Cancel()
+					}
+					pending = pending[:0]
+				}
+				pending = append(pending, e.Schedule(e.Now()+depth/2, fn))
+				e.Schedule(e.Now()+depth, fn)
+				e.Step()
+			}
 		})
 	}
 }

@@ -6,16 +6,120 @@ import (
 	"time"
 )
 
-// The differential tests in this file drive the timing-wheel Engine and the
-// PR-1 HeapEngine reference implementation with byte-for-byte identical
+// The differential tests in this file drive the Engine and refEngine, a
+// naive reference kept in test code, with byte-for-byte identical
 // schedule/cancel/step/run-until scripts and assert that the two produce the
-// same firing sequence, the same clock, and the same counters. The heap's
-// behaviour is the specification: any divergence is a wheel bug.
+// same firing sequence, the same clock, and the same counters. The
+// reference's behaviour is the specification: it shares no code with the
+// heap, so any divergence is an Engine bug.
 //
 // Scripts are generated from a handrolled xorshift generator (never
 // math/rand — the detrand analyzer bans it) so a failing seed reproduces
 // exactly, and the same interpreter backs the quick.Check property and the
 // fuzz target.
+
+// refEngine is the event-queue contract at its plainest: an unordered
+// slice searched linearly for the (at, seq) minimum on every step.
+type refEngine struct {
+	now     time.Duration
+	seq     uint64
+	fired   uint64
+	pending []*refEvent
+}
+
+// refEvent is one scheduled callback; it is never reused, so a handle to
+// a fired or cancelled event stays inert.
+type refEvent struct {
+	at   time.Duration
+	seq  uint64
+	fn   func()
+	live bool
+}
+
+// refHandle mirrors Event.
+type refHandle struct{ ev *refEvent }
+
+func (h refHandle) Cancel() {
+	if h.ev != nil {
+		h.ev.live = false
+	}
+}
+
+func (h refHandle) Scheduled() bool { return h.ev != nil && h.ev.live }
+
+func (e *refEngine) Now() time.Duration { return e.now }
+func (e *refEngine) Fired() uint64      { return e.fired }
+
+// Pending counts the live events; cancelled ones stay in the slice.
+func (e *refEngine) Pending() int {
+	n := 0
+	for _, ev := range e.pending {
+		if ev.live {
+			n++
+		}
+	}
+	return n
+}
+
+func (e *refEngine) Schedule(at time.Duration, fn func()) refHandle {
+	if at < e.now {
+		panic("ref: schedule in the past")
+	}
+	e.seq++
+	ev := &refEvent{at: at, seq: e.seq, fn: fn, live: true}
+	e.pending = append(e.pending, ev)
+	return refHandle{ev}
+}
+
+// min returns the position of the earliest live event, or -1.
+func (e *refEngine) min() int {
+	best := -1
+	for i, ev := range e.pending {
+		if !ev.live {
+			continue
+		}
+		if best < 0 {
+			best = i
+			continue
+		}
+		if b := e.pending[best]; ev.at < b.at || (ev.at == b.at && ev.seq < b.seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (e *refEngine) Step() bool {
+	i := e.min()
+	if i < 0 {
+		return false
+	}
+	ev := e.pending[i]
+	e.pending = append(e.pending[:i], e.pending[i+1:]...)
+	ev.live = false
+	e.now = ev.at
+	e.fired++
+	ev.fn()
+	return true
+}
+
+func (e *refEngine) Run() {
+	for e.Step() {
+	}
+}
+
+func (e *refEngine) RunUntil(t time.Duration) {
+	for {
+		i := e.min()
+		if i < 0 || e.pending[i].at > t {
+			break
+		}
+		e.Step()
+	}
+	if t > e.now {
+		e.now = t
+	}
+}
 
 // diffRNG is a xorshift64* generator; deterministic, seedable, dependency
 // free.
@@ -44,22 +148,22 @@ type firing struct {
 // script over both engines and fails t on any observable divergence.
 func diffScript(t *testing.T, data []byte) bool {
 	t.Helper()
-	wheel := NewEngine()
-	heap := NewHeapEngine()
-	var wheelLog, heapLog []firing
-	var wheelEvs []Event
-	var heapEvs []HeapEvent
+	eng := NewEngine()
+	ref := &refEngine{}
+	var engLog, refLog []firing
+	var engEvs []Event
+	var refEvs []refHandle
 	nextID := 0
 
 	schedule := func(d time.Duration) {
 		id := nextID
 		nextID++
-		at := wheel.Now() + d
-		wheelEvs = append(wheelEvs, wheel.Schedule(at, func() {
-			wheelLog = append(wheelLog, firing{wheel.Now(), id})
+		at := eng.Now() + d
+		engEvs = append(engEvs, eng.Schedule(at, func() {
+			engLog = append(engLog, firing{eng.Now(), id})
 		}))
-		heapEvs = append(heapEvs, heap.Schedule(at, func() {
-			heapLog = append(heapLog, firing{heap.Now(), id})
+		refEvs = append(refEvs, ref.Schedule(at, func() {
+			refLog = append(refLog, firing{ref.Now(), id})
 		}))
 	}
 
@@ -75,70 +179,75 @@ func diffScript(t *testing.T, data []byte) bool {
 			return v
 		}
 		switch op {
-		case 0, 1: // near-horizon schedule: lands in wheel level 0/1
+		case 0, 1: // near-horizon schedule: many equal timestamps
 			schedule(time.Duration(arg(1)))
-		case 2: // mid-horizon schedule: exercises levels 1-2 and cascades
+		case 2: // mid-horizon schedule
 			schedule(time.Duration(arg(2)) << 4)
-		case 3: // far-future schedule: overflow heap and retick pressure
+		case 3: // far-future schedule
 			schedule(time.Duration(arg(3)) << 12)
 		case 4: // cancel an arbitrary previously issued handle (may be stale)
-			if n := len(wheelEvs); n > 0 {
+			if n := len(engEvs); n > 0 {
 				j := int(arg(2) % uint64(n))
-				wheelEvs[j].Cancel()
-				heapEvs[j].Cancel()
-				if wheelEvs[j].Scheduled() != heapEvs[j].Scheduled() {
-					t.Fatalf("op %d: Scheduled() diverges for handle %d: wheel=%v heap=%v",
-						i, j, wheelEvs[j].Scheduled(), heapEvs[j].Scheduled())
+				engEvs[j].Cancel()
+				refEvs[j].Cancel()
+				if engEvs[j].Scheduled() != refEvs[j].Scheduled() {
+					t.Fatalf("op %d: Scheduled() diverges for handle %d: engine=%v ref=%v",
+						i, j, engEvs[j].Scheduled(), refEvs[j].Scheduled())
 				}
 			}
 		case 5: // single step
-			if w, h := wheel.Step(), heap.Step(); w != h {
-				t.Fatalf("op %d: Step() diverges: wheel=%v heap=%v", i, w, h)
+			if w, h := eng.Step(), ref.Step(); w != h {
+				t.Fatalf("op %d: Step() diverges: engine=%v ref=%v", i, w, h)
 			}
 		case 6: // bounded advance
 			d := time.Duration(arg(2))
-			wheel.RunUntil(wheel.Now() + d)
-			heap.RunUntil(heap.Now() + d)
+			eng.RunUntil(eng.Now() + d)
+			ref.RunUntil(ref.Now() + d)
 		case 7: // reschedule storm burst: cancel-and-replace, the GPU-model pattern
 			for k := uint64(0); k < arg(1)%16; k++ {
-				if n := len(wheelEvs); n > 0 {
+				if n := len(engEvs); n > 0 {
 					j := int(rng.next() % uint64(n))
-					wheelEvs[j].Cancel()
-					heapEvs[j].Cancel()
+					engEvs[j].Cancel()
+					refEvs[j].Cancel()
 				}
 				schedule(time.Duration(rng.next() % 4096))
 			}
 		}
-		if wheel.Now() != heap.Now() {
-			t.Fatalf("op %d: clock diverges: wheel=%v heap=%v", i, wheel.Now(), heap.Now())
+		if eng.Now() != ref.Now() {
+			t.Fatalf("op %d: clock diverges: engine=%v ref=%v", i, eng.Now(), ref.Now())
 		}
-		if wheel.Pending() != heap.Pending() {
-			t.Fatalf("op %d: Pending() diverges: wheel=%d heap=%d", i, wheel.Pending(), heap.Pending())
+		if eng.Pending() != ref.Pending() {
+			t.Fatalf("op %d: Pending() diverges: engine=%d ref=%d", i, eng.Pending(), ref.Pending())
 		}
 	}
 
-	wheel.Run()
-	heap.Run()
-
-	if wheel.Fired() != heap.Fired() {
-		t.Fatalf("Fired() diverges: wheel=%d heap=%d", wheel.Fired(), heap.Fired())
-	}
-	if wheel.Now() != heap.Now() {
-		t.Fatalf("final clock diverges: wheel=%v heap=%v", wheel.Now(), heap.Now())
-	}
-	if len(wheelLog) != len(heapLog) {
-		t.Fatalf("firing count diverges: wheel=%d heap=%d", len(wheelLog), len(heapLog))
-	}
-	for i := range wheelLog {
-		if wheelLog[i] != heapLog[i] {
-			t.Fatalf("firing %d diverges: wheel=%+v heap=%+v", i, wheelLog[i], heapLog[i])
-		}
-	}
+	eng.Run()
+	ref.Run()
+	compareRuns(t, eng, ref, engLog, refLog)
 	return true
 }
 
-// scriptFromSeed expands a seed into a pseudo-random op script long enough
-// to hit cascades, overflow pulls, and reticks.
+// compareRuns fails t unless the two engines fired the same events at the
+// same times and ended on the same counters.
+func compareRuns(t *testing.T, eng *Engine, ref *refEngine, engLog, refLog []firing) {
+	t.Helper()
+	if eng.Fired() != ref.Fired() {
+		t.Fatalf("Fired() diverges: engine=%d ref=%d", eng.Fired(), ref.Fired())
+	}
+	if eng.Now() != ref.Now() {
+		t.Fatalf("final clock diverges: engine=%v ref=%v", eng.Now(), ref.Now())
+	}
+	if len(engLog) != len(refLog) {
+		t.Fatalf("firing count diverges: engine=%d ref=%d", len(engLog), len(refLog))
+	}
+	for i := range engLog {
+		if engLog[i] != refLog[i] {
+			t.Fatalf("firing %d diverges: engine=%+v ref=%+v", i, engLog[i], refLog[i])
+		}
+	}
+}
+
+// scriptFromSeed expands a seed into a pseudo-random op script.
 func scriptFromSeed(seed uint64, n int) []byte {
 	rng := diffRNG(seed)
 	data := make([]byte, n)
@@ -151,11 +260,10 @@ func scriptFromSeed(seed uint64, n int) []byte {
 	return data
 }
 
-// TestWheelMatchesHeapProperty checks the equivalence contract over
-// generated scripts. Long scripts force the wheel through every regime:
-// level-0 fast path, cascading drains, overflow spills, and adaptive
-// reticks.
-func TestWheelMatchesHeapProperty(t *testing.T) {
+// TestEngineMatchesReferenceProperty checks the equivalence contract over
+// generated scripts: ties, cancels of live and stale handles, bounded
+// advances and cancel-and-replace storms.
+func TestEngineMatchesReferenceProperty(t *testing.T) {
 	prop := func(seed uint64, size uint16) bool {
 		n := 64 + int(size)%4096
 		return diffScript(t, scriptFromSeed(seed, n))
@@ -166,45 +274,33 @@ func TestWheelMatchesHeapProperty(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesHeapDeepHorizon pins down the far-future path: a spread of
-// events many wheel spans ahead must pull from the overflow heap and retick
-// without reordering anything.
-func TestWheelMatchesHeapDeepHorizon(t *testing.T) {
-	wheel := NewEngine()
-	heap := NewHeapEngine()
-	var wheelLog, heapLog []firing
+// TestEngineMatchesReferenceDeepHorizon pins down a deep queue whose delays
+// span 1 ns to ~18 minutes, fired in (at, seq) order.
+func TestEngineMatchesReferenceDeepHorizon(t *testing.T) {
+	eng := NewEngine()
+	ref := &refEngine{}
+	var engLog, refLog []firing
 	rng := diffRNG(42)
 	for i := 0; i < 2000; i++ {
 		id := i
-		// Delays span 1ns to ~18 minutes: level 0 through deep overflow.
 		d := time.Duration(rng.next() % (1 << uint(10+rng.next()%31)))
-		at := wheel.Now() + d
-		wheel.Schedule(at, func() { wheelLog = append(wheelLog, firing{wheel.Now(), id}) })
-		heap.Schedule(at, func() { heapLog = append(heapLog, firing{heap.Now(), id}) })
+		at := eng.Now() + d
+		eng.Schedule(at, func() { engLog = append(engLog, firing{eng.Now(), id}) })
+		ref.Schedule(at, func() { refLog = append(refLog, firing{ref.Now(), id}) })
 		if i%64 == 0 {
-			wheel.Step()
-			heap.Step()
+			eng.Step()
+			ref.Step()
 		}
 	}
-	wheel.Run()
-	heap.Run()
-	if len(wheelLog) != len(heapLog) {
-		t.Fatalf("firing count diverges: wheel=%d heap=%d", len(wheelLog), len(heapLog))
-	}
-	for i := range wheelLog {
-		if wheelLog[i] != heapLog[i] {
-			t.Fatalf("firing %d diverges: wheel=%+v heap=%+v", i, wheelLog[i], heapLog[i])
-		}
-	}
-	if wheel.Fired() != heap.Fired() || wheel.Now() != heap.Now() {
-		t.Fatalf("counters diverge: wheel=(%d,%v) heap=(%d,%v)",
-			wheel.Fired(), wheel.Now(), heap.Fired(), heap.Now())
-	}
+	eng.Run()
+	ref.Run()
+	compareRuns(t, eng, ref, engLog, refLog)
 }
 
-// FuzzWheelMatchesHeap lets the fuzzer mutate raw op scripts directly, so
-// it can steer into orderings the seeded generator never produces.
-func FuzzWheelMatchesHeap(f *testing.F) {
+// FuzzEngineMatchesReference lets the fuzzer mutate raw op scripts
+// directly, so it can steer into orderings the seeded generator never
+// produces.
+func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 10, 5, 5, 5})
 	f.Add(scriptFromSeed(1, 256))
 	f.Add(scriptFromSeed(0xfeed, 1024))

@@ -190,14 +190,14 @@ func TestSteadyStateReusesEvents(t *testing.T) {
 	}
 }
 
-// TestWheelStepAllocFree pins the wheel's zero-allocation steady state in
-// both loop shapes BenchmarkEngineDepth and BenchmarkEngineRescheduleStorm
-// time: schedule+step, and the cancel-heavy storm that also cancels a
-// 64-entry pending slice whenever it fills. Each measured run is one full
-// drain-and-refill of the standing queue, and every allocation in it
-// counts. The storm's sort buffer and free list reach their final
-// capacity during its second drain-and-refill, so three run first.
-func TestWheelStepAllocFree(t *testing.T) {
+// TestEngineStepAllocFree pins the engine's zero-allocation steady state
+// in both loop shapes BenchmarkEngineDepth and
+// BenchmarkEngineRescheduleStorm time: schedule+step, and the cancel-heavy
+// storm that also cancels a 64-entry pending slice whenever it fills. Each
+// measured run is one full drain-and-refill of the standing queue, and
+// every allocation in it counts. The heap and the free list reach their
+// final capacity within the warm-up drain-and-refills, so three run first.
+func TestEngineStepAllocFree(t *testing.T) {
 	fn := func() {}
 	for _, depth := range []time.Duration{256, 4096, 65536} {
 		for _, storm := range []bool{false, true} {

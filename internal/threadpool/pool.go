@@ -38,7 +38,10 @@ type Pool struct {
 	workers     []*worker
 	activeLimit int
 	busy        int
-	busyTime    time.Duration
+	// queued is the number of tasks across all local queues, so a worker
+	// finishing its task with nothing queued anywhere skips the steal scan.
+	queued   int
+	busyTime time.Duration
 }
 
 type worker struct {
@@ -86,13 +89,7 @@ func (p *Pool) SetActiveLimit(n int) {
 func (p *Pool) Busy() int { return p.busy }
 
 // Queued returns the number of tasks waiting in local queues.
-func (p *Pool) Queued() int {
-	total := 0
-	for _, w := range p.workers {
-		total += len(w.queue)
-	}
-	return total
-}
+func (p *Pool) Queued() int { return p.queued }
 
 // BusyTime returns accumulated worker-seconds of executed task time.
 func (p *Pool) BusyTime() time.Duration { return p.busyTime }
@@ -119,6 +116,7 @@ func (p *Pool) Submit(t *Task, preferred int, front bool) {
 		return
 	}
 	w.queue = append(w.queue, task)
+	p.queued++
 	if front {
 		copy(w.queue[1:], w.queue)
 		w.queue[0] = task
@@ -142,6 +140,7 @@ func (p *Pool) Abort(owner any) int {
 		clear(w.queue[len(kept):])
 		w.queue = kept
 	}
+	p.queued -= removed
 	return removed
 }
 
@@ -206,16 +205,20 @@ func (p *Pool) next(w *worker) {
 		left := copy(w.queue, w.queue[1:])
 		w.queue[left] = Task{}
 		w.queue = w.queue[:left]
+		p.queued--
 		p.start(w, t)
 		return
 	}
-	if victim := p.longestQueue(); victim != nil {
-		last := len(victim.queue) - 1
-		t := victim.queue[last] // steal from the tail
-		victim.queue[last] = Task{}
-		victim.queue = victim.queue[:last]
-		p.start(w, t)
+	if p.queued == 0 {
+		return
 	}
+	victim := p.longestQueue()
+	last := len(victim.queue) - 1
+	t := victim.queue[last] // steal from the tail
+	victim.queue[last] = Task{}
+	victim.queue = victim.queue[:last]
+	p.queued--
+	p.start(w, t)
 }
 
 // dispatch pairs idle workers with queued work, used after raising the
@@ -234,6 +237,8 @@ func (p *Pool) dispatch() {
 	}
 }
 
+// longestQueue returns the worker with the longest local queue, the lowest
+// index on ties. Some queue must be non-empty.
 func (p *Pool) longestQueue() *worker {
 	var best *worker
 	for _, w := range p.workers {

@@ -268,3 +268,148 @@ func TestPoolMakespanProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// poolSnap is a pool's queueing state by task Arg: every local queue, the
+// task each worker runs (0 when idle) and the busy count.
+type poolSnap struct {
+	queues  [][]uint64
+	running []uint64
+	busy    int
+}
+
+func snapshot(p *Pool) poolSnap {
+	s := poolSnap{busy: p.busy}
+	for _, w := range p.workers {
+		q := make([]uint64, 0, len(w.queue))
+		for _, t := range w.queue {
+			q = append(q, t.Arg)
+		}
+		s.queues = append(s.queues, q)
+		var running uint64
+		if w.busy {
+			running = w.task.Arg
+		}
+		s.running = append(s.running, running)
+	}
+	return s
+}
+
+// next is the reference for Pool.next: the worker's own queue head, else
+// the tail of the longest queue found by scanning every worker, the lowest
+// index on ties.
+func (s *poolSnap) next(w, limit int) {
+	if s.busy >= limit {
+		return
+	}
+	if q := s.queues[w]; len(q) > 0 {
+		s.running[w], s.queues[w] = q[0], q[1:]
+		s.busy++
+		return
+	}
+	victim := -1
+	for i, q := range s.queues {
+		if len(q) > 0 && (victim < 0 || len(q) > len(s.queues[victim])) {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		return
+	}
+	q := s.queues[victim]
+	s.running[w], s.queues[victim] = q[len(q)-1], q[:len(q)-1]
+	s.busy++
+}
+
+// dispatch is the reference for Pool.dispatch.
+func (s *poolSnap) dispatch(limit int) {
+	for s.busy < limit {
+		idle := slices.Index(s.running, 0)
+		if idle < 0 {
+			return
+		}
+		before := s.busy
+		s.next(idle, limit)
+		if s.busy == before {
+			return
+		}
+	}
+}
+
+func (s poolSnap) equal(o poolSnap) bool {
+	if s.busy != o.busy || !slices.Equal(s.running, o.running) {
+		return false
+	}
+	for i := range s.queues {
+		if !slices.Equal(s.queues[i], o.queues[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: over random Submit (affinity, front), Abort, SetActiveLimit and
+// engine steps, Queued() always equals the summed local queue lengths, and
+// every worker that picks up work after a finish or a limit raise takes the
+// task a full scan would pick: its own queue's head, else the tail of the
+// longest queue, the lowest index on ties.
+func TestPoolQueuedCountAndStealVictimProperty(t *testing.T) {
+	prop := func(workerCount uint8, script []uint16) bool {
+		n := int(workerCount%6) + 1
+		eng := sim.NewEngine()
+		p := New(eng, "global", n)
+		owners := []any{new(int), new(int), new(int)}
+		var fired uint64
+		record := func(arg uint64) { fired = arg }
+		nextArg := uint64(1)
+		for i, op := range script {
+			switch op % 4 {
+			case 0:
+				p.Submit(&Task{
+					Owner:    owners[int(op>>2)%len(owners)],
+					Duration: time.Duration(op>>5%4) * time.Millisecond,
+					Fire:     record,
+					Arg:      nextArg,
+				}, int(op>>7)%(n+1)-1, op&(1<<12) != 0)
+				nextArg++
+			case 1:
+				p.Abort(owners[int(op>>2)%len(owners)])
+			case 2:
+				want := snapshot(p)
+				limit := int(op>>2) % (n + 1)
+				p.SetActiveLimit(limit)
+				want.dispatch(limit)
+				if got := snapshot(p); !got.equal(want) {
+					t.Logf("op %d: SetActiveLimit(%d) left %+v, reference scan %+v", i, limit, got, want)
+					return false
+				}
+			case 3:
+				want := snapshot(p)
+				fired = 0
+				if !eng.Step() {
+					break
+				}
+				w := slices.Index(want.running, fired)
+				want.running[w] = 0
+				want.busy--
+				want.next(w, p.ActiveLimit())
+				if got := snapshot(p); !got.equal(want) {
+					t.Logf("op %d: worker %d finished and left %+v, reference scan %+v", i, w, got, want)
+					return false
+				}
+			}
+			total := 0
+			for _, q := range snapshot(p).queues {
+				total += len(q)
+			}
+			if p.Queued() != total {
+				t.Logf("op %d: Queued() = %d, local queues hold %d", i, p.Queued(), total)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
