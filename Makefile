@@ -70,9 +70,12 @@ bench:
 # git archive into a temporary directory and builds swbench, swrun and
 # every example there and from the working tree. The two builds must
 # print the same stdout for the examples, for swrun on each
-# docs/scenarios file, and for swrun's baseline schedulers under a device
-# loss and a seeded fault mix (the facade baseline path); then for the
-# full swbench sweep, whose serial and parallel runs must match too.
+# docs/scenarios file, for swrun under all four schedulers with a device
+# loss and with a seeded fault mix plus a checkpoint interval, and for
+# each swrun flag family the README shows (elastic ops, gangs, open-loop
+# serving, traffic, collocation); then for the full swbench sweep, whose
+# serial and parallel runs must match too. A file added under
+# docs/scenarios must parse under REF's swrun as well.
 REF ?= HEAD
 IDENTICAL_FLAGS := -exp all -iters 20 -requests 40
 IDENTICAL_EXAMPLES := $(notdir $(wildcard examples/*))
@@ -89,10 +92,20 @@ identical:
 	outputs() { \
 		for ex in $(IDENTICAL_EXAMPLES); do "$$1/ex-$$ex" > "$$2/ex-$$ex.txt"; done; \
 		for sc in docs/scenarios/*.json; do "$$1/swrun" -scenario "$$sc" > "$$2/scenario-$${sc##*/}.txt"; done; \
-		for s in threaded timeslice mps; do \
+		for s in switchflow threaded timeslice mps; do \
 			"$$1/swrun" -sched $$s $(IDENTICAL_SWRUN) -lose-gpu 0@5s > "$$2/swrun-$$s-lose-gpu.txt"; \
-			"$$1/swrun" -sched $$s $(IDENTICAL_SWRUN) -fault-seed 7 > "$$2/swrun-$$s-fault-seed.txt"; \
+			"$$1/swrun" -sched $$s $(IDENTICAL_SWRUN) -fault-seed 7 -checkpoint-every 2s > "$$2/swrun-$$s-fault-seed.txt"; \
 		done; \
+		"$$1/swrun" -machine 2gpu -jobs train:ResNet50:16:1 -vnodes 0 \
+			-resize train-ResNet50=2@10s -drain 0@20s -for 60s > "$$2/swrun-elastic.txt"; \
+		"$$1/swrun" -machine nvlink -jobs train:ResNet50:32:1 -gang 2 -for 30s > "$$2/swrun-gang.txt"; \
+		"$$1/swrun" -jobs serve:ResNet50:1:2 -serve-every 10ms -poisson \
+			-slo 200ms -max-batch 8 -batch-wait 5ms -for 30s > "$$2/swrun-serving.txt"; \
+		"$$1/swrun" -jobs serve:ResNet50:1:2,serve:VGG16:1:2 -traffic 200 \
+			-diurnal 60s/0.35 -spike 6@20s/3s/8s/4s \
+			-slo 200ms -max-batch 4 -batch-wait 2ms -for 60s > "$$2/swrun-traffic.txt"; \
+		"$$1/swrun" -machine 2gpu -sched switchflow \
+			-jobs train:ResNet50:32:1@1,train:VGG16:32:2@1 -for 30s > "$$2/swrun-collocate.txt"; \
 	}; \
 	build "$$tmp/ref" "$$tmp/bin-ref"; \
 	build . "$$tmp/bin"; \
