@@ -45,9 +45,10 @@ type JobRequest struct {
 	GPU          int    `json:"gpu"`
 	FallbackGPUs []int  `json:"fallbackGpus,omitempty"`
 	FallbackCPU  bool   `json:"fallbackCpu,omitempty"`
-	ServeEveryMS int    `json:"serveEveryMillis,omitempty"`
-	ClosedLoop   bool   `json:"closedLoop,omitempty"`
-	Saturated    bool   `json:"saturated,omitempty"`
+	// Millisecond fields are floats, so sub-millisecond durations survive.
+	ServeEveryMS float64 `json:"serveEveryMillis,omitempty"`
+	ClosedLoop   bool    `json:"closedLoop,omitempty"`
+	Saturated    bool    `json:"saturated,omitempty"`
 	// PoissonArrivals draws exponential inter-arrival times with mean
 	// serveEveryMillis, seeded by arrivalSeed.
 	PoissonArrivals bool  `json:"poissonArrivals,omitempty"`
@@ -106,6 +107,11 @@ type JobInfo struct {
 	Gang    bool   `json:"gang,omitempty"`
 	Crashed bool   `json:"crashed"`
 	Error   string `json:"error,omitempty"`
+	// Fields for swrun's text report, kept out of the JSON payload;
+	// Throughput is zero over HTTP, which has no window.
+	P95        time.Duration `json:"-"`
+	P99        time.Duration `json:"-"`
+	Throughput float64       `json:"-"`
 }
 
 // StatusInfo is the simulation-wide status payload.
@@ -230,6 +236,15 @@ func MachineSpec(name string) (switchflow.MachineSpec, error) {
 	}
 }
 
+// GPUCount returns how many GPUs the named machine has.
+func GPUCount(machine string) (int, error) {
+	spec, err := MachineSpec(machine)
+	if err != nil {
+		return 0, err
+	}
+	return switchflow.NewSimulation(spec).GPUCount(), nil
+}
+
 // ParsePolicy resolves a scheduler name: "switchflow" (the default, also
 // ""), "threaded", "timeslice" or "mps".
 func ParsePolicy(name string) (switchflow.Policy, error) {
@@ -259,8 +274,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs/{id}/resize", s.handleResizeJob)
 	mux.HandleFunc("POST /v1/jobs/{id}/rebind", s.handleRebindJob)
 	mux.HandleFunc("POST /v1/groups", s.handleSubmitGroup)
-	mux.HandleFunc("POST /v1/gpus/{gpu}/drain", s.handleDrain)
-	mux.HandleFunc("POST /v1/gpus/{gpu}/undrain", s.handleUndrain)
+	mux.HandleFunc("POST /v1/gpus/{gpu}/drain", s.handleGPUOp("drain"))
+	mux.HandleFunc("POST /v1/gpus/{gpu}/undrain", s.handleGPUOp("undrain"))
 	mux.HandleFunc("POST /v1/advance", s.handleAdvance)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -330,16 +345,10 @@ func (s *Server) listJobsLocked() []JobInfo {
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	if decodeBody(w, r, &req) {
+		info, err := s.submitJobLocked(req)
+		reply(w, http.StatusCreated, info, http.StatusConflict, err)
 	}
-	info, err := s.submitJobLocked(req)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) submitJobLocked(req JobRequest) (JobInfo, error) {
@@ -354,16 +363,10 @@ func (s *Server) submitJobLocked(req JobRequest) (JobInfo, error) {
 
 func (s *Server) handleSubmitGroup(w http.ResponseWriter, r *http.Request) {
 	var reqs []JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	if decodeBody(w, r, &reqs) {
+		infos, err := s.submitGroupLocked(reqs)
+		reply(w, http.StatusCreated, infos, http.StatusConflict, err)
 	}
-	infos, err := s.submitGroupLocked(reqs)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, infos)
 }
 
 func (s *Server) submitGroupLocked(reqs []JobRequest) ([]JobInfo, error) {
@@ -386,20 +389,12 @@ func (s *Server) submitGroupLocked(reqs []JobRequest) ([]JobInfo, error) {
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	info, err := s.jobInfoLocked(r.PathValue("id"), false)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	reply(w, http.StatusOK, info, http.StatusNotFound, err)
 }
 
 func (s *Server) handleStopJob(w http.ResponseWriter, r *http.Request) {
 	info, err := s.jobInfoLocked(r.PathValue("id"), true)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	reply(w, http.StatusOK, info, http.StatusNotFound, err)
 }
 
 // jobInfoLocked resolves a job by its path id and returns its status,
@@ -419,93 +414,49 @@ func (s *Server) jobInfoLocked(idText string, stop bool) (JobInfo, error) {
 
 func (s *Server) handleResizeJob(w http.ResponseWriter, r *http.Request) {
 	var req ResizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	if decodeBody(w, r, &req) {
+		info, err := s.jobOpLocked(r.PathValue("id"), OpRequest{Op: "resize", VNodes: req.VNodes})
+		reply(w, http.StatusOK, info, http.StatusConflict, err)
 	}
-	info, err := s.resizeJobLocked(r.PathValue("id"), req)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) resizeJobLocked(idText string, req ResizeRequest) (JobInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entry, err := s.lookup(idText)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	switch n := req.VNodes; {
-	case n > entry.job.VNodes():
-		err = s.sched.Grow(entry.job, n)
-	case n < entry.job.VNodes():
-		err = s.sched.Shrink(entry.job, n)
-	}
-	if err != nil {
-		return JobInfo{}, err
-	}
-	return s.info(entry), nil
 }
 
 func (s *Server) handleRebindJob(w http.ResponseWriter, r *http.Request) {
 	var req RebindRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
+	if decodeBody(w, r, &req) {
+		info, err := s.jobOpLocked(r.PathValue("id"), OpRequest{Op: "rebind", VNode: req.VNode, GPU: req.GPU})
+		reply(w, http.StatusOK, info, http.StatusConflict, err)
 	}
-	info, err := s.rebindJobLocked(r.PathValue("id"), req)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
 }
 
-func (s *Server) rebindJobLocked(idText string, req RebindRequest) (JobInfo, error) {
+// jobOpLocked applies op to the job with the given path id.
+func (s *Server) jobOpLocked(idText string, op OpRequest) (JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	entry, err := s.lookup(idText)
 	if err != nil {
 		return JobInfo{}, err
 	}
-	if err := s.sched.Rebind(entry.job, req.VNode, req.GPU); err != nil {
+	if err := op.apply(s.sched, entry.job); err != nil {
 		return JobInfo{}, err
 	}
 	return s.info(entry), nil
 }
 
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	status, err := s.drainLocked(r.PathValue("gpu"), true)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
+// handleGPUOp serves the drain and undrain routes.
+func (s *Server) handleGPUOp(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		status, err := s.gpuOpLocked(r.PathValue("gpu"), op)
+		reply(w, http.StatusOK, status, http.StatusConflict, err)
 	}
-	writeJSON(w, http.StatusOK, status)
 }
 
-func (s *Server) handleUndrain(w http.ResponseWriter, r *http.Request) {
-	status, err := s.drainLocked(r.PathValue("gpu"), false)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, status)
-}
-
-func (s *Server) drainLocked(gpuText string, drain bool) (StatusInfo, error) {
+func (s *Server) gpuOpLocked(gpuText, op string) (StatusInfo, error) {
 	gpu, err := strconv.Atoi(gpuText)
 	if err != nil {
 		return StatusInfo{}, fmt.Errorf("bad gpu index %q", gpuText)
 	}
 	s.mu.Lock()
-	if drain {
-		err = s.sched.Drain(gpu)
-	} else {
-		err = s.sched.Undrain(gpu)
-	}
+	err = OpRequest{Op: op, GPU: gpu}.apply(s.sched, nil)
 	s.mu.Unlock()
 	if err != nil {
 		return StatusInfo{}, err
@@ -515,8 +466,7 @@ func (s *Server) drainLocked(gpuText string, drain bool) (StatusInfo, error) {
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req AdvanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.ForMillis <= 0 {
@@ -604,23 +554,25 @@ func (s *Server) lookup(idText string) (*jobEntry, error) {
 }
 
 func (s *Server) info(entry *jobEntry) JobInfo {
-	info := jobInfo(entry.id, entry.model, entry.job)
-	info.Device = s.sched.JobDeviceName(entry.job)
-	return info
+	return jobInfo(entry.id, entry.model, entry.job, s.sched, 0)
 }
 
-// jobInfo builds the wire payload for one job; the caller fills Device
-// when a scheduler can name it.
-func jobInfo(id int, model string, job *switchflow.Job) JobInfo {
+// jobInfo builds the wire payload for one job. Device is filled when sf,
+// the SwitchFlow scheduler, can name it; Throughput is over window, zero
+// when there is none.
+func jobInfo(id int, model string, job *switchflow.Job, sf *switchflow.SwitchFlowScheduler, window time.Duration) JobInfo {
 	serving := job.ServingStats()
 	info := JobInfo{
 		ID:               id,
 		Name:             job.Name(),
 		Model:            model,
+		Throughput:       job.Throughput(window),
 		Iterations:       job.Iterations(),
 		Requests:         job.Requests(),
 		P95Millis:        job.P95Latency().Seconds() * 1e3,
 		P99Millis:        job.P99Latency().Seconds() * 1e3,
+		P95:              job.P95Latency(),
+		P99:              job.P99Latency(),
 		Offered:          serving.Offered,
 		Shed:             serving.Shed,
 		Served:           serving.Served,
@@ -629,6 +581,9 @@ func jobInfo(id int, model string, job *switchflow.Job) JobInfo {
 		SLOAttainmentPct: job.SLOAttainment(),
 		MeanBatch:        job.MeanBatch(),
 		Crashed:          job.Crashed(),
+	}
+	if sf != nil {
+		info.Device = sf.JobDeviceName(job)
 	}
 	if job.Elastic() {
 		info.VNodes = job.VNodes()
@@ -649,14 +604,14 @@ func toSpec(req JobRequest) switchflow.JobSpec {
 		Batch:           req.Batch,
 		Train:           req.Train,
 		Priority:        req.Priority,
-		ServeEvery:      time.Duration(req.ServeEveryMS) * time.Millisecond,
+		ServeEvery:      fromMillis(req.ServeEveryMS),
 		ClosedLoop:      req.ClosedLoop,
 		Saturated:       req.Saturated,
 		PoissonArrivals: req.PoissonArrivals,
 		ArrivalSeed:     req.ArrivalSeed,
-		SLO:             time.Duration(req.SLOMillis * float64(time.Millisecond)),
+		SLO:             fromMillis(req.SLOMillis),
 		MaxBatch:        req.MaxBatch,
-		BatchWait:       time.Duration(req.BatchWaitMillis * float64(time.Millisecond)),
+		BatchWait:       fromMillis(req.BatchWaitMillis),
 		Gang:            req.Gang,
 		Replicas:        req.Replicas,
 	}
@@ -672,6 +627,25 @@ func toSpec(req JobRequest) switchflow.JobSpec {
 		spec.Placement.Device = req.VNodes[0]
 	}
 	return spec
+}
+
+// decodeBody decodes the request body strictly into v. On failure it
+// answers 400, naming any unknown field, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeStrict(r.Body, v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		return false
+	}
+	return true
+}
+
+// reply writes v with status code, or a non-nil err with failCode.
+func reply(w http.ResponseWriter, code int, v any, failCode int, err error) {
+	if err != nil {
+		writeError(w, failCode, err)
+		return
+	}
+	writeJSON(w, code, v)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -600,3 +600,46 @@ func TestGangJobOverHTTP(t *testing.T) {
 		t.Fatalf("one-replica gang status = %d, want %d", code, http.StatusConflict)
 	}
 }
+
+// TestStrictDecoding: every POST route with a body answers 400 naming a
+// field it does not know, instead of running with the field dropped.
+func TestStrictDecoding(t *testing.T) {
+	ts := newTestServer(t)
+	for _, tt := range []struct{ path, body string }{
+		{"/v1/jobs", `{"model":"ResNet50","batch":1,"closedLoop":true,"slo":200}`},
+		{"/v1/groups", `[{"model":"ResNet50","batch":8,"saturated":true,"slo":200}]`},
+		{"/v1/jobs/1/resize", `{"vnodes":2,"slo":200}`},
+		{"/v1/jobs/1/rebind", `{"vnode":1,"gpu":2,"slo":200}`},
+		{"/v1/advance", `{"forMillis":100,"slo":200}`},
+	} {
+		resp, err := http.Post(ts.URL+tt.path, "application/json", strings.NewReader(tt.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out["error"], `unknown field "slo"`) {
+			t.Errorf("POST %s: status %d, error %q; want 400 naming the unknown field", tt.path, resp.StatusCode, out["error"])
+		}
+	}
+}
+
+// TestReadmeBodies submits the README's serving and gang curl bodies.
+func TestReadmeBodies(t *testing.T) {
+	ts := newTestServer(t)
+	for _, body := range []string{
+		`{"model":"ResNet50","batch":1,"priority":2,"serveEveryMillis":10,"poissonArrivals":true,
+		  "sloMillis":200,"maxBatch":8,"batchWaitMillis":5}`,
+		`{"model":"ResNet50","batch":32,"train":true,"priority":1,"gang":true,"replicas":2}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Errorf("status %d for %s", resp.StatusCode, body)
+		}
+	}
+}

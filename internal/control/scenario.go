@@ -4,24 +4,64 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"time"
 
 	"switchflow"
 )
 
 // Scenario is a declarative collocation experiment: a machine, a
-// scheduler, a set of jobs (and optional shared-input groups), and a
-// virtual-time window.
+// scheduler, jobs (and optional shared-input groups), a virtual-time
+// window, and optionally traffic, faults and timed ops. It is the one
+// description of a run: swrun lowers its flags into one.
 type Scenario struct {
 	Machine        string         `json:"machine"`
 	Scheduler      string         `json:"scheduler"`
-	DurationMillis int            `json:"durationMillis"`
+	DurationMillis float64        `json:"durationMillis"`
 	Jobs           []JobRequest   `json:"jobs"`
 	Groups         [][]JobRequest `json:"groups,omitempty"`
-	// Traffic, when present, drives every non-training job with an
-	// open-loop trace instead of the jobs' own arrival clocks (their
-	// serveEvery/closedLoop/saturated settings are overridden).
+	// Traffic, when present, drives every serve job that is neither
+	// training nor saturated with an open-loop trace in place of its own
+	// arrival clock. A saturated job has no arrival clock to replace.
 	Traffic *TrafficRequest `json:"traffic,omitempty"`
+	// Faults, when present, attaches a fault plan to the scheduler.
+	Faults *FaultsRequest `json:"faults,omitempty"`
+	// Ops are administrative operations applied at virtual instants, in
+	// time order (ties in list order). They need the switchflow
+	// scheduler, must fall inside the window, and cannot be combined with
+	// a traffic block.
+	Ops []OpRequest `json:"ops,omitempty"`
+}
+
+// FaultsRequest is the scenario's "faults" block: a seeded random fault
+// mix over the window, explicit device losses, and SwitchFlow's periodic
+// host-checkpoint interval.
+type FaultsRequest struct {
+	// Seed, when non-zero, draws RandomFaultPlan(seed, window, gpus).
+	Seed     int64            `json:"seed,omitempty"`
+	LoseGPUs []LoseGPURequest `json:"loseGpus,omitempty"`
+	// CheckpointEveryMillis overrides DefaultCheckpointEvery; zero keeps it.
+	CheckpointEveryMillis float64 `json:"checkpointEveryMillis,omitempty"`
+}
+
+// LoseGPURequest schedules one device loss.
+type LoseGPURequest struct {
+	GPU      int     `json:"gpu"`
+	AtMillis float64 `json:"atMillis"`
+}
+
+// OpRequest is one timed operation: the run advances to atMillis and then
+// applies it. Op is "resize" (job, vnodes), "drain" or "undrain" (gpu),
+// or "rebind" (job, vnode, gpu); the fields are the bodies of the
+// matching HTTP routes. Job names a job by its unique name.
+type OpRequest struct {
+	AtMillis float64 `json:"atMillis"`
+	Op       string  `json:"op"`
+	Job      string  `json:"job,omitempty"`
+	GPU      int     `json:"gpu"`
+	VNodes   int     `json:"vnodes,omitempty"`
+	VNode    int     `json:"vnode,omitempty"`
 }
 
 // ScenarioResult reports per-job outcomes of a scenario run.
@@ -37,31 +77,102 @@ type ScenarioResult struct {
 	// admission.
 	TrafficOffered  int `json:"trafficOffered,omitempty"`
 	TrafficAdmitted int `json:"trafficAdmitted,omitempty"`
+	// Faults are the fault-injection and recovery counters; nil without a
+	// faults block.
+	Faults *switchflow.FaultStats `json:"faults,omitempty"`
+	// GrantP95 is SwitchFlow's 95th-percentile GPU-grant latency, kept
+	// out of the JSON so existing outputs stay byte-identical.
+	GrantP95 time.Duration `json:"-"`
 }
 
-// ParseScenario decodes a scenario from JSON.
-func ParseScenario(r io.Reader) (Scenario, error) {
-	var sc Scenario
+// Millis converts a duration to a millisecond wire field. fromMillis
+// inverts it exactly for durations below 2^51 ns (about 26 days).
+func Millis(d time.Duration) float64 { return float64(d) / 1e6 }
+
+// fromMillis converts a millisecond wire field to a duration, rounding to
+// the nearest nanosecond.
+func fromMillis(ms float64) time.Duration { return time.Duration(math.Round(ms * 1e6)) }
+
+// decodeStrict decodes one JSON value into v, rejecting fields v does not
+// declare, so a misspelled field is an error rather than a silent default.
+func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
+	return dec.Decode(v)
+}
+
+// ParseScenario decodes and validates a scenario from JSON.
+func ParseScenario(r io.Reader) (Scenario, error) {
+	var sc Scenario
+	if err := decodeStrict(r, &sc); err != nil {
 		return Scenario{}, fmt.Errorf("control: decode scenario: %w", err)
 	}
-	if sc.DurationMillis <= 0 {
-		return Scenario{}, fmt.Errorf("control: scenario durationMillis must be positive")
-	}
-	if len(sc.Jobs) == 0 && len(sc.Groups) == 0 {
-		return Scenario{}, fmt.Errorf("control: scenario has no jobs")
+	if err := sc.validate(); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
 }
 
-// ToSpec converts the request to the facade's JobSpec.
-func (r JobRequest) ToSpec() switchflow.JobSpec { return toSpec(r) }
+// validate checks what every scenario needs, however it was built.
+func (sc Scenario) validate() error {
+	if !(sc.DurationMillis > 0) {
+		return fmt.Errorf("control: scenario durationMillis must be positive, got %v", sc.DurationMillis)
+	}
+	if len(sc.Jobs) == 0 && len(sc.Groups) == 0 {
+		return fmt.Errorf("control: scenario has no jobs")
+	}
+	return nil
+}
+
+// options builds the NewScheduler options for the faults block.
+func (f *FaultsRequest) options(window time.Duration, gpus int) []switchflow.Option {
+	if f == nil {
+		return nil
+	}
+	plan := switchflow.NewFaultPlan()
+	if f.Seed != 0 {
+		plan = switchflow.RandomFaultPlan(f.Seed, window, gpus)
+	}
+	for _, l := range f.LoseGPUs {
+		plan.LoseGPU(fromMillis(l.AtMillis), l.GPU)
+	}
+	opts := []switchflow.Option{switchflow.WithFaultPlan(plan)}
+	if f.CheckpointEveryMillis != 0 {
+		opts = append(opts, switchflow.WithCheckpointEvery(fromMillis(f.CheckpointEveryMillis)))
+	}
+	return opts
+}
+
+// opNeedsJob maps each op to whether it names a job.
+var opNeedsJob = map[string]bool{"resize": true, "rebind": true, "drain": false, "undrain": false}
+
+// apply runs the op against the scheduler; job is nil for GPU ops. A
+// resize to the job's current vnode count is a no-op.
+func (op OpRequest) apply(sf *switchflow.SwitchFlowScheduler, job *switchflow.Job) error {
+	switch op.Op {
+	case "resize":
+		switch n := op.VNodes; {
+		case n > job.VNodes():
+			return sf.Grow(job, n)
+		case n < job.VNodes():
+			return sf.Shrink(job, n)
+		}
+		return nil
+	case "rebind":
+		return sf.Rebind(job, op.VNode, op.GPU)
+	case "drain":
+		return sf.Drain(op.GPU)
+	default:
+		return sf.Undrain(op.GPU)
+	}
+}
 
 // RunScenario executes the scenario in virtual time and returns the
 // outcomes.
 func RunScenario(sc Scenario) (ScenarioResult, error) {
+	if err := sc.validate(); err != nil {
+		return ScenarioResult{}, err
+	}
 	spec, err := MachineSpec(sc.Machine)
 	if err != nil {
 		return ScenarioResult{}, err
@@ -72,44 +183,31 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 	if err != nil {
 		return ScenarioResult{}, fmt.Errorf("control: %w", err)
 	}
-	sched, err := sim.NewScheduler(policy)
+	window := fromMillis(sc.DurationMillis)
+	sched, err := sim.NewScheduler(policy, sc.Faults.options(window, sim.GPUCount())...)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	sf, _ := sched.(*switchflow.SwitchFlowScheduler)
 
-	// requestDriven rewrites a spec for trace-driven arrivals: the
-	// traffic block owns the clock, so the job must sit idle between
-	// Offer calls.
-	requestDriven := func(req JobRequest) switchflow.JobSpec {
-		s := req.ToSpec()
-		if sc.Traffic != nil && !req.Train {
-			s.ServeEvery = 0
-			s.ClosedLoop = false
-			s.Saturated = false
-			s.PoissonArrivals = false
-			s.RequestDriven = true
+	var models []string
+	var jobs, tenants []*switchflow.Job
+	byName := make(map[string][]*switchflow.Job)
+	add := func(req JobRequest, job *switchflow.Job) {
+		models = append(models, req.Model)
+		jobs = append(jobs, job)
+		byName[job.Name()] = append(byName[job.Name()], job)
+		if _, tenant := jobSpec(sc, req); tenant {
+			tenants = append(tenants, job)
 		}
-		return s
 	}
-
-	type namedJob struct {
-		model string
-		job   *switchflow.Job
-	}
-	var jobs []namedJob
-	var tenantNames []string
-	var tenantJobs []*switchflow.Job
 	for _, req := range sc.Jobs {
-		job, err := sched.AddJob(requestDriven(req))
+		spec, _ := jobSpec(sc, req)
+		job, err := sched.AddJob(spec)
 		if err != nil {
 			return ScenarioResult{}, err
 		}
-		jobs = append(jobs, namedJob{model: req.Model, job: job})
-		if sc.Traffic != nil && !req.Train {
-			tenantNames = append(tenantNames, job.Name())
-			tenantJobs = append(tenantJobs, job)
-		}
+		add(req, job)
 	}
 	for _, groupReqs := range sc.Groups {
 		if sf == nil {
@@ -117,33 +215,34 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 		}
 		specs := make([]switchflow.JobSpec, len(groupReqs))
 		for i, req := range groupReqs {
-			specs[i] = requestDriven(req)
+			specs[i], _ = jobSpec(sc, req)
 		}
 		group, err := sf.AddSharedGroup(specs)
 		if err != nil {
 			return ScenarioResult{}, err
 		}
 		for i, job := range group.Jobs() {
-			jobs = append(jobs, namedJob{model: groupReqs[i].Model, job: job})
-			if sc.Traffic != nil && !groupReqs[i].Train {
-				tenantNames = append(tenantNames, job.Name())
-				tenantJobs = append(tenantJobs, job)
-			}
+			add(groupReqs[i], job)
 		}
 	}
 
-	window := time.Duration(sc.DurationMillis) * time.Millisecond
 	var offered, admitted int
-	if sc.Traffic != nil {
-		profile, err := sc.Traffic.Profile(tenantNames)
-		if err != nil {
+	switch {
+	case sc.Traffic != nil:
+		if len(sc.Ops) > 0 {
+			return ScenarioResult{}, fmt.Errorf("control: ops cannot be combined with traffic")
+		}
+		if offered, admitted, err = driveTraffic(sim, *sc.Traffic, tenants, window); err != nil {
 			return ScenarioResult{}, err
 		}
-		offered, admitted, err = DriveTraffic(sim, tenantJobs, profile, window)
-		if err != nil {
+	case len(sc.Ops) > 0:
+		if sf == nil {
+			return ScenarioResult{}, fmt.Errorf("control: ops need the switchflow scheduler, not %s", sched.Name())
+		}
+		if err := runOps(sim, sf, byName, sc.Ops, window); err != nil {
 			return ScenarioResult{}, err
 		}
-	} else {
+	default:
 		sim.RunFor(window)
 	}
 
@@ -154,16 +253,63 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 		TrafficOffered:  offered,
 		TrafficAdmitted: admitted,
 	}
-	for i, nj := range jobs {
-		info := jobInfo(i+1, nj.model, nj.job)
-		if sf != nil {
-			info.Device = sf.JobDeviceName(nj.job)
-		}
-		result.Jobs = append(result.Jobs, info)
+	for i, job := range jobs {
+		result.Jobs = append(result.Jobs, jobInfo(i+1, models[i], job, sf, window))
 	}
 	if sf != nil {
 		result.Preemptions = sf.Preemptions()
 		result.Migrations = sf.Migrations()
+		result.GrantP95 = sf.PreemptionP95()
+	}
+	if sc.Faults != nil {
+		st := sched.FaultStats()
+		result.Faults = &st
 	}
 	return result, nil
+}
+
+// runOps runs the simulation to the end of the window, applying the ops
+// in time order on the way. Every op is checked before the clock moves.
+func runOps(sim *switchflow.Simulation, sf *switchflow.SwitchFlowScheduler,
+	byName map[string][]*switchflow.Job, ops []OpRequest, window time.Duration) error {
+	ops = append([]OpRequest(nil), ops...)
+	sort.SliceStable(ops, func(i, j int) bool { return fromMillis(ops[i].AtMillis) < fromMillis(ops[j].AtMillis) })
+	targets := make([]*switchflow.Job, len(ops))
+	for i, op := range ops {
+		needsJob, known := opNeedsJob[op.Op]
+		switch {
+		case !known:
+			return fmt.Errorf("control: unknown op %q", op.Op)
+		case fromMillis(op.AtMillis) > window:
+			return fmt.Errorf("control: %s at %v is past the %v window", op.Op, fromMillis(op.AtMillis), window)
+		case needsJob && len(byName[op.Job]) != 1:
+			return fmt.Errorf("control: %s names job %q, carried by %d jobs; want exactly one",
+				op.Op, op.Job, len(byName[op.Job]))
+		case needsJob:
+			targets[i] = byName[op.Job][0]
+		}
+	}
+	for i, op := range ops {
+		at := fromMillis(op.AtMillis)
+		sim.RunUntil(at)
+		if err := op.apply(sf, targets[i]); err != nil {
+			return fmt.Errorf("control: %s at %v: %w", op.Op, at, err)
+		}
+	}
+	sim.RunUntil(window)
+	return nil
+}
+
+// jobSpec converts the request to the facade's JobSpec and reports
+// whether the job is a tenant of the traffic block (see Scenario.Traffic);
+// a tenant idles between the trace's Offer calls.
+func jobSpec(sc Scenario, req JobRequest) (spec switchflow.JobSpec, tenant bool) {
+	spec = toSpec(req)
+	if tenant = sc.Traffic != nil && !req.Train && !req.Saturated; tenant {
+		spec.ServeEvery = 0
+		spec.ClosedLoop = false
+		spec.PoissonArrivals = false
+		spec.RequestDriven = true
+	}
+	return spec, tenant
 }

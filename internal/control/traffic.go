@@ -25,7 +25,7 @@ type TrafficRequest struct {
 	Clients int `json:"clients,omitempty"`
 	// DiurnalMillis/DiurnalMin shape the compressed-day sinusoid (see
 	// traffic.Profile); zero disables it.
-	DiurnalMillis int     `json:"diurnalMillis,omitempty"`
+	DiurnalMillis float64 `json:"diurnalMillis,omitempty"`
 	DiurnalMin    float64 `json:"diurnalMin,omitempty"`
 	// Spikes are flash crowds layered on the base rate.
 	Spikes []SpikeRequest `json:"spikes,omitempty"`
@@ -35,10 +35,10 @@ type TrafficRequest struct {
 
 // SpikeRequest is one flash crowd in scenario JSON.
 type SpikeRequest struct {
-	StartMillis int     `json:"startMillis"`
-	RampMillis  int     `json:"rampMillis"`
-	HoldMillis  int     `json:"holdMillis"`
-	DecayMillis int     `json:"decayMillis"`
+	StartMillis float64 `json:"startMillis"`
+	RampMillis  float64 `json:"rampMillis"`
+	HoldMillis  float64 `json:"holdMillis"`
+	DecayMillis float64 `json:"decayMillis"`
 	Magnitude   float64 `json:"magnitude"`
 }
 
@@ -70,17 +70,17 @@ func (r TrafficRequest) Profile(names []string) (traffic.Profile, error) {
 	p := traffic.Profile{
 		Clients:       clients,
 		RPSPerClient:  r.RPS / float64(clients),
-		DiurnalPeriod: time.Duration(r.DiurnalMillis) * time.Millisecond,
+		DiurnalPeriod: fromMillis(r.DiurnalMillis),
 		DiurnalMin:    r.DiurnalMin,
 		Tenants:       tenants,
 		Seed:          seed,
 	}
 	for _, s := range r.Spikes {
 		p.Spikes = append(p.Spikes, traffic.Spike{
-			Start:     time.Duration(s.StartMillis) * time.Millisecond,
-			Ramp:      time.Duration(s.RampMillis) * time.Millisecond,
-			Hold:      time.Duration(s.HoldMillis) * time.Millisecond,
-			Decay:     time.Duration(s.DecayMillis) * time.Millisecond,
+			Start:     fromMillis(s.StartMillis),
+			Ramp:      fromMillis(s.RampMillis),
+			Hold:      fromMillis(s.HoldMillis),
+			Decay:     fromMillis(s.DecayMillis),
 			Magnitude: s.Magnitude,
 		})
 	}
@@ -92,15 +92,19 @@ func (r TrafficRequest) Profile(names []string) (traffic.Profile, error) {
 // approximation tracks diurnal curves and spike ramps.
 const trafficStride = 100 * time.Millisecond
 
-// DriveTraffic generates the profile's arrivals over the window and
-// delivers each to its tenant's job at the exact arrival instant
-// (advancing the simulation between deliveries). jobs[i] receives tenant
-// i's stream. It returns offered/admitted counts; the remainder was shed
-// at admission.
-func DriveTraffic(sim *switchflow.Simulation, jobs []*switchflow.Job,
-	p traffic.Profile, window time.Duration) (offered, admitted int, err error) {
-	if len(jobs) != len(p.Tenants) {
-		return 0, 0, fmt.Errorf("control: %d jobs for %d tenants", len(jobs), len(p.Tenants))
+// driveTraffic delivers the traffic block's arrivals over the window to
+// the tenant jobs, one tenant each in listing order, at each arrival's
+// exact instant (advancing the simulation between deliveries). It returns
+// offered/admitted counts; the remainder was shed at admission.
+func driveTraffic(sim *switchflow.Simulation, req TrafficRequest, jobs []*switchflow.Job,
+	window time.Duration) (offered, admitted int, err error) {
+	names := make([]string, len(jobs))
+	for i, job := range jobs {
+		names[i] = job.Name()
+	}
+	p, err := req.Profile(names)
+	if err != nil {
+		return 0, 0, err
 	}
 	gen, err := traffic.NewGenerator(p)
 	if err != nil {

@@ -157,7 +157,8 @@ func (s *Simulation) NewSwitchFlowScheduler(opts ...Option) (*SwitchFlowSchedule
 // NewScheduler is the unified constructor for all four schedulers. It
 // subsumes the legacy SwitchFlow/ThreadedTF/TimeSlice/MPS constructors,
 // which remain as thin wrappers; a SwitchFlow scheduler built here can be
-// asserted to *SwitchFlowScheduler for its extended stats surface.
+// asserted to *SwitchFlowScheduler for its extended stats surface. It
+// rejects a fault plan whose events target a GPU the machine lacks.
 func (s *Simulation) NewScheduler(policy Policy, opts ...Option) (Scheduler, error) {
 	var cfg schedulerConfig
 	for _, opt := range opts {
@@ -165,6 +166,14 @@ func (s *Simulation) NewScheduler(policy Policy, opts ...Option) (Scheduler, err
 	}
 	if cfg.err != nil {
 		return nil, cfg.err
+	}
+	if cfg.faultPlan != nil {
+		for _, ev := range cfg.faultPlan.inner.Events {
+			if i := ev.Device.Index; ev.Kind != fault.KindInputStall && (i < 0 || i >= s.GPUCount()) {
+				return nil, fmt.Errorf("switchflow: %v fault at %v targets gpu:%d, but the machine has %d GPUs",
+					ev.Kind, ev.At, i, s.GPUCount())
+			}
+		}
 	}
 
 	var sched Scheduler
