@@ -98,6 +98,11 @@ type JobHandle struct {
 	// stopped guards Stop against double-decrementing the node's load
 	// counters; it also marks the handle dead for the router.
 	stopped bool
+	// node is where the job was placed (nil while queued).
+	node *Node
+	// deliver is deliverArrival bound once, so the router schedules an
+	// arrival without a closure per request.
+	deliver func()
 }
 
 // QueueDelay is the time the job waited for placement; ok is false while
@@ -116,6 +121,18 @@ func (h *JobHandle) Stopped() bool { return h.stopped }
 // live reports whether the handle can accept routed traffic.
 func (h *JobHandle) live() bool {
 	return h.Placed && !h.stopped && h.Job != nil && !h.Job.Crashed()
+}
+
+// deliverArrival lands one routed request on the replica at its arrival
+// instant. It checks liveness again: a later barrier may retire the
+// replica before the arrival instant (handle state only changes at
+// barriers, with the engines parked, so the read is race-free).
+func (h *JobHandle) deliverArrival() {
+	if h.stopped || h.Job.Crashed() {
+		h.Job.ShedOffer()
+		return
+	}
+	h.Job.Offer()
 }
 
 // Cluster places jobs onto nodes. Each node runs on its own engine; the
@@ -207,6 +224,7 @@ func (c *Cluster) Events() []obs.Event {
 // order) sequence.
 func (c *Cluster) Submit(at time.Duration, cfg workload.Config) *JobHandle {
 	h := &JobHandle{Cfg: cfg, SubmittedAt: at}
+	h.deliver = h.deliverArrival
 	if at <= c.Now() {
 		c.placeOrQueue(h)
 		return h
@@ -280,18 +298,14 @@ func (c *Cluster) Stop(h *JobHandle) {
 		return
 	}
 	h.stopped = true
-	for _, n := range c.nodes {
-		if n.Name == h.Where.Node {
-			n.mgr.StopJob(h.Job)
-			for _, gpu := range h.gangGPUs() {
-				//swlint:allow counterflow one decrement per distinct gang GPU (replicas never share a device), mirroring tryPlaceGang's increments; the h.stopped guard blocks re-entry
-				n.perGPU[gpu].jobs--
-				if h.Cfg.Kind == workload.KindTraining {
-					//swlint:allow counterflow same distinct-GPU loop as jobs above
-					n.perGPU[gpu].training--
-				}
-			}
-			break
+	n := h.node
+	n.mgr.StopJob(h.Job)
+	for _, gpu := range h.gangGPUs() {
+		//swlint:allow counterflow one decrement per distinct gang GPU (replicas never share a device), mirroring tryPlaceGang's increments; the h.stopped guard blocks re-entry
+		n.perGPU[gpu].jobs--
+		if h.Cfg.Kind == workload.KindTraining {
+			//swlint:allow counterflow same distinct-GPU loop as jobs above
+			n.perGPU[gpu].training--
 		}
 	}
 	// Drop the handle so Placed() reflects the jobs actually running.
@@ -340,6 +354,7 @@ func (c *Cluster) tryPlace(h *JobHandle) bool {
 		return false
 	}
 	h.Job = job
+	h.node = node
 	h.Placed = true
 	h.Where = Placement{Node: node.Name, GPU: gpu}
 	h.PlacedAt = c.Now()

@@ -189,6 +189,7 @@ func (c *Cluster) tryPlaceGang(h *JobHandle) bool {
 		return false
 	}
 	h.Job = job
+	h.node = bestNode
 	h.Placed = true
 	h.Where = Placement{Node: bestNode.Name, GPU: bestSlot[0], GPUs: bestSlot}
 	h.PlacedAt = c.Now()

@@ -6,9 +6,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"switchflow/internal/metrics"
@@ -48,6 +50,13 @@ type Service struct {
 
 	routed  int // requests routed to a replica
 	dropped int // arrivals with no live replica (router-level shed)
+
+	// Routing state reused across barriers (see Frontend.route): this
+	// epoch's live replicas, and the hash ring, rebuilt only when the
+	// live set changes.
+	live     []liveReplica
+	ring     hashRing
+	rebuilds int // ring rebuilds, for tests
 
 	// Autoscaler bookkeeping (see autoscale.go).
 	hotFor, idleFor       int
@@ -91,11 +100,13 @@ func (s *Service) Counters() metrics.ServingCounters {
 }
 
 // desired counts replicas not yet retired (live or still queued) — the
-// autoscaler's notion of current size.
+// autoscaler's notion of current size. A crashed replica is retired too:
+// it never serves again, so counting it would pin a tenant whose replicas
+// crash below the size its load asks for.
 func (s *Service) desired() int {
 	n := 0
 	for _, h := range s.replicas {
-		if !h.stopped {
+		if !h.stopped && (h.Job == nil || !h.Job.Crashed()) {
 			n++
 		}
 	}
@@ -121,7 +132,7 @@ type Frontend struct {
 
 // DefaultServiceConfig is the replica template tenants get unless the
 // caller supplies their own: single-image requests with tier SLO and
-// priority, dynamic batching up to 8 requests, and the ~10 ms per-image
+// priority, dynamic batching up to 4 requests, and the ~10 ms per-image
 // decode the paper's serving setups pay.
 func DefaultServiceConfig(t traffic.Tenant) (workload.Config, error) {
 	spec, err := models.ByName(t.Model)
@@ -222,10 +233,9 @@ func (f *Frontend) barrier(now time.Duration) {
 	f.route(now)
 }
 
-// liveReplica pairs a routable replica with its node.
+// liveReplica is a routable replica and its load as seen at this barrier.
 type liveReplica struct {
 	h           *JobHandle
-	node        *Node
 	outstanding int
 	routed      int // this epoch
 }
@@ -242,27 +252,21 @@ func (f *Frontend) route(now time.Duration) {
 	batch := f.gen.Batch(f.watermark, target)
 	f.watermark = target
 
-	live := make([][]liveReplica, len(f.services))
-	rings := make([]hashRing, len(f.services))
-	for i, svc := range f.services {
+	for _, svc := range f.services {
+		svc.live = svc.live[:0]
 		for _, h := range svc.replicas {
-			if !h.live() {
-				continue
+			if h.live() {
+				svc.live = append(svc.live, liveReplica{h: h, outstanding: h.Job.OutstandingRequests()})
 			}
-			live[i] = append(live[i], liveReplica{
-				h:           h,
-				node:        f.c.nodeByName(h.Where.Node),
-				outstanding: h.Job.OutstandingRequests(),
-			})
 		}
-		if f.strategy == RouteHash {
-			rings[i] = buildRing(live[i])
+		if f.strategy == RouteHash && svc.ring.refresh(svc.live) {
+			svc.rebuilds++
 		}
 	}
 
 	for _, a := range batch {
 		svc := f.services[a.Tenant]
-		set := live[a.Tenant]
+		set := svc.live
 		idx := -1
 		switch {
 		case len(set) == 0:
@@ -274,7 +278,7 @@ func (f *Frontend) route(now time.Duration) {
 				}
 			}
 		default:
-			idx = rings[a.Tenant].lookup(a.Client)
+			idx = svc.ring.lookup(a.Client)
 		}
 		if idx < 0 {
 			svc.dropped++
@@ -285,28 +289,18 @@ func (f *Frontend) route(now time.Duration) {
 		svc.routed++
 		f.routed++
 		h := set[idx].h
-		job := h.Job
-		// Delivery checks liveness again: a later barrier may retire the
-		// replica before the arrival instant (handle state only changes at
-		// barriers, with the engines parked, so the read is race-free).
-		set[idx].node.eng.After(a.At-now, func() {
-			if h.stopped || job.Crashed() {
-				job.ShedOffer()
-				return
-			}
-			job.Offer()
-		})
+		h.node.eng.After(a.At-now, h.deliver)
 	}
 
 	// One aggregated Route event per (tenant, replica) with traffic this
 	// epoch, on the replica's node bus — the trace scales with epochs, not
 	// with clients.
-	for i, svc := range f.services {
-		for _, lr := range live[i] {
-			if lr.routed == 0 || !lr.node.machine.Bus().Wants(obs.KindRoute) {
+	for _, svc := range f.services {
+		for _, lr := range svc.live {
+			if lr.routed == 0 || !lr.h.node.machine.Bus().Wants(obs.KindRoute) {
 				continue
 			}
-			lr.node.machine.Bus().Emit(obs.Event{
+			lr.h.node.machine.Bus().Emit(obs.Event{
 				Kind:   obs.KindRoute,
 				Ctx:    lr.h.Job.Ctx,
 				Job:    svc.tenant.ID,
@@ -318,19 +312,13 @@ func (f *Frontend) route(now time.Duration) {
 	}
 }
 
-// nodeByName resolves a node by placement name.
-func (c *Cluster) nodeByName(name string) *Node {
-	for _, n := range c.nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	panic(fmt.Sprintf("cluster: unknown node %q", name))
-}
-
-// hashRing is a small consistent-hash ring over live replicas.
+// hashRing is a small consistent-hash ring over live replicas. It is
+// cached across barriers: point idx values index the live set the ring
+// was built over, so the ring stays valid exactly while the live set
+// holds the same handles in the same order.
 type hashRing struct {
 	points []ringPoint
+	over   []*JobHandle // the live handles of the last build, in order
 }
 
 type ringPoint struct {
@@ -342,23 +330,30 @@ type ringPoint struct {
 // within a few percent for the replica counts a tenant reaches.
 const ringVnodes = 16
 
-func buildRing(set []liveReplica) hashRing {
-	var r hashRing
+// refresh rebuilds the ring over set, reusing its buffers, unless set
+// holds the same handles in the same order as the last build. It reports
+// whether it rebuilt.
+func (r *hashRing) refresh(set []liveReplica) bool {
+	if slices.EqualFunc(set, r.over, func(lr liveReplica, h *JobHandle) bool { return lr.h == h }) {
+		return false
+	}
+	r.over = r.over[:0]
+	r.points = r.points[:0]
 	for i, lr := range set {
+		r.over = append(r.over, lr.h)
 		for v := 0; v < ringVnodes; v++ {
-			r.points = append(r.points, ringPoint{
-				hash: hash64(fmt.Sprintf("%s#%d", lr.h.Cfg.Name, v)),
-				idx:  i,
-			})
+			r.points = append(r.points, ringPoint{hash: pointHash(lr.h.Cfg.Name, v), idx: i})
 		}
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].hash != r.points[b].hash {
-			return r.points[a].hash < r.points[b].hash
+	// (hash, idx) is a total order over the points, so the ring does not
+	// depend on the sort algorithm.
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return r.points[a].idx < r.points[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
-	return r
+	return true
 }
 
 // lookup returns the replica owning key (its ring successor), or -1 on an
@@ -374,8 +369,18 @@ func (r hashRing) lookup(key uint64) int {
 	return r.points[i].idx
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// pointHash is the 64-bit FNV-1a hash of the ring point key "name#v",
+// computed without building the string.
+func pointHash(name string, v int) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	var buf [24]byte
+	suffix := strconv.AppendInt(append(buf[:0], '#'), int64(v), 10)
+	h := uint64(offset)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime
+	}
+	for _, c := range suffix {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
 }

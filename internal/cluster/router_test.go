@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -191,6 +192,56 @@ func TestAutoscalerScalesOutOnShedAndInOnIdle(t *testing.T) {
 	}
 	if train.Binding().Len() != 2 {
 		t.Fatalf("elastic training ended at %d vnodes, want grown back to 2", train.Binding().Len())
+	}
+}
+
+// TestAutoscalerReplacesCrashedReplica: a hot tenant at MaxReplicas
+// whose replica crashes has lost serving capacity, so the next
+// sustained-hot interval must add a replica even though the crashed
+// handle was never stopped.
+func TestAutoscalerReplacesCrashedReplica(t *testing.T) {
+	c := New(FirstFit{}, 1, device.ClassV100, device.ClassV100)
+	gen, err := traffic.NewGenerator(flatProfile(1, 600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unbatched replicas saturate near 150 req/s: two shed hard at 600.
+	fe, err := NewFrontend(c, gen, RouteLeastLoaded, func(tn traffic.Tenant) (workload.Config, error) {
+		cfg, err := DefaultServiceConfig(tn)
+		cfg.MaxBatch = 0
+		cfg.BatchWait = 0
+		return cfg, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaler := fe.EnableAutoscaler(AutoscaleConfig{
+		Interval:    500 * time.Millisecond,
+		SustainUp:   2,
+		MaxReplicas: 2,
+		Cooldown:    time.Second,
+	})
+	fe.Start(2)
+	c.RunUntil(2 * time.Second)
+	svc := fe.Services()[0]
+	if scaler.ScaleOuts() != 0 || svc.hotFor < 2 {
+		t.Fatalf("want a sustained-hot tenant pinned at MaxReplicas: %d scale-outs, hot for %d intervals",
+			scaler.ScaleOuts(), svc.hotFor)
+	}
+
+	svc.replicas[0].Job.Crash(errors.New("injected crash"))
+	c.RunUntil(2600 * time.Millisecond)
+	if scaler.ScaleOuts() != 1 {
+		t.Fatalf("%d scale-outs after a replica crashed at MaxReplicas, want 1", scaler.ScaleOuts())
+	}
+	live := 0
+	for _, h := range svc.replicas {
+		if h.live() {
+			live++
+		}
+	}
+	if len(svc.replicas) != 3 || live != 2 {
+		t.Fatalf("%d replicas, %d live; want the crashed one replaced (3 submitted, 2 live)", len(svc.replicas), live)
 	}
 }
 

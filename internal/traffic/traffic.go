@@ -22,10 +22,11 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -215,6 +216,7 @@ type Generator struct {
 	share   []float64 // normalized tenant weights
 	rngs    []*rand.Rand
 	from    time.Duration // next window must start here
+	batch   []Arrival     // Batch's reused result buffer
 }
 
 // NewGenerator validates the profile and seeds one RNG stream per tenant.
@@ -247,9 +249,11 @@ func NewGenerator(p Profile) (*Generator, error) {
 func (g *Generator) Profile() Profile { return g.profile }
 
 // Batch draws every arrival in the window (from, to], sorted by (time,
-// tenant). Windows must be requested in order without gaps or overlap —
-// each tenant's RNG stream advances with its draws, so the sequence of
-// windows is part of the deterministic replay state.
+// tenant, client). Windows must be requested in order without gaps or
+// overlap — each tenant's RNG stream advances with its draws, so the
+// sequence of windows is part of the deterministic replay state. The
+// returned slice is the generator's own buffer: it is valid until the
+// next call.
 func (g *Generator) Batch(from, to time.Duration) []Arrival {
 	if from != g.from {
 		panic(fmt.Sprintf("traffic: Batch(%v, %v) out of order; next window starts at %v", from, to, g.from))
@@ -263,7 +267,7 @@ func (g *Generator) Batch(from, to time.Duration) []Arrival {
 	// milliseconds against diurnal periods of tens of seconds, so the
 	// error is negligible and the evaluation stays cheap.
 	rate := g.profile.Rate(from + dt/2)
-	var out []Arrival
+	out := g.batch[:0]
 	for i := range g.profile.Tenants {
 		rng := g.rngs[i]
 		mean := g.share[i] * rate * dt.Seconds()
@@ -275,15 +279,16 @@ func (g *Generator) Batch(from, to time.Duration) []Arrival {
 			out = append(out, Arrival{Tenant: i, Client: rng.Uint64(), At: at})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].At != out[b].At {
-			return out[a].At < out[b].At
+	slices.SortFunc(out, func(a, b Arrival) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		if out[a].Tenant != out[b].Tenant {
-			return out[a].Tenant < out[b].Tenant
+		if c := cmp.Compare(a.Tenant, b.Tenant); c != 0 {
+			return c
 		}
-		return out[a].Client < out[b].Client
+		return cmp.Compare(a.Client, b.Client)
 	})
+	g.batch = out
 	return out
 }
 

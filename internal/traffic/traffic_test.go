@@ -114,6 +114,33 @@ func TestBatchDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestBatchAllocFree: once the generator's buffer has grown to a
+// window's arrival count, drawing further windows allocates nothing.
+func TestBatchAllocFree(t *testing.T) {
+	g, err := NewGenerator(testProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-second window (~400 arrivals) grows the buffer past any
+	// 5 ms window's count.
+	from := time.Second
+	if n := len(g.Batch(0, from)); n < 100 {
+		t.Fatalf("1s window drew %d arrivals, want ~400", n)
+	}
+	epoch := 5 * time.Millisecond
+	drawn := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		drawn += len(g.Batch(from, from+epoch))
+		from += epoch
+	})
+	if drawn == 0 {
+		t.Fatal("no arrivals drawn in the measured windows")
+	}
+	if allocs != 0 {
+		t.Fatalf("Batch: %v allocs per window, want 0", allocs)
+	}
+}
+
 func TestBatchRejectsOutOfOrderWindows(t *testing.T) {
 	g, err := NewGenerator(testProfile())
 	if err != nil {
