@@ -24,7 +24,7 @@ func arbiterHarness(t *testing.T, prios ...int) (*Manager, []*jobState) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		states[i] = newJobState(job)
+		states[i] = newJobState(m, job)
 	}
 	return m, states
 }

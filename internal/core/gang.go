@@ -23,8 +23,6 @@ package core
 // and pay the topology-priced ring all-reduce (finishGangStep).
 
 import (
-	"sort"
-
 	"switchflow/internal/device"
 	"switchflow/internal/obs"
 )
@@ -47,7 +45,7 @@ func (m *Manager) pumpGangShards(js *jobState) {
 		return // replicas are at the barrier; finishGangStep owns the step
 	}
 	if !m.opts.DisableGPUExclusive {
-		for _, sh := range gangOrder(js.shards) {
+		for _, sh := range js.gangOrder {
 			if sh.holding {
 				continue
 			}
@@ -56,11 +54,7 @@ func (m *Manager) pumpGangShards(js *jobState) {
 			}
 			sh.waiting = true
 			js.acquiredAt = m.eng.Now()
-			m.acquire(sh.dev.Index, js, func() {
-				sh.waiting = false
-				sh.holding = true
-				m.pump(js)
-			})
+			m.acquire(sh.dev.Index, js, sh.grantFn)
 			// One request in flight at a time: holding only
 			// lower-indexed GPUs while waiting is what makes the ordered
 			// protocol deadlock-free.
@@ -94,23 +88,25 @@ func (m *Manager) pumpGangShards(js *jobState) {
 // collective rides the interconnect, not the SMs, so other jobs may use
 // the GPUs during the sync window.
 func (m *Manager) finishGangStep(js *jobState) {
-	sync := js.job.SyncCost()
 	m.bus.Emit(obs.Event{
 		Kind:   obs.KindAllReduce,
 		Ctx:    js.job.Ctx,
 		Job:    js.job.Cfg.Name,
 		Device: js.shards[0].dev.String(),
-		Dur:    sync,
+		Dur:    js.syncCost,
 		Count:  len(js.shards),
 	})
-	epoch := js.epoch
-	m.eng.After(sync, func() {
-		if js.epoch != epoch || js.stopped || js.job.Crashed() || !js.job.ComputeRunning {
-			return // a fault or stop tore the step down mid-collective
-		}
-		m.commitStep(js)
-		m.pump(js)
-	})
+	js.commitEpoch = js.epoch
+	m.eng.After(js.syncCost, js.gangCommitFn)
+}
+
+// commitGangStep ends the all-reduce window (js.gangCommitFn).
+func (m *Manager) commitGangStep(js *jobState) {
+	if js.epoch != js.commitEpoch || js.stopped || js.job.Crashed() || !js.job.ComputeRunning {
+		return // a fault or stop tore the step down mid-collective
+	}
+	m.commitStep(js)
+	m.pump(js)
 }
 
 // preemptGang is the gang arm of preemption: the whole gang suspends and
@@ -133,33 +129,17 @@ func (m *Manager) preemptGang(gpu int, victim *jobState) {
 	if !m.opts.DisableTempPoolIsolation {
 		victim.inTempPool = true
 	}
-	epoch := victim.epoch
-	// The sweep below holds one reference so a synchronous Suspend cannot
-	// re-pump before every replica has been visited.
-	outstanding := 1
-	finishOne := func() {
-		outstanding--
-		if outstanding > 0 || victim.epoch != epoch {
-			return
-		}
-		victim.gangPreempting = false
-		m.pump(victim)
-	}
+	// The sweep below holds one reference, released by an event after it,
+	// so a synchronous Suspend cannot re-pump before every replica has
+	// been visited.
+	victim.gangEpoch = victim.epoch
+	victim.gangOutstanding = 1
 	for _, sh := range victim.shards {
-		sh := sh
 		if sh.run != nil && !sh.run.Suspended() && !sh.done {
-			outstanding++
+			victim.gangOutstanding++
 			sh.preempting = true
-			sh.run.Suspend(func() {
-				if victim.epoch != epoch {
-					return // a fault re-split the binding while kernels drained
-				}
-				victim.job.FreeScratchBytes(sh.dev, sh.scratch)
-				sh.scratch = 0
-				sh.preempting = false
-				m.releaseShard(sh)
-				finishOne()
-			})
+			sh.preemptEpoch = victim.epoch
+			sh.run.Suspend(sh.drainedFn)
 			continue
 		}
 		// Replica merely holding (or already done, or still queued): hand
@@ -169,15 +149,26 @@ func (m *Manager) preemptGang(gpu int, victim *jobState) {
 	// A grant must not fire into a gang being displaced; re-entry starts
 	// the ordered acquisition from scratch.
 	m.purgeRequests(victim)
-	m.eng.After(0, finishOne)
+	m.eng.After(0, victim.gangSweepFn)
 }
 
-// gangOrder returns the gang's shards sorted by GPU index — the global
-// acquisition order. Gang replicas bind distinct GPUs (validated at
-// admission), so the order is total.
-func gangOrder(shards []*shardState) []*shardState {
-	out := make([]*shardState, len(shards))
-	copy(out, shards)
-	sort.Slice(out, func(i, j int) bool { return out[i].dev.Index < out[j].dev.Index })
-	return out
+// gangShardDrained retires one suspended replica of a gang preemption
+// (from shardDrained, which already dropped stale drains).
+func (m *Manager) gangShardDrained(victim *jobState, sh *shardState) {
+	victim.job.FreeScratchBytes(sh.dev, sh.scratch)
+	sh.scratch = 0
+	sh.preempting = false
+	m.releaseShard(sh)
+	m.gangDrainOne(victim)
+}
+
+// gangDrainOne releases one reference of the gang preemption in progress;
+// the last one lets the displaced gang re-enter acquisition.
+func (m *Manager) gangDrainOne(victim *jobState) {
+	victim.gangOutstanding--
+	if victim.gangOutstanding > 0 || victim.epoch != victim.gangEpoch {
+		return
+	}
+	victim.gangPreempting = false
+	m.pump(victim)
 }

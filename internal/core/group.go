@@ -57,7 +57,7 @@ func (m *Manager) AddSharedGroup(cfgs []workload.Config) (*Group, []*workload.Jo
 		if err := job.AllocWeights(cfg.Device); err != nil {
 			return nil, nil, fmt.Errorf("core: admit %s: %w", cfg.Name, err)
 		}
-		js := newJobState(job)
+		js := newJobState(m, job)
 		js.group = g
 		g.members = append(g.members, js)
 		jobs = append(jobs, job)

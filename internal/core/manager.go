@@ -71,10 +71,6 @@ type Manager struct {
 	jobs   []*jobState
 	groups []*Group
 	ctxSeq int
-	// grantSeq orders grant requests FIFO within a priority class. It is
-	// per-manager, not package-level, so concurrent experiment cells never
-	// share it (and one cell's request order can never leak into another).
-	grantSeq int
 	// stallUntil gates input-stage starts during an injected input stall.
 	stallUntil time.Duration
 
@@ -97,6 +93,7 @@ type Manager struct {
 }
 
 type jobState struct {
+	m            *Manager
 	job          *workload.Job
 	weightsReady bool
 	inTempPool   bool
@@ -123,6 +120,8 @@ type jobState struct {
 	shards     []*shardState
 	stepOpen   bool
 	pendingOps []func()
+	// inputDoneFn is the input stage's onDone, bound once.
+	inputDoneFn func()
 
 	// group is the shared-input group the job is a member of, if any.
 	group *Group
@@ -133,7 +132,22 @@ type jobState struct {
 	// restarts.
 	gangPreempting bool
 	gangSuspended  bool
+	// Derived from the binding in rebuildShards: the shards in ascending
+	// GPU order (the acquisition order) and the step's all-reduce price.
+	gangOrder []*shardState
+	syncCost  time.Duration
+	// A gang preemption waits for gangOutstanding drains plus one sweep
+	// event (gangSweepFn), all under gangEpoch; the step barrier commits
+	// through gangCommitFn under commitEpoch. Both callbacks are bound once.
+	gangOutstanding           int
+	gangEpoch, commitEpoch    int
+	gangSweepFn, gangCommitFn func()
 }
+
+// plain reports whether the job is a plain one: one implicit vnode, no
+// shared input group. A preempted plain job pauses its whole pipeline and
+// may migrate (step.go).
+func (js *jobState) plain() bool { return !js.job.Elastic() && js.group == nil }
 
 // NewManager creates a SwitchFlow manager over the machine. The global
 // pool has one worker per core; the temporary pool's threads come out of
@@ -201,7 +215,7 @@ func (m *Manager) AddJob(cfg workload.Config) (*workload.Job, error) {
 			return nil, fmt.Errorf("core: admit %s: replica on %v: %w", cfg.Name, dev, err)
 		}
 	}
-	js := newJobState(job)
+	js := newJobState(m, job)
 	if job.Elastic() {
 		for i := 0; i < job.Binding().Len(); i++ {
 			m.bus.Emit(obs.Event{
@@ -295,10 +309,7 @@ func (m *Manager) pumpInput(js *jobState) {
 	pool := m.poolFor(js)
 	for js.job.CanStartInput() {
 		js.job.BeginInput()
-		_, err := js.job.StartExec(v.Input, executor.Config{Pool: pool}, func() {
-			js.job.FinishInput()
-			m.pump(js)
-		})
+		_, err := js.job.StartExec(v.Input, executor.Config{Pool: pool}, js.inputDoneFn)
 		if err != nil {
 			js.job.Crash(err)
 			m.emitJobLost(js, dev, "input start failed")

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"switchflow/internal/device"
 	"switchflow/internal/obs"
@@ -12,13 +12,14 @@ import (
 // implements priority preemption.
 type arbiter struct {
 	owner *jobState
-	queue []*grantReq
+	// queue holds the waiting requests by value, highest priority first
+	// and FIFO within a priority class.
+	queue []grantReq
 }
 
 type grantReq struct {
 	js      *jobState
 	onGrant func()
-	seq     int
 }
 
 // acquire requests exclusive use of GPU gpu for js. onGrant fires when the
@@ -26,23 +27,21 @@ type grantReq struct {
 // (§3.3); equal or lower priority waits FIFO within its priority class.
 func (m *Manager) acquire(gpu int, js *jobState, onGrant func()) {
 	arb := m.arbs[gpu]
-	m.grantSeq++
-	req := &grantReq{js: js, onGrant: onGrant, seq: m.grantSeq}
 	if arb.owner == nil {
 		arb.owner = js
 		m.recordGrant(js)
 		onGrant()
 		return
 	}
-	arb.queue = append(arb.queue, req)
-	sort.SliceStable(arb.queue, func(i, j int) bool {
-		pi, pj := arb.queue[i].js.job.Cfg.Priority, arb.queue[j].js.job.Cfg.Priority
-		if pi != pj {
-			return pi > pj
-		}
-		return arb.queue[i].seq < arb.queue[j].seq
-	})
-	if js.job.Cfg.Priority > arb.owner.job.Cfg.Priority {
+	// The newest request goes after the last one of its priority or
+	// higher, which keeps the queue in (priority, arrival) order.
+	prio := js.job.Cfg.Priority
+	i := len(arb.queue)
+	for i > 0 && arb.queue[i-1].js.job.Cfg.Priority < prio {
+		i--
+	}
+	arb.queue = slices.Insert(arb.queue, i, grantReq{js: js, onGrant: onGrant})
+	if prio > arb.owner.job.Cfg.Priority {
 		m.preempt(gpu, arb.owner)
 	}
 }
@@ -60,7 +59,9 @@ func (m *Manager) grantNext(gpu int) {
 		return
 	}
 	req := arb.queue[0]
-	arb.queue = arb.queue[1:]
+	left := copy(arb.queue, arb.queue[1:])
+	arb.queue[left] = grantReq{}
+	arb.queue = arb.queue[:left]
 	arb.owner = req.js
 	m.recordGrant(req.js)
 	req.onGrant()
@@ -125,56 +126,64 @@ func (m *Manager) preemptShard(gpu int, victim *jobState, sh *shardState) {
 	if sh.preempting || victim.preempting {
 		return
 	}
-	plain := !victim.job.Elastic() && victim.group == nil
 	sh.preempting = true
-	victim.preempting = plain
+	sh.preemptEpoch = victim.epoch
+	victim.preempting = victim.plain()
 	m.Preemptions++
 	m.emitPreempt(gpu, victim, "abort")
 	if !m.opts.DisableTempPoolIsolation {
 		victim.inTempPool = true
 	}
-
-	epoch := victim.epoch
-	finish := func() {
-		if victim.epoch != epoch {
-			// A fault relocated the victim while its kernels drained; the
-			// fault handler already settled the arbiter.
-			return
-		}
-		// The step's intermediate data is discarded either way, freeing the
-		// bulk of GPU memory for the preempter (§3.4); a resumed run
-		// reallocates it.
-		victim.job.FreeScratchBytes(sh.dev, sh.scratch)
-		sh.scratch = 0
-		release := func() {
-			sh.holding, sh.preempting, victim.preempting = false, false, false
-			m.release(gpu)
-			m.pump(victim)
-		}
-		if fallback, ok := m.pickFallback(victim); plain && ok {
-			if sh.run != nil {
-				sh.run.Discard()
-				sh.run = nil
-			}
-			m.abandonStep(victim)
-			if m.opts.SyncStateTransfer {
-				// Ablation: the state transfer joins the preemption critical
-				// path — the new job waits for it.
-				m.migrate(victim, sh.dev, fallback, "preempt", release)
-				return
-			}
-			m.migrate(victim, sh.dev, fallback, "preempt", nil)
-		}
-		release()
-	}
-
 	if sh.run != nil {
-		sh.run.Suspend(finish)
+		sh.run.Suspend(sh.drainedFn)
 		return
 	}
 	// The shard was granted but has not started its executor (e.g. waiting
 	// on input); nothing to drain.
-	m.eng.After(0, finish)
+	m.eng.After(0, sh.drainedFn)
+}
+
+// shardDrained is a shard's preemption drain callback (sh.drainedFn). The
+// step's intermediate data is discarded either way, freeing the bulk of
+// GPU memory for the preempter (§3.4); a resumed run reallocates it. A
+// plain victim then migrates to a fallback with room, or stays; the grant
+// goes back through releasePreempted.
+func (m *Manager) shardDrained(victim *jobState, sh *shardState) {
+	if victim.epoch != sh.preemptEpoch || !sh.preempting {
+		// A fault relocated the victim while its kernels drained; the fault
+		// handler already settled the arbiter. The preempting check also
+		// retires a stale drain queued on the same stream as a newer one.
+		return
+	}
+	if victim.job.Gang() {
+		m.gangShardDrained(victim, sh)
+		return
+	}
+	victim.job.FreeScratchBytes(sh.dev, sh.scratch)
+	sh.scratch = 0
+	if fallback, ok := m.pickFallback(victim); victim.plain() && ok {
+		if sh.run != nil {
+			sh.run.Discard()
+			sh.run = nil
+		}
+		m.abandonStep(victim)
+		if m.opts.SyncStateTransfer {
+			// Ablation: the state transfer joins the preemption critical
+			// path — the new job waits for it.
+			m.migrate(victim, sh.dev, fallback, "preempt", sh.releaseFn)
+			return
+		}
+		m.migrate(victim, sh.dev, fallback, "preempt", nil)
+	}
+	m.releasePreempted(victim, sh)
+}
+
+// releasePreempted hands a drained shard's grant to the preempter and
+// re-pumps the victim (sh.releaseFn).
+func (m *Manager) releasePreempted(victim *jobState, sh *shardState) {
+	sh.holding, sh.preempting, victim.preempting = false, false, false
+	m.release(sh.dev.Index)
+	m.pump(victim)
 }
 
 // pickFallback chooses the first healthy configured fallback device with

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"switchflow/internal/device"
 	"switchflow/internal/executor"
 	"switchflow/internal/obs"
@@ -45,17 +47,32 @@ type shardState struct {
 	dev     device.ID
 	holding bool
 	waiting bool
-	// preempting gates the shard between Suspend and its drain callback.
-	preempting bool
-	run        *executor.Run
-	scratch    int64
-	done       bool
+	// preempting gates the shard between Suspend and its drain callback;
+	// preemptEpoch is the job epoch it was suspended under, so a drain that
+	// outlives a fault is recognised as stale.
+	preempting   bool
+	preemptEpoch int
+	run          *executor.Run
+	scratch      int64
+	done         bool
+	// Callbacks bound once in rebuildShards, so steps, grants and
+	// preemptions allocate no closures: the device grant, the shard run's
+	// onDone, the preemption drain and the grant release that follows it.
+	grantFn, finishFn, drainedFn, releaseFn func()
 }
 
 // newJobState builds the scheduler state of an admitted job, with one
 // shard per vnode of its binding.
-func newJobState(job *workload.Job) *jobState {
-	js := &jobState{job: job, weightsReady: true}
+func newJobState(m *Manager, job *workload.Job) *jobState {
+	js := &jobState{m: m, job: job, weightsReady: true}
+	js.inputDoneFn = func() {
+		js.job.FinishInput()
+		m.pump(js)
+	}
+	if job.Gang() {
+		js.gangSweepFn = func() { m.gangDrainOne(js) }
+		js.gangCommitFn = func() { m.commitGangStep(js) }
+	}
 	js.rebuildShards()
 	return js
 }
@@ -66,12 +83,27 @@ func (js *jobState) current() device.ID { return js.job.Binding().Node(0).Device
 
 // rebuildShards derives fresh shard states from the job's binding; the
 // new binding starts between steps. Only call at epoch-safe points: any
-// in-flight run must be discarded first.
+// in-flight run must be discarded first. It is the one place the shards'
+// callbacks are bound, and a gang's acquisition order and all-reduce
+// price are derived.
 func (js *jobState) rebuildShards() {
+	m := js.m
 	b := js.job.Binding()
 	js.shards = make([]*shardState, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		js.shards[i] = &shardState{idx: i, dev: b.Node(i).Device}
+	for i := range js.shards {
+		sh := &shardState{idx: i, dev: b.Node(i).Device}
+		sh.grantFn = func() { m.shardGranted(js, sh) }
+		sh.finishFn = func() { m.finishShard(js, sh) }
+		sh.drainedFn = func() { m.shardDrained(js, sh) }
+		sh.releaseFn = func() { m.releasePreempted(js, sh) }
+		js.shards[i] = sh
+	}
+	if js.job.Gang() {
+		// Gang replicas bind distinct GPUs (validated at admission), so the
+		// ascending-GPU acquisition order is total.
+		js.gangOrder = slices.Clone(js.shards)
+		slices.SortFunc(js.gangOrder, func(a, b *shardState) int { return a.dev.Index - b.dev.Index })
+		js.syncCost = js.job.SyncCost()
 	}
 	js.stepOpen = false
 }
@@ -138,11 +170,20 @@ func (m *Manager) pumpShard(js *jobState, sh *shardState) {
 	}
 	sh.waiting = true
 	js.acquiredAt = m.eng.Now()
-	m.acquire(sh.dev.Index, js, func() {
-		sh.waiting = false
-		sh.holding = true
-		m.startShard(js, sh)
-	})
+	m.acquire(sh.dev.Index, js, sh.grantFn)
+}
+
+// shardGranted is every shard's grant callback: a gang shard re-pumps the
+// gang, which takes its next grant or launches every replica; any other
+// shard launches directly.
+func (m *Manager) shardGranted(js *jobState, sh *shardState) {
+	sh.waiting = false
+	sh.holding = true
+	if js.job.Gang() {
+		m.pump(js)
+		return
+	}
+	m.startShard(js, sh)
 }
 
 // startShard launches (or resumes) the shard's share-sized compute run on
@@ -169,7 +210,7 @@ func (m *Manager) startShard(js *jobState, sh *shardState) {
 		js.job.BeginCompute()
 	}
 	cfg := executor.Config{Pool: m.poolFor(js), Stream: js.job.Stream(sh.dev)}
-	run, err := js.job.StartExec(v.Compute, cfg, func() { m.finishShard(js, sh) })
+	run, err := js.job.StartExec(v.Compute, cfg, sh.finishFn)
 	if err != nil {
 		js.job.FreeScratchBytes(sh.dev, sh.scratch)
 		sh.scratch = 0
@@ -219,6 +260,8 @@ func (m *Manager) shardFailed(js *jobState, sh *shardState, err error, why strin
 // finishShard retires one shard; the last one home completes the step.
 // A requested Gandiva checkpoint streams out before the grant is
 // released; otherwise the grant goes back and queued binding ops apply.
+// It is the shard run's onDone, so it drops the handle first: a finished
+// run is recycled once onDone returns.
 func (m *Manager) finishShard(js *jobState, sh *shardState) {
 	sh.run = nil
 	js.job.FreeScratchBytes(sh.dev, sh.scratch)
@@ -373,9 +416,7 @@ func (m *Manager) purgeRequests(js *jobState) {
 				kept = append(kept, req)
 			}
 		}
-		for i := len(kept); i < len(arb.queue); i++ {
-			arb.queue[i] = nil
-		}
+		clear(arb.queue[len(kept):])
 		arb.queue = kept
 	}
 	for _, sh := range js.shards {

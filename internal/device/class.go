@@ -6,6 +6,7 @@ package device
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -42,8 +43,25 @@ var CPUID = ID{Kind: KindCPU}
 // GPUID returns the identifier of the i-th GPU.
 func GPUID(i int) ID { return ID{Kind: KindGPU, Index: i} }
 
-// String implements fmt.Stringer.
-func (id ID) String() string { return fmt.Sprintf("%s:%d", id.Kind, id.Index) }
+// String implements fmt.Stringer. Every scheduling event names its
+// device, so the common names come from a table and cost no allocation.
+func (id ID) String() string {
+	switch {
+	case id.Kind == KindGPU && id.Index >= 0 && id.Index < len(gpuNames):
+		return gpuNames[id.Index]
+	case id == CPUID:
+		return "cpu:0"
+	}
+	return id.Kind.String() + ":" + strconv.Itoa(id.Index)
+}
+
+// gpuNames holds "gpu:0" through "gpu:63".
+var gpuNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = "gpu:" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // GPUClass describes a GPU model's capabilities. Durations produced by the
 // cost model are derived from these numbers.

@@ -23,11 +23,24 @@ type CopyEngine struct {
 	bandwidthGBps float64
 	busyUntil     time.Duration
 	transferred   int64
+	// inflight holds the callbacks of tagged transfers not yet complete,
+	// in issue order. The channel is FIFO, so they complete in that order,
+	// and each completion event (fireNextFn, bound once) runs the head.
+	inflight   []taggedDone
+	fireNextFn func()
+}
+
+// taggedDone is one TransferTagged completion: fire(arg).
+type taggedDone struct {
+	fire func(arg uint64)
+	arg  uint64
 }
 
 // NewCopyEngine creates a channel with the given bulk bandwidth.
 func NewCopyEngine(eng *sim.Engine, bandwidthGBps float64) *CopyEngine {
-	return &CopyEngine{eng: eng, bandwidthGBps: bandwidthGBps}
+	c := &CopyEngine{eng: eng, bandwidthGBps: bandwidthGBps}
+	c.fireNextFn = c.fireNext
+	return c
 }
 
 // TransferTime returns the service time (excluding queueing) of moving
@@ -46,6 +59,26 @@ func (c *CopyEngine) TransferTime(n int64, tensors int) time.Duration {
 // Transfer enqueues a copy of n bytes in tensors tensor objects and returns
 // its completion time. onDone (optional) fires at completion.
 func (c *CopyEngine) Transfer(n int64, tensors int, onDone func()) time.Duration {
+	done := c.enqueue(n, tensors)
+	if onDone != nil {
+		c.eng.Schedule(done, onDone)
+	}
+	return done
+}
+
+// TransferTagged is Transfer with a completion that fires with arg. It is
+// the allocation-free form for callers that copy often: one callback
+// bound once, with the per-transfer state in arg.
+func (c *CopyEngine) TransferTagged(n int64, tensors int, fire func(arg uint64), arg uint64) time.Duration {
+	done := c.enqueue(n, tensors)
+	c.inflight = append(c.inflight, taggedDone{fire: fire, arg: arg})
+	c.eng.Schedule(done, c.fireNextFn)
+	return done
+}
+
+// enqueue books a transfer behind the queued ones and returns its
+// completion time.
+func (c *CopyEngine) enqueue(n int64, tensors int) time.Duration {
 	start := c.eng.Now()
 	if c.busyUntil > start {
 		start = c.busyUntil
@@ -53,10 +86,16 @@ func (c *CopyEngine) Transfer(n int64, tensors int, onDone func()) time.Duration
 	done := start + c.TransferTime(n, tensors)
 	c.busyUntil = done
 	c.transferred += n
-	if onDone != nil {
-		c.eng.Schedule(done, onDone)
-	}
 	return done
+}
+
+// fireNext completes the oldest tagged transfer.
+func (c *CopyEngine) fireNext() {
+	d := c.inflight[0]
+	left := copy(c.inflight, c.inflight[1:])
+	c.inflight[left] = taggedDone{}
+	c.inflight = c.inflight[:left]
+	d.fire(d.arg)
 }
 
 // Transferred returns total bytes moved through this engine.

@@ -11,7 +11,11 @@ type Stream struct {
 	queue    []Kernel
 	inflight bool
 	aborted  uint64
-	drainFns []func()
+	// drainFns collects Drain callbacks; notifyDrained swaps it with
+	// drainSpare before firing, so a callback that calls Drain lands in
+	// the next round and neither buffer is reallocated.
+	drainFns   []func()
+	drainSpare []func()
 	// current is the in-flight kernel; the GPU sees kernelDoneFn
 	// (s.kernelDone, bound once) in place of its callbacks.
 	current      Kernel
@@ -96,8 +100,10 @@ func (s *Stream) notifyDrained() {
 		return
 	}
 	fns := s.drainFns
-	s.drainFns = nil
-	for _, fn := range fns {
+	s.drainFns, s.drainSpare = s.drainSpare[:0], nil
+	for i, fn := range fns {
+		fns[i] = nil
 		fn()
 	}
+	s.drainSpare = fns[:0]
 }

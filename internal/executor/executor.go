@@ -58,15 +58,25 @@ const eagerDispatchOverhead = 75 * time.Microsecond
 // progress kept) and later resumed — the paper's preemption semantics:
 // "the new session is populated with the tasks of the aborted session run
 // so that no work is lost" (§3.3). Abort is a terminal suspend.
+//
+// Lifecycle: the caller of Start owns the handle until onDone returns.
+// A Run that finished — every node completed, so no task, kernel or
+// transfer of it is in flight — then goes back on its subgraph's free
+// list, and a later Start of that subgraph reuses it, so owners must drop
+// the handle in (or before) onDone. Aborted Runs are never reused: their
+// in-flight kernels still complete into them. The epoch only grows, across
+// lives too, so a task or transfer issued before a suspension or in an
+// earlier life is recognised as stale and dropped.
 type Run struct {
-	sub *graph.Subgraph
-	cfg Config
-	eng *sim.Engine
+	sub  *graph.Subgraph
+	plan *graph.ExecPlan
+	cfg  Config
+	eng  *sim.Engine
 	// pending counts unmet intra-subgraph dependencies per node ID; -1
 	// marks nodes of other subgraphs (dependencies across subgraphs are
 	// satisfied by stage sequencing). doneSet is indexed the same way.
-	// Slices, not maps: a Run is created for every iteration of every
-	// job, and the dependency bookkeeping is the executor's hottest path.
+	// Slices, not maps: the dependency bookkeeping is the executor's
+	// hottest path.
 	pending    []int32
 	doneSet    []bool
 	shardsLeft map[int]int // lazily allocated; only sharded CPU ops use it
@@ -79,16 +89,17 @@ type Run struct {
 	// kern is the subgraph's cost table on this run's GPU class (the zero
 	// class on CPU subgraphs), indexed by Node.ID.
 	kern *graph.KernelTable
-	// Worker tasks and kernels carry a node ID (tasks also the epoch) to
-	// the two callbacks bound once per Run, so dispatch allocates no
-	// closures. Keep Run within its 224-byte allocation size class: every
-	// activation allocates one.
+	// Worker tasks, kernels and Send transfers carry a node ID (tasks and
+	// transfers also the epoch) to callbacks bound once per Run, so
+	// dispatch allocates no closures.
 	runTaskFn    func(arg uint64)
 	kernelDoneFn func(tag int32)
+	sendDoneFn   func(arg uint64)
 }
 
 // Start begins executing sub and returns its Run handle. onDone fires when
-// every node has completed (never after Abort).
+// every node has completed (never after Abort); the handle is invalid once
+// it returns.
 func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Run, error) {
 	if cfg.Pool == nil {
 		return nil, fmt.Errorf("executor: %s: nil pool", sub.Name())
@@ -96,34 +107,49 @@ func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Ru
 	if sub.Device.Kind == device.KindGPU && cfg.Stream == nil {
 		return nil, fmt.Errorf("executor: %s: GPU subgraph needs a stream", sub.Name())
 	}
-	plan := sub.Plan()
 	var class device.GPUClass
 	if cfg.Stream != nil {
 		class = cfg.Stream.GPU().Class
 	}
-	r := &Run{
-		sub:     sub,
-		cfg:     cfg,
-		eng:     eng,
-		pending: make([]int32, plan.NumNodes),
-		doneSet: make([]bool, plan.NumNodes),
-		total:   len(sub.Nodes),
-		onDone:  onDone,
-		kern:    cost.Table(sub, class),
-	}
-	r.runTaskFn = r.runTask
-	r.kernelDoneFn = r.kernelDone
-	copy(r.pending, plan.Deps)
+	r := newRun(sub)
+	r.cfg, r.eng, r.onDone = cfg, eng, onDone
+	r.kern = cost.Table(sub, class)
+	copy(r.pending, r.plan.Deps)
 	if r.total == 0 {
 		eng.After(0, r.finish)
 		return r, nil
 	}
 	// Initial dispatch: the ready queue is drained breadth-first onto
 	// separate local queues (§2.1).
-	for _, n := range plan.Ready {
+	for _, n := range r.plan.Ready {
 		r.dispatch(n, -1, false)
 	}
 	return r, nil
+}
+
+// newRun pops a finished Run of sub off its plan's free list, with no
+// progress, or builds a new one.
+func newRun(sub *graph.Subgraph) *Run {
+	plan := sub.Plan()
+	if n := len(plan.Spare); n > 0 {
+		r := plan.Spare[n-1].(*Run)
+		plan.Spare[n-1] = nil
+		plan.Spare = plan.Spare[:n-1]
+		r.done = 0
+		clear(r.doneSet)
+		return r
+	}
+	r := &Run{
+		sub:     sub,
+		plan:    plan,
+		pending: make([]int32, plan.NumNodes),
+		doneSet: make([]bool, plan.NumNodes),
+		total:   len(sub.Nodes),
+	}
+	r.runTaskFn = r.runTask
+	r.kernelDoneFn = r.kernelDone
+	r.sendDoneFn = r.sendDone
+	return r
 }
 
 // Done reports whether every node completed.
@@ -258,12 +284,15 @@ func (r *Run) dispatch(n *graph.Node, preferred int, front bool) {
 		Owner:    r,
 		Duration: duration,
 		Fire:     r.runTaskFn,
-		Arg:      uint64(r.epoch)<<32 | uint64(uint32(n.ID)),
+		Arg:      r.arg(n),
 	}, preferred, front)
 }
 
-// runTask is every dispatched task's callback: arg packs the epoch it was
-// dispatched in (high half) and the node ID (low half).
+// arg packs the current epoch (high half) and n's ID (low half) for a
+// task or transfer callback.
+func (r *Run) arg(n *graph.Node) uint64 { return uint64(r.epoch)<<32 | uint64(uint32(n.ID)) }
+
+// runTask is every dispatched task's callback; arg is from r.arg.
 func (r *Run) runTask(arg uint64) {
 	if uint32(arg>>32) == r.epoch {
 		r.process(r.sub.Graph.Nodes()[uint32(arg)])
@@ -391,12 +420,14 @@ func (r *Run) startSend(n *graph.Node) {
 		r.complete(n)
 		return
 	}
-	epoch := r.epoch
-	engine.Transfer(n.OutputBytes, 1, func() {
-		if epoch == r.epoch && !r.aborted && !r.suspended {
-			r.complete(n)
-		}
-	})
+	engine.TransferTagged(n.OutputBytes, 1, r.sendDoneFn, r.arg(n))
+}
+
+// sendDone is every Send transfer's callback; arg is from r.arg.
+func (r *Run) sendDone(arg uint64) {
+	if uint32(arg>>32) == r.epoch && !r.aborted && !r.suspended {
+		r.complete(r.sub.Graph.Nodes()[uint32(arg)])
+	}
 }
 
 // complete marks n done and dispatches newly ready successors. While
@@ -430,11 +461,19 @@ func (r *Run) complete(n *graph.Node) {
 	}
 }
 
+// finish reports completion, then returns the finished Run to its
+// subgraph's free list (see Run). A Run of no nodes is finished by an
+// event Start scheduled, which a suspend and resume could double, so it
+// is never reused.
 func (r *Run) finish() {
 	if r.aborted {
 		return
 	}
 	if r.onDone != nil {
 		r.onDone()
+	}
+	if r.total > 0 {
+		r.onDone = nil
+		r.plan.Spare = append(r.plan.Spare, r)
 	}
 }

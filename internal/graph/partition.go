@@ -37,6 +37,10 @@ type ExecPlan struct {
 	// Ready lists member nodes with no intra-subgraph dependencies, in
 	// subgraph order.
 	Ready []*Node
+	// Spare is the executor's free list of finished activations of this
+	// subgraph, kept beside the plan they copy so reusing one costs no
+	// lookup. The graph package never reads it.
+	Spare []any
 
 	kernels []*KernelTable
 }

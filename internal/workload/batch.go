@@ -199,12 +199,15 @@ func (j *Job) noteInputReady() {
 func (j *Job) openBatchWindow() {
 	j.batchDeadline = j.eng.Now() + j.Cfg.BatchWait
 	j.batchTimer.Cancel()
-	wake := j.pumpHook
-	j.batchTimer = j.eng.After(j.Cfg.BatchWait, func() {
-		if wake != nil {
-			wake()
-		}
-	})
+	j.batchTimer = j.eng.After(j.Cfg.BatchWait, j.batchWakeFn)
+}
+
+// batchWake is the batch-wait timer's callback (j.batchWakeFn, bound
+// once per job).
+func (j *Job) batchWake() {
+	if j.pumpHook != nil {
+		j.pumpHook()
+	}
 }
 
 // HoldForBatch reports whether a batching-aware scheduler should delay

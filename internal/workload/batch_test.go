@@ -199,3 +199,30 @@ func TestTargetBatchRespectsSLOBudget(t *testing.T) {
 		t.Fatalf("TargetBatch() = %d with unmeetable SLO, want 1", got)
 	}
 }
+
+// The serving compute cycle — admit, stage, take a micro-batch
+// (BeginCompute), serve or hand it back after a preemption
+// (AbandonCompute) — refills the job's own batch buffer, so once warm it
+// allocates nothing, and neither does re-opening the batch-wait window.
+func TestServingBatchCycleAllocFree(t *testing.T) {
+	job, admit := servingJob(t, 4, 0, time.Millisecond)
+	cycle := func() {
+		admit(4)
+		for job.CanStartInput() {
+			job.BeginInput()
+			job.FinishInput()
+		}
+		job.BeginCompute()
+		job.AbandonCompute()
+		job.BeginCompute()
+		job.FinishCompute()
+		job.openBatchWindow()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("%v allocations per micro-batch cycle, want 0", allocs)
+	}
+	if job.Iterations != 22 {
+		t.Fatalf("%d micro-batches served, want 22", job.Iterations)
+	}
+}

@@ -178,15 +178,16 @@ type Job struct {
 	pending      arrivalQueue
 	inflight     arrivalQueue
 	ready        arrivalQueue
-	active       []time.Duration
+	active       []time.Duration // reuses its storage across micro-batches
 	inputReady   int
 	arrivalEvent sim.Event
 	// notify gates the closed-loop re-arm; StopArrivals clears it.
 	// pumpHook is the scheduler wakeup for batch-wait timers; it survives
 	// StopArrivals so admitted requests drain (stopped jobs' pumps are
 	// no-ops anyway).
-	notify   func()
-	pumpHook func()
+	notify          func()
+	pumpHook        func()
+	closedArrivalFn func()
 
 	// Dynamic-batching state (batch.go): memoized micro-batch graph
 	// versions and cost estimates, the resolved target size, and the
@@ -195,6 +196,7 @@ type Job struct {
 	batchEst      map[int]time.Duration
 	targetBatch   int
 	batchTimer    sim.Event
+	batchWakeFn   func()
 	batchDeadline time.Duration
 	inputEst      time.Duration
 	inputEstKnown bool
@@ -256,6 +258,7 @@ func NewJob(eng *sim.Engine, machine *device.Machine, ctx int, cfg Config) (*Job
 		intermediate:  make(map[device.ID]int64),
 		shardVersions: make(map[shardKey]*Version),
 	}
+	j.batchWakeFn, j.closedArrivalFn = j.batchWake, j.closedArrival
 	devices := append([]device.ID{cfg.Device}, cfg.Fallbacks...)
 	devices = append(devices, cfg.VNodes...)
 	for _, dev := range devices {
@@ -455,11 +458,7 @@ func (j *Job) StartArrivals(onNew func()) {
 	j.notify = onNew
 	j.pumpHook = onNew
 	if j.Cfg.ClosedLoop {
-		j.arrivalEvent = j.eng.After(0, func() {
-			if j.admitArrival(j.eng.Now()) {
-				onNew()
-			}
-		})
+		j.arrivalEvent = j.eng.After(0, j.closedArrivalFn)
 		return
 	}
 	if j.Cfg.ArrivalEvery <= 0 {
@@ -598,7 +597,7 @@ func (j *Job) BeginCompute() {
 	if k > j.ready.Len() {
 		k = j.ready.Len()
 	}
-	j.active = j.ready.PopN(k)
+	j.active = j.ready.PopN(j.active[:0], k)
 	j.inputReady -= k
 	j.ComputeRunning = true
 	if j.ready.Len() > 0 && j.batchingEnabled() && j.Cfg.BatchWait > 0 {
@@ -642,15 +641,18 @@ func (j *Job) FinishCompute() {
 				Count: met,
 			})
 		}
-		j.active = nil
+		j.active = j.active[:0]
 	}
 	if j.Cfg.ClosedLoop && j.notify != nil {
-		notify := j.notify
-		j.arrivalEvent = j.eng.After(0, func() {
-			if j.admitArrival(j.eng.Now()) {
-				notify()
-			}
-		})
+		j.arrivalEvent = j.eng.After(0, j.closedArrivalFn)
+	}
+}
+
+// closedArrival is a closed-loop client's next request (j.closedArrivalFn,
+// bound once per job). StopArrivals cancels it before clearing notify.
+func (j *Job) closedArrival() {
+	if j.admitArrival(j.eng.Now()) {
+		j.notify()
 	}
 }
 
@@ -663,7 +665,7 @@ func (j *Job) AbandonCompute() {
 	if len(j.active) > 0 {
 		j.inputReady += len(j.active)
 		j.ready.PushFront(j.active)
-		j.active = nil
+		j.active = j.active[:0]
 		return
 	}
 	j.inputReady++

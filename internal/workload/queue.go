@@ -47,9 +47,10 @@ func (q *arrivalQueue) Pop() time.Duration {
 	return t
 }
 
-// PopN removes and returns the k oldest arrivals.
-func (q *arrivalQueue) PopN(k int) []time.Duration {
-	out := make([]time.Duration, 0, k)
+// PopN removes the k oldest arrivals, appends them to out and returns
+// the result, so a caller that passes its previous batch[:0] reuses its
+// storage.
+func (q *arrivalQueue) PopN(out []time.Duration, k int) []time.Duration {
 	for i := 0; i < k; i++ {
 		out = append(out, q.Pop())
 	}

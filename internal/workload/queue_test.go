@@ -44,7 +44,7 @@ func TestArrivalQueuePushFront(t *testing.T) {
 	q.Push(10)
 	q.PushFront([]time.Duration{1, 2, 3})
 	want := []time.Duration{1, 2, 3, 10}
-	got := q.PopN(4)
+	got := q.PopN(nil, 4)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("PopN = %v, want %v", got, want)
