@@ -67,14 +67,16 @@ bench:
 	go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Byte-identity oracle for refactors: extracts REF (default HEAD) with
-# git archive into a temporary directory and builds swbench, swrun and
-# every example there and from the working tree. The two builds must
-# print the same stdout for the examples, for swrun on each
+# git archive into a temporary directory and builds swbench, swrun,
+# swtrace and every example there and from the working tree. The two
+# builds must print the same stdout for the examples, for swrun on each
 # docs/scenarios file, for swrun under all four schedulers with a device
-# loss and with a seeded fault mix plus a checkpoint interval, and for
-# each swrun flag family the README shows (elastic ops, gangs, open-loop
-# serving, traffic, collocation); then for the full swbench sweep, whose
-# serial and parallel runs must match too. A file added under
+# loss and with a seeded fault mix plus a checkpoint interval, for each
+# swrun flag family the README shows (elastic ops, gangs, open-loop
+# serving, traffic, collocation), and for swtrace's ascii and profile
+# outputs under both of its schedulers on a V100 and a Jetson TX2; then
+# for the full swbench sweep, whose serial and parallel runs must match
+# too. A file added under
 # docs/scenarios must parse under REF's swrun as well.
 REF ?= HEAD
 IDENTICAL_FLAGS := -exp all -iters 20 -requests 40
@@ -86,7 +88,7 @@ identical:
 	mkdir "$$tmp/ref" "$$tmp/bin-ref" "$$tmp/bin" "$$tmp/out-ref" "$$tmp/out"; \
 	git archive $(REF) | tar -x -C "$$tmp/ref"; \
 	build() { \
-		(cd "$$1" && go build -o "$$2/" ./cmd/swbench ./cmd/swrun && \
+		(cd "$$1" && go build -o "$$2/" ./cmd/swbench ./cmd/swrun ./cmd/swtrace && \
 		for ex in $(IDENTICAL_EXAMPLES); do go build -o "$$2/ex-$$ex" ./examples/$$ex; done); \
 	}; \
 	outputs() { \
@@ -106,13 +108,16 @@ identical:
 			-slo 200ms -max-batch 4 -batch-wait 2ms -for 60s > "$$2/swrun-traffic.txt"; \
 		"$$1/swrun" -machine 2gpu -sched switchflow \
 			-jobs train:ResNet50:32:1@1,train:VGG16:32:2@1 -for 30s > "$$2/swrun-collocate.txt"; \
+		for s in threaded switchflow; do for g in V100 "Jetson TX2"; do for f in ascii profile; do \
+			"$$1/swtrace" -sched $$s -gpu "$$g" -format $$f -for 2s > "$$2/swtrace-$$s-$${g// /-}-$$f.txt"; \
+		done; done; done; \
 	}; \
 	build "$$tmp/ref" "$$tmp/bin-ref"; \
 	build . "$$tmp/bin"; \
 	outputs "$$tmp/bin-ref" "$$tmp/out-ref"; \
 	outputs "$$tmp/bin" "$$tmp/out"; \
 	diff -r "$$tmp/out-ref" "$$tmp/out"; \
-	echo "identical: $$(ls "$$tmp/out" | wc -l) example/swrun outputs match $(REF)"; \
+	echo "identical: $$(ls "$$tmp/out" | wc -l) example/swrun/swtrace outputs match $(REF)"; \
 	"$$tmp/bin-ref/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/ref.txt" 2>/dev/null; \
 	"$$tmp/bin/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/serial.txt" 2>/dev/null; \
 	"$$tmp/bin/swbench" $(IDENTICAL_FLAGS) -parallel 8 > "$$tmp/parallel.txt" 2>/dev/null; \

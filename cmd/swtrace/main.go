@@ -48,6 +48,9 @@ func main() {
 }
 
 func run(modelList, gpuName, sched, format, prios, outPath string, window time.Duration, batch, width int) error {
+	if err := checkFlags(sched, format, window, width); err != nil {
+		return err
+	}
 	eng := sim.NewEngine()
 	machine, err := machineFor(eng, gpuName)
 	if err != nil {
@@ -87,23 +90,16 @@ func run(modelList, gpuName, sched, format, prios, outPath string, window time.D
 		})
 	}
 
-	switch sched {
-	case "threaded":
-		s := baseline.New(eng, machine, baseline.ThreadedTF)
-		for _, cfg := range cfgs {
-			if _, err := s.AddJob(cfg); err != nil {
-				return err
-			}
+	var addJob func(workload.Config) (*workload.Job, error)
+	if sched == "switchflow" {
+		addJob = core.NewManager(eng, machine, core.Options{}).AddJob
+	} else {
+		addJob = baseline.New(eng, machine, baseline.ThreadedTF).AddJob
+	}
+	for _, cfg := range cfgs {
+		if _, err := addJob(cfg); err != nil {
+			return err
 		}
-	case "switchflow":
-		m := core.NewManager(eng, machine, core.Options{})
-		for _, cfg := range cfgs {
-			if _, err := m.AddJob(cfg); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown scheduler %q", sched)
 	}
 
 	eng.RunUntil(window)
@@ -126,13 +122,30 @@ func run(modelList, gpuName, sched, format, prios, outPath string, window time.D
 	case "profile":
 		fmt.Fprintf(out, "kernel profile on %s under %s over %v:\n", gpuName, sched, window)
 		return tl.WriteProfile(out, 25)
-	case "ascii":
+	default: // ascii
 		bucket := window / time.Duration(width)
 		fmt.Fprintf(out, "kernel timeline on %s under %s (1 col = %v):\n", gpuName, sched, bucket)
 		return tl.RenderASCII(out, bucket, width)
-	default:
-		return fmt.Errorf("unknown format %q", format)
 	}
+}
+
+// checkFlags rejects bad -sched, -format, -for and -width values before
+// anything runs, so a bad flag neither wastes a simulation nor leaves an
+// empty -o file behind.
+func checkFlags(sched, format string, window time.Duration, width int) error {
+	switch {
+	case sched != "threaded" && sched != "switchflow":
+		return fmt.Errorf("unknown scheduler %q", sched)
+	case format != "ascii" && format != "json" && format != "profile" && format != "chrome":
+		return fmt.Errorf("unknown format %q", format)
+	case window <= 0:
+		return fmt.Errorf("-for must be positive, got %v", window)
+	case width <= 0:
+		return fmt.Errorf("-width must be positive, got %d", width)
+	case window < time.Duration(width):
+		return fmt.Errorf("-for %v is shorter than one nanosecond per -width column (%d)", window, width)
+	}
+	return nil
 }
 
 // parsePriorities expands the -prio flag to one priority per job. The
@@ -161,19 +174,8 @@ func parsePriorities(flagVal string, n int) ([]int, error) {
 }
 
 func machineFor(eng *sim.Engine, gpu string) (*device.Machine, error) {
-	cpu := device.ClassXeonDual
-	var class device.GPUClass
-	switch gpu {
-	case "V100":
-		class = device.ClassV100
-	case "RTX 2080 Ti":
-		class = device.ClassRTX2080Ti
-	case "GTX 1080 Ti":
-		class = device.ClassGTX1080Ti
-	case "Jetson TX2":
-		class = device.ClassJetsonTX2
-		cpu = device.ClassCortexA57
-	default:
+	class, cpu, ok := device.PaperGPU(gpu)
+	if !ok {
 		return nil, fmt.Errorf("unknown GPU %q", gpu)
 	}
 	return device.NewMachine(eng, cpu, class), nil

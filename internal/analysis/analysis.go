@@ -95,6 +95,8 @@ func (f Finding) String() string {
 // name valid in directives. The package gets a private single-package
 // Program, so fact-based analyzers see just this package — whole-module
 // callers use RunProgram instead.
+//
+//swlint:allow testonly test harness: directive tests run one free-standing package through it
 func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, known []string) ([]Finding, error) {
 	path := ""
 	if pkg != nil {

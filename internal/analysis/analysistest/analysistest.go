@@ -40,6 +40,8 @@ type expectation struct {
 
 // Run loads testdata/src/<pkg> and checks the analyzer's findings against
 // the package's want comments.
+//
+//swlint:allow testonly the analyzers' test harness
 func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", pkg))
@@ -92,6 +94,8 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 }
 
 // collectWants parses the want comments of every file.
+//
+//swlint:allow testonly part of the analyzers' test harness
 func collectWants(t *testing.T, l *load.Loader, files []*ast.File) map[string][]*expectation {
 	t.Helper()
 	wants := make(map[string][]*expectation)

@@ -212,6 +212,8 @@ func (l *Loader) check(dir, path string, full bool) (*types.Package, []*ast.File
 // LoadDir fully type-checks the single package in dir under the given
 // import path (which need not be resolvable — testdata packages use their
 // directory name).
+//
+//swlint:allow testonly the analyzers' test harness loads testdata packages through it
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if l.isLocal(path) {
 		return l.loadLocal(path)

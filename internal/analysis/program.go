@@ -36,9 +36,15 @@ type Program struct {
 	// function literals are attributed to the enclosing declaration —
 	// closures run with their encloser's responsibilities.
 	callees map[*types.Func]map[*types.Func]bool
-	// declOf maps a function object to its declaration (functions with
-	// bodies in the loaded packages only).
-	declOf map[*types.Func]*ast.FuncDecl
+	// refs is the reference graph, a superset of callees: every function
+	// a declaration names, whether it calls it or takes it as a value (a
+	// method value, a callback stored in a field). Closures fold into
+	// their encloser here too. Only testonly reads it: binding a callback
+	// is not running it, so the flow analyzers keep to callees.
+	refs map[*types.Func]map[*types.Func]bool
+	// initRefs are the functions package-level variable initializers
+	// name; they run (or are bound) before main.
+	initRefs map[*types.Func]bool
 	// funcOrder lists declared functions in deterministic (position)
 	// order, for fact iteration that must not depend on map order.
 	funcOrder []*types.Func
@@ -53,7 +59,8 @@ func NewProgram(fset *token.FileSet, units []*PackageUnit) *Program {
 		Fset:     fset,
 		Packages: units,
 		callees:  make(map[*types.Func]map[*types.Func]bool),
-		declOf:   make(map[*types.Func]*ast.FuncDecl),
+		refs:     make(map[*types.Func]map[*types.Func]bool),
+		initRefs: make(map[*types.Func]bool),
 		facts:    make(map[string]map[*types.Func]any),
 	}
 	for _, u := range units {
@@ -62,6 +69,10 @@ func NewProgram(fset *token.FileSet, units []*PackageUnit) *Program {
 		}
 		for _, f := range u.Files {
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					referenced(u.Info, gd, p.initRefs)
+					continue
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
@@ -70,7 +81,6 @@ func NewProgram(fset *token.FileSet, units []*PackageUnit) *Program {
 				if !ok {
 					continue
 				}
-				p.declOf[fn] = fd
 				p.funcOrder = append(p.funcOrder, fn)
 				set := make(map[*types.Func]bool)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -84,6 +94,7 @@ func NewProgram(fset *token.FileSet, units []*PackageUnit) *Program {
 					return true
 				})
 				p.callees[fn] = set
+				p.refs[fn] = referenced(u.Info, fd.Body, make(map[*types.Func]bool))
 			}
 		}
 	}
@@ -99,14 +110,14 @@ func (p *Program) Funcs() []*types.Func {
 	return p.funcOrder
 }
 
-// DeclOf returns the declaration of fn, or nil if fn has no body in the
-// loaded packages.
-func (p *Program) DeclOf(fn *types.Func) *ast.FuncDecl { return p.declOf[fn] }
-
 // Callees returns the functions fn may call (static calls only, closures
 // folded into their encloser), in deterministic order.
 func (p *Program) Callees(fn *types.Func) []*types.Func {
-	set := p.callees[fn]
+	return sortedFuncs(p.callees[fn])
+}
+
+// sortedFuncs lists a function set in deterministic order.
+func sortedFuncs(set map[*types.Func]bool) []*types.Func {
 	out := make([]*types.Func, 0, len(set))
 	for callee := range set {
 		out = append(out, callee)
@@ -124,6 +135,22 @@ func (p *Program) Callees(fn *types.Func) []*types.Func {
 // graph (seeds included). The result is a set; membership does not depend
 // on traversal order.
 func (p *Program) ReachableFrom(seeds []*types.Func) map[*types.Func]bool {
+	return closure(seeds, p.callees)
+}
+
+// ReferencedFrom returns the transitive closure of seeds over the
+// reference graph (seeds included): every function the seeds may call or
+// hand out as a value.
+func (p *Program) ReferencedFrom(seeds []*types.Func) map[*types.Func]bool {
+	return closure(seeds, p.refs)
+}
+
+// InitReferences returns the functions package-level variable
+// initializers name, in deterministic order.
+func (p *Program) InitReferences() []*types.Func { return sortedFuncs(p.initRefs) }
+
+// closure returns seeds plus everything edges reaches from them.
+func closure(seeds []*types.Func, edges map[*types.Func]map[*types.Func]bool) map[*types.Func]bool {
 	reach := make(map[*types.Func]bool)
 	work := append([]*types.Func(nil), seeds...)
 	for len(work) > 0 {
@@ -133,9 +160,24 @@ func (p *Program) ReachableFrom(seeds []*types.Func) map[*types.Func]bool {
 			continue
 		}
 		reach[fn] = true
-		work = append(work, p.Callees(fn)...)
+		work = append(work, sortedFuncs(edges[fn])...)
 	}
 	return reach
+}
+
+// referenced adds to set the declared functions n names, called or not,
+// and returns set. An instantiated generic function or method counts as
+// its declaration.
+func referenced(info *types.Info, n ast.Node, set map[*types.Func]bool) map[*types.Func]bool {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := info.Uses[id].(*types.Func); ok {
+				set[fn.Origin()] = true
+			}
+		}
+		return true
+	})
+	return set
 }
 
 // ExportFact records an analyzer-scoped fact about fn, overwriting any

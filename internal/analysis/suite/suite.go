@@ -13,6 +13,7 @@ import (
 	"switchflow/internal/analysis/obspair"
 	"switchflow/internal/analysis/sentinelval"
 	"switchflow/internal/analysis/simclock"
+	"switchflow/internal/analysis/testonly"
 )
 
 // Analyzers returns the full suite in reporting order.
@@ -26,6 +27,7 @@ func Analyzers() []*analysis.Analyzer {
 		obspair.Analyzer,
 		sentinelval.Analyzer,
 		simclock.Analyzer,
+		testonly.Analyzer,
 	}
 }
 

@@ -1,0 +1,129 @@
+// Package testonly finds production functions that only tests reach.
+// Such a function costs reading and upkeep but does nothing in any real
+// run, and it can hide a missing feature: a knob no scheduler turns.
+//
+// A function is live when a root reaches it over the reference graph
+// (analysis.Program.ReferencedFrom). The roots are every main, every
+// init, the exported functions and methods of the module's root package
+// (the api.golden surface), every method whose name matches a method of
+// an interface the package set declares or imports (it may be called
+// through the interface), and every function a package-level variable
+// initializer names. An edge is any reference, not only a call: a
+// method value, a function stored in a field or variable, or a function
+// named inside a closure keeps its target live. Test files are not
+// loaded, so what only they reach is reported, at the function's name.
+//
+// A finding is fixed by deleting the function (with any test whose only
+// subject it was), by moving it into test code (export_test.go or the
+// test that uses it), or by keeping it with
+// //swlint:allow testonly <reason>, for example for a test harness or a
+// reference implementation a test compares against.
+package testonly
+
+import (
+	"go/ast"
+	"go/types"
+	"strings"
+
+	"switchflow/internal/analysis"
+)
+
+// Analyzer is the testonly check.
+var Analyzer = &analysis.Analyzer{
+	Name:    "testonly",
+	Doc:     "every production function is reachable from a main, an init, the root package's API, an interface method or a package variable",
+	Collect: collect,
+	Run:     run,
+}
+
+// rootFact marks a function as a reachability root.
+type rootFact struct{}
+
+// collect exports the roots this package contributes: its main, init and
+// (in the root package) exported functions, plus every method anywhere
+// in the program named like a method of an interface this package
+// declares or imports.
+func collect(pass *analysis.Pass) error {
+	root := isRootPackage(pass)
+	ifaces := interfaceMethods(pass)
+	for _, fn := range pass.Prog.Funcs() {
+		method := fn.Type().(*types.Signature).Recv() != nil
+		own := fn.Pkg() == pass.Pkg
+		switch {
+		case method && ifaces[fn.Name()],
+			own && root && fn.Exported(),
+			own && !method && (fn.Name() == "init" || fn.Name() == "main" && fn.Pkg().Name() == "main"):
+			pass.ExportFact(fn, rootFact{})
+		}
+	}
+	return nil
+}
+
+func run(pass *analysis.Pass) error {
+	live := pass.Prog.ReferencedFrom(append(pass.FactFuncs(), pass.Prog.InitReferences()...))
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && !live[fn] {
+				pass.Reportf(fd.Name.Pos(), "%s is reached only from tests", displayName(pass, fn))
+			}
+		}
+	}
+	return nil
+}
+
+// displayName renders fn as Name or (Recv).Name, relative to pass's
+// package.
+func displayName(pass *analysis.Pass, fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	return "(" + types.TypeString(recv.Type(), types.RelativeTo(pass.Pkg)) + ")." + fn.Name()
+}
+
+// isRootPackage reports whether pass's package is the module's root: the
+// one whose import path prefixes every loaded package's path.
+func isRootPackage(pass *analysis.Pass) bool {
+	path := pass.Pkg.Path()
+	for _, u := range pass.Prog.Packages {
+		if u.Path != path && !strings.HasPrefix(u.Path, path+"/") {
+			return false
+		}
+	}
+	return true
+}
+
+// interfaceMethods returns the method names of every interface pass's
+// package declares (named or literal) or imports, plus error's.
+func interfaceMethods(pass *analysis.Pass) map[string]bool {
+	names := make(map[string]bool)
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				names[it.Method(i).Name()] = true
+			}
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	for _, imp := range pass.Pkg.Imports() {
+		scope := imp.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				add(pass.TypesInfo.TypeOf(it))
+			}
+			return true
+		})
+	}
+	return names
+}

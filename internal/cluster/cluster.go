@@ -277,16 +277,6 @@ func (c *Cluster) barrier(now time.Duration) {
 	}
 }
 
-// Queued returns jobs still waiting for placement (gangs included).
-func (c *Cluster) Queued() int { return len(c.queue) + len(c.gangQueue) }
-
-// Placed returns every placed handle.
-func (c *Cluster) Placed() []*JobHandle {
-	out := make([]*JobHandle, len(c.placed))
-	copy(out, c.placed)
-	return out
-}
-
 // Stop halts a placed job and retries queued placements (its memory is
 // retained until the job object is dropped; this models job completion
 // only approximately, so the retry mainly serves load-count policies).

@@ -33,6 +33,9 @@ func serveCfg(t *testing.T, name, model string) workload.Config {
 	}
 }
 
+// waiting counts jobs still waiting for placement, gangs included.
+func waiting(c *Cluster) int { return len(c.queue) + len(c.gangQueue) }
+
 func TestFirstFitPlacesSequentially(t *testing.T) {
 	c := New(FirstFit{}, 2, device.ClassV100, device.ClassV100)
 	h1 := c.Submit(0, trainCfg(t, "a", "ResNet50"))
@@ -81,8 +84,8 @@ func TestDedicateQueuesTrainingWhenFull(t *testing.T) {
 	if queued.Placed {
 		t.Fatal("third training placed despite no empty GPU (dedicate)")
 	}
-	if c.Queued() != 1 {
-		t.Fatalf("Queued() = %d, want 1", c.Queued())
+	if waiting(c) != 1 {
+		t.Fatalf("waiting = %d, want 1", waiting(c))
 	}
 	// Stopping a training frees its GPU slot for the queued one.
 	c.Stop(a)
@@ -182,7 +185,7 @@ func TestAllGPUsFailedQueuesJobs(t *testing.T) {
 	if h.Placed {
 		t.Fatalf("placed on a dead fleet: %v", h.Where)
 	}
-	if c.Queued() != 1 {
-		t.Fatalf("queued = %d, want 1", c.Queued())
+	if waiting(c) != 1 {
+		t.Fatalf("queued = %d, want 1", waiting(c))
 	}
 }

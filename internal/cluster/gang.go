@@ -47,10 +47,6 @@ func (o GangOrder) String() string {
 	return "fifo"
 }
 
-// SetGangOrder selects the gang queue discipline. Call while the fleet
-// is stopped at a barrier (or before it runs).
-func (c *Cluster) SetGangOrder(o GangOrder) { c.gangOrder = o }
-
 // GangQueued returns the number of whole gangs waiting for a slot.
 func (c *Cluster) GangQueued() int { return len(c.gangQueue) }
 

@@ -9,6 +9,7 @@ import (
 	"switchflow/internal/device"
 	"switchflow/internal/harness"
 	"switchflow/internal/obs"
+	"switchflow/internal/topology"
 	"switchflow/internal/trace"
 	"switchflow/internal/workload"
 )
@@ -48,8 +49,8 @@ func TestGangPlacementAllOrNothing(t *testing.T) {
 	if g3.Placed || g3.Job != nil || len(g3.Where.GPUs) != 0 {
 		t.Fatalf("g3 partially placed: %+v", g3)
 	}
-	if c.GangQueued() != 1 || c.Queued() != 1 {
-		t.Fatalf("GangQueued=%d Queued=%d, want 1/1", c.GangQueued(), c.Queued())
+	if c.GangQueued() != 1 || waiting(c) != 1 {
+		t.Fatalf("GangQueued=%d Queued=%d, want 1/1", c.GangQueued(), waiting(c))
 	}
 	for _, e := range c.Events() {
 		if e.Kind == obs.KindGangPlace && e.Count != 2 {
@@ -90,7 +91,7 @@ func TestGangPlacementPrefersNVLinkContiguous(t *testing.T) {
 		t.Fatalf("want exactly one GangPlace event, got %d", len(events))
 	}
 	nv := c.Nodes()[0].Machine().Fabric()
-	if !nv.NVLinkContiguous(gang.Where.GPUs) {
+	if g := gang.Where.GPUs; nv.Kind(g[0], g[1]) != topology.NVLink {
 		t.Fatalf("gang slot %v is not NVLink-contiguous", gang.Where.GPUs)
 	}
 	// The priced slot must beat the straddling alternative it rejected.
@@ -113,7 +114,7 @@ func TestGangQueueDisciplines(t *testing.T) {
 	// slot when A stops depends on the discipline.
 	run := func(order GangOrder) string {
 		c := NewNVLink(FirstFit{}, 1, 2, device.ClassV100, device.ClassV100)
-		c.SetGangOrder(order)
+		c.gangOrder = order
 		a := c.Submit(0, gangCfg(t, "a", "ResNet50", 2))
 		b := c.Submit(0, gangCfg(t, "b", "VGG16", 2))
 		cc := c.Submit(0, gangCfg(t, "c", "MobileNetV2", 2))

@@ -48,7 +48,6 @@ type Service struct {
 	replicas []*JobHandle
 	seq      int // next replica suffix
 
-	routed  int // requests routed to a replica
 	dropped int // arrivals with no live replica (router-level shed)
 
 	// Routing state reused across barriers (see Frontend.route): this
@@ -76,9 +75,8 @@ func (s *Service) Replicas() []*JobHandle {
 	return out
 }
 
-// Routed and Dropped count the tenant's requests that reached a replica
-// and those that arrived with no live replica to take them.
-func (s *Service) Routed() int  { return s.routed }
+// Dropped counts the tenant's requests that arrived with no live replica
+// to take them.
 func (s *Service) Dropped() int { return s.dropped }
 
 // ScaleOuts and ScaleIns count autoscaler actions on this service.
@@ -178,9 +176,6 @@ func (f *Frontend) Services() []*Service {
 	copy(out, f.services)
 	return out
 }
-
-// Strategy returns the routing strategy.
-func (f *Frontend) Strategy() RouteStrategy { return f.strategy }
 
 // Routed and Dropped count requests fleet-wide.
 func (f *Frontend) Routed() int  { return f.routed }
@@ -286,7 +281,6 @@ func (f *Frontend) route(now time.Duration) {
 			continue
 		}
 		set[idx].routed++
-		svc.routed++
 		f.routed++
 		h := set[idx].h
 		h.node.eng.After(a.At-now, h.deliver)

@@ -29,9 +29,9 @@ func TestStopTwiceDecrementsOnce(t *testing.T) {
 	if n.perGPU[0].jobs != 1 || n.perGPU[0].training != 1 {
 		t.Fatalf("perGPU after double Stop = %+v, want {1 1}", n.perGPU[0])
 	}
-	placed := c.Placed()
+	placed := c.placed
 	if len(placed) != 1 || placed[0] != h2 {
-		t.Fatalf("Placed() after Stop = %v, want just the surviving handle", placed)
+		t.Fatalf("placed after Stop = %v, want just the surviving handle", placed)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestQueuedSubmissionPlacesAtBarrierWithoutStop(t *testing.T) {
 	}
 	h := c.Submit(0, trainCfg(t, "late", "ResNet50"))
 	c.RunUntil(20 * time.Millisecond)
-	if h.Placed || c.Queued() != 1 {
-		t.Fatalf("placed=%v queued=%d, want the submission parked in the queue", h.Placed, c.Queued())
+	if h.Placed || waiting(c) != 1 {
+		t.Fatalf("placed=%v queued=%d, want the submission parked in the queue", h.Placed, waiting(c))
 	}
 	if _, ok := h.QueueDelay(); ok {
 		t.Fatal("QueueDelay reported ok for an unplaced job")
@@ -97,7 +97,7 @@ func TestQueuedSubmissionPlacesAtBarrierWithoutStop(t *testing.T) {
 	if d, ok := h.QueueDelay(); !ok || d <= 0 {
 		t.Fatalf("QueueDelay = %v, %v; want a positive queued wait", d, ok)
 	}
-	if c.Queued() != 0 {
-		t.Fatalf("queue still holds %d entries", c.Queued())
+	if waiting(c) != 0 {
+		t.Fatalf("queue still holds %d entries", waiting(c))
 	}
 }

@@ -24,7 +24,7 @@ func TestElasticJobSplitsAcrossTwoGPUs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := job.Binding(); b.Len() != 2 || b.Total() != 32 {
+	if b := job.Binding(); b.Len() != 2 || b.Node(0).Share+b.Node(1).Share != 32 {
 		t.Fatalf("binding %v, want 2 vnodes totalling 32", b)
 	}
 	eng.RunUntil(5 * time.Second)
@@ -76,7 +76,7 @@ func TestElasticGrowAndShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec obs.Recorder
-	m.EventBus().Subscribe(&rec, obs.KindResize, obs.KindBind)
+	m.bus.Subscribe(&rec, obs.KindResize, obs.KindBind)
 
 	eng.RunUntil(3 * time.Second)
 	atGrow := job.Iterations
@@ -159,7 +159,7 @@ func TestDrainRebindsElasticJobWithoutRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec obs.Recorder
-	m.EventBus().Subscribe(&rec, obs.KindRebind)
+	m.bus.Subscribe(&rec, obs.KindRebind)
 
 	eng.RunUntil(3 * time.Second)
 	atDrain := job.Iterations

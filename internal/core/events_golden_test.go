@@ -202,7 +202,7 @@ func TestEventStreamGolden(t *testing.T) {
 			eng, _, m = newHarness(t, sc.opts, sc.gpus...)
 		}
 		d := &eventDigest{h: fnv.New64a()}
-		m.EventBus().Subscribe(d)
+		m.bus.Subscribe(d)
 		jobs := sc.run(t, eng, m)
 		for _, j := range jobs {
 			fmt.Fprintf(d.h, "job %s iterations=%d restarts=%d\n", j.Cfg.Name, j.Iterations, j.Restarts)

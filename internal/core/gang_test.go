@@ -30,7 +30,7 @@ func TestGangStepPaysAllReduceBarrier(t *testing.T) {
 	run := func(gang bool) (*workload.Job, []obs.Event) {
 		eng, _, m := newNVLinkHarness(t)
 		var rec obs.Recorder
-		m.EventBus().Subscribe(&rec, obs.KindAllReduce)
+		m.bus.Subscribe(&rec, obs.KindAllReduce)
 		// VGG16's ~550 MB gradient makes the sync term dominate compute,
 		// so the barrier tax is unambiguous.
 		cfg := elasticCfg(t, "ddp", "VGG16", 32, 1, device.GPUID(0), device.GPUID(1))
@@ -97,7 +97,7 @@ func TestGangNVLinkContiguousBeatsCrossIsland(t *testing.T) {
 func TestGangPreemptionSuspendsWholeGang(t *testing.T) {
 	eng, _, m := newNVLinkHarness(t)
 	var rec obs.Recorder
-	m.EventBus().Subscribe(&rec, obs.KindGangPreempt, obs.KindGangResume, obs.KindResume)
+	m.bus.Subscribe(&rec, obs.KindGangPreempt, obs.KindGangResume, obs.KindResume)
 	gang, err := m.AddJob(gangCfg(t, "ddp", "ResNet50", 32, 1,
 		device.GPUID(0), device.GPUID(1)))
 	if err != nil {

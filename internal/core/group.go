@@ -70,15 +70,6 @@ func (m *Manager) AddSharedGroup(cfgs []workload.Config) (*Group, []*workload.Jo
 // Stop halts the group after in-flight stages complete.
 func (g *Group) Stop() { g.stopped = true }
 
-// Iterations returns the completed iteration count of each member.
-func (g *Group) Iterations() []int {
-	counts := make([]int, len(g.members))
-	for i, js := range g.members {
-		counts[i] = js.job.Iterations
-	}
-	return counts
-}
-
 // pump drives the group's lockstep schedule: a shared CPU input stage
 // (prefetching up to depth batches ahead) and one member GPU executor at a
 // time, round-robin.

@@ -130,7 +130,7 @@ func TestDeterminism(t *testing.T) {
 func TestMigrationSkipsFullFallback(t *testing.T) {
 	eng, machine, m := newHarness(t, Options{}, device.ClassRTX2080Ti, device.ClassGTX1080Ti)
 	// Fill gpu:1 almost completely.
-	filler := machine.GPU(1).Mem.Capacity() - (100 << 20)
+	filler := machine.GPU(1).Mem.Available() - (100 << 20)
 	if err := machine.GPU(1).Mem.Alloc(filler); err != nil {
 		t.Fatal(err)
 	}

@@ -178,18 +178,9 @@ func NewManager(eng *sim.Engine, machine *device.Machine, opts Options) *Manager
 	return m
 }
 
-// EventBus returns the observability spine the manager publishes to.
-func (m *Manager) EventBus() *obs.Bus { return m.bus }
-
 // FaultCounters returns the fault-injection and recovery counters,
 // aggregated from the observability spine.
 func (m *Manager) FaultCounters() metrics.FaultCounters { return m.faults.Counters() }
-
-// GlobalPool exposes the shared inter-op worker pool (tests, experiments).
-func (m *Manager) GlobalPool() *threadpool.Pool { return m.global }
-
-// TempPool exposes the temporary pool.
-func (m *Manager) TempPool() *threadpool.Pool { return m.temp }
 
 // AddJob admits a job: its persistent state is allocated up front, one
 // full weight replica per distinct bound device (a plain job has one), so

@@ -295,6 +295,15 @@ func TestPreemptedJobFallsBackToCPU(t *testing.T) {
 	}
 }
 
+// iterations returns the completed iteration count of each group member.
+func iterations(g *Group) []int {
+	counts := make([]int, len(g.members))
+	for i, js := range g.members {
+		counts[i] = js.job.Iterations
+	}
+	return counts
+}
+
 func TestSharedInputGroupLockstep(t *testing.T) {
 	eng, _, m := newHarness(t, Options{}, device.ClassV100)
 	cfg := func(name string) workload.Config {
@@ -311,7 +320,7 @@ func TestSharedInputGroupLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(30 * time.Second)
-	counts := group.Iterations()
+	counts := iterations(group)
 	if counts[0] == 0 {
 		t.Fatal("group made no progress")
 	}
@@ -361,7 +370,7 @@ func TestPreemptedGroupMemberKeepsLockstep(t *testing.T) {
 	if serve.Latencies.Count() == 0 {
 		t.Fatal("the server completed no requests")
 	}
-	counts := group.Iterations()
+	counts := iterations(group)
 	t.Logf("iterations %v, %d preemptions, %d requests", counts, m.Preemptions, serve.Latencies.Count())
 	if counts[0] == 0 {
 		t.Fatal("group made no progress")

@@ -66,8 +66,8 @@ func TestStreamEnqueueAllocFree(t *testing.T) {
 		s1.Enqueue(k1)
 		s2.Enqueue(k2)
 	}
-	if s1.Pending() != 1 || s2.Pending() != 1 {
-		t.Fatalf("pending %d/%d, want one queued behind the in-flight kernel", s1.Pending(), s2.Pending())
+	if len(s1.queue) != 1 || len(s2.queue) != 1 {
+		t.Fatalf("pending %d/%d, want one queued behind the in-flight kernel", len(s1.queue), len(s2.queue))
 	}
 	requireStepsAllocFree(t, eng, gpu)
 }

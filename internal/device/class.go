@@ -164,3 +164,22 @@ var (
 		GFLOPS:      8,
 	}
 )
+
+// PaperGPU looks up a GPU by the name the paper gives it ("V100",
+// "RTX 2080 Ti", "GTX 1080 Ti" or "Jetson TX2") and returns its class with
+// the CPU it sits beside in the paper's testbeds: the Jetson TX2's
+// Cortex-A57, otherwise the dual-Xeon server. ok is false for any other
+// name.
+func PaperGPU(name string) (gpu GPUClass, cpu CPUClass, ok bool) {
+	switch name {
+	case "V100":
+		return ClassV100, ClassXeonDual, true
+	case "RTX 2080 Ti":
+		return ClassRTX2080Ti, ClassXeonDual, true
+	case "GTX 1080 Ti":
+		return ClassGTX1080Ti, ClassXeonDual, true
+	case "Jetson TX2":
+		return ClassJetsonTX2, ClassCortexA57, true
+	}
+	return GPUClass{}, CPUClass{}, false
+}

@@ -99,7 +99,6 @@ func (c *CopyEngine) fireNext() {
 }
 
 // Transferred returns total bytes moved through this engine.
+//
+//swlint:allow testonly copy accounting that core's checkpoint and migration tests and executor's Send test assert on
 func (c *CopyEngine) Transferred() int64 { return c.transferred }
-
-// BusyUntil returns the time the engine drains its queue.
-func (c *CopyEngine) BusyUntil() time.Duration { return c.busyUntil }

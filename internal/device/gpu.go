@@ -105,19 +105,6 @@ func NewGPU(eng *sim.Engine, id ID, class GPUClass) *GPU {
 	return g
 }
 
-// ID returns the device identifier.
-func (g *GPU) ID() ID { return g.id }
-
-// EventBus returns the observability bus this GPU publishes to. GPUs
-// built through NewMachine share the machine's bus; a standalone GPU
-// lazily creates a private one so tests can subscribe directly.
-func (g *GPU) EventBus() *obs.Bus {
-	if g.bus == nil {
-		g.bus = obs.NewBus(g.eng)
-	}
-	return g.bus
-}
-
 // SetBus points the GPU at a shared bus (called by NewMachine).
 func (g *GPU) SetBus(b *obs.Bus) { g.bus = b }
 
@@ -156,12 +143,6 @@ func (g *GPU) Submit(k Kernel) {
 	g.reschedule()
 }
 
-// Active returns the number of kernels currently executing.
-func (g *GPU) Active() int { return len(g.running) }
-
-// Waiting returns the number of kernels queued at the device.
-func (g *GPU) Waiting() int { return len(g.queue) }
-
 // Launched returns the total number of kernels ever submitted.
 func (g *GPU) Launched() uint64 { return g.launched }
 
@@ -187,19 +168,6 @@ func (g *GPU) BusyTime() time.Duration {
 
 // Failed reports whether the device has been lost (fault injection).
 func (g *GPU) Failed() bool { return g.failed }
-
-// Slowdown returns the current degraded-mode slowdown factor (1 while
-// healthy).
-func (g *GPU) Slowdown() float64 {
-	if g.slowdown <= 1 {
-		return 1
-	}
-	return g.slowdown
-}
-
-// DroppedKernels returns how many kernels were discarded — in flight or
-// queued at Fail time, or submitted after it.
-func (g *GPU) DroppedKernels() uint64 { return g.dropped }
 
 // Fail takes the device off the bus: every in-flight and queued kernel is
 // discarded without completing (their OnDone callbacks never fire) and
@@ -250,20 +218,6 @@ func (g *GPU) Heal() {
 	g.failed = false
 	g.slowdown = 0
 	g.reschedule()
-}
-
-// OutstandingWork returns the remaining solo-time of executing plus queued
-// kernels. Preemption must wait out (at worst) this backlog (§3.3).
-func (g *GPU) OutstandingWork() time.Duration {
-	g.advance()
-	var total float64
-	for _, e := range g.running {
-		total += e.remaining
-	}
-	for _, e := range g.queue {
-		total += e.remaining
-	}
-	return time.Duration(total * float64(time.Second))
 }
 
 // admit moves queued kernels into execution while they fit, in FIFO order

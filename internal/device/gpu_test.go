@@ -44,8 +44,8 @@ func TestGPUHeavyKernelsSerialize(t *testing.T) {
 			OnDone:    func() { ends = append(ends, eng.Now()) },
 		})
 	}
-	if gpu.Active() != 1 || gpu.Waiting() != 1 {
-		t.Fatalf("active=%d waiting=%d, want 1/1", gpu.Active(), gpu.Waiting())
+	if len(gpu.running) != 1 || len(gpu.queue) != 1 {
+		t.Fatalf("active=%d waiting=%d, want 1/1", len(gpu.running), len(gpu.queue))
 	}
 	eng.Run()
 	if ends[0] != 10*time.Millisecond || ends[1] != 20*time.Millisecond {
@@ -66,8 +66,8 @@ func TestGPULightKernelsOverlap(t *testing.T) {
 			OnDone:    func() { last = eng.Now() },
 		})
 	}
-	if gpu.Active() != 2 {
-		t.Fatalf("active = %d, want 2 (0.3+0.3 fits)", gpu.Active())
+	if len(gpu.running) != 2 {
+		t.Fatalf("active = %d, want 2 (0.3+0.3 fits)", len(gpu.running))
 	}
 	eng.Run()
 	solo := 10 * time.Millisecond
@@ -125,23 +125,40 @@ func TestGPUBusyTimeAccounting(t *testing.T) {
 	}
 }
 
+// outstandingWork returns the remaining solo-time of g's executing plus
+// queued kernels: the backlog a preemption waits out at worst (§3.3).
+func outstandingWork(g *GPU) time.Duration {
+	g.advance()
+	var total float64
+	for _, e := range g.running {
+		total += e.remaining
+	}
+	for _, e := range g.queue {
+		total += e.remaining
+	}
+	return time.Duration(total * float64(time.Second))
+}
+
 func TestGPUOutstandingWorkIncludesQueue(t *testing.T) {
 	eng, gpu := newTestGPU()
 	gpu.Submit(Kernel{Name: "a", Work: 10 * time.Millisecond, Occupancy: 0.9})
 	gpu.Submit(Kernel{Name: "b", Work: 10 * time.Millisecond, Occupancy: 0.9})
 	var outstanding time.Duration
-	eng.Schedule(4*time.Millisecond, func() { outstanding = gpu.OutstandingWork() })
+	eng.Schedule(4*time.Millisecond, func() { outstanding = outstandingWork(gpu) })
 	eng.Run()
 	if diff := (outstanding - 16*time.Millisecond).Abs(); diff > 10*time.Microsecond {
-		t.Fatalf("OutstandingWork() = %v, want ~16ms (6 running + 10 queued)", outstanding)
+		t.Fatalf("outstanding work = %v, want ~16ms (6 running + 10 queued)", outstanding)
 	}
 }
 
-// collectSpans subscribes a sink to the GPU's bus and returns the slice
-// kernel-span events accumulate into.
+// collectSpans subscribes a sink to the GPU's bus, giving a standalone
+// GPU one first, and returns the slice kernel-span events accumulate into.
 func collectSpans(gpu *GPU) *[]Span {
 	spans := &[]Span{}
-	gpu.EventBus().Subscribe(obs.SinkFunc(func(e obs.Event) {
+	if gpu.bus == nil {
+		gpu.SetBus(obs.NewBus(gpu.eng))
+	}
+	gpu.bus.Subscribe(obs.SinkFunc(func(e obs.Event) {
 		*spans = append(*spans, Span{Name: e.Name, Ctx: e.Ctx, Start: e.Start, End: e.Start + e.Dur})
 	}), obs.KindKernelSpan)
 	return spans
@@ -228,8 +245,8 @@ func TestGPUFailThenReuseNeverFiresDropped(t *testing.T) {
 	submit("running-b", 0.4)
 	submit("queued-c", 0.9)
 	submit("queued-d", 0.9)
-	if gpu.Active() != 2 || gpu.Waiting() != 2 {
-		t.Fatalf("active=%d waiting=%d, want 2/2", gpu.Active(), gpu.Waiting())
+	if len(gpu.running) != 2 || len(gpu.queue) != 2 {
+		t.Fatalf("active=%d waiting=%d, want 2/2", len(gpu.running), len(gpu.queue))
 	}
 	eng.Schedule(5*time.Millisecond, func() {
 		if n := gpu.Fail(); n != 4 {
@@ -252,11 +269,11 @@ func TestGPUFailThenReuseNeverFiresDropped(t *testing.T) {
 			t.Errorf("fresh kernel %s fired %d times, want 1", name, fired[name])
 		}
 	}
-	if got := gpu.DroppedKernels(); got != 5 {
-		t.Errorf("DroppedKernels() = %d, want 5", got)
+	if got := gpu.dropped; got != 5 {
+		t.Errorf("dropped %d kernels, want 5", got)
 	}
-	if gpu.Active() != 0 || gpu.Waiting() != 0 {
-		t.Errorf("device not drained: active=%d waiting=%d", gpu.Active(), gpu.Waiting())
+	if len(gpu.running) != 0 || len(gpu.queue) != 0 {
+		t.Errorf("device not drained: active=%d waiting=%d", len(gpu.running), len(gpu.queue))
 	}
 }
 
@@ -291,7 +308,7 @@ func TestGPUWorkConservationProperty(t *testing.T) {
 			})
 		}
 		eng.Run()
-		return completions == n && gpu.Active() == 0 && gpu.Waiting() == 0
+		return completions == n && len(gpu.running) == 0 && len(gpu.queue) == 0
 	}
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(prop, cfg); err != nil {

@@ -130,27 +130,6 @@ func (m *Machine) Placeable(id ID) bool {
 	return gpu != nil && !gpu.Failed() && !gpu.Draining()
 }
 
-// HealthyGPUs returns how many GPUs have not failed.
-func (m *Machine) HealthyGPUs() int {
-	n := 0
-	for _, gpu := range m.GPUs {
-		if !gpu.Failed() {
-			n++
-		}
-	}
-	return n
-}
-
-// Devices returns all device identifiers: the CPU first, then each GPU.
-func (m *Machine) Devices() []ID {
-	ids := make([]ID, 0, len(m.GPUs)+1)
-	ids = append(ids, CPUID)
-	for i := range m.GPUs {
-		ids = append(ids, GPUID(i))
-	}
-	return ids
-}
-
 // The paper's testbeds (§5.1).
 
 // NewTwoGPUServer models the server with a GTX 1080 Ti (gpu:0) and an

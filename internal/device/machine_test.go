@@ -9,12 +9,8 @@ import (
 func TestMachineDeviceEnumeration(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewTwoGPUServer(eng)
-	ids := m.Devices()
-	if len(ids) != 3 {
-		t.Fatalf("Devices() = %v, want cpu + 2 gpus", ids)
-	}
-	if ids[0] != CPUID || ids[1] != GPUID(0) || ids[2] != GPUID(1) {
-		t.Fatalf("Devices() = %v", ids)
+	if len(m.GPUs) != 2 {
+		t.Fatalf("%d GPUs, want 2", len(m.GPUs))
 	}
 	if m.GPU(0).Class.Name != ClassGTX1080Ti.Name {
 		t.Fatalf("gpu:0 = %s, want GTX 1080 Ti", m.GPU(0).Class.Name)
@@ -65,8 +61,8 @@ func TestV100ServerHasFourGPUs(t *testing.T) {
 		t.Fatalf("V100 server has %d GPUs, want 4", len(m.GPUs))
 	}
 	for _, g := range m.GPUs {
-		if g.Mem.Capacity() != 32<<30 {
-			t.Fatalf("V100 memory = %d, want 32 GiB", g.Mem.Capacity())
+		if g.Mem.capacity != 32<<30 {
+			t.Fatalf("V100 memory = %d, want 32 GiB", g.Mem.capacity)
 		}
 	}
 }
@@ -94,5 +90,27 @@ func TestDeviceIDString(t *testing.T) {
 		if got := tt.id.String(); got != tt.want {
 			t.Errorf("%v.String() = %q, want %q", tt.id, got, tt.want)
 		}
+	}
+}
+
+func TestPaperGPU(t *testing.T) {
+	tests := []struct {
+		name string
+		gpu  GPUClass
+		cpu  CPUClass
+	}{
+		{"V100", ClassV100, ClassXeonDual},
+		{"RTX 2080 Ti", ClassRTX2080Ti, ClassXeonDual},
+		{"GTX 1080 Ti", ClassGTX1080Ti, ClassXeonDual},
+		{"Jetson TX2", ClassJetsonTX2, ClassCortexA57},
+	}
+	for _, tt := range tests {
+		gpu, cpu, ok := PaperGPU(tt.name)
+		if !ok || gpu != tt.gpu || cpu != tt.cpu {
+			t.Errorf("PaperGPU(%q) = %s, %s, %v; want %s, %s", tt.name, gpu.Name, cpu.Name, ok, tt.gpu.Name, tt.cpu.Name)
+		}
+	}
+	if _, _, ok := PaperGPU("Tesla V100"); ok {
+		t.Error("PaperGPU accepts a class name the paper does not use")
 	}
 }

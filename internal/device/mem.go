@@ -18,13 +18,12 @@ func (e *OOMError) Error() string {
 }
 
 // MemPool is a byte-granular device memory accountant. It tracks the
-// current usage and the high-water mark; allocation beyond capacity fails
-// with *OOMError. It does not model fragmentation.
+// current usage; allocation beyond capacity fails with *OOMError. It does
+// not model fragmentation.
 type MemPool struct {
 	device   string
 	capacity int64
 	used     int64
-	peak     int64
 }
 
 // NewMemPool returns a pool of the given capacity labelled with the device
@@ -48,9 +47,6 @@ func (p *MemPool) Alloc(n int64) error {
 		}
 	}
 	p.used += n
-	if p.used > p.peak {
-		p.peak = p.used
-	}
 	return nil
 }
 
@@ -75,11 +71,5 @@ func (p *MemPool) Invalidate() { p.used = 0 }
 // Used returns bytes currently allocated.
 func (p *MemPool) Used() int64 { return p.used }
 
-// Capacity returns the pool size.
-func (p *MemPool) Capacity() int64 { return p.capacity }
-
 // Available returns bytes that can still be allocated.
 func (p *MemPool) Available() int64 { return p.capacity - p.used }
-
-// Peak returns the high-water mark of usage.
-func (p *MemPool) Peak() int64 { return p.peak }

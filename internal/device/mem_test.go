@@ -60,16 +60,6 @@ func TestMemPoolZeroAndNegativeAreNoOps(t *testing.T) {
 	}
 }
 
-func TestMemPoolPeakTracksHighWater(t *testing.T) {
-	p := NewMemPool("gpu:0", 100)
-	_ = p.Alloc(70)
-	p.Free(50)
-	_ = p.Alloc(30)
-	if got := p.Peak(); got != 70 {
-		t.Fatalf("Peak() = %d, want 70", got)
-	}
-}
-
 func TestMemPoolOverFreePanics(t *testing.T) {
 	p := NewMemPool("gpu:0", 100)
 	_ = p.Alloc(10)
@@ -97,7 +87,7 @@ func TestMemPoolInvariantProperty(t *testing.T) {
 				continue
 			}
 			live += n
-			if p.Used() > p.Capacity() {
+			if p.Used() > p.capacity {
 				return false
 			}
 		}

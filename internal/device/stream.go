@@ -10,7 +10,6 @@ type Stream struct {
 	gpu      *GPU
 	queue    []Kernel
 	inflight bool
-	aborted  uint64
 	// drainFns collects Drain callbacks; notifyDrained swaps it with
 	// drainSpare before firing, so a callback that calls Drain lands in
 	// the next round and neither buffer is reallocated.
@@ -39,12 +38,6 @@ func (s *Stream) Enqueue(k Kernel) {
 	s.pump()
 }
 
-// Pending returns the number of kernels waiting behind the in-flight one.
-func (s *Stream) Pending() int { return len(s.queue) }
-
-// InFlight reports whether a kernel from this stream is executing.
-func (s *Stream) InFlight() bool { return s.inflight }
-
 // Abort discards every queued (not yet issued) kernel. The in-flight
 // kernel, if any, runs to completion — the paper's preemption lets
 // dispatched kernels finish because there is no mechanism to selectively
@@ -54,12 +47,8 @@ func (s *Stream) Abort() int {
 	n := len(s.queue)
 	clear(s.queue)
 	s.queue = s.queue[:0]
-	s.aborted += uint64(n)
 	return n
 }
-
-// Aborted returns the total number of kernels ever discarded by Abort.
-func (s *Stream) Aborted() uint64 { return s.aborted }
 
 // Drain invokes fn once the in-flight kernel (if any) completes and the
 // queue is empty. With an empty stream it fires immediately (inline).

@@ -72,9 +72,6 @@ func TestStreamAbortDiscardsQueueOnly(t *testing.T) {
 	if finished["b"] || finished["c"] {
 		t.Errorf("aborted kernels ran: %v", finished)
 	}
-	if s.Aborted() != 2 {
-		t.Errorf("Aborted() = %d, want 2", s.Aborted())
-	}
 	// Worst-case preemption latency = remainder of the in-flight kernel.
 	if eng.Now() != 10*time.Millisecond {
 		t.Errorf("drain completed at %v, want 10ms", eng.Now())

@@ -155,14 +155,8 @@ func newRun(sub *graph.Subgraph) *Run {
 // Done reports whether every node completed.
 func (r *Run) Done() bool { return r.done == r.total && !r.aborted }
 
-// Aborted reports whether the run was cancelled terminally.
-func (r *Run) Aborted() bool { return r.aborted }
-
 // Suspended reports whether the run is paused and resumable.
 func (r *Run) Suspended() bool { return r.suspended && !r.aborted }
-
-// Progress returns completed and total node counts.
-func (r *Run) Progress() (completed, total int) { return r.done, r.total }
 
 // Suspend pauses the run: queued worker tasks are removed from the pool
 // and the stream's backlog is discarded; the in-flight kernel (if any)

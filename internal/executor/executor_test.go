@@ -226,7 +226,7 @@ func TestRunAbortStopsQueuedWork(t *testing.T) {
 	if !drained {
 		t.Fatal("drain callback never fired")
 	}
-	if !run.Aborted() {
+	if !run.aborted {
 		t.Fatal("run not marked aborted")
 	}
 	// The chain would take ~10ms; abort at 2.5ms waits only for the
@@ -234,7 +234,7 @@ func TestRunAbortStopsQueuedWork(t *testing.T) {
 	if f.eng.Now() > 5*time.Millisecond {
 		t.Fatalf("abort drained at %v, want well before chain end (10ms)", f.eng.Now())
 	}
-	done, total := run.Progress()
+	done, total := run.done, run.total
 	if done >= total {
 		t.Fatalf("progress %d/%d after abort", done, total)
 	}
@@ -334,7 +334,7 @@ func TestSuspendResumeProperty(t *testing.T) {
 			})
 		}
 		f.eng.Run()
-		completed, total := run.Progress()
+		completed, total := run.done, run.total
 		return done && completed == total
 	}
 	cfg := &quick.Config{MaxCount: 60}
@@ -353,6 +353,9 @@ func TestSuspendTwiceIgnoresOlderEpochTasks(t *testing.T) {
 	subs, _ := graph.Partition(g)
 	cfg := f.gpuConfig(device.NewStream(f.machine.GPU(0)))
 	cfg.Eager = true // 75µs of worker time per op: room to suspend inside it
+	cfg.Bus = f.machine.Bus()
+	var rec obs.Recorder
+	cfg.Bus.Subscribe(&rec, obs.KindOpSched)
 	done := false
 	run, err := Start(f.eng, subs[0], cfg, func() { done = true })
 	if err != nil {
@@ -365,8 +368,14 @@ func TestSuspendTwiceIgnoresOlderEpochTasks(t *testing.T) {
 		})
 	}
 	f.eng.RunUntil(50 * time.Microsecond)
-	if busy := f.pool.Busy(); busy != 3 {
-		t.Fatalf("%d worker tasks in flight, want 3 (one per epoch)", busy)
+	inFlight := 0
+	for _, e := range rec.Events() {
+		if e.Time+e.Dur > f.eng.Now() {
+			inFlight++
+		}
+	}
+	if inFlight != 3 {
+		t.Fatalf("%d worker tasks in flight, want 3 (one per epoch)", inFlight)
 	}
 	f.eng.Run()
 	if !done {
@@ -402,13 +411,13 @@ func TestSuspendKeepsProgress(t *testing.T) {
 		run.Suspend(nil)
 	})
 	f.eng.RunUntil(50 * time.Millisecond)
-	mid, total := run.Progress()
+	mid, total := run.done, run.total
 	if mid == 0 || mid >= total {
 		t.Fatalf("progress at suspension = %d/%d", mid, total)
 	}
 	run.Resume()
 	f.eng.Run()
-	after, _ := run.Progress()
+	after := run.done
 	if after != total || !done {
 		t.Fatalf("after resume: %d/%d done=%v", after, total, done)
 	}
@@ -473,16 +482,13 @@ func TestKernelTablesPerGPUClass(t *testing.T) {
 		}
 		return run
 	}
-	first := runOn(0) // RTX 2080 Ti
-	runOn(1)          // V100, after the migration
-	if n := sub.Plan().KernelTables(); n != 2 {
-		t.Fatalf("plan holds %d kernel tables after runs on two classes, want 2", n)
+	// Finished runs are recycled, so keep their tables, not the runs.
+	first := runOn(0).kern  // RTX 2080 Ti
+	second := runOn(1).kern // V100, after the migration
+	if second == first {
+		t.Fatal("runs on two classes share one kernel table")
 	}
-	again := runOn(0)
-	if n := sub.Plan().KernelTables(); n != 2 {
-		t.Fatalf("plan holds %d kernel tables after a second run on one class, want 2", n)
-	}
-	if again.kern != first.kern {
+	if again := runOn(0).kern; again != first {
 		t.Fatal("second run on the RTX 2080 Ti built a new kernel table")
 	}
 }

@@ -97,30 +97,19 @@ func mustSpec(name string) *models.Spec {
 	return spec
 }
 
-// gpuByName maps the paper's GPU names to classes.
-func gpuByName(name string) device.GPUClass {
-	switch name {
-	case "V100":
-		return device.ClassV100
-	case "RTX 2080 Ti":
-		return device.ClassRTX2080Ti
-	case "GTX 1080 Ti":
-		return device.ClassGTX1080Ti
-	case "Jetson TX2":
-		return device.ClassJetsonTX2
-	default:
+// paperGPU is device.PaperGPU for the names the experiments hard-code.
+func paperGPU(name string) (device.GPUClass, device.CPUClass) {
+	gpu, cpu, ok := device.PaperGPU(name)
+	if !ok {
 		panic("unknown GPU " + name)
 	}
+	return gpu, cpu
 }
 
 // machineFor builds a single-GPU machine with the CPU that accompanies the
 // GPU in the paper's testbeds.
 func machineFor(eng *sim.Engine, gpu string) *device.Machine {
-	class := gpuByName(gpu)
-	cpu := device.ClassXeonDual
-	if gpu == "Jetson TX2" {
-		cpu = device.ClassCortexA57
-	}
+	class, cpu := paperGPU(gpu)
 	return device.NewMachine(eng, cpu, class)
 }
 

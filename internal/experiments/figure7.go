@@ -95,7 +95,8 @@ func soloThroughput(gpus []device.GPUClass, gpu device.ID, model string) float64
 // Figure7Baseline runs one co-run cell of a baseline policy (threaded TF
 // or MPS) on the named GPU; the row's Scheduler is the policy's name.
 func Figure7Baseline(policy baseline.Policy, sub, gpu, background, model string) Figure7Row {
-	gpus := []device.GPUClass{gpuByName(gpu)}
+	class, _ := paperGPU(gpu)
+	gpus := []device.GPUClass{class}
 	row := Figure7Row{
 		Subfigure:      sub,
 		Scheduler:      policy.String(),

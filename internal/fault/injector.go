@@ -23,7 +23,6 @@ type Injector struct {
 	plan     Plan
 	handlers []Handler
 	armed    bool
-	injected int
 }
 
 // NewInjector builds an injector over the machine. Call Attach for every
@@ -35,9 +34,6 @@ func NewInjector(eng *sim.Engine, machine *device.Machine, plan Plan) *Injector 
 // Attach registers a handler. Handlers attached after Arm still receive
 // events that have not fired yet.
 func (in *Injector) Attach(h Handler) { in.handlers = append(in.handlers, h) }
-
-// Injected returns how many events have fired so far.
-func (in *Injector) Injected() int { return in.injected }
 
 // Arm schedules every plan event. Events in the past (relative to the
 // engine's current time) fire immediately in plan order.
@@ -57,7 +53,6 @@ func (in *Injector) Arm() {
 }
 
 func (in *Injector) fire(ev Event) {
-	in.injected++
 	switch ev.Kind {
 	case KindDeviceLost:
 		if gpu := in.machine.GPU(ev.Device.Index); gpu != nil {

@@ -108,10 +108,6 @@ type Node struct {
 	out []*Node
 }
 
-// Inputs returns the node's predecessors. The slice is shared; callers must
-// not mutate it.
-func (n *Node) Inputs() []*Node { return n.in }
-
 // Outputs returns the node's successors. The slice is shared; callers must
 // not mutate it.
 func (n *Node) Outputs() []*Node { return n.out }
@@ -196,34 +192,6 @@ func (g *Graph) TopoOrder() ([]*Node, error) {
 			g.Name, len(order), len(g.nodes))
 	}
 	return order, nil
-}
-
-// TotalFLOPs sums FLOPs over all nodes.
-func (g *Graph) TotalFLOPs() float64 {
-	var total float64
-	for _, n := range g.nodes {
-		total += n.FLOPs
-	}
-	return total
-}
-
-// ParamBytes sums trainable-parameter bytes over all nodes.
-func (g *Graph) ParamBytes() int64 {
-	var total int64
-	for _, n := range g.nodes {
-		total += n.ParamBytes
-	}
-	return total
-}
-
-// WeightTensors counts weight variables across the graph, which drives the
-// per-tensor transfer overhead of Table 1.
-func (g *Graph) WeightTensors() int {
-	count := 0
-	for _, n := range g.nodes {
-		count += nodeWeightVars(n)
-	}
-	return count
 }
 
 func nodeWeightVars(n *Node) int {

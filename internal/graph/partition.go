@@ -82,9 +82,6 @@ func (p *ExecPlan) KernelTable(class device.GPUClass) (t *KernelTable, fresh boo
 	return t, true
 }
 
-// KernelTables returns how many GPU classes the plan holds tables for.
-func (p *ExecPlan) KernelTables() int { return len(p.kernels) }
-
 // Plan returns the subgraph's executor bootstrap, computing and caching it
 // on first use. The subgraph must not gain or lose nodes afterwards (it
 // never does: partitioning is the last structural change to a graph).
@@ -119,24 +116,6 @@ func (s *Subgraph) Plan() *ExecPlan {
 // Name returns a readable label, e.g. "resnet50@gpu:0".
 func (s *Subgraph) Name() string {
 	return fmt.Sprintf("%s@%s", s.Graph.Name, s.Device)
-}
-
-// ParamBytes sums parameter bytes of member nodes.
-func (s *Subgraph) ParamBytes() int64 {
-	var total int64
-	for _, n := range s.Nodes {
-		total += n.ParamBytes
-	}
-	return total
-}
-
-// WeightTensors counts weight variables across member nodes.
-func (s *Subgraph) WeightTensors() int {
-	count := 0
-	for _, n := range s.Nodes {
-		count += nodeWeightVars(n)
-	}
-	return count
 }
 
 // Partition splits g into per-device subgraphs, inserting a Send node on

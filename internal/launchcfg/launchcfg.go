@@ -34,15 +34,6 @@ type Config struct {
 	SubX, SubY []string
 }
 
-// GroupSize returns the number of models in the sharing group (master +
-// subsidiaries), or zero when sharing is disabled.
-func (c Config) GroupSize() int {
-	if !c.ReuseInputs {
-		return 0
-	}
-	return 1 + len(c.SubX)
-}
-
 // FromEnv parses the Listing 1 variables through getenv (pass os.Getenv
 // in production, a map lookup in tests). Absent or false EnvReuseInputs
 // yields a disabled config; enabled configs are validated for complete

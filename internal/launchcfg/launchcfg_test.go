@@ -29,9 +29,6 @@ func TestListing1Parses(t *testing.T) {
 	if len(cfg.SubX) != 1 || cfg.SubX[0] != "X01" || cfg.SubY[0] != "y01" {
 		t.Fatalf("subs = %v/%v", cfg.SubX, cfg.SubY)
 	}
-	if cfg.GroupSize() != 2 {
-		t.Fatalf("GroupSize() = %d, want 2", cfg.GroupSize())
-	}
 }
 
 func TestDisabledByDefault(t *testing.T) {
@@ -39,7 +36,7 @@ func TestDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ReuseInputs || cfg.GroupSize() != 0 {
+	if cfg.ReuseInputs || len(cfg.SubX) != 0 {
 		t.Fatalf("default config = %+v", cfg)
 	}
 }
@@ -54,8 +51,8 @@ func TestMultipleSubsidiaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.GroupSize() != 4 {
-		t.Fatalf("GroupSize() = %d, want 4", cfg.GroupSize())
+	if len(cfg.SubX) != 3 || len(cfg.SubY) != 3 {
+		t.Fatalf("subs = %v/%v, want three pairs", cfg.SubX, cfg.SubY)
 	}
 }
 

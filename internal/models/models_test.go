@@ -93,6 +93,15 @@ func TestWeightVarsPlausible(t *testing.T) {
 	}
 }
 
+// forwardFLOPs returns s's forward work per image.
+func forwardFLOPs(s *Spec) float64 {
+	var total float64
+	for _, l := range s.Layers {
+		total += l.FLOPs
+	}
+	return total
+}
+
 func TestForwardFLOPsPlausible(t *testing.T) {
 	// Published forward GFLOPs (2 x MACs) at the standard resolutions.
 	tests := []struct {
@@ -110,7 +119,7 @@ func TestForwardFLOPsPlausible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := spec.ForwardFLOPs() / 1e9
+		got := forwardFLOPs(spec) / 1e9
 		if ratio := got / tt.want; ratio < 0.75 || ratio > 1.3 {
 			t.Errorf("%s ForwardFLOPs = %.2f GF, want ~%.2f", tt.model, got, tt.want)
 		}
@@ -125,7 +134,7 @@ func TestModelOrderingSanity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return spec.ForwardFLOPs()
+		return forwardFLOPs(spec)
 	}
 	if !(flops("VGG16") > flops("ResNet50")) {
 		t.Error("VGG16 should be heavier than ResNet50")
@@ -148,13 +157,14 @@ func TestNamesAndCNNs(t *testing.T) {
 	if got := len(Names()); got != 12 {
 		t.Fatalf("Names() has %d models, want 12", got)
 	}
-	cnns := CNNs()
-	if len(cnns) != 11 {
-		t.Fatalf("CNNs() has %d models, want 11", len(cnns))
-	}
-	for _, spec := range cnns {
-		if spec.SeqLen != 0 {
-			t.Errorf("CNN %s has SeqLen %d", spec.Name, spec.SeqLen)
+	// Every model but NMT is an image CNN, with no sequence length.
+	for _, name := range Names() {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnn := name != "NMT"; cnn != (spec.SeqLen == 0) {
+			t.Errorf("%s has SeqLen %d", name, spec.SeqLen)
 		}
 	}
 }

@@ -100,15 +100,6 @@ func (s *Spec) WeightVars() int {
 	return total
 }
 
-// ForwardFLOPs returns forward work per image.
-func (s *Spec) ForwardFLOPs() float64 {
-	var total float64
-	for _, l := range s.Layers {
-		total += l.FLOPs
-	}
-	return total
-}
-
 // ActivationBytes returns the total activation footprint per image, which
 // dominates training memory (§5.2.3: intermediate data dwarfs weights).
 func (s *Spec) ActivationBytes() int64 {

@@ -29,18 +29,3 @@ func ByName(name string) (*Spec, error) {
 	}
 	return build(), nil
 }
-
-// CNNs returns the eleven image models (everything but NMT), in the order
-// the paper's figures list them.
-func CNNs() []*Spec {
-	names := []string{
-		"ResNet50", "VGG16", "VGG19", "DenseNet121", "DenseNet169",
-		"InceptionResNetV2", "InceptionV3", "MobileNet", "MobileNetV2",
-		"NASNetLarge", "NASNetMobile",
-	}
-	specs := make([]*Spec, len(names))
-	for i, name := range names {
-		specs[i] = zoo[name]()
-	}
-	return specs
-}

@@ -249,10 +249,6 @@ func (b *Bus) Wants(k Kind) bool {
 	return b != nil && b.mask&kindBit(k) != 0
 }
 
-// Active reports whether the bus has any subscriber at all. Safe on a
-// nil bus.
-func (b *Bus) Active() bool { return b != nil && b.mask != 0 }
-
 // Emit stamps e with the current virtual time and the next sequence
 // number, then delivers it to every subscribed sink in subscription
 // order. Events nobody wants are dropped without consuming a sequence

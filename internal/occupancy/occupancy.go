@@ -105,6 +105,8 @@ type Analysis struct {
 }
 
 // Analyze runs the occupancy calculation for one launch config.
+//
+//swlint:allow testonly the independent §2.2 calculator that cost's footprint test checks against
 func Analyze(cfg LaunchConfig, sm SMLimits) (Analysis, error) {
 	if cfg.ThreadsPerBlock <= 0 {
 		return Analysis{}, fmt.Errorf("occupancy: threads per block must be positive, got %d", cfg.ThreadsPerBlock)
@@ -164,6 +166,8 @@ func Analyze(cfg LaunchConfig, sm SMLimits) (Analysis, error) {
 // consumes: grids larger than the device's resident-block capacity
 // saturate it (footprint 1), preventing any concurrent kernel — the §2.2
 // serialization.
+//
+//swlint:allow testonly the independent §2.2 calculator that cost's footprint test checks against
 func DeviceFootprint(cfg LaunchConfig, sm SMLimits, smCount int) (float64, error) {
 	a, err := Analyze(cfg, sm)
 	if err != nil {

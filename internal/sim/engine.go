@@ -26,11 +26,7 @@ import (
 type Event struct {
 	ev  *event
 	seq uint64
-	at  time.Duration
 }
-
-// At reports the virtual time the event is (or was) scheduled for.
-func (h Event) At() time.Duration { return h.at }
 
 // Cancel prevents the event from firing and removes it from the engine's
 // pending set. Cancelling the zero handle, or an event that already fired
@@ -83,10 +79,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 // for guarding against runaway simulations.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of live events still scheduled. Cancelled
-// events are removed immediately and never counted.
-func (e *Engine) Pending() int { return len(e.heap) }
-
 // Schedule registers fn to run at absolute virtual time at. Scheduling in
 // the past is an error surfaced as a panic because it always indicates a
 // simulation bug, never a recoverable condition.
@@ -107,7 +99,7 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 	ev.index = int32(len(e.heap))
 	e.heap = append(e.heap, ev)
 	e.up(int(ev.index))
-	return Event{ev: ev, seq: ev.seq, at: at}
+	return Event{ev: ev, seq: ev.seq}
 }
 
 // After registers fn to run d from the current virtual time. Negative d is

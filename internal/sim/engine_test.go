@@ -12,8 +12,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
+	if len(e.heap) != 0 {
+		t.Fatalf("Pending() = %d, want 0", len(e.heap))
 	}
 }
 
@@ -120,21 +120,21 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	for i := range evs {
 		evs[i] = e.Schedule(time.Duration(i+1), func() {})
 	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", e.Pending())
+	if len(e.heap) != 5 {
+		t.Fatalf("Pending() = %d, want 5", len(e.heap))
 	}
 	evs[1].Cancel()
 	evs[3].Cancel()
-	if e.Pending() != 3 {
-		t.Fatalf("Pending() after two cancels = %d, want 3", e.Pending())
+	if len(e.heap) != 3 {
+		t.Fatalf("Pending() after two cancels = %d, want 3", len(e.heap))
 	}
 	evs[3].Cancel() // double cancel is a no-op
-	if e.Pending() != 3 {
-		t.Fatalf("Pending() after double cancel = %d, want 3", e.Pending())
+	if len(e.heap) != 3 {
+		t.Fatalf("Pending() after double cancel = %d, want 3", len(e.heap))
 	}
 	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() after Run = %d, want 0", e.Pending())
+	if len(e.heap) != 0 {
+		t.Fatalf("Pending() after Run = %d, want 0", len(e.heap))
 	}
 	if e.Fired() != 3 {
 		t.Fatalf("Fired() = %d, want 3", e.Fired())

@@ -66,10 +66,6 @@ func (g *Group) Now() time.Duration { return g.now }
 // Epoch returns the configured epoch length.
 func (g *Group) Epoch() time.Duration { return g.epoch }
 
-// Engines returns the member engines, indexed by machine id. The slice is
-// the group's own; callers must not reorder it.
-func (g *Group) Engines() []*sim.Engine { return g.engines }
-
 // AtBarrier registers fn to run at every epoch barrier, including the
 // final (possibly short) epoch ending exactly at a RunUntil horizon. Hooks
 // run serially in registration order with all engines stopped at now; they

@@ -19,7 +19,7 @@ func TestPoolSubmitAllocFree(t *testing.T) {
 	ran, maxQueued := 0, 0
 	resubmit := func(i uint64) {
 		ran++
-		maxQueued = max(maxQueued, p.Queued())
+		maxQueued = max(maxQueued, p.queued)
 		p.Submit(&tasks[i], 0, i%2 == 0)
 	}
 	for i := range tasks {

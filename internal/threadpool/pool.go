@@ -2,7 +2,10 @@
 // a fixed set of worker threads with per-worker local queues, work
 // stealing, and owner-tagged abort. SwitchFlow shares one global pool
 // among all sessions and keeps a temporary pool for preempted jobs (§3.2,
-// §3.3); the active-thread limit models its wakeup-signal mechanism.
+// §3.3). The paper balances the two pools' active thread counts with
+// wakeup signals; here the split is static: core sizes the global pool at
+// Cores − TempPoolThreads workers and the temporary pool at
+// TempPoolThreads, and every worker of a pool may run.
 package threadpool
 
 import (
@@ -34,14 +37,12 @@ type Pool struct {
 	// Name labels the pool ("global", "temporary").
 	Name string
 
-	eng         *sim.Engine
-	workers     []*worker
-	activeLimit int
-	busy        int
+	eng     *sim.Engine
+	workers []*worker
+	busy    int
 	// queued is the number of tasks across all local queues, so a worker
 	// finishing its task with nothing queued anywhere skips the steal scan.
-	queued   int
-	busyTime time.Duration
+	queued int
 }
 
 type worker struct {
@@ -53,9 +54,9 @@ type worker struct {
 	finish func()
 }
 
-// New creates a pool of n workers, all active.
+// New creates a pool of n workers.
 func New(eng *sim.Engine, name string, n int) *Pool {
-	p := &Pool{Name: name, eng: eng, activeLimit: n}
+	p := &Pool{Name: name, eng: eng}
 	for i := 0; i < n; i++ {
 		w := &worker{id: i}
 		w.finish = func() { p.finish(w) }
@@ -66,33 +67,6 @@ func New(eng *sim.Engine, name string, n int) *Pool {
 
 // Size returns the number of worker threads.
 func (p *Pool) Size() int { return len(p.workers) }
-
-// ActiveLimit returns the current wakeup-signal limit.
-func (p *Pool) ActiveLimit() int { return p.activeLimit }
-
-// SetActiveLimit changes how many workers may run concurrently. Lowering
-// it does not interrupt running tasks; raising it lets idle workers pick
-// up queued work immediately (§3.3: thread counts in the two pools are
-// balanced against the core count).
-func (p *Pool) SetActiveLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(p.workers) {
-		n = len(p.workers)
-	}
-	p.activeLimit = n
-	p.dispatch()
-}
-
-// Busy returns the number of workers currently executing a task.
-func (p *Pool) Busy() int { return p.busy }
-
-// Queued returns the number of tasks waiting in local queues.
-func (p *Pool) Queued() int { return p.queued }
-
-// BusyTime returns accumulated worker-seconds of executed task time.
-func (p *Pool) BusyTime() time.Duration { return p.busyTime }
 
 // Submit enqueues a copy of *t, so callers may reuse or change theirs.
 // preferred selects the worker whose local queue should hold the task (the
@@ -105,13 +79,13 @@ func (p *Pool) Submit(t *Task, preferred int, front bool) {
 		task.Duration = 0
 	}
 	w := p.pickWorker(preferred)
-	if !w.busy && p.busy < p.activeLimit {
+	if !w.busy {
 		p.start(w, task)
 		return
 	}
 	// The preferred worker is busy; an idle worker steals the task right
-	// away if the active limit allows (work stealing keeps queues short).
-	if idle := p.idleWorker(); idle != nil && p.busy < p.activeLimit {
+	// away (work stealing keeps queues short).
+	if idle := p.idleWorker(); idle != nil {
 		p.start(idle, task)
 		return
 	}
@@ -174,7 +148,6 @@ func (p *Pool) start(w *worker, t Task) {
 	w.busy = true
 	w.task = t
 	p.busy++
-	p.busyTime += t.Duration
 	p.eng.After(t.Duration, w.finish)
 }
 
@@ -197,9 +170,6 @@ func (p *Pool) finish(w *worker) {
 // the longest peer queue, else go idle. Queues are popped by copying down,
 // not reslicing, so they keep their capacity.
 func (p *Pool) next(w *worker) {
-	if p.busy >= p.activeLimit {
-		return
-	}
 	if len(w.queue) > 0 {
 		t := w.queue[0]
 		left := copy(w.queue, w.queue[1:])
@@ -219,22 +189,6 @@ func (p *Pool) next(w *worker) {
 	victim.queue = victim.queue[:last]
 	p.queued--
 	p.start(w, t)
-}
-
-// dispatch pairs idle workers with queued work, used after raising the
-// active limit.
-func (p *Pool) dispatch() {
-	for p.busy < p.activeLimit {
-		w := p.idleWorker()
-		if w == nil {
-			return
-		}
-		before := p.busy
-		p.next(w)
-		if p.busy == before {
-			return // no queued work anywhere
-		}
-	}
 }
 
 // longestQueue returns the worker with the longest local queue, the lowest

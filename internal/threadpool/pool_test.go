@@ -161,52 +161,20 @@ func TestPoolSubmitCopiesTask(t *testing.T) {
 	}
 }
 
-func TestPoolActiveLimitThrottles(t *testing.T) {
-	eng := sim.NewEngine()
-	p := New(eng, "global", 4)
-	p.SetActiveLimit(1)
-	done := 0
-	submitN(p, 4, 10*time.Millisecond, nil, &done)
-	eng.Run()
-	if eng.Now() != 40*time.Millisecond {
-		t.Fatalf("limit-1 pool took %v, want 40ms", eng.Now())
-	}
-	if done != 4 {
-		t.Fatalf("completed %d, want 4", done)
-	}
-}
-
-func TestPoolRaisingLimitDispatchesQueued(t *testing.T) {
-	eng := sim.NewEngine()
-	p := New(eng, "global", 4)
-	p.SetActiveLimit(1)
-	done := 0
-	submitN(p, 4, 10*time.Millisecond, nil, &done)
-	eng.Schedule(5*time.Millisecond, func() { p.SetActiveLimit(4) })
-	eng.Run()
-	// First task runs 0-10ms; the other three start at 5ms.
-	if eng.Now() != 15*time.Millisecond {
-		t.Fatalf("after raising limit run took %v, want 15ms", eng.Now())
-	}
-}
-
 func TestPoolCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New(eng, "global", 2)
 	done := 0
 	submitN(p, 3, 10*time.Millisecond, nil, &done)
-	if p.Busy() != 2 {
-		t.Fatalf("Busy() = %d, want 2", p.Busy())
+	if p.busy != 2 {
+		t.Fatalf("busy = %d, want 2", p.busy)
 	}
-	if p.Queued() != 1 {
-		t.Fatalf("Queued() = %d, want 1", p.Queued())
+	if p.queued != 1 {
+		t.Fatalf("queued = %d, want 1", p.queued)
 	}
 	eng.Run()
-	if p.Busy() != 0 || p.Queued() != 0 {
-		t.Fatalf("after drain Busy=%d Queued=%d", p.Busy(), p.Queued())
-	}
-	if p.BusyTime() != 30*time.Millisecond {
-		t.Fatalf("BusyTime() = %v, want 30ms", p.BusyTime())
+	if p.busy != 0 || p.queued != 0 {
+		t.Fatalf("after drain Busy=%d Queued=%d", p.busy, p.queued)
 	}
 }
 
@@ -236,7 +204,7 @@ func TestPoolCompletionProperty(t *testing.T) {
 			}, int(d)%n, d%2 == 0)
 		}
 		eng.Run()
-		return count == len(durs) && p.Busy() == 0 && p.Queued() == 0
+		return count == len(durs) && p.busy == 0 && p.queued == 0
 	}
 	cfg := &quick.Config{MaxCount: 60}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -297,10 +265,7 @@ func snapshot(p *Pool) poolSnap {
 // next is the reference for Pool.next: the worker's own queue head, else
 // the tail of the longest queue found by scanning every worker, the lowest
 // index on ties.
-func (s *poolSnap) next(w, limit int) {
-	if s.busy >= limit {
-		return
-	}
+func (s *poolSnap) next(w int) {
 	if q := s.queues[w]; len(q) > 0 {
 		s.running[w], s.queues[w] = q[0], q[1:]
 		s.busy++
@@ -320,21 +285,6 @@ func (s *poolSnap) next(w, limit int) {
 	s.busy++
 }
 
-// dispatch is the reference for Pool.dispatch.
-func (s *poolSnap) dispatch(limit int) {
-	for s.busy < limit {
-		idle := slices.Index(s.running, 0)
-		if idle < 0 {
-			return
-		}
-		before := s.busy
-		s.next(idle, limit)
-		if s.busy == before {
-			return
-		}
-	}
-}
-
 func (s poolSnap) equal(o poolSnap) bool {
 	if s.busy != o.busy || !slices.Equal(s.running, o.running) {
 		return false
@@ -347,10 +297,10 @@ func (s poolSnap) equal(o poolSnap) bool {
 	return true
 }
 
-// Property: over random Submit (affinity, front), Abort, SetActiveLimit and
-// engine steps, Queued() always equals the summed local queue lengths, and
-// every worker that picks up work after a finish or a limit raise takes the
-// task a full scan would pick: its own queue's head, else the tail of the
+// Property: over random Submit (affinity, front), Abort and engine steps,
+// the queued count always equals the summed local queue lengths, and every
+// worker that picks up work after a finish takes the task a full scan
+// would pick: its own queue's head, else the tail of the
 // longest queue, the lowest index on ties.
 func TestPoolQueuedCountAndStealVictimProperty(t *testing.T) {
 	prop := func(workerCount uint8, script []uint16) bool {
@@ -362,7 +312,7 @@ func TestPoolQueuedCountAndStealVictimProperty(t *testing.T) {
 		record := func(arg uint64) { fired = arg }
 		nextArg := uint64(1)
 		for i, op := range script {
-			switch op % 4 {
+			switch op % 3 {
 			case 0:
 				p.Submit(&Task{
 					Owner:    owners[int(op>>2)%len(owners)],
@@ -375,15 +325,6 @@ func TestPoolQueuedCountAndStealVictimProperty(t *testing.T) {
 				p.Abort(owners[int(op>>2)%len(owners)])
 			case 2:
 				want := snapshot(p)
-				limit := int(op>>2) % (n + 1)
-				p.SetActiveLimit(limit)
-				want.dispatch(limit)
-				if got := snapshot(p); !got.equal(want) {
-					t.Logf("op %d: SetActiveLimit(%d) left %+v, reference scan %+v", i, limit, got, want)
-					return false
-				}
-			case 3:
-				want := snapshot(p)
 				fired = 0
 				if !eng.Step() {
 					break
@@ -391,7 +332,7 @@ func TestPoolQueuedCountAndStealVictimProperty(t *testing.T) {
 				w := slices.Index(want.running, fired)
 				want.running[w] = 0
 				want.busy--
-				want.next(w, p.ActiveLimit())
+				want.next(w)
 				if got := snapshot(p); !got.equal(want) {
 					t.Logf("op %d: worker %d finished and left %+v, reference scan %+v", i, w, got, want)
 					return false
@@ -401,8 +342,8 @@ func TestPoolQueuedCountAndStealVictimProperty(t *testing.T) {
 			for _, q := range snapshot(p).queues {
 				total += len(q)
 			}
-			if p.Queued() != total {
-				t.Logf("op %d: Queued() = %d, local queues hold %d", i, p.Queued(), total)
+			if p.queued != total {
+				t.Logf("op %d: queued = %d, local queues hold %d", i, p.queued, total)
 				return false
 			}
 		}

@@ -125,18 +125,8 @@ func (f *Fabric) ConnectNVLink(a, b int, gbps float64) {
 	f.kind[a][b], f.kind[b][a] = NVLink, NVLink
 }
 
-// SetHopLatency overrides the alpha term. Call only during construction.
-func (f *Fabric) SetHopLatency(d time.Duration) {
-	if d >= 0 {
-		f.hop = d
-	}
-}
-
 // Size returns the number of GPUs the fabric spans.
 func (f *Fabric) Size() int { return f.n }
-
-// HopLatency returns the alpha term of one ring step.
-func (f *Fabric) HopLatency() time.Duration { return f.hop }
 
 // Bandwidth returns the link bandwidth between GPUs a and b in GB/s;
 // zero for out-of-range or identical indices.
@@ -154,22 +144,6 @@ func (f *Fabric) Kind(a, b int) LinkKind {
 		return PCIe
 	}
 	return f.kind[a][b]
-}
-
-// NVLinkContiguous reports whether the canonical ring over gpus (the
-// ascending-index cycle) runs entirely on NVLink — the slot shape the
-// gang placer prefers.
-func (f *Fabric) NVLinkContiguous(gpus []int) bool {
-	if len(gpus) < 2 {
-		return true
-	}
-	ring := canonicalRing(gpus)
-	for i := range ring {
-		if f.Kind(ring[i], ring[(i+1)%len(ring)]) != NVLink {
-			return false
-		}
-	}
-	return true
 }
 
 // RingAllReduceTime prices a synchronous ring all-reduce of bytes over

@@ -100,7 +100,7 @@ func TestBestSlotPrefersNVLinkContiguous(t *testing.T) {
 	if len(slot) != 2 || slot[0] != 0 || slot[1] != 1 {
 		t.Fatalf("slot = %v, want [0 1] (first NVLink island)", slot)
 	}
-	if !f.NVLinkContiguous(slot) {
+	if !nvlinkContiguous(f, slot) {
 		t.Fatalf("slot %v should be NVLink-contiguous", slot)
 	}
 	near(t, "best slot cost", cost, 2010*time.Microsecond)
@@ -128,13 +128,26 @@ func TestBestSlotDeterministicTieBreak(t *testing.T) {
 
 func TestNVLinkContiguous(t *testing.T) {
 	f := NVLinkIslands(8, 4, 0, 0)
-	if !f.NVLinkContiguous([]int{0, 1, 2, 3}) {
+	if !nvlinkContiguous(f, []int{0, 1, 2, 3}) {
 		t.Fatal("island {0..3} should be NVLink-contiguous")
 	}
-	if f.NVLinkContiguous([]int{2, 3, 4, 5}) {
+	if nvlinkContiguous(f, []int{2, 3, 4, 5}) {
 		t.Fatal("straddling ring should not be NVLink-contiguous")
 	}
-	if !f.NVLinkContiguous([]int{6}) {
+	if !nvlinkContiguous(f, []int{6}) {
 		t.Fatal("singleton is trivially contiguous")
 	}
+}
+
+// nvlinkContiguous reports whether the canonical ring over gpus (the
+// ascending-index cycle) runs entirely on NVLink, the slot shape the gang
+// placer prefers.
+func nvlinkContiguous(f *Fabric, gpus []int) bool {
+	ring := canonicalRing(gpus)
+	for i := range ring {
+		if len(ring) > 1 && f.Kind(ring[i], ring[(i+1)%len(ring)]) != NVLink {
+			return false
+		}
+	}
+	return true
 }

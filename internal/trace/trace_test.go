@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"switchflow/internal/device"
+	"switchflow/internal/obs"
 	"switchflow/internal/sim"
 )
 
@@ -57,8 +58,10 @@ func TestTimelineOverlap(t *testing.T) {
 func TestTimelineAttachBusRecordsKernels(t *testing.T) {
 	eng := sim.NewEngine()
 	gpu := device.NewGPU(eng, device.GPUID(0), device.ClassV100)
+	bus := obs.NewBus(eng)
+	gpu.SetBus(bus)
 	var tl Timeline
-	tl.AttachBus(gpu.EventBus())
+	tl.AttachBus(bus)
 	gpu.Submit(device.Kernel{Name: "a", Ctx: 1, Work: time.Millisecond, Occupancy: 0.9})
 	eng.Run()
 	if len(tl.Spans()) != 1 {

@@ -143,13 +143,6 @@ func (b Binding) Len() int { return len(b.nodes) }
 // Node returns vnode i.
 func (b Binding) Node(i int) VNode { return b.nodes[i] }
 
-// Nodes returns a copy of the vnodes in index order.
-func (b Binding) Nodes() []VNode {
-	out := make([]VNode, len(b.nodes))
-	copy(out, b.nodes)
-	return out
-}
-
 // Devices returns the distinct bound devices in first-use (vnode index)
 // order — a deterministic order independent of map iteration.
 func (b Binding) Devices() []device.ID {
@@ -182,15 +175,6 @@ func (b Binding) On(dev device.ID) []int {
 
 // Uses reports whether any vnode is bound to dev.
 func (b Binding) Uses(dev device.ID) bool { return len(b.On(dev)) > 0 }
-
-// Total returns the summed shares (the job's global batch).
-func (b Binding) Total() int {
-	t := 0
-	for _, n := range b.nodes {
-		t += n.Share
-	}
-	return t
-}
 
 // DeviceList returns the per-vnode device assignment in index order —
 // the input Split needs to re-split the same topology.

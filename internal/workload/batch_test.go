@@ -28,8 +28,8 @@ func servingJob(t *testing.T, maxBatch int, slo, wait time.Duration) (*Job, func
 func TestMicroBatchFormation(t *testing.T) {
 	job, admit := servingJob(t, 4, 0, 0)
 	admit(6)
-	if job.PendingRequests() != 6 {
-		t.Fatalf("pending = %d, want 6 (no SLO, nothing shed)", job.PendingRequests())
+	if job.pending.Len() != 6 {
+		t.Fatalf("pending = %d, want 6 (no SLO, nothing shed)", job.pending.Len())
 	}
 	// Preprocess four requests (PrefetchDepth was raised to MaxBatch).
 	for i := 0; i < 4; i++ {
@@ -92,8 +92,8 @@ func TestAdmissionShedsBeyondSLO(t *testing.T) {
 	if job.ServingStats().Offered != 5 || job.ServingStats().Shed != 5 {
 		t.Fatalf("Offered/Shed = %d/%d, want 5/5", job.ServingStats().Offered, job.ServingStats().Shed)
 	}
-	if job.PendingRequests() != 0 {
-		t.Fatalf("shed requests were enqueued: %d pending", job.PendingRequests())
+	if job.pending.Len() != 0 {
+		t.Fatalf("shed requests were enqueued: %d pending", job.pending.Len())
 	}
 }
 
@@ -105,8 +105,8 @@ func TestAdmissionAdmitsWithinSLO(t *testing.T) {
 	if job.ServingStats().Shed != 0 {
 		t.Fatalf("Shed = %d with a 10s SLO and 3 requests", job.ServingStats().Shed)
 	}
-	if job.PendingRequests() != 3 {
-		t.Fatalf("pending = %d, want 3", job.PendingRequests())
+	if job.pending.Len() != 3 {
+		t.Fatalf("pending = %d, want 3", job.pending.Len())
 	}
 }
 
@@ -120,8 +120,8 @@ func TestClosedLoopNeverSheds(t *testing.T) {
 	if job.ServingStats().Shed != 0 {
 		t.Fatalf("closed-loop request shed: %d", job.ServingStats().Shed)
 	}
-	if job.PendingRequests() != 1 {
-		t.Fatalf("pending = %d, want 1", job.PendingRequests())
+	if job.pending.Len() != 1 {
+		t.Fatalf("pending = %d, want 1", job.pending.Len())
 	}
 }
 

@@ -300,10 +300,6 @@ func NewJob(eng *sim.Engine, machine *device.Machine, ctx int, cfg Config) (*Job
 // observability spine.
 func (j *Job) ServingStats() metrics.ServingCounters { return j.serving.Counters() }
 
-// EventBus returns the observability bus the job publishes to (the
-// machine's shared bus).
-func (j *Job) EventBus() *obs.Bus { return j.bus }
-
 func (j *Job) buildVersion(dev device.ID) (*Version, error) {
 	return j.buildVersionBatch(dev, j.Cfg.Batch)
 }
@@ -526,9 +522,6 @@ func (j *Job) OutstandingRequests() int {
 	return j.pending.Len() + j.inflight.Len() + j.ready.Len() + len(j.active)
 }
 
-// PendingRequests returns enqueued-but-unstarted request count.
-func (j *Job) PendingRequests() int { return j.pending.Len() }
-
 // HasWork reports whether an iteration could start: training and
 // saturated serving always have work; open/closed-loop serving needs a
 // pending request or a prefetched input.
@@ -670,9 +663,6 @@ func (j *Job) AbandonCompute() {
 	}
 	j.inputReady++
 }
-
-// DataPool returns the job's private tf.data worker pool.
-func (j *Job) DataPool() *threadpool.Pool { return j.dataPool }
 
 // StartExec launches the given subgraph through an executor. The job's
 // private data pool handles preprocessing unless the caller overrides it.

@@ -124,8 +124,8 @@ func TestOpenLoopArrivals(t *testing.T) {
 	if arrivals != 10 {
 		t.Fatalf("arrivals = %d in 1s at 10/s, want 10", arrivals)
 	}
-	if job.PendingRequests() != 10 {
-		t.Fatalf("PendingRequests() = %d", job.PendingRequests())
+	if job.pending.Len() != 10 {
+		t.Fatalf("PendingRequests() = %d", job.pending.Len())
 	}
 	job.StopArrivals()
 	eng.RunUntil(2 * time.Second)
@@ -140,8 +140,8 @@ func TestClosedLoopArrivals(t *testing.T) {
 	})
 	job.StartArrivals(func() {})
 	eng.Run()
-	if job.PendingRequests() != 1 {
-		t.Fatalf("closed loop should start with 1 pending, got %d", job.PendingRequests())
+	if job.pending.Len() != 1 {
+		t.Fatalf("closed loop should start with 1 pending, got %d", job.pending.Len())
 	}
 	// Walk one request through the pipeline; completion re-arms.
 	job.BeginInput()
@@ -149,8 +149,8 @@ func TestClosedLoopArrivals(t *testing.T) {
 	job.BeginCompute()
 	job.FinishCompute()
 	eng.Run()
-	if job.PendingRequests() != 1 {
-		t.Fatalf("closed loop did not re-arm: %d pending", job.PendingRequests())
+	if job.pending.Len() != 1 {
+		t.Fatalf("closed loop did not re-arm: %d pending", job.pending.Len())
 	}
 	if job.Latencies.Count() != 1 {
 		t.Fatalf("latency samples = %d, want 1", job.Latencies.Count())
@@ -172,8 +172,8 @@ func TestStopBeforeFirstClosedLoopArrival(t *testing.T) {
 	if fired {
 		t.Fatal("scheduler callback fired after StopArrivals")
 	}
-	if job.PendingRequests() != 0 {
-		t.Fatalf("stopped job enqueued %d requests", job.PendingRequests())
+	if job.pending.Len() != 0 {
+		t.Fatalf("stopped job enqueued %d requests", job.pending.Len())
 	}
 }
 
@@ -191,8 +191,8 @@ func TestStopCancelsClosedLoopRearm(t *testing.T) {
 	job.FinishCompute()
 	job.StopArrivals()
 	eng.Run()
-	if job.PendingRequests() != 0 {
-		t.Fatalf("re-arm survived StopArrivals: %d pending", job.PendingRequests())
+	if job.pending.Len() != 0 {
+		t.Fatalf("re-arm survived StopArrivals: %d pending", job.pending.Len())
 	}
 }
 
@@ -286,7 +286,7 @@ func TestPoissonArrivalsDeterministicPerSeed(t *testing.T) {
 		})
 		job.StartArrivals(func() {})
 		eng.RunUntil(time.Second)
-		counts[trial] = job.PendingRequests()
+		counts[trial] = job.pending.Len()
 	}
 	if counts[0] != counts[1] {
 		t.Fatalf("same seed produced %d vs %d arrivals", counts[0], counts[1])

@@ -57,9 +57,6 @@ func (q *arrivalQueue) PopN(out []time.Duration, k int) []time.Duration {
 	return out
 }
 
-// Cap exposes the backing-array size (memory-bound regression tests).
-func (q *arrivalQueue) Cap() int { return len(q.buf) }
-
 func (q *arrivalQueue) grow(need int) {
 	if q.n+need <= len(q.buf) {
 		return

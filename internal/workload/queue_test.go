@@ -17,8 +17,8 @@ func TestArrivalQueueBoundsMemory(t *testing.T) {
 			t.Fatalf("pop %d = %v", i, got)
 		}
 	}
-	if q.Cap() > 8 {
-		t.Fatalf("steady-state depth-1 queue grew backing array to %d", q.Cap())
+	if len(q.buf) > 8 {
+		t.Fatalf("steady-state depth-1 queue grew backing array to %d", len(q.buf))
 	}
 }
 

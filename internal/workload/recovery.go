@@ -41,10 +41,6 @@ func (j *Job) RecordCheckpoint() {
 	j.checkpointAt = j.eng.Now()
 }
 
-// CheckpointedIterations returns the iteration count of the last
-// checkpoint (zero when never checkpointed).
-func (j *Job) CheckpointedIterations() int { return j.checkpointIters }
-
 // RollbackToCheckpoint rewinds a training job to its last checkpoint and
 // returns how many iterations were lost. Serving jobs are stateless
 // across requests, so they lose nothing (in-flight requests were already
@@ -83,9 +79,6 @@ func (j *Job) NextRestartBackoff() time.Duration {
 
 // Restarted records one crash-and-restart recovery.
 func (j *Job) Restarted() { j.Restarts++ }
-
-// ClearCrash revives a crashed job so a recovery path can restart it.
-func (j *Job) ClearCrash() { j.CrashErr = nil }
 
 // ForgetDevice drops the job's memory accounting on dev without
 // returning bytes to the pool — the device's contents are gone

@@ -46,19 +46,8 @@ func JetsonTX2() MachineSpec {
 // SingleGPU builds a one-GPU Xeon server of the named GPU model:
 // "V100", "RTX 2080 Ti", "GTX 1080 Ti", or "Jetson TX2".
 func SingleGPU(gpu string) (MachineSpec, error) {
-	var class device.GPUClass
-	cpu := device.ClassXeonDual
-	switch gpu {
-	case "V100":
-		class = device.ClassV100
-	case "RTX 2080 Ti":
-		class = device.ClassRTX2080Ti
-	case "GTX 1080 Ti":
-		class = device.ClassGTX1080Ti
-	case "Jetson TX2":
-		class = device.ClassJetsonTX2
-		cpu = device.ClassCortexA57
-	default:
+	class, cpu, ok := device.PaperGPU(gpu)
+	if !ok {
 		return MachineSpec{}, fmt.Errorf("switchflow: unknown GPU %q", gpu)
 	}
 	return MachineSpec{
