@@ -25,6 +25,7 @@ package control
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -345,35 +346,46 @@ func (s *Server) listJobsLocked() []JobInfo {
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if decodeBody(w, r, &req) {
-		info, err := s.submitJobLocked(req)
-		reply(w, http.StatusCreated, info, http.StatusConflict, err)
+	if !decodeBody(w, r, &req) {
+		return
 	}
+	spec, err := toSpec(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	info, err := s.submitJobLocked(req.Model, spec)
+	reply(w, http.StatusCreated, info, http.StatusConflict, err)
 }
 
-func (s *Server) submitJobLocked(req JobRequest) (JobInfo, error) {
+func (s *Server) submitJobLocked(model string, spec switchflow.JobSpec) (JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, err := s.sched.AddJob(toSpec(req))
+	job, err := s.sched.AddJob(spec)
 	if err != nil {
 		return JobInfo{}, err
 	}
-	return s.info(s.track(req.Model, job)), nil
+	return s.info(s.track(model, job)), nil
 }
 
 func (s *Server) handleSubmitGroup(w http.ResponseWriter, r *http.Request) {
 	var reqs []JobRequest
-	if decodeBody(w, r, &reqs) {
-		infos, err := s.submitGroupLocked(reqs)
-		reply(w, http.StatusCreated, infos, http.StatusConflict, err)
+	if !decodeBody(w, r, &reqs) {
+		return
 	}
-}
-
-func (s *Server) submitGroupLocked(reqs []JobRequest) ([]JobInfo, error) {
 	specs := make([]switchflow.JobSpec, len(reqs))
 	for i, req := range reqs {
-		specs[i] = toSpec(req)
+		var err error
+		if specs[i], err = toSpec(req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 	}
+	infos, err := s.submitGroupLocked(reqs, specs)
+	reply(w, http.StatusCreated, infos, http.StatusConflict, err)
+}
+
+func (s *Server) submitGroupLocked(reqs []JobRequest, specs []switchflow.JobSpec) ([]JobInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	group, err := s.sched.AddSharedGroup(specs)
@@ -473,14 +485,23 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("forMillis must be positive, got %d", req.ForMillis))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.advanceLocked(req))
+	d, err := fromMillis("forMillis", float64(req.ForMillis))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	resp, err := s.advanceLocked(d)
+	reply(w, http.StatusOK, resp, http.StatusBadRequest, err)
 }
 
-func (s *Server) advanceLocked(req AdvanceRequest) AdvanceResponse {
+func (s *Server) advanceLocked(d time.Duration) (AdvanceResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sim.RunFor(time.Duration(req.ForMillis) * time.Millisecond)
-	return AdvanceResponse{NowMillis: s.sim.Now().Seconds() * 1e3}
+	if now := s.sim.Now(); d > math.MaxInt64-now {
+		return AdvanceResponse{}, fmt.Errorf("advancing %v from %v passes the last representable instant", d, now)
+	}
+	s.sim.RunFor(d)
+	return AdvanceResponse{NowMillis: s.sim.Now().Seconds() * 1e3}, nil
 }
 
 // MetricsInfo is the /v1/metrics payload: spine-wide event accounting
@@ -597,21 +618,24 @@ func jobInfo(id int, model string, job *switchflow.Job, sf *switchflow.SwitchFlo
 	return info
 }
 
-func toSpec(req JobRequest) switchflow.JobSpec {
+// toSpec converts the request to the facade's JobSpec. Its only error is
+// a millisecond field out of range.
+func toSpec(req JobRequest) (switchflow.JobSpec, error) {
+	var ms millis
 	spec := switchflow.JobSpec{
 		Name:            req.Name,
 		Model:           req.Model,
 		Batch:           req.Batch,
 		Train:           req.Train,
 		Priority:        req.Priority,
-		ServeEvery:      fromMillis(req.ServeEveryMS),
+		ServeEvery:      ms.field("serveEveryMillis", req.ServeEveryMS),
 		ClosedLoop:      req.ClosedLoop,
 		Saturated:       req.Saturated,
 		PoissonArrivals: req.PoissonArrivals,
 		ArrivalSeed:     req.ArrivalSeed,
-		SLO:             fromMillis(req.SLOMillis),
+		SLO:             ms.field("sloMillis", req.SLOMillis),
 		MaxBatch:        req.MaxBatch,
-		BatchWait:       fromMillis(req.BatchWaitMillis),
+		BatchWait:       ms.field("batchWaitMillis", req.BatchWaitMillis),
 		Gang:            req.Gang,
 		Replicas:        req.Replicas,
 	}
@@ -626,7 +650,10 @@ func toSpec(req JobRequest) switchflow.JobSpec {
 	if len(req.VNodes) > 0 {
 		spec.Placement.Device = req.VNodes[0]
 	}
-	return spec
+	if ms.err != nil {
+		return spec, fmt.Errorf("job %q: %w", req.Name, ms.err)
+	}
+	return spec, nil
 }
 
 // decodeBody decodes the request body strictly into v. On failure it

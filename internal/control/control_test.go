@@ -173,6 +173,36 @@ func TestErrorPaths(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: -1}, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad advance status = %d", code)
 	}
+	// Millisecond fields past time.Duration's range are refused, not
+	// wrapped: forMillis 9223372036855 used to answer 200 and leave the
+	// clock at zero.
+	const huge = 9223372036855
+	for _, tt := range []struct {
+		name, path string
+		body       any
+	}{
+		{"advance forMillis", "/v1/advance", AdvanceRequest{ForMillis: huge}},
+		{"job serveEveryMillis", "/v1/jobs", JobRequest{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: huge}},
+		{"job sloMillis", "/v1/jobs", JobRequest{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: 10, SLOMillis: huge}},
+		{"job batchWaitMillis", "/v1/jobs", JobRequest{Name: "s", Model: "ResNet50", Batch: 1, MaxBatch: 4, BatchWaitMillis: -huge}},
+		{"group sloMillis", "/v1/groups", []JobRequest{{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: 10, SLOMillis: huge}}},
+	} {
+		out = nil
+		if code := doJSON(t, "POST", ts.URL+tt.path, tt.body, &out); code != http.StatusBadRequest || !strings.Contains(out["error"], "out of range") {
+			t.Errorf("%s: status %d, error %q; want 400 out of range", tt.name, code, out["error"])
+		}
+	}
+	// The largest valid advance from a clock past zero would pass the last
+	// representable instant.
+	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 1}, nil)
+	out = nil
+	if code := doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: huge - 1}, &out); code != http.StatusBadRequest {
+		t.Errorf("advance past the last instant: status %d, error %q", code, out["error"])
+	}
+	var st StatusInfo
+	if doJSON(t, "GET", ts.URL+"/v1/status", nil, &st); st.NowMillis != 1 {
+		t.Errorf("refused advances moved the clock to %v ms, want 1", st.NowMillis)
+	}
 	var models []string
 	if code := doJSON(t, "GET", ts.URL+"/v1/models", nil, &models); code != 200 || len(models) != 12 {
 		t.Fatalf("models: %d %v", code, models)

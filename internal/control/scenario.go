@@ -89,9 +89,30 @@ type ScenarioResult struct {
 // inverts it exactly for durations below 2^51 ns (about 26 days).
 func Millis(d time.Duration) float64 { return float64(d) / 1e6 }
 
-// fromMillis converts a millisecond wire field to a duration, rounding to
-// the nearest nanosecond.
-func fromMillis(ms float64) time.Duration { return time.Duration(math.Round(ms * 1e6)) }
+// fromMillis converts the millisecond wire field named field to a
+// duration, rounding to the nearest nanosecond. A value time.Duration
+// cannot hold is an error: Go leaves the conversion of an out-of-range
+// float implementation-defined, so it must never reach it.
+func fromMillis(field string, ms float64) (time.Duration, error) {
+	ns := math.Round(ms * 1e6)
+	if !(math.Abs(ns) < 1<<63) {
+		return 0, fmt.Errorf("%s %v is out of range: a duration holds at most ±%v ms",
+			field, ms, math.MaxInt64/int64(time.Millisecond))
+	}
+	return time.Duration(ns), nil
+}
+
+// millis converts several millisecond wire fields, keeping the first
+// error, so a request converts field by field and checks once.
+type millis struct{ err error }
+
+func (m *millis) field(name string, ms float64) time.Duration {
+	d, err := fromMillis(name, ms)
+	if m.err == nil {
+		m.err = err
+	}
+	return d
+}
 
 // decodeStrict decodes one JSON value into v, rejecting fields v does not
 // declare, so a misspelled field is an error rather than a silent default.
@@ -107,40 +128,49 @@ func ParseScenario(r io.Reader) (Scenario, error) {
 	if err := decodeStrict(r, &sc); err != nil {
 		return Scenario{}, fmt.Errorf("control: decode scenario: %w", err)
 	}
-	if err := sc.validate(); err != nil {
+	if _, err := sc.window(); err != nil {
 		return Scenario{}, err
 	}
 	return sc, nil
 }
 
-// validate checks what every scenario needs, however it was built.
-func (sc Scenario) validate() error {
+// window checks what every scenario needs, however it was built, and
+// returns its virtual-time window.
+func (sc Scenario) window() (time.Duration, error) {
 	if !(sc.DurationMillis > 0) {
-		return fmt.Errorf("control: scenario durationMillis must be positive, got %v", sc.DurationMillis)
+		return 0, fmt.Errorf("control: scenario durationMillis must be positive, got %v", sc.DurationMillis)
+	}
+	window, err := fromMillis("durationMillis", sc.DurationMillis)
+	if err != nil {
+		return 0, fmt.Errorf("control: scenario %w", err)
 	}
 	if len(sc.Jobs) == 0 && len(sc.Groups) == 0 {
-		return fmt.Errorf("control: scenario has no jobs")
+		return 0, fmt.Errorf("control: scenario has no jobs")
 	}
-	return nil
+	return window, nil
 }
 
 // options builds the NewScheduler options for the faults block.
-func (f *FaultsRequest) options(window time.Duration, gpus int) []switchflow.Option {
+func (f *FaultsRequest) options(window time.Duration, gpus int) ([]switchflow.Option, error) {
 	if f == nil {
-		return nil
+		return nil, nil
 	}
+	var ms millis
 	plan := switchflow.NewFaultPlan()
 	if f.Seed != 0 {
 		plan = switchflow.RandomFaultPlan(f.Seed, window, gpus)
 	}
 	for _, l := range f.LoseGPUs {
-		plan.LoseGPU(fromMillis(l.AtMillis), l.GPU)
+		plan.LoseGPU(ms.field("loseGpus atMillis", l.AtMillis), l.GPU)
 	}
 	opts := []switchflow.Option{switchflow.WithFaultPlan(plan)}
 	if f.CheckpointEveryMillis != 0 {
-		opts = append(opts, switchflow.WithCheckpointEvery(fromMillis(f.CheckpointEveryMillis)))
+		opts = append(opts, switchflow.WithCheckpointEvery(ms.field("checkpointEveryMillis", f.CheckpointEveryMillis)))
 	}
-	return opts
+	if ms.err != nil {
+		return nil, fmt.Errorf("control: faults %w", ms.err)
+	}
+	return opts, nil
 }
 
 // opNeedsJob maps each op to whether it names a job.
@@ -170,7 +200,8 @@ func (op OpRequest) apply(sf *switchflow.SwitchFlowScheduler, job *switchflow.Jo
 // RunScenario executes the scenario in virtual time and returns the
 // outcomes.
 func RunScenario(sc Scenario) (ScenarioResult, error) {
-	if err := sc.validate(); err != nil {
+	window, err := sc.window()
+	if err != nil {
 		return ScenarioResult{}, err
 	}
 	spec, err := MachineSpec(sc.Machine)
@@ -183,8 +214,11 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 	if err != nil {
 		return ScenarioResult{}, fmt.Errorf("control: %w", err)
 	}
-	window := fromMillis(sc.DurationMillis)
-	sched, err := sim.NewScheduler(policy, sc.Faults.options(window, sim.GPUCount())...)
+	faults, err := sc.Faults.options(window, sim.GPUCount())
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	sched, err := sim.NewScheduler(policy, faults...)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
@@ -197,12 +231,15 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 		models = append(models, req.Model)
 		jobs = append(jobs, job)
 		byName[job.Name()] = append(byName[job.Name()], job)
-		if _, tenant := jobSpec(sc, req); tenant {
+		if sc.tenant(req) {
 			tenants = append(tenants, job)
 		}
 	}
 	for _, req := range sc.Jobs {
-		spec, _ := jobSpec(sc, req)
+		spec, err := sc.jobSpec(req)
+		if err != nil {
+			return ScenarioResult{}, err
+		}
 		job, err := sched.AddJob(spec)
 		if err != nil {
 			return ScenarioResult{}, err
@@ -215,7 +252,9 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 		}
 		specs := make([]switchflow.JobSpec, len(groupReqs))
 		for i, req := range groupReqs {
-			specs[i], _ = jobSpec(sc, req)
+			if specs[i], err = sc.jobSpec(req); err != nil {
+				return ScenarioResult{}, err
+			}
 		}
 		group, err := sf.AddSharedGroup(specs)
 		if err != nil {
@@ -272,44 +311,63 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 // in time order on the way. Every op is checked before the clock moves.
 func runOps(sim *switchflow.Simulation, sf *switchflow.SwitchFlowScheduler,
 	byName map[string][]*switchflow.Job, ops []OpRequest, window time.Duration) error {
-	ops = append([]OpRequest(nil), ops...)
-	sort.SliceStable(ops, func(i, j int) bool { return fromMillis(ops[i].AtMillis) < fromMillis(ops[j].AtMillis) })
-	targets := make([]*switchflow.Job, len(ops))
+	type timedOp struct {
+		OpRequest
+		at     time.Duration
+		target *switchflow.Job
+	}
+	timed := make([]timedOp, len(ops))
 	for i, op := range ops {
+		at, err := fromMillis("atMillis", op.AtMillis)
+		if err != nil {
+			return fmt.Errorf("control: %s %w", op.Op, err)
+		}
+		timed[i] = timedOp{OpRequest: op, at: at}
+	}
+	sort.SliceStable(timed, func(i, j int) bool { return timed[i].at < timed[j].at })
+	for i, op := range timed {
 		needsJob, known := opNeedsJob[op.Op]
 		switch {
 		case !known:
 			return fmt.Errorf("control: unknown op %q", op.Op)
-		case fromMillis(op.AtMillis) > window:
-			return fmt.Errorf("control: %s at %v is past the %v window", op.Op, fromMillis(op.AtMillis), window)
+		case op.at > window:
+			return fmt.Errorf("control: %s at %v is past the %v window", op.Op, op.at, window)
 		case needsJob && len(byName[op.Job]) != 1:
 			return fmt.Errorf("control: %s names job %q, carried by %d jobs; want exactly one",
 				op.Op, op.Job, len(byName[op.Job]))
 		case needsJob:
-			targets[i] = byName[op.Job][0]
+			timed[i].target = byName[op.Job][0]
 		}
 	}
-	for i, op := range ops {
-		at := fromMillis(op.AtMillis)
-		sim.RunUntil(at)
-		if err := op.apply(sf, targets[i]); err != nil {
-			return fmt.Errorf("control: %s at %v: %w", op.Op, at, err)
+	for _, op := range timed {
+		sim.RunUntil(op.at)
+		if err := op.apply(sf, op.target); err != nil {
+			return fmt.Errorf("control: %s at %v: %w", op.Op, op.at, err)
 		}
 	}
 	sim.RunUntil(window)
 	return nil
 }
 
-// jobSpec converts the request to the facade's JobSpec and reports
-// whether the job is a tenant of the traffic block (see Scenario.Traffic);
-// a tenant idles between the trace's Offer calls.
-func jobSpec(sc Scenario, req JobRequest) (spec switchflow.JobSpec, tenant bool) {
-	spec = toSpec(req)
-	if tenant = sc.Traffic != nil && !req.Train && !req.Saturated; tenant {
+// tenant reports whether the job req describes is a tenant of the traffic
+// block (see Scenario.Traffic); a tenant idles between the trace's Offer
+// calls.
+func (sc Scenario) tenant(req JobRequest) bool {
+	return sc.Traffic != nil && !req.Train && !req.Saturated
+}
+
+// jobSpec converts the request to the facade's JobSpec, request-driven
+// for a tenant.
+func (sc Scenario) jobSpec(req JobRequest) (switchflow.JobSpec, error) {
+	spec, err := toSpec(req)
+	if err != nil {
+		return spec, fmt.Errorf("control: %w", err)
+	}
+	if sc.tenant(req) {
 		spec.ServeEvery = 0
 		spec.ClosedLoop = false
 		spec.PoissonArrivals = false
 		spec.RequestDriven = true
 	}
-	return spec, tenant
+	return spec, nil
 }

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -199,16 +200,107 @@ func TestRunScenarioValidates(t *testing.T) {
 // TestMillisRoundTrip checks that a duration stored in a millisecond wire
 // field comes back unchanged.
 func TestMillisRoundTrip(t *testing.T) {
-	for d := time.Duration(0); d <= 10*time.Second; d += time.Microsecond {
-		if got := fromMillis(Millis(d)); got != d {
-			t.Fatalf("fromMillis(Millis(%v)) = %v", d, got)
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, err := fromMillis("f", Millis(d)); got != d || err != nil {
+			t.Fatalf("fromMillis(Millis(%d ns)) = %d ns, %v", d, got, err)
 		}
+	}
+	for d := time.Duration(0); d <= 10*time.Second; d += time.Microsecond {
+		check(d)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100_000; i++ {
-		d := time.Duration(rng.Int63n(1 << 51))
-		if got := fromMillis(Millis(d)); got != d {
-			t.Fatalf("fromMillis(Millis(%d ns)) = %d ns", d, got)
+		check(time.Duration(rng.Int63n(1 << 51)))
+	}
+}
+
+// TestFromMillisRange checks that fromMillis refuses every value a
+// time.Duration cannot hold instead of wrapping it.
+func TestFromMillisRange(t *testing.T) {
+	tests := []struct {
+		ms float64
+		ok bool
+	}{
+		{9223372036854, true},
+		{-9223372036854, true},
+		{9223372036855, false},
+		{-9223372036855, false},
+		{1e300, false},
+		{math.Inf(1), false},
+		{math.NaN(), false},
+	}
+	for _, tt := range tests {
+		got, err := fromMillis("durationMillis", tt.ms)
+		if !tt.ok {
+			if err == nil || got != 0 || !strings.Contains(err.Error(), "durationMillis") {
+				t.Errorf("fromMillis(%v) = %v, %v; want an error naming the field", tt.ms, got, err)
+			}
+			continue
 		}
+		// The largest valid values are off by float rounding only.
+		want := time.Duration(tt.ms) * time.Millisecond
+		if err != nil || got-want < -time.Microsecond || got-want > time.Microsecond {
+			t.Errorf("fromMillis(%v) = %v, %v; want %v", tt.ms, got, err, want)
+		}
+	}
+}
+
+// TestScenarioMillisOutOfRange checks that every millisecond field of a
+// scenario turns a value past time.Duration's range into an error naming
+// the field, where it used to wrap and run.
+func TestScenarioMillisOutOfRange(t *testing.T) {
+	const huge = 9223372036855 // ms: just past the largest duration
+	train := JobRequest{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1}
+	serve := JobRequest{Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2, ServeEveryMS: 100}
+	base := func() Scenario {
+		return Scenario{Machine: "2gpu", DurationMillis: 1000, Jobs: []JobRequest{train, serve}}
+	}
+	tests := []struct {
+		field string
+		edit  func(*Scenario)
+	}{
+		{"durationMillis", func(sc *Scenario) { sc.DurationMillis = huge }},
+		{"atMillis", func(sc *Scenario) { sc.Ops = []OpRequest{{AtMillis: huge, Op: "drain"}} }},
+		{"loseGpus atMillis", func(sc *Scenario) {
+			sc.Faults = &FaultsRequest{LoseGPUs: []LoseGPURequest{{GPU: 1, AtMillis: huge}}}
+		}},
+		{"checkpointEveryMillis", func(sc *Scenario) { sc.Faults = &FaultsRequest{CheckpointEveryMillis: huge} }},
+		{"serveEveryMillis", func(sc *Scenario) { sc.Jobs[1].ServeEveryMS = huge }},
+		{"sloMillis", func(sc *Scenario) { sc.Jobs[1].SLOMillis = -huge }},
+		{"batchWaitMillis", func(sc *Scenario) { sc.Jobs[1].BatchWaitMillis = huge }},
+		{"batchWaitMillis", func(sc *Scenario) {
+			bad := serve
+			bad.BatchWaitMillis = huge
+			sc.Groups = [][]JobRequest{{bad}}
+		}},
+		{"diurnalMillis", func(sc *Scenario) { sc.Traffic = &TrafficRequest{RPS: 10, DiurnalMillis: huge} }},
+		{"startMillis", func(sc *Scenario) {
+			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{StartMillis: huge, Magnitude: 2}}}
+		}},
+		{"rampMillis", func(sc *Scenario) {
+			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{RampMillis: huge, Magnitude: 2}}}
+		}},
+		{"holdMillis", func(sc *Scenario) {
+			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{HoldMillis: huge, Magnitude: 2}}}
+		}},
+		{"decayMillis", func(sc *Scenario) {
+			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{DecayMillis: huge, Magnitude: 2}}}
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.field, func(t *testing.T) {
+			sc := base()
+			tt.edit(&sc)
+			_, err := RunScenario(sc)
+			if err == nil || !strings.Contains(err.Error(), tt.field+" ") || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("err = %v, want %s out of range", err, tt.field)
+			}
+		})
+	}
+
+	doc := `{"machine":"2gpu","durationMillis":9223372036855,"jobs":[{"name":"a","model":"ResNet50","batch":8,"train":true}]}`
+	if _, err := ParseScenario(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("ParseScenario: err = %v, want durationMillis out of range", err)
 	}
 }

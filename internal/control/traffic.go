@@ -67,22 +67,26 @@ func (r TrafficRequest) Profile(names []string) (traffic.Profile, error) {
 			Seed:   seed + int64(i)*7919,
 		}
 	}
+	var ms millis
 	p := traffic.Profile{
 		Clients:       clients,
 		RPSPerClient:  r.RPS / float64(clients),
-		DiurnalPeriod: fromMillis(r.DiurnalMillis),
+		DiurnalPeriod: ms.field("diurnalMillis", r.DiurnalMillis),
 		DiurnalMin:    r.DiurnalMin,
 		Tenants:       tenants,
 		Seed:          seed,
 	}
 	for _, s := range r.Spikes {
 		p.Spikes = append(p.Spikes, traffic.Spike{
-			Start:     fromMillis(s.StartMillis),
-			Ramp:      fromMillis(s.RampMillis),
-			Hold:      fromMillis(s.HoldMillis),
-			Decay:     fromMillis(s.DecayMillis),
+			Start:     ms.field("startMillis", s.StartMillis),
+			Ramp:      ms.field("rampMillis", s.RampMillis),
+			Hold:      ms.field("holdMillis", s.HoldMillis),
+			Decay:     ms.field("decayMillis", s.DecayMillis),
 			Magnitude: s.Magnitude,
 		})
+	}
+	if ms.err != nil {
+		return traffic.Profile{}, fmt.Errorf("control: traffic %w", ms.err)
 	}
 	return p, nil
 }

@@ -140,3 +140,31 @@ func BenchmarkEngineRescheduleStorm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineChain times the pattern the kernel path runs and the
+// other benchmarks miss: a firing event's callback schedules the next
+// event of its chain, which is usually the new minimum. One chain steps a
+// few µs at a time over 64 long-lived background events, the data pools'
+// shape, and each background event reschedules itself one ms ahead when
+// it fires. One op is one fired event.
+func BenchmarkEngineChain(b *testing.B) {
+	const background = 64
+	e := NewEngine()
+	steps := [...]time.Duration{3 * time.Microsecond, 5 * time.Microsecond, 2 * time.Microsecond, 7 * time.Microsecond}
+	n := 0
+	var chain, idle func()
+	chain = func() {
+		n++
+		e.After(steps[n%len(steps)], chain)
+	}
+	idle = func() { e.After(time.Millisecond, idle) }
+	for i := 0; i < background; i++ {
+		e.Schedule(time.Duration(i)*time.Millisecond/background, idle)
+	}
+	e.Schedule(0, chain)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

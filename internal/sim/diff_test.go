@@ -11,7 +11,10 @@ import (
 // schedule/cancel/step/run-until scripts and assert that the two produce the
 // same firing sequence, the same clock, and the same counters. The
 // reference's behaviour is the specification: it shares no code with the
-// heap, so any divergence is an Engine bug.
+// heap, so any divergence is an Engine bug. Every scripted event also
+// carries an action its callback performs in whichever engine fires it:
+// schedule a child, cancel a handle or its own, or fire re-entrantly with
+// Step or RunUntil. That is where fire-in-place differs from a plain pop.
 //
 // Scripts are generated from a handrolled xorshift generator (never
 // math/rand — the detrand analyzer bans it) so a failing seed reproduces
@@ -21,10 +24,10 @@ import (
 // refEngine is the event-queue contract at its plainest: an unordered
 // slice searched linearly for the (at, seq) minimum on every step.
 type refEngine struct {
-	now     time.Duration
-	seq     uint64
-	fired   uint64
-	pending []*refEvent
+	now   time.Duration
+	seq   uint64
+	fired uint64
+	queue []*refEvent
 }
 
 // refEvent is one scheduled callback; it is never reused, so a handle to
@@ -50,10 +53,10 @@ func (h refHandle) Scheduled() bool { return h.ev != nil && h.ev.live }
 func (e *refEngine) Now() time.Duration { return e.now }
 func (e *refEngine) Fired() uint64      { return e.fired }
 
-// Pending counts the live events; cancelled ones stay in the slice.
-func (e *refEngine) Pending() int {
+// pending counts the live events; cancelled ones stay in the slice.
+func (e *refEngine) pending() int {
 	n := 0
-	for _, ev := range e.pending {
+	for _, ev := range e.queue {
 		if ev.live {
 			n++
 		}
@@ -67,14 +70,14 @@ func (e *refEngine) Schedule(at time.Duration, fn func()) refHandle {
 	}
 	e.seq++
 	ev := &refEvent{at: at, seq: e.seq, fn: fn, live: true}
-	e.pending = append(e.pending, ev)
+	e.queue = append(e.queue, ev)
 	return refHandle{ev}
 }
 
 // min returns the position of the earliest live event, or -1.
 func (e *refEngine) min() int {
 	best := -1
-	for i, ev := range e.pending {
+	for i, ev := range e.queue {
 		if !ev.live {
 			continue
 		}
@@ -82,7 +85,7 @@ func (e *refEngine) min() int {
 			best = i
 			continue
 		}
-		if b := e.pending[best]; ev.at < b.at || (ev.at == b.at && ev.seq < b.seq) {
+		if b := e.queue[best]; ev.at < b.at || (ev.at == b.at && ev.seq < b.seq) {
 			best = i
 		}
 	}
@@ -94,8 +97,8 @@ func (e *refEngine) Step() bool {
 	if i < 0 {
 		return false
 	}
-	ev := e.pending[i]
-	e.pending = append(e.pending[:i], e.pending[i+1:]...)
+	ev := e.queue[i]
+	e.queue = append(e.queue[:i], e.queue[i+1:]...)
 	ev.live = false
 	e.now = ev.at
 	e.fired++
@@ -108,10 +111,14 @@ func (e *refEngine) Run() {
 	}
 }
 
+func (e *refEngine) schedule(at time.Duration, fn func()) diffHandle {
+	return e.Schedule(at, fn)
+}
+
 func (e *refEngine) RunUntil(t time.Duration) {
 	for {
 		i := e.min()
-		if i < 0 || e.pending[i].at > t {
+		if i < 0 || e.queue[i].at > t {
 			break
 		}
 		e.Step()
@@ -137,34 +144,134 @@ func (r *diffRNG) next() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// firing records one event execution: the clock the engine showed the
-// callback and the script-assigned id of the event.
+// diffEngine is what a script drives; engSide and refEngine implement it.
+type diffEngine interface {
+	Now() time.Duration
+	Fired() uint64
+	Step() bool
+	Run()
+	RunUntil(t time.Duration)
+	schedule(at time.Duration, fn func()) diffHandle
+	pending() int
+}
+
+// diffHandle is the part of Event and refHandle a script uses.
+type diffHandle interface {
+	Cancel()
+	Scheduled() bool
+}
+
+// engSide adapts the Engine to diffEngine.
+type engSide struct{ *Engine }
+
+func (s engSide) schedule(at time.Duration, fn func()) diffHandle {
+	return s.Schedule(at, fn)
+}
+
+// pending counts the events still to fire: the heap, less the spent root
+// while a callback runs.
+func (s engSide) pending() int {
+	if s.spent {
+		return len(s.heap) - 1
+	}
+	return len(s.heap)
+}
+
+// firing records one event execution: what the callback saw on entry (the
+// clock, the pending count and whether its own handle was still
+// scheduled), and what its action left behind.
 type firing struct {
-	at time.Duration
-	id int
+	at      time.Duration
+	id      int
+	pending int
+	own     bool
+	// after, afterPending and result are read when the action returns;
+	// result is Step's return, or Scheduled() on a handle just cancelled.
+	after        time.Duration
+	afterPending int
+	result       bool
+}
+
+// diffAction is what an event's callback does besides logging. kind picks
+// one of: 0 nothing, 1-3 schedule a child at a near, mid or far delay, 4
+// cancel the handle with id arg mod issued, 5 cancel its own handle, 6
+// Step, 7 RunUntil arg ns ahead. depth counts the callback-scheduled
+// ancestors; children stop at diffMaxDepth so every script drains.
+type diffAction struct {
+	kind  uint8
+	arg   uint32
+	depth uint8
+}
+
+const diffMaxDepth = 3
+
+// childAction derives the action of the event scheduled by id's callback.
+// It depends on id alone, so both engines give a child the same action.
+func childAction(id int, depth uint8) diffAction {
+	r := diffRNG(uint64(id+1) * 0x9e3779b97f4a7c15)
+	v := r.next()
+	return diffAction{kind: uint8(v % 8), arg: uint32(v >> 32), depth: depth}
+}
+
+// diffSide is one engine under a script: the handles it issued, indexed
+// by script id, and the log of its callbacks.
+type diffSide struct {
+	eng diffEngine
+	evs []diffHandle
+	log []firing
+}
+
+// add schedules the event with the next id at at.
+func (s *diffSide) add(at time.Duration, act diffAction) {
+	id := len(s.evs)
+	s.evs = append(s.evs, s.eng.schedule(at, func() { s.fire(id, act) }))
+}
+
+// fire is event id's callback: it logs, then performs act.
+func (s *diffSide) fire(id int, act diffAction) {
+	e, own := s.eng, s.evs[id]
+	i := len(s.log)
+	s.log = append(s.log, firing{at: e.Now(), id: id, pending: e.pending(), own: own.Scheduled()})
+	result := false
+	switch act.kind {
+	case 1, 2, 3:
+		if act.depth < diffMaxDepth {
+			d := time.Duration(act.arg % 256) // near: ties with pending events
+			if act.kind == 2 {
+				d = time.Duration(act.arg%(1<<16)) << 4
+			} else if act.kind == 3 {
+				d = time.Duration(act.arg%(1<<24)) << 12
+			}
+			s.add(e.Now()+d, childAction(len(s.evs), act.depth+1))
+		}
+	case 4:
+		h := s.evs[int(act.arg)%len(s.evs)]
+		h.Cancel()
+		result = h.Scheduled()
+	case 5:
+		own.Cancel()
+		result = own.Scheduled()
+	case 6:
+		result = e.Step()
+	case 7:
+		e.RunUntil(e.Now() + time.Duration(act.arg%(1<<12)))
+	}
+	s.log[i].after, s.log[i].afterPending, s.log[i].result = e.Now(), e.pending(), result
 }
 
 // diffScript interprets a byte string as a schedule/cancel/step/run-until
 // script over both engines and fails t on any observable divergence.
 func diffScript(t *testing.T, data []byte) bool {
 	t.Helper()
-	eng := NewEngine()
-	ref := &refEngine{}
-	var engLog, refLog []firing
-	var engEvs []Event
-	var refEvs []refHandle
-	nextID := 0
+	eng := &diffSide{eng: engSide{NewEngine()}}
+	ref := &diffSide{eng: &refEngine{}}
+	sides := []*diffSide{eng, ref}
 
-	schedule := func(d time.Duration) {
-		id := nextID
-		nextID++
-		at := eng.Now() + d
-		engEvs = append(engEvs, eng.Schedule(at, func() {
-			engLog = append(engLog, firing{eng.Now(), id})
-		}))
-		refEvs = append(refEvs, ref.Schedule(at, func() {
-			refLog = append(refLog, firing{ref.Now(), id})
-		}))
+	schedule := func(d time.Duration, a uint64) {
+		act := diffAction{kind: uint8(a % 8), arg: uint32(a >> 3)}
+		for _, s := range sides {
+			s.add(s.eng.Now()+d, act)
+		}
 	}
 
 	rng := diffRNG(0xdeadbeefcafe)
@@ -180,69 +287,77 @@ func diffScript(t *testing.T, data []byte) bool {
 		}
 		switch op {
 		case 0, 1: // near-horizon schedule: many equal timestamps
-			schedule(time.Duration(arg(1)))
+			schedule(time.Duration(arg(1)), arg(2))
 		case 2: // mid-horizon schedule
-			schedule(time.Duration(arg(2)) << 4)
+			schedule(time.Duration(arg(2))<<4, arg(2))
 		case 3: // far-future schedule
-			schedule(time.Duration(arg(3)) << 12)
+			schedule(time.Duration(arg(3))<<12, arg(2))
 		case 4: // cancel an arbitrary previously issued handle (may be stale)
-			if n := len(engEvs); n > 0 {
+			if n := len(eng.evs); n > 0 {
 				j := int(arg(2) % uint64(n))
-				engEvs[j].Cancel()
-				refEvs[j].Cancel()
-				if engEvs[j].Scheduled() != refEvs[j].Scheduled() {
+				for _, s := range sides {
+					s.evs[j].Cancel()
+				}
+				if eng.evs[j].Scheduled() != ref.evs[j].Scheduled() {
 					t.Fatalf("op %d: Scheduled() diverges for handle %d: engine=%v ref=%v",
-						i, j, engEvs[j].Scheduled(), refEvs[j].Scheduled())
+						i, j, eng.evs[j].Scheduled(), ref.evs[j].Scheduled())
 				}
 			}
 		case 5: // single step
-			if w, h := eng.Step(), ref.Step(); w != h {
+			if w, h := eng.eng.Step(), ref.eng.Step(); w != h {
 				t.Fatalf("op %d: Step() diverges: engine=%v ref=%v", i, w, h)
 			}
 		case 6: // bounded advance
 			d := time.Duration(arg(2))
-			eng.RunUntil(eng.Now() + d)
-			ref.RunUntil(ref.Now() + d)
+			for _, s := range sides {
+				s.eng.RunUntil(s.eng.Now() + d)
+			}
 		case 7: // reschedule storm burst: cancel-and-replace, the GPU-model pattern
 			for k := uint64(0); k < arg(1)%16; k++ {
-				if n := len(engEvs); n > 0 {
+				if n := len(eng.evs); n > 0 {
 					j := int(rng.next() % uint64(n))
-					engEvs[j].Cancel()
-					refEvs[j].Cancel()
+					for _, s := range sides {
+						s.evs[j].Cancel()
+					}
 				}
-				schedule(time.Duration(rng.next() % 4096))
+				schedule(time.Duration(rng.next()%4096), rng.next())
 			}
 		}
-		if eng.Now() != ref.Now() {
-			t.Fatalf("op %d: clock diverges: engine=%v ref=%v", i, eng.Now(), ref.Now())
+		if eng.eng.Now() != ref.eng.Now() {
+			t.Fatalf("op %d: clock diverges: engine=%v ref=%v", i, eng.eng.Now(), ref.eng.Now())
 		}
-		if len(eng.heap) != ref.Pending() {
-			t.Fatalf("op %d: Pending() diverges: engine=%d ref=%d", i, len(eng.heap), ref.Pending())
+		if eng.eng.pending() != ref.eng.pending() {
+			t.Fatalf("op %d: pending diverges: engine=%d ref=%d", i, eng.eng.pending(), ref.eng.pending())
+		}
+		if len(eng.evs) != len(ref.evs) {
+			t.Fatalf("op %d: handles issued diverge: engine=%d ref=%d", i, len(eng.evs), len(ref.evs))
 		}
 	}
 
-	eng.Run()
-	ref.Run()
-	compareRuns(t, eng, ref, engLog, refLog)
+	for _, s := range sides {
+		s.eng.Run()
+	}
+	compareRuns(t, eng, ref)
 	return true
 }
 
 // compareRuns fails t unless the two engines fired the same events at the
-// same times and ended on the same counters.
-func compareRuns(t *testing.T, eng *Engine, ref *refEngine, engLog, refLog []firing) {
+// same times, their callbacks saw the same things, and they ended on the
+// same counters.
+func compareRuns(t *testing.T, eng, ref *diffSide) {
 	t.Helper()
-	if eng.Fired() != ref.Fired() {
-		t.Fatalf("Fired() diverges: engine=%d ref=%d", eng.Fired(), ref.Fired())
+	if eng.eng.Fired() != ref.eng.Fired() {
+		t.Fatalf("Fired() diverges: engine=%d ref=%d", eng.eng.Fired(), ref.eng.Fired())
 	}
-	if eng.Now() != ref.Now() {
-		t.Fatalf("final clock diverges: engine=%v ref=%v", eng.Now(), ref.Now())
+	if eng.eng.Now() != ref.eng.Now() {
+		t.Fatalf("final clock diverges: engine=%v ref=%v", eng.eng.Now(), ref.eng.Now())
 	}
-	if len(engLog) != len(refLog) {
-		t.Fatalf("firing count diverges: engine=%d ref=%d", len(engLog), len(refLog))
+	if len(eng.log) != len(ref.log) {
+		t.Fatalf("firing count diverges: engine=%d ref=%d", len(eng.log), len(ref.log))
 	}
-	for i := range engLog {
-		if engLog[i] != refLog[i] {
-			t.Fatalf("firing %d diverges: engine=%+v ref=%+v", i, engLog[i], refLog[i])
+	for i := range eng.log {
+		if eng.log[i] != ref.log[i] {
+			t.Fatalf("firing %d diverges: engine=%+v ref=%+v", i, eng.log[i], ref.log[i])
 		}
 	}
 }
@@ -262,7 +377,8 @@ func scriptFromSeed(seed uint64, n int) []byte {
 
 // TestEngineMatchesReferenceProperty checks the equivalence contract over
 // generated scripts: ties, cancels of live and stale handles, bounded
-// advances and cancel-and-replace storms.
+// advances, cancel-and-replace storms, and callbacks that schedule, cancel
+// and fire re-entrantly.
 func TestEngineMatchesReferenceProperty(t *testing.T) {
 	prop := func(seed uint64, size uint16) bool {
 		n := 64 + int(size)%4096
@@ -277,24 +393,21 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 // TestEngineMatchesReferenceDeepHorizon pins down a deep queue whose delays
 // span 1 ns to ~18 minutes, fired in (at, seq) order.
 func TestEngineMatchesReferenceDeepHorizon(t *testing.T) {
-	eng := NewEngine()
-	ref := &refEngine{}
-	var engLog, refLog []firing
+	eng := &diffSide{eng: engSide{NewEngine()}}
+	ref := &diffSide{eng: &refEngine{}}
 	rng := diffRNG(42)
 	for i := 0; i < 2000; i++ {
-		id := i
 		d := time.Duration(rng.next() % (1 << uint(10+rng.next()%31)))
-		at := eng.Now() + d
-		eng.Schedule(at, func() { engLog = append(engLog, firing{eng.Now(), id}) })
-		ref.Schedule(at, func() { refLog = append(refLog, firing{ref.Now(), id}) })
-		if i%64 == 0 {
-			eng.Step()
-			ref.Step()
+		for _, s := range []*diffSide{eng, ref} {
+			s.add(s.eng.Now()+d, diffAction{})
+			if i%64 == 0 {
+				s.eng.Step()
+			}
 		}
 	}
-	eng.Run()
-	ref.Run()
-	compareRuns(t, eng, ref, engLog, refLog)
+	eng.eng.Run()
+	ref.eng.Run()
+	compareRuns(t, eng, ref)
 }
 
 // FuzzEngineMatchesReference lets the fuzzer mutate raw op scripts

@@ -13,10 +13,19 @@
 // events return to a free list, so steady-state Schedule/Step cycles
 // allocate nothing, and Cancel removes the event from the heap instead of
 // leaving a tombstone behind.
+//
+// An event fires in place: it stays at the heap root, spent, while its
+// callback runs, and the first event the callback schedules takes the root
+// with one sift-down. Most callbacks schedule the next event of the same
+// chain, so one sift-down replaces the pop-then-push each fire would
+// otherwise cost. A callback that schedules nothing leaves the spent root
+// to be popped when it returns, and a callback that calls Step or RunUntil
+// on its own engine pops it before the nested fire.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -48,7 +57,8 @@ func (h Event) Scheduled() bool {
 
 // event is the engine-owned state behind an Event handle. Fired and
 // cancelled events are recycled through the engine's free list; seq is
-// bumped to zero on recycle so outstanding handles go inert.
+// bumped to zero when the event fires or is cancelled, so outstanding
+// handles go inert.
 type event struct {
 	eng   *Engine
 	at    time.Duration
@@ -65,6 +75,11 @@ type Engine struct {
 	fired uint64
 	heap  []*event // 4-ary min-heap ordered by (at, seq)
 	free  []*event // recycled event structs
+	// spent is set while heap[0] is the firing event, kept in place for
+	// the first Schedule its callback makes. Its seq is zero, so it
+	// orders before every pending event and no handle matches it; it is
+	// not pending.
+	spent bool
 }
 
 // NewEngine returns an empty engine positioned at virtual time zero.
@@ -86,6 +101,17 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
+	e.seq++
+	if e.spent {
+		// The spent root orders before every pending event and at is not
+		// before it, so the new event reuses its struct and sifts down
+		// from the root.
+		e.spent = false
+		ev := e.heap[0]
+		ev.at, ev.seq, ev.fn = at, e.seq, fn
+		e.down(0)
+		return Event{ev: ev, seq: ev.seq}
+	}
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -94,7 +120,6 @@ func (e *Engine) Schedule(at time.Duration, fn func()) Event {
 	} else {
 		ev = &event{eng: e}
 	}
-	e.seq++
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	ev.index = int32(len(e.heap))
 	e.heap = append(e.heap, ev)
@@ -113,11 +138,7 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 
 // Step fires the next event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
-	}
-	e.fire()
-	return true
+	return len(e.heap) > 0 && e.fire(math.MaxInt64)
 }
 
 // Run fires events until the queue drains.
@@ -130,8 +151,7 @@ func (e *Engine) Run() {
 // Events scheduled during the run are honoured if they fall within the
 // horizon.
 func (e *Engine) RunUntil(t time.Duration) {
-	for len(e.heap) > 0 && e.heap[0].at <= t {
-		e.fire()
+	for len(e.heap) > 0 && e.heap[0].at <= t && e.fire(t) {
 	}
 	if t > e.now {
 		e.now = t
@@ -152,16 +172,39 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// fire pops the heap's minimum, advances the clock, recycles the struct,
-// and runs the callback. The heap must be non-empty.
-func (e *Engine) fire() {
+// fire runs the heap's minimum in place, if it is due by t, and reports
+// whether it ran: it advances the clock, marks the root spent and runs the
+// callback, then pops the root unless the callback scheduled an event into
+// it. The heap must be non-empty. Entered from a callback (Step or
+// RunUntil on its own engine), fire first pops the caller's spent root and
+// checks the heap again.
+func (e *Engine) fire(t time.Duration) bool {
+	if e.spent {
+		e.retire()
+		if len(e.heap) == 0 || e.heap[0].at > t {
+			return false
+		}
+	}
 	ev := e.heap[0]
-	e.removeAt(0)
 	e.now = ev.at
 	fn := ev.fn
-	e.recycle(ev)
+	ev.fn = nil
+	ev.seq = 0
+	e.spent = true
 	e.fired++
 	fn()
+	if e.spent {
+		e.retire()
+	}
+	return true
+}
+
+// retire pops and recycles the spent root.
+func (e *Engine) retire() {
+	e.spent = false
+	ev := e.heap[0]
+	e.removeAt(0)
+	e.recycle(ev)
 }
 
 // remove deletes a still-pending ev from the heap and recycles it (the

@@ -190,6 +190,33 @@ func TestSteadyStateReusesEvents(t *testing.T) {
 	}
 }
 
+// TestCallbackReentersEngine checks that a callback may call Step and
+// RunUntil on its own engine: the nested fire pops the spent root first,
+// so the caller's event never fires twice and an empty heap stops it.
+func TestCallbackReentersEngine(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.Schedule(1, func() {
+		got = append(got, 1)
+		if !e.Step() {
+			t.Error("nested Step found nothing to fire")
+		}
+		e.RunUntil(3)
+		if e.Step() {
+			t.Error("nested Step fired on an empty heap")
+		}
+	})
+	e.Schedule(2, func() { got = append(got, 2) })
+	e.Schedule(3, func() { got = append(got, 3) })
+	e.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 || e.Fired() != 3 {
+		t.Fatalf("fired %v (%d), want [1 2 3]", got, e.Fired())
+	}
+	if len(e.heap) != 0 || len(e.free) != 3 {
+		t.Fatalf("heap %d, free list %d; want 0 and 3", len(e.heap), len(e.free))
+	}
+}
+
 // TestEngineStepAllocFree pins the engine's zero-allocation steady state
 // in both loop shapes BenchmarkEngineDepth and
 // BenchmarkEngineRescheduleStorm time: schedule+step, and the cancel-heavy
