@@ -73,11 +73,13 @@ bench:
 # docs/scenarios file, for swrun under all four schedulers with a device
 # loss and with a seeded fault mix plus a checkpoint interval, for each
 # swrun flag family the README shows (elastic ops, gangs, open-loop
-# serving, traffic, collocation), and for swtrace's ascii and profile
-# outputs under both of its schedulers on a V100 and a Jetson TX2; then
-# for the full swbench sweep, whose serial and parallel runs must match
-# too. A file added under
-# docs/scenarios must parse under REF's swrun as well.
+# serving, traffic, collocation), for swtrace's ascii and profile
+# outputs under both of its schedulers on a V100 and a Jetson TX2, its
+# json and chrome outputs under both schedulers on a V100, and a
+# three-model -prio chrome trace, and for swbench -trace's report and
+# Chrome trace file; then for the full swbench sweep, whose serial and
+# parallel runs must match too. A file added under docs/scenarios must
+# parse under REF's swrun as well.
 REF ?= HEAD
 IDENTICAL_FLAGS := -exp all -iters 20 -requests 40
 IDENTICAL_EXAMPLES := $(notdir $(wildcard examples/*))
@@ -110,14 +112,20 @@ identical:
 			-jobs train:ResNet50:32:1@1,train:VGG16:32:2@1 -for 30s > "$$2/swrun-collocate.txt"; \
 		for s in threaded switchflow; do for g in V100 "Jetson TX2"; do for f in ascii profile; do \
 			"$$1/swtrace" -sched $$s -gpu "$$g" -format $$f -for 2s > "$$2/swtrace-$$s-$${g// /-}-$$f.txt"; \
-		done; done; done; \
+		done; done; \
+		for f in json chrome; do \
+			"$$1/swtrace" -sched $$s -gpu V100 -format $$f -for 2s > "$$2/swtrace-$$s-V100-$$f.txt"; \
+		done; done; \
+		"$$1/swtrace" -sched switchflow -models ResNet50,VGG16,ResNet50 -prio 3,1,2 \
+			-format chrome -for 2s > "$$2/swtrace-prio-chrome.txt"; \
+		(cd "$$2" && "$$1/swbench" -trace swbench-trace.json > swbench-trace.txt); \
 	}; \
 	build "$$tmp/ref" "$$tmp/bin-ref"; \
 	build . "$$tmp/bin"; \
 	outputs "$$tmp/bin-ref" "$$tmp/out-ref"; \
 	outputs "$$tmp/bin" "$$tmp/out"; \
 	diff -r "$$tmp/out-ref" "$$tmp/out"; \
-	echo "identical: $$(ls "$$tmp/out" | wc -l) example/swrun/swtrace outputs match $(REF)"; \
+	echo "identical: $$(ls "$$tmp/out" | wc -l) example/swrun/swtrace/swbench-trace outputs match $(REF)"; \
 	"$$tmp/bin-ref/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/ref.txt" 2>/dev/null; \
 	"$$tmp/bin/swbench" $(IDENTICAL_FLAGS) -parallel 1 > "$$tmp/serial.txt" 2>/dev/null; \
 	"$$tmp/bin/swbench" $(IDENTICAL_FLAGS) -parallel 8 > "$$tmp/parallel.txt" 2>/dev/null; \

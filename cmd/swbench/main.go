@@ -21,6 +21,7 @@ import (
 
 	"switchflow/internal/experiments"
 	"switchflow/internal/harness"
+	"switchflow/internal/trace"
 )
 
 func main() {
@@ -46,36 +47,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "swbench:", err)
 		os.Exit(1)
 	}
-}
-
-// writeTrace runs the canned observability experiment (two ResNet50
-// training jobs on a V100 under each scheduler) and writes the
-// switchflow cell's Chrome trace-event JSON to path. The export is
-// byte-identical regardless of -parallel.
-func writeTrace(path string) error {
-	results := experiments.ChromeTrace(5 * time.Second)
-	for _, r := range results {
-		fmt.Printf("trace: %-10s %6d kernel spans, %4d preemptions\n", r.Sched, r.Spans, r.Preempts)
-	}
-	for _, r := range results {
-		if r.Sched != "switchflow" {
-			continue
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := r.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace: wrote %s (%d events, switchflow cell)\n", path, len(r.Events))
-		return nil
-	}
-	return fmt.Errorf("no switchflow cell in trace results")
 }
 
 func run(exp string, iters, requests int, fleetWin time.Duration, clients int) error {
@@ -147,7 +118,7 @@ func figure2() {
 	fmt.Printf("kernel overlap fraction: %.3f (spatial sharing barely happens)\n",
 		res.OverlapFraction)
 	fmt.Println("timeline (first 2s, 1 col = 25ms):")
-	_ = res.Timeline.RenderASCII(os.Stdout, 25*time.Millisecond, 80)
+	_ = trace.RenderASCII(os.Stdout, res.Spans, 25*time.Millisecond, 80)
 }
 
 func figure3(iters int) {

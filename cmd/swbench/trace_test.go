@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"bytes"
@@ -7,17 +7,18 @@ import (
 	"time"
 
 	"switchflow/internal/harness"
+	"switchflow/internal/obs"
 )
 
 const traceTestWindow = 1500 * time.Millisecond
 
-func renderTraces(t *testing.T, results []ChromeTraceResult) map[string][]byte {
+func renderTraces(t *testing.T, results []traceCell) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte, len(results))
 	for _, r := range results {
 		var buf bytes.Buffer
-		if err := r.WriteChromeTrace(&buf); err != nil {
-			t.Fatalf("WriteChromeTrace(%s): %v", r.Sched, err)
+		if err := obs.WriteChrome(&buf, r.Events); err != nil {
+			t.Fatalf("WriteChrome(%s): %v", r.Sched, err)
 		}
 		out[r.Sched] = buf.Bytes()
 	}
@@ -30,10 +31,10 @@ func renderTraces(t *testing.T, results []ChromeTraceResult) map[string][]byte {
 func TestChromeTraceSerialParallelByteIdentical(t *testing.T) {
 	prev := harness.SetParallelism(1)
 	defer harness.SetParallelism(prev)
-	serial := renderTraces(t, ChromeTrace(traceTestWindow))
+	serial := renderTraces(t, chromeTrace(traceTestWindow))
 
 	harness.SetParallelism(4)
-	parallel := renderTraces(t, ChromeTrace(traceTestWindow))
+	parallel := renderTraces(t, chromeTrace(traceTestWindow))
 
 	for _, sched := range []string{"threaded", "switchflow"} {
 		if !bytes.Equal(serial[sched], parallel[sched]) {
@@ -49,8 +50,8 @@ func TestChromeTraceSerialParallelByteIdentical(t *testing.T) {
 // The acceptance shape of the artifact: valid JSON, kernel spans from
 // both contexts, and at least one Preempt decision under switchflow.
 func TestChromeTraceContainsBothContextsAndPreemption(t *testing.T) {
-	results := ChromeTrace(traceTestWindow)
-	var sf ChromeTraceResult
+	results := chromeTrace(traceTestWindow)
+	var sf traceCell
 	for _, r := range results {
 		if r.Sched == "switchflow" {
 			sf = r
@@ -66,7 +67,7 @@ func TestChromeTraceContainsBothContextsAndPreemption(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := sf.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChrome(&buf, sf.Events); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -118,7 +118,7 @@ func (o *options) run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := control.RunScenario(sc)
+	res, err := control.RunScenario(sc, nil)
 	if err != nil {
 		return err
 	}

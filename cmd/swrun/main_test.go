@@ -224,11 +224,11 @@ func TestLoweredScenarioRoundTrips(t *testing.T) {
 			if !reflect.DeepEqual(parsed, sc) {
 				t.Fatalf("JSON round trip changed the scenario:\n%s", raw)
 			}
-			direct, err := control.RunScenario(sc)
+			direct, err := control.RunScenario(sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaJSON, err := control.RunScenario(parsed)
+			viaJSON, err := control.RunScenario(parsed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

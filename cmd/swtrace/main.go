@@ -1,6 +1,8 @@
-// Command swtrace emits a Figure 2 style kernel timeline: two models
+// Command swtrace emits a Figure 2 style kernel timeline: models
 // co-running on one GPU under a chosen scheduler, as ASCII art, JSON, an
-// nvprof-style profile, or a Chrome trace-event file for Perfetto.
+// nvprof-style profile, or a Chrome trace-event file for Perfetto. Its
+// flags lower into a control.Scenario; the run is recorded once, and every
+// format renders from that one event stream.
 //
 // Usage:
 //
@@ -18,20 +20,15 @@ import (
 	"strings"
 	"time"
 
-	"switchflow/internal/baseline"
-	"switchflow/internal/core"
-	"switchflow/internal/device"
-	"switchflow/internal/models"
+	"switchflow/internal/control"
 	"switchflow/internal/obs"
-	"switchflow/internal/sim"
 	"switchflow/internal/trace"
-	"switchflow/internal/workload"
 )
 
 func main() {
 	var (
 		modelsFlag = flag.String("models", "ResNet50,ResNet50", "comma-separated training models to co-run")
-		gpuFlag    = flag.String("gpu", "V100", "GPU model: V100, RTX 2080 Ti, GTX 1080 Ti, Jetson TX2")
+		gpuFlag    = flag.String("gpu", "V100", "GPU model (V100, RTX 2080 Ti, GTX 1080 Ti, Jetson TX2) or machine name (v100, 2gpu, nvlink, tx2); every job runs on GPU 0, and V100 is the 4x V100 server")
 		schedFlag  = flag.String("sched", "threaded", "scheduler: threaded or switchflow")
 		window     = flag.Duration("for", 5*time.Second, "virtual time to trace")
 		batch      = flag.Int("batch", 16, "training batch size")
@@ -51,58 +48,15 @@ func run(modelList, gpuName, sched, format, prios, outPath string, window time.D
 	if err := checkFlags(sched, format, window, width); err != nil {
 		return err
 	}
-	eng := sim.NewEngine()
-	machine, err := machineFor(eng, gpuName)
+	sc, err := scenario(modelList, gpuName, sched, prios, window, batch)
 	if err != nil {
 		return err
 	}
-	tl := &trace.Timeline{}
-	tl.AttachBus(machine.Bus())
-	// The chrome export wants scheduler decisions alongside kernel spans,
-	// so it records the full spine rather than just the timeline.
 	rec := obs.NewRecorder(0)
-	if format == "chrome" {
-		machine.Bus().Subscribe(rec,
-			obs.KindKernelSpan, obs.KindPreempt, obs.KindResume, obs.KindMigrate,
-			obs.KindBatchFuse, obs.KindAdmit, obs.KindShed, obs.KindServe,
-			obs.KindFaultInject, obs.KindJobLost, obs.KindCheckpoint,
-			obs.KindRestore, obs.KindPlace)
-	}
-
-	names := strings.Split(modelList, ",")
-	priorities, err := parsePriorities(prios, len(names))
-	if err != nil {
+	if _, err := control.RunScenario(sc, func(bus *obs.Bus) { bus.Subscribe(rec, trace.Kinds...) }); err != nil {
 		return err
 	}
-	cfgs := make([]workload.Config, 0, len(names))
-	for i, name := range names {
-		spec, err := models.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		cfgs = append(cfgs, workload.Config{
-			Name:     fmt.Sprintf("%s-%d", spec.Name, i),
-			Model:    spec,
-			Batch:    batch,
-			Kind:     workload.KindTraining,
-			Priority: priorities[i],
-			Device:   device.GPUID(0),
-		})
-	}
-
-	var addJob func(workload.Config) (*workload.Job, error)
-	if sched == "switchflow" {
-		addJob = core.NewManager(eng, machine, core.Options{}).AddJob
-	} else {
-		addJob = baseline.New(eng, machine, baseline.ThreadedTF).AddJob
-	}
-	for _, cfg := range cfgs {
-		if _, err := addJob(cfg); err != nil {
-			return err
-		}
-	}
-
-	eng.RunUntil(window)
+	events := rec.Events()
 
 	out := io.Writer(os.Stdout)
 	if outPath != "" {
@@ -114,19 +68,43 @@ func run(modelList, gpuName, sched, format, prios, outPath string, window time.D
 		out = f
 	}
 
+	if format == "chrome" {
+		return obs.WriteChrome(out, events)
+	}
+	spans := trace.Spans(events)
 	switch format {
 	case "json":
-		return tl.WriteJSON(out)
-	case "chrome":
-		return obs.WriteChrome(out, rec.Events())
+		return trace.WriteJSON(out, spans)
 	case "profile":
 		fmt.Fprintf(out, "kernel profile on %s under %s over %v:\n", gpuName, sched, window)
-		return tl.WriteProfile(out, 25)
+		return trace.WriteProfile(out, spans, 25)
 	default: // ascii
 		bucket := window / time.Duration(width)
 		fmt.Fprintf(out, "kernel timeline on %s under %s (1 col = %v):\n", gpuName, sched, bucket)
-		return tl.RenderASCII(out, bucket, width)
+		return trace.RenderASCII(out, spans, bucket, width)
 	}
+}
+
+// scenario lowers the flags into a scenario: one training job per model,
+// named <Model>-<i>, on GPU 0 of the -gpu machine.
+func scenario(modelList, gpuName, sched, prios string, window time.Duration, batch int) (control.Scenario, error) {
+	names := strings.Split(modelList, ",")
+	priorities, err := parsePriorities(prios, len(names))
+	if err != nil {
+		return control.Scenario{}, err
+	}
+	sc := control.Scenario{Machine: gpuName, Scheduler: sched, DurationMillis: control.Millis(window)}
+	for i, name := range names {
+		model := strings.TrimSpace(name)
+		sc.Jobs = append(sc.Jobs, control.JobRequest{
+			Name:     fmt.Sprintf("%s-%d", model, i),
+			Model:    model,
+			Batch:    batch,
+			Train:    true,
+			Priority: priorities[i],
+		})
+	}
+	return sc, nil
 }
 
 // checkFlags rejects bad -sched, -format, -for and -width values before
@@ -171,12 +149,4 @@ func parsePriorities(flagVal string, n int) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-func machineFor(eng *sim.Engine, gpu string) (*device.Machine, error) {
-	class, cpu, ok := device.PaperGPU(gpu)
-	if !ok {
-		return nil, fmt.Errorf("unknown GPU %q", gpu)
-	}
-	return device.NewMachine(eng, cpu, class), nil
 }

@@ -40,12 +40,8 @@ func runShardedFleet(t *testing.T) fleetRun {
 	c.RunUntil(10 * time.Second)
 
 	run := fleetRun{events: c.Events()}
-	tl := &trace.Timeline{}
-	for _, e := range run.events {
-		tl.Observe(e)
-	}
 	var buf bytes.Buffer
-	if err := tl.WriteJSON(&buf); err != nil {
+	if err := trace.WriteJSON(&buf, trace.Spans(run.events)); err != nil {
 		t.Fatal(err)
 	}
 	run.traceJSON = buf.Bytes()

@@ -383,7 +383,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc)
+	res, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestScenarioWithGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc)
+	res, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +435,12 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	sc := Scenario{Machine: "v100", Scheduler: "timeslice", DurationMillis: 100,
 		Groups: [][]JobRequest{{{Name: "a", Model: "ResNet50", Batch: 8}}}}
-	if _, err := RunScenario(sc); err == nil {
+	if _, err := RunScenario(sc, nil); err == nil {
 		t.Fatal("group under non-switchflow scheduler accepted")
 	}
 	sc = Scenario{Scheduler: "fifo", DurationMillis: 100,
 		Jobs: []JobRequest{{Name: "a", Model: "ResNet50", Batch: 8}}}
-	if _, err := RunScenario(sc); err == nil || err.Error() != `control: unknown scheduler "fifo"` {
+	if _, err := RunScenario(sc, nil); err == nil || err.Error() != `control: unknown scheduler "fifo"` {
 		t.Fatalf("unknown scheduler: err = %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"switchflow"
+	"switchflow/internal/obs"
 )
 
 // Scenario is a declarative collocation experiment: a machine, a
@@ -198,8 +199,10 @@ func (op OpRequest) apply(sf *switchflow.SwitchFlowScheduler, job *switchflow.Jo
 }
 
 // RunScenario executes the scenario in virtual time and returns the
-// outcomes.
-func RunScenario(sc Scenario) (ScenarioResult, error) {
+// outcomes. observe, when non-nil, receives the simulation's event bus
+// once, before any scheduler or job exists, so a sink it subscribes sees
+// every event of the run from the first.
+func RunScenario(sc Scenario, observe func(*obs.Bus)) (ScenarioResult, error) {
 	window, err := sc.window()
 	if err != nil {
 		return ScenarioResult{}, err
@@ -209,6 +212,9 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 		return ScenarioResult{}, err
 	}
 	sim := switchflow.NewSimulation(spec)
+	if observe != nil {
+		observe(sim.EventBus())
+	}
 
 	policy, err := ParsePolicy(sc.Scheduler)
 	if err != nil {

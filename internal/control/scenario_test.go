@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"switchflow/internal/obs"
 )
 
 // elasticScenario is one ResNet50 training job with one virtual node on
@@ -39,7 +41,7 @@ func TestScenarioOps(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := RunScenario(elasticScenario(tt.ops...))
+			res, err := RunScenario(elasticScenario(tt.ops...), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +52,7 @@ func TestScenarioOps(t *testing.T) {
 	}
 
 	// Without the undrain, GPU 0 is still draining and the rebind fails.
-	_, err := RunScenario(elasticScenario(resize, drain, rebind))
+	_, err := RunScenario(elasticScenario(resize, drain, rebind), nil)
 	if err == nil || !strings.Contains(err.Error(), "not placeable") {
 		t.Errorf("rebind onto a drained GPU: err = %v", err)
 	}
@@ -80,7 +82,7 @@ func TestScenarioOpErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := RunScenario(tt.sc)
+			_, err := RunScenario(tt.sc, nil)
 			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
 				t.Fatalf("err = %v, want one containing %q", err, tt.wantErr)
 			}
@@ -92,7 +94,7 @@ func TestScenarioOpErrors(t *testing.T) {
 func TestScenarioFaults(t *testing.T) {
 	sc := Scenario{Machine: "2gpu", DurationMillis: 10000,
 		Jobs: []JobRequest{{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1, FallbackGPUs: []int{1}}}}
-	res, err := RunScenario(sc)
+	res, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestScenarioFaults(t *testing.T) {
 	}
 
 	sc.Faults = &FaultsRequest{LoseGPUs: []LoseGPURequest{{GPU: 0, AtMillis: 3000}}, CheckpointEveryMillis: 1000}
-	if res, err = RunScenario(sc); err != nil {
+	if res, err = RunScenario(sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := res.Faults
@@ -118,7 +120,7 @@ func TestScenarioFaults(t *testing.T) {
 
 	sc.Faults = &FaultsRequest{Seed: 7}
 	sc.DurationMillis = 20000
-	if res, err = RunScenario(sc); err != nil {
+	if res, err = RunScenario(sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res.Faults.Injected == 0 || res.Faults.DeviceLost != 0 {
@@ -127,7 +129,7 @@ func TestScenarioFaults(t *testing.T) {
 
 	for _, gpu := range []int{-1, 2} {
 		sc.Faults = &FaultsRequest{LoseGPUs: []LoseGPURequest{{GPU: gpu, AtMillis: 1000}}}
-		if _, err := RunScenario(sc); err == nil || !strings.Contains(err.Error(), "machine has 2 GPUs") {
+		if _, err := RunScenario(sc, nil); err == nil || !strings.Contains(err.Error(), "machine has 2 GPUs") {
 			t.Errorf("loss of gpu %d: err = %v", gpu, err)
 		}
 	}
@@ -144,7 +146,7 @@ func TestScenarioFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc)
+	res, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestScenarioSaturatedUnderTraffic(t *testing.T) {
 			{Name: "infer-MobileNetV2", Model: "MobileNetV2", Batch: 8, Saturated: true},
 			{Name: "serve-ResNet50", Model: "ResNet50", Batch: 1, Priority: 2, ClosedLoop: true},
 		},
-		Traffic: &TrafficRequest{RPS: 100}})
+		Traffic: &TrafficRequest{RPS: 100}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +189,12 @@ func TestScenarioSaturatedUnderTraffic(t *testing.T) {
 func TestRunScenarioValidates(t *testing.T) {
 	jobs := []JobRequest{{Name: "a", Model: "ResNet50", Batch: 8, Train: true}}
 	for _, ms := range []float64{0, -3000} {
-		_, err := RunScenario(Scenario{DurationMillis: ms, Jobs: jobs})
+		_, err := RunScenario(Scenario{DurationMillis: ms, Jobs: jobs}, nil)
 		if err == nil || !strings.Contains(err.Error(), "durationMillis must be positive") {
 			t.Errorf("durationMillis %v: err = %v", ms, err)
 		}
 	}
-	if _, err := RunScenario(Scenario{DurationMillis: 1000}); err == nil {
+	if _, err := RunScenario(Scenario{DurationMillis: 1000}, nil); err == nil {
 		t.Error("scenario without jobs accepted")
 	}
 }
@@ -292,7 +294,7 @@ func TestScenarioMillisOutOfRange(t *testing.T) {
 		t.Run(tt.field, func(t *testing.T) {
 			sc := base()
 			tt.edit(&sc)
-			_, err := RunScenario(sc)
+			_, err := RunScenario(sc, nil)
 			if err == nil || !strings.Contains(err.Error(), tt.field+" ") || !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("err = %v, want %s out of range", err, tt.field)
 			}
@@ -302,5 +304,24 @@ func TestScenarioMillisOutOfRange(t *testing.T) {
 	doc := `{"machine":"2gpu","durationMillis":9223372036855,"jobs":[{"name":"a","model":"ResNet50","batch":8,"train":true}]}`
 	if _, err := ParseScenario(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("ParseScenario: err = %v, want durationMillis out of range", err)
+	}
+}
+
+// A recorder attached through RunScenario's hook sees the run from its
+// first event: an elastic job's admission-time Bind, emitted before the
+// clock moves.
+func TestRunScenarioObserveSeesAdmission(t *testing.T) {
+	rec := obs.NewRecorder(0)
+	if _, err := RunScenario(elasticScenario(), func(bus *obs.Bus) { bus.Subscribe(rec) }); err != nil {
+		t.Fatal(err)
+	}
+	events := rec.Events()
+	if len(events) == 0 {
+		t.Fatal("the hook's recorder saw no events")
+	}
+	first := events[0]
+	if first.Kind != obs.KindBind || first.Time != 0 || first.Seq != 1 ||
+		first.Job != "train" || first.Device != "gpu:0" || first.Count != 0 {
+		t.Errorf("first event = %+v, want vnode 0's Bind to gpu:0 at t=0 with Seq 1", first)
 	}
 }

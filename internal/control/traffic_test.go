@@ -36,7 +36,7 @@ func TestScenarioWithTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc)
+	res, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestScenarioWithTraffic(t *testing.T) {
 	}
 
 	// Same scenario, same seed: byte-identical outcome.
-	again, err := RunScenario(sc)
+	again, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"switchflow/internal/device"
+	"switchflow/internal/obs"
 	"switchflow/internal/trace"
 	"switchflow/internal/workload"
 )
@@ -15,8 +16,8 @@ import (
 // device's own kernel timeline, not the scheduler's bookkeeping.
 func TestInvariant1NoGPUCoRun(t *testing.T) {
 	eng, machine, m := newHarness(t, Options{}, device.ClassV100)
-	tl := &trace.Timeline{}
-	tl.AttachBus(machine.Bus())
+	rec := obs.NewRecorder(0)
+	machine.Bus().Subscribe(rec, obs.KindKernelSpan)
 
 	if _, err := m.AddJob(trainCfg(t, "t1", "ResNet50", 16, 1, device.GPUID(0))); err != nil {
 		t.Fatal(err)
@@ -33,13 +34,14 @@ func TestInvariant1NoGPUCoRun(t *testing.T) {
 	}
 	eng.RunUntil(10 * time.Second)
 
-	ctxs := tl.Contexts()
+	spans := trace.Spans(rec.Events())
+	ctxs := trace.Contexts(spans)
 	if len(ctxs) < 3 {
 		t.Fatalf("only %d contexts ran kernels", len(ctxs))
 	}
 	for i, a := range ctxs {
 		for _, b := range ctxs[i+1:] {
-			if overlap := tl.OverlapTime(a, b) + tl.OverlapTime(b, a); overlap != 0 {
+			if overlap := trace.OverlapTime(spans, a, b) + trace.OverlapTime(spans, b, a); overlap != 0 {
 				t.Errorf("ctx %d and %d kernels overlapped for %v (invariant 1 violated)",
 					a, b, overlap)
 			}
@@ -51,8 +53,8 @@ func TestInvariant1NoGPUCoRun(t *testing.T) {
 // let GPU executors co-run — the overlap instrument is not vacuous.
 func TestInvariant1ViolatedWhenDisabled(t *testing.T) {
 	eng, machine, m := newHarness(t, Options{DisableGPUExclusive: true}, device.ClassV100)
-	tl := &trace.Timeline{}
-	tl.AttachBus(machine.Bus())
+	rec := obs.NewRecorder(0)
+	machine.Bus().Subscribe(rec, obs.KindKernelSpan)
 	if _, err := m.AddJob(trainCfg(t, "t1", "MobileNetV2", 16, 1, device.GPUID(0))); err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +62,14 @@ func TestInvariant1ViolatedWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(5 * time.Second)
-	ctxs := tl.Contexts()
+	spans := trace.Spans(rec.Events())
+	ctxs := trace.Contexts(spans)
 	if len(ctxs) != 2 {
 		t.Fatalf("contexts = %v", ctxs)
 	}
 	// Light kernels from two streams admit together once exclusivity is
 	// off; some overlap must appear.
-	if overlap := tl.OverlapTime(ctxs[0], ctxs[1]) + tl.OverlapTime(ctxs[1], ctxs[0]); overlap == 0 {
+	if overlap := trace.OverlapTime(spans, ctxs[0], ctxs[1]) + trace.OverlapTime(spans, ctxs[1], ctxs[0]); overlap == 0 {
 		t.Error("no overlap even with exclusivity disabled")
 	}
 }

@@ -43,7 +43,7 @@ func TestFigure2ShowsSerializationAndSlowdown(t *testing.T) {
 	if res.OverlapFraction > 0.2 {
 		t.Errorf("kernel overlap fraction = %.2f, want near zero", res.OverlapFraction)
 	}
-	if len(res.Timeline.Spans()) == 0 {
+	if len(res.Spans) == 0 {
 		t.Error("timeline empty")
 	}
 }

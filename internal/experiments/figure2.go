@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"switchflow/internal/baseline"
+	"switchflow/internal/device"
+	"switchflow/internal/obs"
 	"switchflow/internal/sim"
 	"switchflow/internal/trace"
 )
@@ -12,9 +14,9 @@ import (
 // training jobs sharing one V100 under multi-threaded TF, and the
 // throughput collapse the paper reports (226 -> 116 images/s per model).
 type Figure2Result struct {
-	// Timeline holds the per-kernel spans of the co-run (Figure 2's
-	// nvprof view).
-	Timeline *trace.Timeline
+	// Spans holds the per-kernel spans of the co-run in start order
+	// (Figure 2's nvprof view).
+	Spans []device.Span
 	// SoloImgPerSec is one ResNet50 training alone.
 	SoloImgPerSec float64
 	// CoRunImgPerSec is each model's throughput when sharing.
@@ -42,11 +44,11 @@ func Figure2(window time.Duration) Figure2Result {
 		SoloImgPerSec: float64(soloJob.Iterations*batch) / window.Seconds(),
 	}
 
-	// Co-run with a timeline attached.
+	// Co-run with its kernel spans recorded.
 	eng := sim.NewEngine()
 	machine := machineFor(eng, "V100")
-	tl := &trace.Timeline{}
-	tl.AttachBus(machine.Bus())
+	rec := obs.NewRecorder(0)
+	machine.Bus().Subscribe(rec, obs.KindKernelSpan)
 	sched := baseline.New(eng, machine, baseline.ThreadedTF)
 	a, err := sched.AddJob(trainConfig("resnet50-a", "ResNet50", batch, 1))
 	if err != nil {
@@ -57,14 +59,15 @@ func Figure2(window time.Duration) Figure2Result {
 		panic(err)
 	}
 	eng.RunUntil(window)
-	result.Timeline = tl
+	spans := trace.Spans(rec.Events())
+	result.Spans = spans
 	result.CoRunImgPerSec[0] = float64(a.Iterations*batch) / window.Seconds()
 	result.CoRunImgPerSec[1] = float64(b.Iterations*batch) / window.Seconds()
-	ctxs := tl.Contexts()
+	ctxs := trace.Contexts(spans)
 	if len(ctxs) >= 2 {
-		busy := tl.BusyTime(ctxs[0])
+		busy := trace.BusyTime(spans, ctxs[0])
 		if busy > 0 {
-			overlap := tl.OverlapTime(ctxs[0], ctxs[1]) + tl.OverlapTime(ctxs[1], ctxs[0])
+			overlap := trace.OverlapTime(spans, ctxs[0], ctxs[1]) + trace.OverlapTime(spans, ctxs[1], ctxs[0])
 			result.OverlapFraction = float64(overlap) / float64(busy)
 		}
 	}

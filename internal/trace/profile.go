@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"switchflow/internal/device"
 )
 
 // KernelStat aggregates one kernel's executions, nvprof style (§2.2's
@@ -25,17 +27,16 @@ type KernelStat struct {
 	Share float64
 }
 
-// Profile aggregates the timeline's spans per (kernel, ctx), ordered by
-// total time descending.
-func (t *Timeline) Profile() []KernelStat {
+// Profile aggregates spans per (kernel, ctx), ordered by total time
+// descending.
+func Profile(spans []device.Span) []KernelStat {
 	type key struct {
 		name string
 		ctx  int
 	}
 	agg := make(map[key]*KernelStat)
 	var grandTotal time.Duration
-	for _, r := range t.recs {
-		s := r.span
+	for _, s := range spans {
 		k := key{name: s.Name, ctx: s.Ctx}
 		st, ok := agg[k]
 		if !ok {
@@ -70,10 +71,10 @@ func (t *Timeline) Profile() []KernelStat {
 	return stats
 }
 
-// WriteProfile renders the top-n kernels as an nvprof-like table. n <= 0
-// prints everything.
-func (t *Timeline) WriteProfile(w io.Writer, n int) error {
-	stats := t.Profile()
+// WriteProfile renders the top-n kernels of spans as an nvprof-like
+// table. n <= 0 prints everything.
+func WriteProfile(w io.Writer, spans []device.Span, n int) error {
+	stats := Profile(spans)
 	if n > 0 && n < len(stats) {
 		stats = stats[:n]
 	}

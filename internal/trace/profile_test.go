@@ -5,25 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"switchflow/internal/device"
+	"switchflow/internal/obs"
+	"switchflow/internal/sim"
 )
 
-func namedSpan(name string, ctx int, startMS, endMS int) device.Span {
-	return device.Span{
-		Name:  name,
-		Ctx:   ctx,
-		Start: time.Duration(startMS) * time.Millisecond,
-		End:   time.Duration(endMS) * time.Millisecond,
-	}
-}
-
 func TestProfileSharesSumToOne(t *testing.T) {
-	var tl Timeline
-	tl.Add(namedSpan("conv", 1, 0, 10))
-	tl.Add(namedSpan("conv", 1, 10, 30))
-	tl.Add(namedSpan("gemm", 2, 0, 15))
-	tl.Add(namedSpan("relu", 1, 30, 31))
-	stats := tl.Profile()
+	stats := Profile(Spans([]obs.Event{
+		kernel("conv", 1, 0, 10),
+		kernel("conv", 1, 10, 30),
+		kernel("gemm", 2, 0, 15),
+		kernel("relu", 1, 30, 31),
+	}))
 	if len(stats) != 3 {
 		t.Fatalf("got %d kernel stats, want 3", len(stats))
 	}
@@ -40,12 +32,12 @@ func TestProfileSharesSumToOne(t *testing.T) {
 }
 
 func TestProfileAggregatesAndOrdersByTotalDescending(t *testing.T) {
-	var tl Timeline
-	tl.Add(namedSpan("small", 1, 0, 2))
-	tl.Add(namedSpan("big", 1, 2, 22))
-	tl.Add(namedSpan("mid", 1, 22, 30))
-	tl.Add(namedSpan("big", 1, 30, 40)) // second call of "big"
-	stats := tl.Profile()
+	stats := Profile(Spans([]obs.Event{
+		kernel("small", 1, 0, 2),
+		kernel("big", 1, 2, 22),
+		kernel("mid", 1, 22, 30),
+		kernel("big", 1, 30, 40), // second call of "big"
+	}))
 	if stats[0].Name != "big" || stats[1].Name != "mid" || stats[2].Name != "small" {
 		t.Fatalf("profile order = %s,%s,%s, want big,mid,small",
 			stats[0].Name, stats[1].Name, stats[2].Name)
@@ -59,23 +51,21 @@ func TestProfileAggregatesAndOrdersByTotalDescending(t *testing.T) {
 }
 
 func TestProfileEqualTotalsHaveStableOrder(t *testing.T) {
-	build := func() *Timeline {
-		var tl Timeline
-		// Three distinct (name, ctx) rows with identical totals: order
-		// must fall back to (Name, Ctx) and replay identically.
-		tl.Add(namedSpan("b", 2, 0, 10))
-		tl.Add(namedSpan("a", 1, 10, 20))
-		tl.Add(namedSpan("a", 2, 20, 30))
-		return &tl
+	// Three distinct (name, ctx) rows with identical totals: order must
+	// fall back to (Name, Ctx) and replay identically.
+	events := []obs.Event{
+		kernel("b", 2, 0, 10),
+		kernel("a", 1, 10, 20),
+		kernel("a", 2, 20, 30),
 	}
-	want := build().Profile()
+	want := Profile(Spans(events))
 	if want[0].Name != "a" || want[0].Ctx != 1 ||
 		want[1].Name != "a" || want[1].Ctx != 2 ||
 		want[2].Name != "b" {
 		t.Fatalf("tie-break order = %v", want)
 	}
 	for i := 0; i < 50; i++ {
-		got := build().Profile()
+		got := Profile(Spans(events))
 		for j := range want {
 			if got[j].Name != want[j].Name || got[j].Ctx != want[j].Ctx {
 				t.Fatalf("iteration %d: order changed: %v vs %v", i, got, want)
@@ -87,17 +77,43 @@ func TestProfileEqualTotalsHaveStableOrder(t *testing.T) {
 func TestSpansTieBreakByEmitSequence(t *testing.T) {
 	// Zero-duration spans with identical (Start, Ctx): the emit order is
 	// the only defensible order, and it must replay identically.
-	build := func() *Timeline {
-		var tl Timeline
-		tl.Add(namedSpan("first", 1, 5, 5))
-		tl.Add(namedSpan("second", 1, 5, 5))
-		tl.Add(namedSpan("third", 1, 5, 5))
-		return &tl
+	events := []obs.Event{
+		kernel("first", 1, 5, 5),
+		kernel("second", 1, 5, 5),
+		kernel("third", 1, 5, 5),
 	}
 	for i := 0; i < 50; i++ {
-		spans := build().Spans()
+		spans := Spans(events)
 		if spans[0].Name != "first" || spans[1].Name != "second" || spans[2].Name != "third" {
 			t.Fatalf("iteration %d: identical-key spans reordered: %v", i, spans)
+		}
+	}
+}
+
+// A merged fleet stream restarts Seq on every machine, so equal
+// (Start, Ctx) spans from two machines must keep their merged order, not
+// their sequence numbers.
+func TestSpansTieBreakKeepsMergedOrder(t *testing.T) {
+	record := func(names ...string) []obs.Event {
+		eng := sim.NewEngine()
+		bus := obs.NewBus(eng)
+		rec := obs.NewRecorder(0)
+		bus.Subscribe(rec, Kinds...)
+		for _, name := range names {
+			bus.Emit(kernel(name, 1, 0, 0))
+		}
+		return rec.Events()
+	}
+	// Machine 0 emits three events and machine 1 one, so the merged
+	// stream's sequence numbers run 1, 2, 3, 1.
+	merged := obs.Merge(record("m0-a", "m0-b", "m0-c"), record("m1-a"))
+	if merged[3].Seq >= merged[2].Seq {
+		t.Fatalf("merged Seq %d after %d: want a sequence restart", merged[3].Seq, merged[2].Seq)
+	}
+	spans := Spans(merged)
+	for i, want := range []string{"m0-a", "m0-b", "m0-c", "m1-a"} {
+		if spans[i].Name != want {
+			t.Fatalf("span %d = %s, want %s (merged order): %v", i, spans[i].Name, want, spans)
 		}
 	}
 }

@@ -1,5 +1,9 @@
-// Package trace records per-kernel GPU timelines, the data behind the
-// paper's Figure 2 (two ResNet50s interleaving on one V100).
+// Package trace renders per-kernel GPU timelines, the data behind the
+// paper's Figure 2 (two ResNet50s interleaving on one V100). It keeps no
+// state: record a run's events with an obs.Recorder subscribed to Kinds,
+// take its kernel spans with Spans, and render them as ASCII, JSON or an
+// nvprof-style profile; obs.WriteChrome renders the same events for
+// Perfetto.
 package trace
 
 import (
@@ -14,72 +18,41 @@ import (
 	"switchflow/internal/obs"
 )
 
-// record pairs a span with its arrival order. Spans reach the timeline in
-// bus-emission order, so the arrival index doubles as the emit sequence
-// and gives Spans() a total, reproducible order even for identical
-// (Start, Ctx) pairs.
-type record struct {
-	span device.Span
-	seq  uint64
+// Kinds is what a trace records: kernel spans plus every scheduler
+// decision. Executor-level OpSched/Launch dispatch is omitted — it
+// multiplies the artifact size without adding to the Figure 2 story.
+var Kinds = []obs.Kind{
+	obs.KindKernelSpan, obs.KindPreempt, obs.KindResume, obs.KindMigrate,
+	obs.KindBatchFuse, obs.KindAdmit, obs.KindShed, obs.KindServe,
+	obs.KindFaultInject, obs.KindJobLost, obs.KindCheckpoint,
+	obs.KindRestore, obs.KindPlace,
 }
 
-// Timeline accumulates kernel spans from one or more GPUs. It is an
-// obs.Sink over the observability spine: subscribe it to a bus with
-// AttachBus.
-type Timeline struct {
-	recs    []record
-	nextSeq uint64
-}
-
-// Observe implements obs.Sink: kernel-span events are recorded, all
-// other kinds are ignored, so a Timeline may share a bus subscription
-// with richer consumers.
-func (t *Timeline) Observe(e obs.Event) {
-	if e.Kind != obs.KindKernelSpan {
-		return
+// Spans returns the kernel spans among events, ordered by start time and
+// then context. Ties (same Start and Ctx — e.g. zero-duration kernels)
+// keep their order in events, so a recorded stream, or an obs.Merge of
+// several, gives a total order that is identical across runs.
+func Spans(events []obs.Event) []device.Span {
+	var spans []device.Span
+	for _, e := range events {
+		if e.Kind == obs.KindKernelSpan {
+			spans = append(spans, device.Span{Name: e.Name, Ctx: e.Ctx, Start: e.Start, End: e.Start + e.Dur})
+		}
 	}
-	t.Add(device.Span{Name: e.Name, Ctx: e.Ctx, Start: e.Start, End: e.Start + e.Dur})
-}
-
-// AttachBus subscribes the timeline to every kernel span published on
-// bus. Sinks compose: other subscribers on the same bus are unaffected.
-func (t *Timeline) AttachBus(bus *obs.Bus) {
-	bus.Subscribe(t, obs.KindKernelSpan)
-}
-
-// Add records a span directly.
-func (t *Timeline) Add(s device.Span) {
-	t.nextSeq++
-	t.recs = append(t.recs, record{span: s, seq: t.nextSeq})
-}
-
-// Spans returns the recorded spans ordered by start time. Ties (same
-// Start and Ctx — e.g. zero-duration kernels) break by emit sequence, so
-// the order is total and identical across runs.
-func (t *Timeline) Spans() []device.Span {
-	recs := make([]record, len(t.recs))
-	copy(recs, t.recs)
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].span.Start != recs[j].span.Start {
-			return recs[i].span.Start < recs[j].span.Start
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
 		}
-		if recs[i].span.Ctx != recs[j].span.Ctx {
-			return recs[i].span.Ctx < recs[j].span.Ctx
-		}
-		return recs[i].seq < recs[j].seq
+		return spans[i].Ctx < spans[j].Ctx
 	})
-	out := make([]device.Span, len(recs))
-	for i, r := range recs {
-		out[i] = r.span
-	}
-	return out
+	return spans
 }
 
-// Contexts returns the distinct kernel contexts observed, sorted.
-func (t *Timeline) Contexts() []int {
+// Contexts returns the distinct kernel contexts among spans, sorted.
+func Contexts(spans []device.Span) []int {
 	seen := make(map[int]bool)
-	for _, r := range t.recs {
-		seen[r.span.Ctx] = true
+	for _, s := range spans {
+		seen[s.Ctx] = true
 	}
 	ctxs := make([]int, 0, len(seen))
 	for ctx := range seen {
@@ -90,11 +63,11 @@ func (t *Timeline) Contexts() []int {
 }
 
 // BusyTime returns the total kernel time attributed to ctx.
-func (t *Timeline) BusyTime(ctx int) time.Duration {
+func BusyTime(spans []device.Span, ctx int) time.Duration {
 	var total time.Duration
-	for _, r := range t.recs {
-		if r.span.Ctx == ctx {
-			total += r.span.End - r.span.Start
+	for _, s := range spans {
+		if s.Ctx == ctx {
+			total += s.End - s.Start
 		}
 	}
 	return total
@@ -102,10 +75,9 @@ func (t *Timeline) BusyTime(ctx int) time.Duration {
 
 // OverlapTime returns how long kernels from two different contexts were
 // simultaneously in flight — Figure 2's measure of (in)effective spatial
-// sharing.
-func (t *Timeline) OverlapTime(ctxA, ctxB int) time.Duration {
+// sharing. spans must be ordered by start time, as Spans returns them.
+func OverlapTime(spans []device.Span, ctxA, ctxB int) time.Duration {
 	var overlap time.Duration
-	spans := t.Spans()
 	for i, a := range spans {
 		if a.Ctx != ctxA {
 			continue
@@ -133,14 +105,13 @@ func (t *Timeline) OverlapTime(ctxA, ctxB int) time.Duration {
 }
 
 // WriteJSON emits the spans as a JSON array.
-func (t *Timeline) WriteJSON(w io.Writer) error {
+func WriteJSON(w io.Writer, spans []device.Span) error {
 	type jsonSpan struct {
 		Name    string `json:"name"`
 		Ctx     int    `json:"ctx"`
 		StartUS int64  `json:"startMicros"`
 		EndUS   int64  `json:"endMicros"`
 	}
-	spans := t.Spans()
 	out := make([]jsonSpan, len(spans))
 	for i, s := range spans {
 		out[i] = jsonSpan{
@@ -157,13 +128,11 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 
 // RenderASCII draws a Figure 2 style timeline: one row per context, one
 // column per bucket, '#' where the context had a kernel in flight.
-func (t *Timeline) RenderASCII(w io.Writer, bucket time.Duration, width int) error {
+func RenderASCII(w io.Writer, spans []device.Span, bucket time.Duration, width int) error {
 	if bucket <= 0 || width <= 0 {
 		return fmt.Errorf("trace: bucket and width must be positive")
 	}
-	ctxs := t.Contexts()
-	spans := t.Spans()
-	for _, ctx := range ctxs {
+	for _, ctx := range Contexts(spans) {
 		row := make([]byte, width)
 		for i := range row {
 			row[i] = '.'

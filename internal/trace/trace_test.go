@@ -12,68 +12,75 @@ import (
 	"switchflow/internal/sim"
 )
 
-func span(ctx int, startMS, endMS int) device.Span {
-	return device.Span{
-		Name:  "k",
-		Ctx:   ctx,
-		Start: time.Duration(startMS) * time.Millisecond,
-		End:   time.Duration(endMS) * time.Millisecond,
-	}
+// kernel is a recorded KernelSpan event for a kernel named name on ctx,
+// in flight from startMS to endMS.
+func kernel(name string, ctx int, startMS, endMS int) obs.Event {
+	start := time.Duration(startMS) * time.Millisecond
+	end := time.Duration(endMS) * time.Millisecond
+	return obs.Event{Kind: obs.KindKernelSpan, Time: end, Name: name, Ctx: ctx, Start: start, Dur: end - start}
 }
 
+func span(ctx int, startMS, endMS int) obs.Event { return kernel("k", ctx, startMS, endMS) }
+
 func TestTimelineSpansSorted(t *testing.T) {
-	var tl Timeline
-	tl.Add(span(1, 20, 30))
-	tl.Add(span(2, 0, 10))
-	spans := tl.Spans()
+	spans := Spans([]obs.Event{span(1, 20, 30), span(2, 0, 10)})
 	if spans[0].Ctx != 2 || spans[1].Ctx != 1 {
 		t.Fatalf("spans not sorted by start: %+v", spans)
 	}
 }
 
+func TestSpansKeepOnlyKernels(t *testing.T) {
+	spans := Spans([]obs.Event{
+		{Kind: obs.KindPreempt, Ctx: 1},
+		span(1, 0, 10),
+		{Kind: obs.KindResume, Ctx: 1, Time: 10 * time.Millisecond},
+	})
+	want := device.Span{Name: "k", Ctx: 1, Start: 0, End: 10 * time.Millisecond}
+	if len(spans) != 1 || spans[0] != want {
+		t.Fatalf("Spans = %+v, want [%+v]", spans, want)
+	}
+}
+
 func TestTimelineContextsAndBusy(t *testing.T) {
-	var tl Timeline
-	tl.Add(span(7, 0, 10))
-	tl.Add(span(3, 5, 10))
-	tl.Add(span(7, 20, 25))
-	ctxs := tl.Contexts()
+	spans := Spans([]obs.Event{span(7, 0, 10), span(3, 5, 10), span(7, 20, 25)})
+	ctxs := Contexts(spans)
 	if len(ctxs) != 2 || ctxs[0] != 3 || ctxs[1] != 7 {
 		t.Fatalf("Contexts() = %v", ctxs)
 	}
-	if got := tl.BusyTime(7); got != 15*time.Millisecond {
+	if got := BusyTime(spans, 7); got != 15*time.Millisecond {
 		t.Fatalf("BusyTime(7) = %v, want 15ms", got)
 	}
 }
 
 func TestTimelineOverlap(t *testing.T) {
-	var tl Timeline
-	tl.Add(span(1, 0, 10))
-	tl.Add(span(2, 5, 15))  // 5ms overlap with first
-	tl.Add(span(2, 20, 30)) // no overlap
-	if got := tl.OverlapTime(1, 2); got != 5*time.Millisecond {
+	spans := Spans([]obs.Event{
+		span(1, 0, 10),
+		span(2, 5, 15),  // 5ms overlap with first
+		span(2, 20, 30), // no overlap
+	})
+	if got := OverlapTime(spans, 1, 2); got != 5*time.Millisecond {
 		t.Fatalf("OverlapTime = %v, want 5ms", got)
 	}
 }
 
+// A recorder subscribed to Kinds on a GPU's bus records its kernels.
 func TestTimelineAttachBusRecordsKernels(t *testing.T) {
 	eng := sim.NewEngine()
 	gpu := device.NewGPU(eng, device.GPUID(0), device.ClassV100)
 	bus := obs.NewBus(eng)
 	gpu.SetBus(bus)
-	var tl Timeline
-	tl.AttachBus(bus)
+	rec := obs.NewRecorder(0)
+	bus.Subscribe(rec, Kinds...)
 	gpu.Submit(device.Kernel{Name: "a", Ctx: 1, Work: time.Millisecond, Occupancy: 0.9})
 	eng.Run()
-	if len(tl.Spans()) != 1 {
-		t.Fatalf("recorded %d spans, want 1", len(tl.Spans()))
+	if spans := Spans(rec.Events()); len(spans) != 1 || spans[0].Name != "a" {
+		t.Fatalf("recorded spans %+v, want one kernel a", spans)
 	}
 }
 
 func TestWriteJSON(t *testing.T) {
-	var tl Timeline
-	tl.Add(span(1, 0, 10))
 	var buf bytes.Buffer
-	if err := tl.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, Spans([]obs.Event{span(1, 0, 10)})); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any
@@ -86,11 +93,9 @@ func TestWriteJSON(t *testing.T) {
 }
 
 func TestRenderASCII(t *testing.T) {
-	var tl Timeline
-	tl.Add(span(1, 0, 50))
-	tl.Add(span(2, 50, 100))
+	spans := Spans([]obs.Event{span(1, 0, 50), span(2, 50, 100)})
 	var buf bytes.Buffer
-	if err := tl.RenderASCII(&buf, 10*time.Millisecond, 10); err != nil {
+	if err := RenderASCII(&buf, spans, 10*time.Millisecond, 10); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -107,22 +112,21 @@ func TestRenderASCII(t *testing.T) {
 }
 
 func TestRenderASCIIRejectsBadArgs(t *testing.T) {
-	var tl Timeline
-	if err := tl.RenderASCII(&bytes.Buffer{}, 0, 10); err == nil {
+	if err := RenderASCII(&bytes.Buffer{}, nil, 0, 10); err == nil {
 		t.Fatal("zero bucket accepted")
 	}
-	if err := tl.RenderASCII(&bytes.Buffer{}, time.Millisecond, 0); err == nil {
+	if err := RenderASCII(&bytes.Buffer{}, nil, time.Millisecond, 0); err == nil {
 		t.Fatal("zero width accepted")
 	}
 }
 
 func TestProfileAggregation(t *testing.T) {
-	var tl Timeline
-	tl.Add(device.Span{Name: "conv", Ctx: 1, Start: 0, End: 10 * time.Millisecond})
-	tl.Add(device.Span{Name: "conv", Ctx: 1, Start: 20 * time.Millisecond, End: 50 * time.Millisecond})
-	tl.Add(device.Span{Name: "bn", Ctx: 1, Start: 50 * time.Millisecond, End: 60 * time.Millisecond})
-	tl.Add(device.Span{Name: "conv", Ctx: 2, Start: 0, End: 5 * time.Millisecond})
-	stats := tl.Profile()
+	stats := Profile(Spans([]obs.Event{
+		kernel("conv", 1, 0, 10),
+		kernel("conv", 1, 20, 50),
+		kernel("bn", 1, 50, 60),
+		kernel("conv", 2, 0, 5),
+	}))
 	if len(stats) != 3 {
 		t.Fatalf("got %d stats, want 3 (per kernel+ctx)", len(stats))
 	}
@@ -143,12 +147,12 @@ func TestProfileAggregation(t *testing.T) {
 }
 
 func TestWriteProfileTopN(t *testing.T) {
-	var tl Timeline
+	var events []obs.Event
 	for i := 0; i < 5; i++ {
-		tl.Add(device.Span{Name: "k", Ctx: i, Start: 0, End: time.Millisecond})
+		events = append(events, kernel("k", i, 0, 1))
 	}
 	var buf bytes.Buffer
-	if err := tl.WriteProfile(&buf, 2); err != nil {
+	if err := WriteProfile(&buf, Spans(events), 2); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -158,12 +162,11 @@ func TestWriteProfileTopN(t *testing.T) {
 }
 
 func TestProfileEmptyTimeline(t *testing.T) {
-	var tl Timeline
-	if got := tl.Profile(); len(got) != 0 {
+	if got := Profile(Spans(nil)); len(got) != 0 {
 		t.Fatalf("empty profile has %d rows", len(got))
 	}
 	var buf bytes.Buffer
-	if err := tl.WriteProfile(&buf, 10); err != nil {
+	if err := WriteProfile(&buf, nil, 10); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,13 +17,6 @@ import (
 // projected queueing delay would blow the job's SLO — shedding at the
 // door beats serving a reply nobody will wait for.
 
-// batchKey identifies a micro-batch graph version: the device placement
-// and the number of requests fused into one execution.
-type batchKey struct {
-	dev      device.ID
-	requests int
-}
-
 // batchingEnabled reports whether micro-batching applies: open-loop
 // serving with MaxBatch > 1. A closed loop has one outstanding request at
 // a time and saturated serving has no request queue, so neither can form
@@ -95,23 +88,14 @@ func (j *Job) inputEstimate() time.Duration {
 }
 
 // versionFor returns the graph version for a micro-batch of the given
-// request count on dev, building it on demand. One request is the base
-// per-device version; larger batches get their own replicated executors,
-// memoized per (device, size) exactly like the per-device versions.
+// request count on dev. One request is the base per-device version;
+// larger batches get their own replicated executors, built at
+// requests x Cfg.Batch.
 func (j *Job) versionFor(dev device.ID, requests int) (*Version, error) {
 	if requests <= 1 {
 		return j.Version(dev)
 	}
-	key := batchKey{dev: dev, requests: requests}
-	if v, ok := j.batchVersions[key]; ok {
-		return v, nil
-	}
-	v, err := j.buildVersionBatch(dev, requests*j.Cfg.Batch)
-	if err != nil {
-		return nil, err
-	}
-	j.batchVersions[key] = v
-	return v, nil
+	return j.versionBatch(dev, requests*j.Cfg.Batch)
 }
 
 // computeBatchSize is the request count of the next compute launch: the

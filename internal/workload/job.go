@@ -166,8 +166,11 @@ type Job struct {
 	// serving aggregates the job's admission/batching outcomes from the
 	// observability spine (it subscribes to the machine bus, filtered by
 	// context) instead of being hand-incremented at each call site.
-	serving  metrics.ServingSink
-	versions map[device.ID]*Version
+	serving metrics.ServingSink
+	// versions memoizes every graph version the job has built, keyed by
+	// device and graph-level batch: the per-device full batch, fused
+	// serving micro-batches, and elastic shards all share it.
+	versions map[versionKey]*Version
 	streams  map[device.ID]*device.Stream
 	dataPool *threadpool.Pool
 
@@ -189,10 +192,8 @@ type Job struct {
 	pumpHook        func()
 	closedArrivalFn func()
 
-	// Dynamic-batching state (batch.go): memoized micro-batch graph
-	// versions and cost estimates, the resolved target size, and the
-	// max-wait window.
-	batchVersions map[batchKey]*Version
+	// Dynamic-batching state (batch.go): memoized micro-batch cost
+	// estimates, the resolved target size, and the max-wait window.
 	batchEst      map[int]time.Duration
 	targetBatch   int
 	batchTimer    sim.Event
@@ -204,10 +205,8 @@ type Job struct {
 	weightHome   map[device.ID]int64 // allocated weight bytes
 	intermediate map[device.ID]int64
 
-	// Virtual-node state: the runtime binding (vnode.go in this package)
-	// and memoized share-sized graph versions keyed by (device, samples).
-	binding       vnode.Binding
-	shardVersions map[shardKey]*Version
+	// Virtual-node state: the runtime binding (vnode.go in this package).
+	binding vnode.Binding
 
 	// Checkpoint/restart recovery state (see recovery.go).
 	checkpointIters int
@@ -243,33 +242,26 @@ func NewJob(eng *sim.Engine, machine *device.Machine, ctx int, cfg Config) (*Job
 		dataWorkers = machine.CPU.Cores
 	}
 	j := &Job{
-		Cfg:           cfg,
-		Ctx:           ctx,
-		eng:           eng,
-		machine:       machine,
-		bus:           machine.Bus(),
-		serving:       metrics.ServingSink{Ctx: ctx},
-		versions:      make(map[device.ID]*Version),
-		streams:       make(map[device.ID]*device.Stream),
-		dataPool:      threadpool.New(eng, "data:"+cfg.Name, dataWorkers),
-		batchVersions: make(map[batchKey]*Version),
-		batchEst:      make(map[int]time.Duration),
-		weightHome:    make(map[device.ID]int64),
-		intermediate:  make(map[device.ID]int64),
-		shardVersions: make(map[shardKey]*Version),
+		Cfg:          cfg,
+		Ctx:          ctx,
+		eng:          eng,
+		machine:      machine,
+		bus:          machine.Bus(),
+		serving:      metrics.ServingSink{Ctx: ctx},
+		versions:     make(map[versionKey]*Version),
+		streams:      make(map[device.ID]*device.Stream),
+		dataPool:     threadpool.New(eng, "data:"+cfg.Name, dataWorkers),
+		batchEst:     make(map[int]time.Duration),
+		weightHome:   make(map[device.ID]int64),
+		intermediate: make(map[device.ID]int64),
 	}
 	j.batchWakeFn, j.closedArrivalFn = j.batchWake, j.closedArrival
 	devices := append([]device.ID{cfg.Device}, cfg.Fallbacks...)
 	devices = append(devices, cfg.VNodes...)
 	for _, dev := range devices {
-		if _, ok := j.versions[dev]; ok {
-			continue
-		}
-		v, err := j.buildVersion(dev)
-		if err != nil {
+		if _, err := j.Version(dev); err != nil {
 			return nil, err
 		}
-		j.versions[dev] = v
 	}
 	if len(cfg.VNodes) > 0 {
 		if cfg.Kind != KindTraining {
@@ -299,10 +291,6 @@ func NewJob(eng *sim.Engine, machine *device.Machine, ctx int, cfg Config) (*Job
 // (offered, shed, served, SLO-met, batches), aggregated from the
 // observability spine.
 func (j *Job) ServingStats() metrics.ServingCounters { return j.serving.Counters() }
-
-func (j *Job) buildVersion(dev device.ID) (*Version, error) {
-	return j.buildVersionBatch(dev, j.Cfg.Batch)
-}
 
 // buildVersionBatch builds a graph version for an explicit graph-level
 // batch size (a micro-batch of k requests runs at k x Cfg.Batch).
@@ -334,17 +322,31 @@ func (j *Job) buildVersionBatch(dev device.ID, batch int) (*Version, error) {
 	return v, nil
 }
 
-// Version returns the graph version for dev, building it on demand (a
-// migration target not declared in Fallbacks).
+// versionKey identifies a graph version: the device placement and the
+// graph-level batch it was built at.
+type versionKey struct {
+	dev   device.ID
+	batch int
+}
+
+// Version returns the full-batch graph version for dev, building it on
+// demand (a migration target not declared in Fallbacks).
 func (j *Job) Version(dev device.ID) (*Version, error) {
-	if v, ok := j.versions[dev]; ok {
+	return j.versionBatch(dev, j.Cfg.Batch)
+}
+
+// versionBatch returns the graph version for dev at the given graph-level
+// batch, building and memoizing it on first use.
+func (j *Job) versionBatch(dev device.ID, batch int) (*Version, error) {
+	key := versionKey{dev: dev, batch: batch}
+	if v, ok := j.versions[key]; ok {
 		return v, nil
 	}
-	v, err := j.buildVersion(dev)
+	v, err := j.buildVersionBatch(dev, batch)
 	if err != nil {
 		return nil, err
 	}
-	j.versions[dev] = v
+	j.versions[key] = v
 	return v, nil
 }
 

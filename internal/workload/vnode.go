@@ -17,12 +17,6 @@ import (
 // epoch-safe points (grow/shrink/rebind/drain/fault healing) and the job
 // memoizes one graph version per (device, share) it has ever run.
 
-// shardKey identifies a share-sized graph version of an elastic job.
-type shardKey struct {
-	dev     device.ID
-	samples int
-}
-
 // Elastic reports whether the job runs on explicit virtual nodes (it was
 // admitted with Config.VNodes). Every job runs on the scheduler's shard
 // path; elasticity only changes its preemption and recovery policies.
@@ -43,7 +37,7 @@ func (j *Job) SetBinding(b vnode.Binding) { j.binding = b }
 // the roofline model. It is the vnode.Pricer elastic splits use, so
 // heterogeneous devices get throughput-proportional shares.
 func (j *Job) StepPrice(dev device.ID, samples int) (time.Duration, error) {
-	v, err := j.shardVersion(dev, samples)
+	v, err := j.versionBatch(dev, samples)
 	if err != nil {
 		return 0, err
 	}
@@ -55,25 +49,6 @@ func (j *Job) StepPrice(dev device.ID, samples int) (time.Duration, error) {
 		return cost.SerialGPUEstimate(v.Compute, gpu.Class), nil
 	}
 	return cost.SerialCPUEstimate(v.Compute, j.machine.CPU), nil
-}
-
-// shardVersion returns the graph version for a shard of the given sample
-// count on dev, building and memoizing it on demand. The full-batch
-// version aliases the job's per-device version.
-func (j *Job) shardVersion(dev device.ID, samples int) (*Version, error) {
-	if samples == j.Cfg.Batch {
-		return j.Version(dev)
-	}
-	key := shardKey{dev: dev, samples: samples}
-	if v, ok := j.shardVersions[key]; ok {
-		return v, nil
-	}
-	v, err := j.buildVersionBatch(dev, samples)
-	if err != nil {
-		return nil, err
-	}
-	j.shardVersions[key] = v
-	return v, nil
 }
 
 // VNodeVersion returns the compute graph version of vnode i under the
@@ -88,7 +63,7 @@ func (j *Job) VNodeVersion(i int) (*Version, error) {
 	if n.Share == j.Cfg.Batch {
 		return j.versionFor(n.Device, j.computeBatchSize())
 	}
-	return j.shardVersion(n.Device, n.Share)
+	return j.versionBatch(n.Device, n.Share)
 }
 
 // VNodeScratchBytes is the per-step intermediate footprint of vnode i's

@@ -154,11 +154,10 @@ func (s *Simulation) NewSwitchFlowScheduler(opts ...Option) (*SwitchFlowSchedule
 	return sched.(*SwitchFlowScheduler), nil
 }
 
-// NewScheduler is the unified constructor for all four schedulers. It
-// subsumes the legacy SwitchFlow/ThreadedTF/TimeSlice/MPS constructors,
-// which remain as thin wrappers; a SwitchFlow scheduler built here can be
-// asserted to *SwitchFlowScheduler for its extended stats surface. It
-// rejects a fault plan whose events target a GPU the machine lacks.
+// NewScheduler is the one constructor for all four schedulers; a
+// SwitchFlow scheduler built here can be asserted to *SwitchFlowScheduler
+// for its extended stats surface. It rejects a fault plan whose events
+// target a GPU the machine lacks.
 func (s *Simulation) NewScheduler(policy Policy, opts ...Option) (Scheduler, error) {
 	var cfg schedulerConfig
 	for _, opt := range opts {
