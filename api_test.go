@@ -93,9 +93,6 @@ func TestNewSchedulerErrors(t *testing.T) {
 	if _, err := sim.NewScheduler(switchflow.Policy(42)); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := sim.NewScheduler(switchflow.PolicySwitchFlow, switchflow.WithTempPoolThreads(0)); err == nil {
-		t.Error("zero temp pool threads accepted")
-	}
 	if _, err := sim.NewScheduler(switchflow.PolicySwitchFlow, switchflow.WithCheckpointEvery(-time.Second)); err == nil {
 		t.Error("negative checkpoint interval accepted")
 	}

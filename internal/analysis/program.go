@@ -45,6 +45,11 @@ type Program struct {
 	// initRefs are the functions package-level variable initializers
 	// name; they run (or are bound) before main.
 	initRefs map[*types.Func]bool
+	// namedTypes are the named types some declaration names outside a
+	// method receiver and a blank `var _ I = T{}` assertion. Only
+	// testonly reads it: a type no code names is never constructed, so
+	// no interface call can reach its methods.
+	namedTypes map[*types.TypeName]bool
 	// funcOrder lists declared functions in deterministic (position)
 	// order, for fact iteration that must not depend on map order.
 	funcOrder []*types.Func
@@ -56,18 +61,20 @@ type Program struct {
 // graph, and an empty fact store.
 func NewProgram(fset *token.FileSet, units []*PackageUnit) *Program {
 	p := &Program{
-		Fset:     fset,
-		Packages: units,
-		callees:  make(map[*types.Func]map[*types.Func]bool),
-		refs:     make(map[*types.Func]map[*types.Func]bool),
-		initRefs: make(map[*types.Func]bool),
-		facts:    make(map[string]map[*types.Func]any),
+		Fset:       fset,
+		Packages:   units,
+		callees:    make(map[*types.Func]map[*types.Func]bool),
+		refs:       make(map[*types.Func]map[*types.Func]bool),
+		initRefs:   make(map[*types.Func]bool),
+		namedTypes: make(map[*types.TypeName]bool),
+		facts:      make(map[string]map[*types.Func]any),
 	}
 	for _, u := range units {
 		if u.Info == nil {
 			continue // syntax-only unit (directive tests); no call graph
 		}
 		for _, f := range u.Files {
+			typesNamed(u.Info, f, p.namedTypes)
 			for _, d := range f.Decls {
 				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
 					referenced(u.Info, gd, p.initRefs)
@@ -138,6 +145,10 @@ func (p *Program) ReachableFrom(seeds []*types.Func) map[*types.Func]bool {
 	return closure(seeds, p.callees)
 }
 
+// NamesType reports whether tn is named anywhere but in its own
+// methods' receivers and in blank `var _ I = T{}` assertions.
+func (p *Program) NamesType(tn *types.TypeName) bool { return p.namedTypes[tn] }
+
 // ReferencedFrom returns the transitive closure of seeds over the
 // reference graph (seeds included): every function the seeds may call or
 // hand out as a value.
@@ -178,6 +189,34 @@ func referenced(info *types.Info, n ast.Node, set map[*types.Func]bool) map[*typ
 		return true
 	})
 	return set
+}
+
+// typesNamed adds to set the named types f names outside method
+// receivers and blank interface assertions (`var _ I = T{}`).
+func typesNamed(info *types.Info, f *ast.File, set map[*types.TypeName]bool) {
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil {
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Names) == 1 && n.Names[0].Name == "_" {
+				return false
+			}
+		case *ast.Ident:
+			if tn, ok := info.Uses[n].(*types.TypeName); ok {
+				set[tn] = true
+			}
+		}
+		return true
+	}
+	ast.Inspect(f, visit)
 }
 
 // ExportFact records an analyzer-scoped fact about fn, overwriting any

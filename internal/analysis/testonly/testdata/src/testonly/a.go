@@ -12,6 +12,8 @@ func main() {
 	sort.Sort(byLen(nil))
 	var s shape = square{}
 	_ = s
+	var m meter = &counter{}
+	_ = m
 }
 
 func init() { fromInit() }
@@ -41,6 +43,32 @@ type shape interface{ area() float64 }
 type square struct{}
 
 func (square) area() float64 { return 1 }
+
+// circle matches shape by name too, but only a_test.go constructs one,
+// so no production value can dispatch to its method.
+type circle struct{}
+
+func (circle) area() float64 { return 3 } // want `\(circle\)\.area is reached only from tests`
+
+// triangle is named only in a blank assertion, which constructs nothing.
+type triangle struct{}
+
+var _ shape = triangle{}
+
+func (triangle) area() float64 { return 2 } // want `\(triangle\)\.area is reached only from tests`
+
+// counter is constructed in main; its value and pointer methods both
+// match meter, so both stay live.
+type meter interface {
+	read() int
+	bump()
+}
+
+type counter struct{ n int }
+
+func (c counter) read() int { return c.n }
+
+func (c *counter) bump() { c.n++ }
 
 // byLen satisfies the imported sort.Interface.
 type byLen []string

@@ -15,17 +15,23 @@ import (
 	"switchflow/internal/workload"
 )
 
+// The controller's fixed thresholds.
+const (
+	// shedHigh is the shed-rate high-water mark: the fraction of a
+	// tenant's arrivals shed — by replica admission control or by the
+	// router finding no live replica — above which an interval counts as
+	// hot.
+	shedHigh = 0.05
+	// minReplicas is the fewest replicas scale-in leaves a tenant.
+	minReplicas = 1
+)
+
 // AutoscaleConfig tunes the controller; zero values take the defaults
 // noted per field.
 type AutoscaleConfig struct {
 	// Interval is the control period (default 1s). Decisions happen at the
 	// first barrier at or after each interval boundary.
 	Interval time.Duration
-	// ShedHigh is the shed-rate high-water mark (default 0.05): the
-	// fraction of a tenant's arrivals shed — by replica admission control
-	// or by the router finding no live replica — above which an interval
-	// counts as hot.
-	ShedHigh float64
 	// SustainUp is how many consecutive hot intervals trigger a scale-out
 	// (default 2 — one interval of flash crowd is noise, two are a trend).
 	SustainUp int
@@ -35,8 +41,8 @@ type AutoscaleConfig struct {
 	// SustainDown is how many consecutive idle intervals trigger a
 	// scale-in (default 5; scaling in is cheaper to delay than shedding).
 	SustainDown int
-	// MinReplicas and MaxReplicas bound each tenant's set (defaults 1, 6).
-	MinReplicas, MaxReplicas int
+	// MaxReplicas caps each tenant's set (default 6).
+	MaxReplicas int
 	// Cooldown is the per-tenant pause after any scale action (default
 	// 2s), giving the previous action time to show in the signal.
 	Cooldown time.Duration
@@ -47,9 +53,6 @@ func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.ShedHigh <= 0 {
-		c.ShedHigh = 0.05
-	}
 	if c.SustainUp <= 0 {
 		c.SustainUp = 2
 	}
@@ -58,9 +61,6 @@ func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	}
 	if c.SustainDown <= 0 {
 		c.SustainDown = 5
-	}
-	if c.MinReplicas <= 0 {
-		c.MinReplicas = 1
 	}
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 6
@@ -157,7 +157,7 @@ func (a *Autoscaler) tick(now time.Duration) {
 			}
 		}
 		switch {
-		case shedRate >= a.cfg.ShedHigh:
+		case shedRate >= shedHigh:
 			pressure = true
 			svc.hotFor++
 			svc.idleFor = 0
@@ -181,7 +181,7 @@ func (a *Autoscaler) tick(now time.Duration) {
 				Kind: obs.KindScaleOut, Ctx: ctxOf(h), Job: svc.tenant.ID,
 				Name: h.Cfg.Name, Device: placementOf(h), Count: svc.desired(),
 			})
-		} else if svc.idleFor >= a.cfg.SustainDown && live > a.cfg.MinReplicas {
+		} else if svc.idleFor >= a.cfg.SustainDown && live > minReplicas {
 			// Retire the newest live replica: the oldest ones carry the
 			// consistent-hash ring's stable keys.
 			for i := len(svc.replicas) - 1; i >= 0; i-- {

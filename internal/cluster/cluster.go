@@ -139,13 +139,12 @@ func (h *JobHandle) deliverArrival() {
 // cluster advances them together via RunUntil/RunFor and takes every
 // cross-node decision at shard epoch barriers.
 type Cluster struct {
-	policy    Policy
+	policy    Collocate
 	nodes     []*Node
 	group     *shard.Group
 	pending   []*JobHandle // submissions not yet due, in Submit order
-	queue     []*JobHandle // due but unplaceable, awaiting a Stop retry
+	queue     []*JobHandle // due but unplaceable, retried at every barrier
 	gangQueue []*JobHandle // due gangs whose full slot never fit, in Submit order
-	gangOrder GangOrder    // how retryGangs ranks the gang queue
 	placed    []*JobHandle
 	recorders []*obs.Recorder
 }
@@ -153,7 +152,7 @@ type Cluster struct {
 // New builds a cluster of count identical nodes, each with the given GPU
 // classes, a Xeon host, and its own private engine, advancing in
 // DefaultEpoch strides.
-func New(policy Policy, count int, gpus ...device.GPUClass) *Cluster {
+func New(policy Collocate, count int, gpus ...device.GPUClass) *Cluster {
 	c := &Cluster{policy: policy}
 	engines := make([]*sim.Engine, count)
 	for i := 0; i < count; i++ {
@@ -255,8 +254,7 @@ func (c *Cluster) placeOrQueue(h *JobHandle) {
 // became due at earlier barriers, so retrying it first preserves the
 // global ordering.
 func (c *Cluster) barrier(now time.Duration) {
-	c.retry()
-	c.retryGangs()
+	c.retryQueues()
 	due := c.pending[:0:0]
 	kept := c.pending[:0]
 	for _, h := range c.pending {
@@ -266,9 +264,7 @@ func (c *Cluster) barrier(now time.Duration) {
 			kept = append(kept, h)
 		}
 	}
-	for i := len(kept); i < len(c.pending); i++ {
-		c.pending[i] = nil
-	}
+	clear(c.pending[len(kept):])
 	c.pending = kept
 	// Stable: submissions at the same instant place in Submit order.
 	sort.SliceStable(due, func(i, j int) bool { return due[i].SubmittedAt < due[j].SubmittedAt })
@@ -279,10 +275,10 @@ func (c *Cluster) barrier(now time.Duration) {
 
 // Stop halts a placed job and retries queued placements (its memory is
 // retained until the job object is dropped; this models job completion
-// only approximately, so the retry mainly serves load-count policies).
-// A second Stop on the same handle is a no-op: without the guard it
-// would double-decrement the per-GPU load counters, driving them
-// negative and skewing LeastLoaded/Dedicate/Collocate forever after.
+// only approximately, so the retry mainly serves the load counters
+// placement reads). A second Stop on the same handle is a no-op: without
+// the guard it would double-decrement the per-GPU load counters, driving
+// them negative and skewing Collocate forever after.
 func (c *Cluster) Stop(h *JobHandle) {
 	if !h.Placed || h.stopped {
 		return
@@ -305,8 +301,7 @@ func (c *Cluster) Stop(h *JobHandle) {
 			break
 		}
 	}
-	c.retry()
-	c.retryGangs()
+	c.retryQueues()
 }
 
 // gangGPUs returns every GPU the placement occupies: the full gang set,
@@ -319,14 +314,25 @@ func (h *JobHandle) gangGPUs() []int {
 	return []int{h.Where.GPU}
 }
 
-func (c *Cluster) retry() {
-	kept := c.queue[:0]
-	for _, h := range c.queue {
-		if !c.tryPlace(h) {
+// retryQueues re-attempts every queued job, then every queued gang, each
+// in arrival order.
+func (c *Cluster) retryQueues() {
+	c.queue = c.retry(c.queue, (*Cluster).tryPlace)
+	c.gangQueue = c.retry(c.gangQueue, (*Cluster).tryPlaceGang)
+}
+
+// retry tries place on each handle of q in order and returns the ones
+// still waiting, compacted in place. It clears the vacated tail, so the
+// backing array keeps no placed handle reachable.
+func (c *Cluster) retry(q []*JobHandle, place func(*Cluster, *JobHandle) bool) []*JobHandle {
+	kept := q[:0]
+	for _, h := range q {
+		if !place(c, h) {
 			kept = append(kept, h)
 		}
 	}
-	c.queue = kept
+	clear(q[len(kept):])
+	return kept
 }
 
 // tryPlace asks the policy for a slot and admits the job there.

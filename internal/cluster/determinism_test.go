@@ -103,7 +103,7 @@ func TestMergedEventsOrdered(t *testing.T) {
 // TestOffEpochSubmissionPlacesAtNextBarrier documents the epoch
 // quantization: a submission between barriers places at the next one.
 func TestOffEpochSubmissionPlacesAtNextBarrier(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100)
 	h := c.Submit(7*time.Millisecond, trainCfg(t, "t", "ResNet50"))
 	c.RunUntil(time.Second)
 	if !h.Placed {

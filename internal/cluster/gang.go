@@ -6,14 +6,11 @@ package cluster
 // barrier, or the whole gang waits in the gang queue. Slots are priced
 // on each node's interconnect fabric, so an NVLink-contiguous set beats
 // a PCIe-scattered one whenever both fit, and the cheapest-slot node
-// wins the gang. Queued gangs retry at every epoch barrier under a
-// selectable discipline: FIFO (arrival order), SRTF (smallest modeled
-// sync demand first — gradient bytes x replica width, the term that
-// dominates a synchronous step), or Priority (the job priority the
-// preemption stack already honors).
+// wins the gang. Queued gangs retry at every epoch barrier (and after
+// every Stop) in arrival order, so the oldest gang that fits a freed slot
+// takes it.
 
 import (
-	"sort"
 	"time"
 
 	"switchflow/internal/device"
@@ -22,38 +19,13 @@ import (
 	"switchflow/internal/workload"
 )
 
-// GangOrder selects how queued gangs are ranked at each retry barrier.
-type GangOrder int
-
-const (
-	// GangFIFO retries gangs in arrival order.
-	GangFIFO GangOrder = iota
-	// GangSRTF retries the gang with the smallest modeled sync demand
-	// first (shortest-remaining-time-first proxy: a gang's step length is
-	// dominated by gradient bytes times replica width).
-	GangSRTF
-	// GangPriority retries the highest-priority gang first.
-	GangPriority
-)
-
-// String returns the discipline's name.
-func (o GangOrder) String() string {
-	switch o {
-	case GangSRTF:
-		return "srtf"
-	case GangPriority:
-		return "priority"
-	}
-	return "fifo"
-}
-
 // GangQueued returns the number of whole gangs waiting for a slot.
 func (c *Cluster) GangQueued() int { return len(c.gangQueue) }
 
 // NewNVLink builds a cluster like New, but installs an NVLink-island
 // fabric (islands of the given size) on every node, so gang placement
 // has real topology to price against.
-func NewNVLink(policy Policy, count, island int, gpus ...device.GPUClass) *Cluster {
+func NewNVLink(policy Collocate, count, island int, gpus ...device.GPUClass) *Cluster {
 	c := New(policy, count, gpus...)
 	for _, n := range c.nodes {
 		fabric := topology.NVLinkIslands(len(gpus), island, maxPCIeGBps(gpus), topology.DefaultNVLinkGBps)
@@ -72,53 +44,6 @@ func maxPCIeGBps(gpus []device.GPUClass) float64 {
 		}
 	}
 	return bw
-}
-
-// retryGangs re-attempts every queued gang at a barrier, ranked by the
-// configured discipline. Placement order affects which gang wins a
-// contended slot; the queue itself keeps arrival order so FIFO fairness
-// and the determinism contract are preserved across retries.
-func (c *Cluster) retryGangs() {
-	if len(c.gangQueue) == 0 {
-		return
-	}
-	order := make([]*JobHandle, len(c.gangQueue))
-	copy(order, c.gangQueue)
-	switch c.gangOrder {
-	case GangSRTF:
-		sort.SliceStable(order, func(i, j int) bool {
-			return gangSyncDemand(order[i]) < gangSyncDemand(order[j])
-		})
-	case GangPriority:
-		sort.SliceStable(order, func(i, j int) bool {
-			return order[i].Cfg.Priority > order[j].Cfg.Priority
-		})
-	}
-	placed := make(map[*JobHandle]bool, len(order))
-	for _, h := range order {
-		if c.tryPlaceGang(h) {
-			placed[h] = true
-		}
-	}
-	if len(placed) == 0 {
-		return
-	}
-	kept := c.gangQueue[:0]
-	for _, h := range c.gangQueue {
-		if !placed[h] {
-			kept = append(kept, h)
-		}
-	}
-	for i := len(kept); i < len(c.gangQueue); i++ {
-		c.gangQueue[i] = nil
-	}
-	c.gangQueue = kept
-}
-
-// gangSyncDemand is the SRTF ranking key: the bytes the gang moves
-// through its all-reduce each step, gradient size times replica width.
-func gangSyncDemand(h *JobHandle) int64 {
-	return h.Cfg.Model.ParamBytes() * int64(gangWidth(h.Cfg))
 }
 
 // gangWidth resolves the gang's replica count from the submission.

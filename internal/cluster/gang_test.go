@@ -72,7 +72,7 @@ func TestGangPlacementAllOrNothing(t *testing.T) {
 // intact island {2,3} rather than straddle the PCIe switch with {1,2} —
 // the modeled all-reduce on NVLink is measurably cheaper.
 func TestGangPlacementPrefersNVLinkContiguous(t *testing.T) {
-	c := NewNVLink(Dedicate{}, 1, 2, v4()...)
+	c := NewNVLink(Collocate{}, 1, 2, v4()...)
 	c.Record(obs.KindGangPlace)
 	solo := c.Submit(0, trainCfg(t, "solo", "MobileNetV2"))
 	gang := c.Submit(0, gangCfg(t, "gang", "VGG16", 2))
@@ -110,37 +110,30 @@ func TestGangPlacementPrefersNVLinkContiguous(t *testing.T) {
 
 func TestGangQueueDisciplines(t *testing.T) {
 	// One 2-GPU node: gang A holds the only slot; B (huge, first), C
-	// (small), and D (high priority) queue behind it. Which gang wins the
-	// slot when A stops depends on the discipline.
-	run := func(order GangOrder) string {
-		c := NewNVLink(FirstFit{}, 1, 2, device.ClassV100, device.ClassV100)
-		c.gangOrder = order
-		a := c.Submit(0, gangCfg(t, "a", "ResNet50", 2))
-		b := c.Submit(0, gangCfg(t, "b", "VGG16", 2))
-		cc := c.Submit(0, gangCfg(t, "c", "MobileNetV2", 2))
-		d := gangCfg(t, "d", "ResNet50", 2)
-		d.Priority = 9
-		dd := c.Submit(0, d)
-		c.RunUntil(time.Second)
-		if !a.Placed || c.GangQueued() != 3 {
-			t.Fatalf("setup: a placed=%v queued=%d, want true/3", a.Placed, c.GangQueued())
-		}
-		c.Stop(a)
-		for _, h := range []*JobHandle{b, cc, dd} {
-			if h.Placed {
-				return h.Cfg.Name
-			}
-		}
-		return "none"
+	// (small), and D (high priority) queue behind it. The queue is FIFO,
+	// so the oldest gang, B, wins the slot when A stops, whatever its
+	// size or priority.
+	c := NewNVLink(Collocate{}, 1, 2, device.ClassV100, device.ClassV100)
+	a := c.Submit(0, gangCfg(t, "a", "ResNet50", 2))
+	b := c.Submit(0, gangCfg(t, "b", "VGG16", 2))
+	cc := c.Submit(0, gangCfg(t, "c", "MobileNetV2", 2))
+	d := gangCfg(t, "d", "ResNet50", 2)
+	d.Priority = 9
+	dd := c.Submit(0, d)
+	c.RunUntil(time.Second)
+	if !a.Placed || c.GangQueued() != 3 {
+		t.Fatalf("setup: a placed=%v queued=%d, want true/3", a.Placed, c.GangQueued())
 	}
-	if got := run(GangFIFO); got != "b" {
+	c.Stop(a)
+	got := "none"
+	for _, h := range []*JobHandle{b, cc, dd} {
+		if h.Placed {
+			got = h.Cfg.Name
+			break
+		}
+	}
+	if got != "b" {
 		t.Fatalf("FIFO admitted %q, want the oldest gang b", got)
-	}
-	if got := run(GangSRTF); got != "c" {
-		t.Fatalf("SRTF admitted %q, want the smallest-sync gang c", got)
-	}
-	if got := run(GangPriority); got != "d" {
-		t.Fatalf("Priority admitted %q, want the high-priority gang d", got)
 	}
 }
 

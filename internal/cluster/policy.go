@@ -2,47 +2,9 @@ package cluster
 
 import "switchflow/internal/workload"
 
-// Policy decides where a job runs.
-type Policy interface {
-	// Place returns a node and GPU index, or ok=false to queue the job.
-	Place(c *Cluster, cfg workload.Config) (node *Node, gpu int, ok bool)
-	// Name labels the policy.
-	Name() string
-}
-
-// FirstFit places on the first GPU whose free memory covers the job's
-// persistent state.
-type FirstFit struct{}
-
-var _ Policy = FirstFit{}
-
-// Name implements Policy.
-func (FirstFit) Name() string { return "first-fit" }
-
-// Place implements Policy.
-func (FirstFit) Place(c *Cluster, cfg workload.Config) (*Node, int, bool) {
-	need := weightsNeeded(cfg)
-	for _, n := range c.nodes {
-		for gpu := range n.perGPU {
-			if freeWeightBytes(n, gpu) >= need {
-				return n, gpu, true
-			}
-		}
-	}
-	return nil, 0, false
-}
-
-// LeastLoaded places on the GPU running the fewest jobs (ties: most free
+// leastLoaded places on the GPU running the fewest jobs (ties: most free
 // memory), spreading load across the fleet.
-type LeastLoaded struct{}
-
-var _ Policy = LeastLoaded{}
-
-// Name implements Policy.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Place implements Policy.
-func (LeastLoaded) Place(c *Cluster, cfg workload.Config) (*Node, int, bool) {
+func leastLoaded(c *Cluster, cfg workload.Config) (*Node, int, bool) {
 	need := weightsNeeded(cfg)
 	var (
 		bestNode *Node
@@ -71,68 +33,18 @@ func (LeastLoaded) Place(c *Cluster, cfg workload.Config) (*Node, int, bool) {
 	return bestNode, bestGPU, found
 }
 
-// Dedicate is the status quo the paper describes: training jobs demand an
-// *empty* GPU (dedicated), inference jobs pack onto GPUs that host no
-// training. Training queues when no empty GPU exists — the "wait for
-// hours to access GPU" problem SwitchFlow removes.
-type Dedicate struct{}
-
-var _ Policy = Dedicate{}
-
-// Name implements Policy.
-func (Dedicate) Name() string { return "dedicate" }
-
-// Place implements Policy.
-func (Dedicate) Place(c *Cluster, cfg workload.Config) (*Node, int, bool) {
-	need := weightsNeeded(cfg)
-	if cfg.Kind == workload.KindTraining {
-		for _, n := range c.nodes {
-			for gpu := range n.perGPU {
-				if n.perGPU[gpu].jobs == 0 && freeWeightBytes(n, gpu) >= need {
-					return n, gpu, true
-				}
-			}
-		}
-		return nil, 0, false
-	}
-	// Inference: pack onto the fullest training-free GPU that fits.
-	var (
-		bestNode *Node
-		bestGPU  int
-		found    bool
-	)
-	for _, n := range c.nodes {
-		for gpu := range n.perGPU {
-			if n.perGPU[gpu].training > 0 {
-				continue
-			}
-			if freeWeightBytes(n, gpu) < need {
-				continue
-			}
-			if !found || n.perGPU[gpu].jobs > bestNode.perGPU[bestGPU].jobs {
-				bestNode, bestGPU, found = n, gpu, true
-			}
-		}
-	}
-	return bestNode, bestGPU, found
-}
-
-// Collocate is the SwitchFlow-enabled policy: inference services prefer
-// GPUs that host a training job (their requests preempt it, so tails stay
-// bounded while the training soaks up idle capacity); training spreads
-// least-loaded. Nothing queues while any GPU has memory to spare.
+// Collocate is the SwitchFlow-enabled placement policy: inference
+// services prefer GPUs that host a training job (their requests preempt
+// it, so tails stay bounded while the training soaks up idle capacity);
+// training spreads least-loaded. Nothing queues while any GPU has memory
+// to spare.
 type Collocate struct{}
 
-var _ Policy = Collocate{}
-
-// Name implements Policy.
-func (Collocate) Name() string { return "collocate" }
-
-// Place implements Policy.
-func (Collocate) Place(c *Cluster, cfg workload.Config) (*Node, int, bool) {
+// Place returns a node and GPU index, or ok=false to queue the job.
+func (Collocate) Place(c *Cluster, cfg workload.Config) (node *Node, gpu int, ok bool) {
 	need := weightsNeeded(cfg)
 	if cfg.Kind == workload.KindTraining {
-		return LeastLoaded{}.Place(c, cfg)
+		return leastLoaded(c, cfg)
 	}
 	// Prefer a GPU with training and the fewest inference tenants.
 	var (
@@ -154,5 +66,5 @@ func (Collocate) Place(c *Cluster, cfg workload.Config) (*Node, int, bool) {
 	if found {
 		return bestNode, bestGPU, true
 	}
-	return LeastLoaded{}.Place(c, cfg)
+	return leastLoaded(c, cfg)
 }

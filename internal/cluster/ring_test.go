@@ -110,7 +110,7 @@ func FuzzRingMatchesFresh(f *testing.F) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
-		c := New(FirstFit{}, 1, device.ClassV100, device.ClassV100)
+		c := New(Collocate{}, 1, device.ClassV100, device.ClassV100)
 		gen, err := traffic.NewGenerator(flatProfile(1, 20))
 		if err != nil {
 			t.Fatal(err)

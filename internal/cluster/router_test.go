@@ -22,7 +22,7 @@ func flatProfile(tenants int, rps float64) traffic.Profile {
 }
 
 func TestFrontendRoutesAndServes(t *testing.T) {
-	c := New(LeastLoaded{}, 2, device.ClassV100, device.ClassV100)
+	c := New(Collocate{}, 2, device.ClassV100, device.ClassV100)
 	c.Record(obs.KindRoute)
 	gen, err := traffic.NewGenerator(flatProfile(2, 40))
 	if err != nil {
@@ -101,7 +101,7 @@ func TestHashRingStability(t *testing.T) {
 }
 
 func TestRouterDropsWithoutLiveReplica(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100)
 	gen, err := traffic.NewGenerator(flatProfile(1, 50))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestRouterDropsWithoutLiveReplica(t *testing.T) {
 // (idle signal), with the registered elastic training job shrinking under
 // pressure and growing back.
 func TestAutoscalerScalesOutOnShedAndInOnIdle(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100, device.ClassV100)
 	p := flatProfile(1, 20)
 	p.Spikes = []traffic.Spike{{
 		Start: time.Second, Ramp: 200 * time.Millisecond,
@@ -200,7 +200,7 @@ func TestAutoscalerScalesOutOnShedAndInOnIdle(t *testing.T) {
 // sustained-hot interval must add a replica even though the crashed
 // handle was never stopped.
 func TestAutoscalerReplacesCrashedReplica(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100, device.ClassV100)
 	gen, err := traffic.NewGenerator(flatProfile(1, 600))
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestAutoscalerReplacesCrashedReplica(t *testing.T) {
 // must scale the tenant back out, delayed by at least the cooldown set by
 // the racing scale-in, and never wedge the controller.
 func TestScaleInRacingFlashCrowdOnset(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100, device.ClassV100)
 	c.Record(obs.KindScaleIn, obs.KindScaleOut)
 	p := flatProfile(1, 20)
 	// Ticks land on 5ms barrier strides: baseline at the first barrier,
@@ -327,7 +327,7 @@ func TestScaleInRacingFlashCrowdOnset(t *testing.T) {
 // spaced exactly Cooldown apart — an off-by-one (<=) would slip each
 // action a full extra interval.
 func TestCooldownBoundaryExactlyAtIntervalEdge(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100, device.ClassV100,
+	c := New(Collocate{}, 1, device.ClassV100, device.ClassV100,
 		device.ClassV100, device.ClassV100)
 	c.Record(obs.KindScaleOut)
 	gen, err := traffic.NewGenerator(flatProfile(1, 2000))
@@ -377,7 +377,7 @@ func TestCooldownBoundaryExactlyAtIntervalEdge(t *testing.T) {
 // the shrunken binding on the next tick and grow the job back to max
 // before the service's cooldown even expires.
 func TestElasticFlexGrowsBackAfterDrainMidCooldown(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100, device.ClassV100)
 	gen, err := traffic.NewGenerator(flatProfile(1, 20))
 	if err != nil {
 		t.Fatal(err)

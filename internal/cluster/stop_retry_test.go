@@ -12,7 +12,7 @@ import (
 // node's per-GPU load counters again, driving them negative and skewing
 // every load-aware policy afterwards.
 func TestStopTwiceDecrementsOnce(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100)
 	h1 := c.Submit(0, trainCfg(t, "a", "ResNet50"))
 	h2 := c.Submit(0, trainCfg(t, "b", "ResNet50"))
 	c.RunUntil(time.Second)
@@ -39,7 +39,7 @@ func TestStopTwiceDecrementsOnce(t *testing.T) {
 // the load-counter invariant the policies depend on: counters end at zero
 // and never go below it.
 func TestPerGPUCountersNeverNegative(t *testing.T) {
-	c := New(LeastLoaded{}, 2, device.ClassV100, device.ClassV100)
+	c := New(Collocate{}, 2, device.ClassV100, device.ClassV100)
 	var handles []*JobHandle
 	for i := 0; i < 6; i++ {
 		handles = append(handles, c.Submit(0, trainCfg(t, "t", "ResNet50")))
@@ -72,7 +72,7 @@ func TestPerGPUCountersNeverNegative(t *testing.T) {
 // (an undrained GPU, a manager-level stop, an elastic shrink) left it
 // queued forever. Barriers now retry the queue every epoch.
 func TestQueuedSubmissionPlacesAtBarrierWithoutStop(t *testing.T) {
-	c := New(FirstFit{}, 1, device.ClassV100)
+	c := New(Collocate{}, 1, device.ClassV100)
 	if err := c.nodes[0].mgr.DrainDevice(device.GPUID(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,5 +99,33 @@ func TestQueuedSubmissionPlacesAtBarrierWithoutStop(t *testing.T) {
 	}
 	if waiting(c) != 0 {
 		t.Fatalf("queue still holds %d entries", waiting(c))
+	}
+}
+
+// TestRetryClearsVacatedTail: a barrier retry that places queued jobs
+// compacts the queue in place, and the slots it vacates past len must be
+// nil, so the backing array keeps no placed handle (or its job) alive.
+func TestRetryClearsVacatedTail(t *testing.T) {
+	c := New(Collocate{}, 1, device.ClassV100)
+	if err := c.nodes[0].mgr.DrainDevice(device.GPUID(0)); err != nil {
+		t.Fatal(err)
+	}
+	a := c.Submit(0, trainCfg(t, "a", "ResNet50"))
+	b := c.Submit(0, trainCfg(t, "b", "ResNet50"))
+	c.RunUntil(20 * time.Millisecond)
+	if len(c.queue) != 2 {
+		t.Fatalf("queue holds %d jobs, want both parked", len(c.queue))
+	}
+	if err := c.nodes[0].mgr.UndrainDevice(device.GPUID(0)); err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(40 * time.Millisecond)
+	if !a.Placed || !b.Placed || len(c.queue) != 0 {
+		t.Fatalf("placed a=%v b=%v, %d still queued; want both placed", a.Placed, b.Placed, len(c.queue))
+	}
+	for i, h := range c.queue[:cap(c.queue)] {
+		if h != nil {
+			t.Fatalf("queue slot %d past len still holds placed job %s", i, h.Cfg.Name)
+		}
 	}
 }

@@ -24,8 +24,6 @@ import (
 // Options configure a Manager. The zero value selects the paper's design;
 // the booleans exist for the ablation experiments.
 type Options struct {
-	// TempPoolThreads sizes the temporary pool (§3.3); default 4.
-	TempPoolThreads int
 	// DisableGPUExclusive turns off scheduling invariant 1 (ablation):
 	// GPU executors co-run and contend.
 	DisableGPUExclusive bool
@@ -149,25 +147,27 @@ type jobState struct {
 // may migrate (step.go).
 func (js *jobState) plain() bool { return !js.job.Elastic() && js.group == nil }
 
-// NewManager creates a SwitchFlow manager over the machine. The global
-// pool has one worker per core; the temporary pool's threads come out of
-// the same core budget (§3.3).
+// tempPoolThreads sizes the temporary pool (§3.3). A machine with no more
+// cores than that gives it half of them instead.
+const tempPoolThreads = 4
+
+// NewManager creates a SwitchFlow manager over the machine. The
+// temporary pool's threads come out of the core budget (§3.3), and the
+// global pool gets one worker per remaining core.
 func NewManager(eng *sim.Engine, machine *device.Machine, opts Options) *Manager {
-	if opts.TempPoolThreads <= 0 {
-		opts.TempPoolThreads = 4
-	}
-	if opts.TempPoolThreads >= machine.CPU.Cores {
-		opts.TempPoolThreads = machine.CPU.Cores / 2
-		if opts.TempPoolThreads == 0 {
-			opts.TempPoolThreads = 1
+	temp := tempPoolThreads
+	if temp >= machine.CPU.Cores {
+		temp = machine.CPU.Cores / 2
+		if temp == 0 {
+			temp = 1
 		}
 	}
 	m := &Manager{
 		eng:     eng,
 		machine: machine,
 		opts:    opts,
-		global:  threadpool.New(eng, "global", machine.CPU.Cores-opts.TempPoolThreads),
-		temp:    threadpool.New(eng, "temporary", opts.TempPoolThreads),
+		global:  threadpool.New(eng, "global", machine.CPU.Cores-temp),
+		temp:    threadpool.New(eng, "temporary", temp),
 		arbs:    make([]*arbiter, len(machine.GPUs)),
 		bus:     machine.Bus(),
 	}

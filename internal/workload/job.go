@@ -69,10 +69,9 @@ type Config struct {
 	// VNodes on the chosen node). When VNodes is already set it must be
 	// empty or match len(VNodes).
 	Replicas int
-	// PreprocShards and PerImageCPU configure the input stage (zero picks
-	// model defaults).
-	PreprocShards int
-	PerImageCPU   time.Duration
+	// PerImageCPU configures the input stage (zero picks the model
+	// default).
+	PerImageCPU time.Duration
 	// ArrivalEvery is the serving request period (open loop).
 	ArrivalEvery time.Duration
 	// PoissonArrivals draws exponential inter-arrival times with mean
@@ -117,10 +116,6 @@ type Config struct {
 	// disables checkpointing; recoveries then roll training back to the
 	// admission state.
 	CheckpointEvery time.Duration
-	// RestartBackoff is the base delay of the crash-and-restart loop;
-	// consecutive restarts back off exponentially from it (default
-	// 250 ms, capped at 16x the base).
-	RestartBackoff time.Duration
 }
 
 // Version is one device placement of the job's graph: the replicated
@@ -296,12 +291,11 @@ func (j *Job) ServingStats() metrics.ServingCounters { return j.serving.Counters
 // batch size (a micro-batch of k requests runs at k x Cfg.Batch).
 func (j *Job) buildVersionBatch(dev device.ID, batch int) (*Version, error) {
 	g, err := j.Cfg.Model.Build(models.BuildConfig{
-		Batch:         batch,
-		Training:      j.Cfg.Kind == KindTraining,
-		Device:        dev,
-		PreprocShards: j.Cfg.PreprocShards,
-		PerImageCPU:   j.Cfg.PerImageCPU,
-		Fuse:          j.Cfg.Fuse && !j.Cfg.Eager,
+		Batch:       batch,
+		Training:    j.Cfg.Kind == KindTraining,
+		Device:      dev,
+		PerImageCPU: j.Cfg.PerImageCPU,
+		Fuse:        j.Cfg.Fuse && !j.Cfg.Eager,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("workload: job %q: %w", j.Cfg.Name, err)

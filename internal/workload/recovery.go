@@ -15,11 +15,11 @@ import (
 // restored from the host-side checkpoint (the device copy is gone, so the
 // cheap peer-to-peer path of §3.3 is unavailable).
 
-// Restart backoff defaults: the first restart waits the base, each
-// consecutive failure doubles it, and the cap bounds a crash loop.
+// Restart backoff: the first restart waits the base, each consecutive
+// failure doubles it, and the cap bounds a crash loop.
 const (
-	defaultRestartBackoff = 250 * time.Millisecond
-	maxBackoffDoublings   = 4 // cap = base << 4 = 16x
+	restartBackoff      = 250 * time.Millisecond
+	maxBackoffDoublings = 4 // cap = base << 4 = 16x
 )
 
 // CheckpointBytes is the host-side snapshot size: the persistent state
@@ -61,16 +61,12 @@ func (j *Job) RollbackToCheckpoint() int {
 // restart attempt and advances the exponential schedule. A completed
 // iteration (FinishCompute) resets the schedule.
 func (j *Job) NextRestartBackoff() time.Duration {
-	base := j.Cfg.RestartBackoff
-	if base <= 0 {
-		base = defaultRestartBackoff
-	}
 	if j.backoff == 0 {
-		j.backoff = base
-		return base
+		j.backoff = restartBackoff
+		return restartBackoff
 	}
 	next := j.backoff * 2
-	if cap := base << maxBackoffDoublings; next > cap {
+	if cap := restartBackoff << maxBackoffDoublings; next > cap {
 		next = cap
 	}
 	j.backoff = next

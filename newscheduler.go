@@ -54,28 +54,15 @@ var baselinePolicies = map[Policy]baseline.Policy{
 // when a fault plan is attached without an explicit WithCheckpointEvery.
 const DefaultCheckpointEvery = 10 * time.Second
 
-// Option configures NewScheduler. Options that only apply to SwitchFlow
-// (temp pool size, ablation toggles, checkpointing) are ignored by the
-// baseline policies, mirroring how the real systems have no equivalent
-// knobs.
+// Option configures NewScheduler. The checkpoint interval only applies
+// to SwitchFlow; the baseline policies ignore it, mirroring how the real
+// systems have no equivalent knob.
 type Option func(*schedulerConfig)
 
 type schedulerConfig struct {
-	core      core.Options
-	faultPlan *FaultPlan
-	err       error
-}
-
-// WithTempPoolThreads sizes SwitchFlow's temporary pool (§3.3);
-// default 4.
-func WithTempPoolThreads(n int) Option {
-	return func(c *schedulerConfig) {
-		if n <= 0 {
-			c.err = fmt.Errorf("switchflow: temp pool threads must be positive, got %d", n)
-			return
-		}
-		c.core.TempPoolThreads = n
-	}
+	checkpointEvery time.Duration
+	faultPlan       *FaultPlan
+	err             error
 }
 
 // WithFaultPlan attaches a fault-injection plan: the plan's events are
@@ -101,45 +88,8 @@ func WithCheckpointEvery(d time.Duration) Option {
 			c.err = fmt.Errorf("switchflow: checkpoint interval must be positive, got %v", d)
 			return
 		}
-		c.core.CheckpointEvery = d
+		c.checkpointEvery = d
 	}
-}
-
-// WithoutGPUExclusivity disables scheduling invariant 1 (ablation): GPU
-// executors co-run and contend.
-func WithoutGPUExclusivity() Option {
-	return func(c *schedulerConfig) { c.core.DisableGPUExclusive = true }
-}
-
-// WithoutFreeCPUExecutors disables invariant 2 (ablation): input stages
-// only run while the job holds the GPU.
-func WithoutFreeCPUExecutors() Option {
-	return func(c *schedulerConfig) { c.core.DisableFreeCPUExecutors = true }
-}
-
-// WithSyncStateTransfer makes migration state transfer block the
-// preempting job (ablation of §3.3's asynchronous design).
-func WithSyncStateTransfer() Option {
-	return func(c *schedulerConfig) { c.core.SyncStateTransfer = true }
-}
-
-// WithoutTempPoolIsolation keeps preempted jobs on the global pool
-// (ablation).
-func WithoutTempPoolIsolation() Option {
-	return func(c *schedulerConfig) { c.core.DisableTempPoolIsolation = true }
-}
-
-// WithCheckpointPreemption replaces SwitchFlow's abort-and-resume with
-// Gandiva-style checkpoint-suspend-resume (§6 comparison).
-func WithCheckpointPreemption() Option {
-	return func(c *schedulerConfig) { c.core.CheckpointPreemption = true }
-}
-
-// WithoutDynamicBatching clamps serving jobs to single-request compute
-// launches regardless of their MaxBatch (the batching-off arm of the
-// serving experiment). Admission control still applies.
-func WithoutDynamicBatching() Option {
-	return func(c *schedulerConfig) { c.core.DisableDynamicBatching = true }
 }
 
 // NewSwitchFlowScheduler builds the SwitchFlow policy with its concrete
@@ -179,11 +129,11 @@ func (s *Simulation) NewScheduler(policy Policy, opts ...Option) (Scheduler, err
 	var handler fault.Handler
 	switch policy {
 	case PolicySwitchFlow:
-		coreOpts := cfg.core
-		if cfg.faultPlan != nil && coreOpts.CheckpointEvery == 0 {
-			coreOpts.CheckpointEvery = DefaultCheckpointEvery
+		every := cfg.checkpointEvery
+		if cfg.faultPlan != nil && every == 0 {
+			every = DefaultCheckpointEvery
 		}
-		m := core.NewManager(s.eng, s.machine, coreOpts)
+		m := core.NewManager(s.eng, s.machine, core.Options{CheckpointEvery: every})
 		sf := &SwitchFlowScheduler{m: m, sim: s}
 		sched, handler = sf, m
 	case PolicyThreadedTF, PolicyTimeSlice, PolicyMPS:
