@@ -20,8 +20,11 @@ all: build vet lint test race
 build:
 	go build ./...
 
+# bench/ is its own module, so the root's ./... skips it; its go test
+# runs only vet's test subset (no copylocks, for example).
 vet:
 	go vet ./...
+	cd bench && go vet ./...
 
 # Static analysis: go vet, a gofmt check (fails when any file needs
 # formatting), then swlint (the project's own determinism and

@@ -65,7 +65,7 @@ func (p *FaultPlan) Len() int { return len(p.inner.Events) }
 // and input stalls) over [0, horizon) targeting the first gpus devices.
 // Identical arguments always produce identical plans.
 func RandomFaultPlan(seed int64, horizon time.Duration, gpus int) *FaultPlan {
-	return &FaultPlan{inner: fault.Random(seed, horizon, fault.DefaultRandomConfig(gpus))}
+	return &FaultPlan{inner: fault.Random(seed, horizon, gpus)}
 }
 
 // FaultStats are a scheduler's fault-injection and recovery counters;

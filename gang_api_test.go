@@ -97,6 +97,7 @@ func TestPublicAPIGangValidation(t *testing.T) {
 			s.Replicas = 0
 			s.Placement = switchflow.Placement{VNodes: []int{1, 1}}
 		}},
+		{"replicas past the batch", func(s *switchflow.JobSpec) { s.Replicas = 1 << 40 }},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
@@ -110,6 +111,23 @@ func TestPublicAPIGangValidation(t *testing.T) {
 				t.Fatalf("error %v does not wrap ErrInvalidJobSpec", err)
 			}
 		})
+	}
+}
+
+// A gang's width is checked arithmetically: neither Validate nor AddJob
+// builds a replica set wider than the machine. A set of 1<<40 indices
+// is 8 TiB, and running out of memory is a fatal error that recover
+// cannot catch.
+func TestHugeGangWidthRejectedWithoutMaterializing(t *testing.T) {
+	spec := switchflow.JobSpec{
+		Name: "g", Model: "ResNet50", Batch: 1 << 40, Train: true, Gang: true, Replicas: 1 << 40,
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("machine-independent check rejected a gang no wider than its batch: %v", err)
+	}
+	sim := switchflow.NewSimulation(switchflow.NVLinkV100Server())
+	if _, err := newSwitchFlow(t, sim).AddJob(spec); !errors.Is(err, switchflow.ErrInvalidJobSpec) {
+		t.Fatalf("AddJob of a 1<<40-replica gang: err = %v, want ErrInvalidJobSpec", err)
 	}
 }
 

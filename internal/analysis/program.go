@@ -50,6 +50,10 @@ type Program struct {
 	// testonly reads it: a type no code names is never constructed, so
 	// no interface call can reach its methods.
 	namedTypes map[*types.TypeName]bool
+	// storedFields are the struct fields (generic ones as their origin)
+	// some code stores into. Only testonly reads it: a field no
+	// production code sets holds its zero value in every real run.
+	storedFields map[*types.Var]bool
 	// funcOrder lists declared functions in deterministic (position)
 	// order, for fact iteration that must not depend on map order.
 	funcOrder []*types.Func
@@ -61,20 +65,21 @@ type Program struct {
 // graph, and an empty fact store.
 func NewProgram(fset *token.FileSet, units []*PackageUnit) *Program {
 	p := &Program{
-		Fset:       fset,
-		Packages:   units,
-		callees:    make(map[*types.Func]map[*types.Func]bool),
-		refs:       make(map[*types.Func]map[*types.Func]bool),
-		initRefs:   make(map[*types.Func]bool),
-		namedTypes: make(map[*types.TypeName]bool),
-		facts:      make(map[string]map[*types.Func]any),
+		Fset:         fset,
+		Packages:     units,
+		callees:      make(map[*types.Func]map[*types.Func]bool),
+		refs:         make(map[*types.Func]map[*types.Func]bool),
+		initRefs:     make(map[*types.Func]bool),
+		namedTypes:   make(map[*types.TypeName]bool),
+		storedFields: make(map[*types.Var]bool),
+		facts:        make(map[string]map[*types.Func]any),
 	}
 	for _, u := range units {
 		if u.Info == nil {
 			continue // syntax-only unit (directive tests); no call graph
 		}
 		for _, f := range u.Files {
-			typesNamed(u.Info, f, p.namedTypes)
+			indexTypes(u.Info, f, p.namedTypes, p.storedFields)
 			for _, d := range f.Decls {
 				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
 					referenced(u.Info, gd, p.initRefs)
@@ -149,6 +154,10 @@ func (p *Program) ReachableFrom(seeds []*types.Func) map[*types.Func]bool {
 // methods' receivers and in blank `var _ I = T{}` assertions.
 func (p *Program) NamesType(tn *types.TypeName) bool { return p.namedTypes[tn] }
 
+// Stores reports whether some code stores into field f (see
+// indexTypes for what counts as a store).
+func (p *Program) Stores(f *types.Var) bool { return p.storedFields[f.Origin()] }
+
 // ReferencedFrom returns the transitive closure of seeds over the
 // reference graph (seeds included): every function the seeds may call or
 // hand out as a value.
@@ -191,9 +200,43 @@ func referenced(info *types.Info, n ast.Node, set map[*types.Func]bool) map[*typ
 	return set
 }
 
-// typesNamed adds to set the named types f names outside method
-// receivers and blank interface assertions (`var _ I = T{}`).
-func typesNamed(info *types.Info, f *ast.File, set map[*types.TypeName]bool) {
+// indexTypes adds to named the named types f names outside method
+// receivers and blank interface assertions (`var _ I = T{}`), and to
+// stored the struct fields f stores into. A store is a composite-literal
+// element, an assignment, an increment or decrement, taking the field's
+// address, or calling a pointer method on it; a store into x.F.G, or
+// into x.F[i] for an array F, stores into F too. Stores through a
+// value receiver do not count: they change a copy.
+func indexTypes(info *types.Info, f *ast.File, named map[*types.TypeName]bool, stored map[*types.Var]bool) {
+	var copyRecv types.Object
+	store := func(e ast.Expr) {
+		var fields []*types.Var
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					fields = append(fields, sel.Obj().(*types.Var).Origin())
+					if !sel.Indirect() {
+						e = x.X
+						continue
+					}
+				}
+			case *ast.IndexExpr:
+				if _, ok := info.TypeOf(x.X).Underlying().(*types.Array); ok {
+					e = x.X
+					continue
+				}
+			case *ast.Ident:
+				if copyRecv != nil && info.Uses[x] == copyRecv {
+					return
+				}
+			}
+			break
+		}
+		for _, fv := range fields {
+			stored[fv] = true
+		}
+	}
 	var visit func(ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -201,7 +244,11 @@ func typesNamed(info *types.Info, f *ast.File, set map[*types.TypeName]bool) {
 			if n.Recv != nil {
 				ast.Inspect(n.Type, visit)
 				if n.Body != nil {
+					if r := n.Recv.List[0]; len(r.Names) == 1 && !isPointer(info.TypeOf(r.Type)) {
+						copyRecv = info.Defs[r.Names[0]]
+					}
 					ast.Inspect(n.Body, visit)
+					copyRecv = nil
 				}
 				return false
 			}
@@ -211,12 +258,59 @@ func typesNamed(info *types.Info, f *ast.File, set map[*types.TypeName]bool) {
 			}
 		case *ast.Ident:
 			if tn, ok := info.Uses[n].(*types.TypeName); ok {
-				set[tn] = true
+				named[tn] = true
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				store(lhs)
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if e != nil {
+						store(e)
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			store(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				store(n.X)
+			}
+		case *ast.SelectorExpr:
+			if sel, ok := info.Selections[n]; ok && sel.Kind() == types.MethodVal &&
+				isPointer(sel.Obj().Type().(*types.Signature).Recv().Type()) && !isPointer(info.TypeOf(n.X)) {
+				store(n.X)
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if fv, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						stored[fv.Origin()] = true
+					}
+				} else {
+					stored[st.Field(i).Origin()] = true
+				}
 			}
 		}
 		return true
 	}
 	ast.Inspect(f, visit)
+}
+
+// isPointer reports whether t's underlying type is a pointer.
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }
 
 // ExportFact records an analyzer-scoped fact about fn, overwriting any

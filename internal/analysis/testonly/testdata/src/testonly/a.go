@@ -1,6 +1,6 @@
-// Package main is testonly's testdata. Every function is live except the
-// ones whose line carries a want: only a_test.go, which the loader skips,
-// reaches those.
+// Package main is testonly's testdata. Every function and struct field
+// is live except the ones whose line carries a want: only a_test.go,
+// which the loader skips, reaches or sets those.
 package main
 
 import "sort"
@@ -14,6 +14,13 @@ func main() {
 	_ = s
 	var m meter = &counter{}
 	_ = m
+	var st settings
+	st.stats.hits++
+	st.hist[0] = 1
+	st.lat.add(1)
+	_ = st
+	_ = limits{}.withDefaults()
+	_ = point{1, 2}
 }
 
 func init() { fromInit() }
@@ -88,3 +95,41 @@ func (r *runner) reset() { r.cb = nil } // want `\(\*runner\)\.reset is reached 
 //
 //swlint:allow testonly a reference implementation a test compares against
 func reference() int { return 2 }
+
+// settings exercises the field rule: main stores into every field but
+// debug, which only a_test.go sets.
+type settings struct { // want `no production code sets settings\.debug$`
+	Name  string `json:"name"` // encoding/json sets it
+	stats tally  // st.stats.hits++ stores into stats
+	hist  [4]int // st.hist[0] = 1 stores into hist
+	lat   series // st.lat.add takes lat's address
+	debug bool
+}
+
+// profile is an alias: settings' own declaration reports its fields.
+type profile = settings
+
+type tally struct{ hits int }
+
+type series struct{ xs []int }
+
+func (s *series) add(x int) { s.xs = append(s.xs, x) }
+
+// limits is filled only by its value-receiver withDefaults, which
+// changes a copy.
+type limits struct { // want `no production code sets limits\.period$`
+	period int
+}
+
+func (l limits) withDefaults() limits {
+	if l.period == 0 {
+		l.period = 1
+	}
+	return l
+}
+
+// point is set by a positional literal.
+type point struct{ x, y int }
+
+// pair's two fields are set only in a_test.go; one finding names both.
+type pair struct{ lo, hi int } // want `no production code sets pair\.lo, hi$`

@@ -1,6 +1,8 @@
-// Package testonly finds production functions that only tests reach.
-// Such a function costs reading and upkeep but does nothing in any real
-// run, and it can hide a missing feature: a knob no scheduler turns.
+// Package testonly finds production functions that only tests reach,
+// and struct fields that only tests set. Such a function costs reading
+// and upkeep but does nothing in any real run, and such a field is a
+// knob no run turns: it holds its zero value, or its default, in every
+// real run.
 //
 // A function is live when a root reaches it over the reference graph
 // (analysis.Program.ReferencedFrom). The roots are every main, every
@@ -19,16 +21,27 @@
 // are not loaded, so what only they reach is reported, at the function's
 // name.
 //
-// A finding is fixed by deleting the function (with any test whose only
-// subject it was), by moving it into test code (export_test.go or the
-// test that uses it), or by keeping it with
-// //swlint:allow testonly <reason>, for example for a test harness or a
-// reference implementation a test compares against.
+// A struct field is live when production code stores into it
+// (analysis.Program.Stores): a composite-literal element, an assignment,
+// an increment or decrement, &x.F, or a pointer-method call on x.F such
+// as x.F.Add(...) or x.mu.Lock(). A store into x.F.G, or into x.F[i]
+// when F is an array, stores into F too. Stores through a value
+// receiver do not count: a withDefaults that fills the field changes a
+// copy. Blank, embedded and json-tagged fields are skipped. A type's
+// dead fields are one finding, at the type's name.
+//
+// A finding is fixed by deleting the function or field (with any test
+// whose only subject it was), by folding a field into a constant, by
+// moving a function into test code (export_test.go or the test that uses
+// it), or by keeping it with //swlint:allow testonly <reason>, for
+// example for a test harness or a reference implementation a test
+// compares against.
 package testonly
 
 import (
 	"go/ast"
 	"go/types"
+	"reflect"
 	"strings"
 
 	"switchflow/internal/analysis"
@@ -37,7 +50,7 @@ import (
 // Analyzer is the testonly check.
 var Analyzer = &analysis.Analyzer{
 	Name:    "testonly",
-	Doc:     "every production function is reachable from a main, an init, the root package's API, an interface method of a type production names, or a package variable",
+	Doc:     "every production function is reachable from a main, an init, the root package's API, an interface method of a type production names, or a package variable, and every struct field is set by production code",
 	Collect: collect,
 	Run:     run,
 }
@@ -68,17 +81,42 @@ func collect(pass *analysis.Pass) error {
 func run(pass *analysis.Pass) error {
 	live := pass.Prog.ReferencedFrom(append(pass.FactFuncs(), pass.Prog.InitReferences()...))
 	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if fn, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok && n.Body != nil && !live[fn] {
+					pass.Reportf(n.Name.Pos(), "%s is reached only from tests", displayName(pass, fn))
+				}
+				return false
+			case *ast.TypeSpec:
+				if dead := unsetFields(pass, n); len(dead) > 0 {
+					pass.Reportf(n.Name.Pos(), "no production code sets %s.%s", n.Name.Name, strings.Join(dead, ", "))
+				}
 			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && !live[fn] {
-				pass.Reportf(fd.Name.Pos(), "%s is reached only from tests", displayName(pass, fn))
-			}
-		}
+			return true
+		})
 	}
 	return nil
+}
+
+// unsetFields lists the fields of ts's struct type that no production
+// code stores into (analysis.Program.Stores), skipping blank and
+// embedded fields, and json-tagged ones, which encoding/json sets. An
+// alias reports nothing: its target's declaration does.
+func unsetFields(pass *analysis.Pass, ts *ast.TypeSpec) []string {
+	st, ok := pass.TypesInfo.Defs[ts.Name].Type().Underlying().(*types.Struct)
+	if !ok || ts.Assign.IsValid() {
+		return nil
+	}
+	var dead []string
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+		if f.Name() != "_" && !f.Embedded() && !tagged && !pass.Prog.Stores(f) {
+			dead = append(dead, f.Name())
+		}
+	}
+	return dead
 }
 
 // displayName renders fn as Name or (Recv).Name, relative to pass's

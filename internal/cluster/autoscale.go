@@ -1,8 +1,8 @@
 // Shed-rate autoscaling for the fleet front-end. The controller runs at
 // barrier time on the routing goroutine: a tenant whose shed rate stays
-// above the high-water mark for SustainUp control intervals gains a
+// above the high-water mark for sustainUp control intervals gains a
 // replica (a fresh placement through the cluster policy); one that stays
-// idle for SustainDown intervals loses its newest one. Background elastic
+// idle for sustainDown intervals loses its newest one. Background elastic
 // training jobs registered with the controller yield virtual nodes while
 // the fleet sheds and grow back when it calms — PR 7's Grow/Shrink means
 // that costs a rebind, not a restart.
@@ -24,49 +24,37 @@ const (
 	shedHigh = 0.05
 	// minReplicas is the fewest replicas scale-in leaves a tenant.
 	minReplicas = 1
+	// controlInterval is the control period. Decisions happen at the
+	// first barrier at or after each interval boundary.
+	controlInterval = time.Second
+	// sustainUp is how many consecutive hot intervals trigger a
+	// scale-out: one interval of flash crowd is noise, two are a trend.
+	sustainUp = 2
+	// sustainDown is how many consecutive idle intervals trigger a
+	// scale-in; scaling in is cheaper to delay than shedding.
+	sustainDown = 5
+	// scaleCooldown is the per-tenant pause after any scale action,
+	// giving the previous action time to show in the signal.
+	scaleCooldown = 2 * time.Second
 )
 
 // AutoscaleConfig tunes the controller; zero values take the defaults
 // noted per field.
 type AutoscaleConfig struct {
-	// Interval is the control period (default 1s). Decisions happen at the
-	// first barrier at or after each interval boundary.
-	Interval time.Duration
-	// SustainUp is how many consecutive hot intervals trigger a scale-out
-	// (default 2 — one interval of flash crowd is noise, two are a trend).
-	SustainUp int
 	// IdleRPS is the per-replica offered rate (default 2 req/s) below
 	// which a shed-free interval counts as idle.
 	IdleRPS float64
-	// SustainDown is how many consecutive idle intervals trigger a
-	// scale-in (default 5; scaling in is cheaper to delay than shedding).
-	SustainDown int
 	// MaxReplicas caps each tenant's set (default 6).
 	MaxReplicas int
-	// Cooldown is the per-tenant pause after any scale action (default
-	// 2s), giving the previous action time to show in the signal.
-	Cooldown time.Duration
 }
 
 // withDefaults fills zero fields.
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
-	if c.SustainUp <= 0 {
-		c.SustainUp = 2
-	}
 	if c.IdleRPS <= 0 {
 		c.IdleRPS = 2
 	}
-	if c.SustainDown <= 0 {
-		c.SustainDown = 5
-	}
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 6
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
 	}
 	return c
 }
@@ -124,7 +112,7 @@ func (a *Autoscaler) Grows() int   { return a.grows }
 // tick runs at every barrier but acts once per control interval, in
 // deterministic tenant order.
 func (a *Autoscaler) tick(now time.Duration) {
-	if a.ticked && now < a.lastTick+a.cfg.Interval {
+	if a.ticked && now < a.lastTick+controlInterval {
 		return
 	}
 	interval := now - a.lastTick
@@ -171,9 +159,9 @@ func (a *Autoscaler) tick(now time.Duration) {
 		if now < svc.cooldownUntil {
 			continue
 		}
-		if svc.hotFor >= a.cfg.SustainUp && svc.desired() < a.cfg.MaxReplicas {
+		if svc.hotFor >= sustainUp && svc.desired() < a.cfg.MaxReplicas {
 			h := a.fe.addReplica(svc, now)
-			svc.cooldownUntil = now + a.cfg.Cooldown
+			svc.cooldownUntil = now + scaleCooldown
 			svc.hotFor = 0
 			svc.scaleOuts++
 			a.scaleOuts++
@@ -181,7 +169,7 @@ func (a *Autoscaler) tick(now time.Duration) {
 				Kind: obs.KindScaleOut, Ctx: ctxOf(h), Job: svc.tenant.ID,
 				Name: h.Cfg.Name, Device: placementOf(h), Count: svc.desired(),
 			})
-		} else if svc.idleFor >= a.cfg.SustainDown && live > minReplicas {
+		} else if svc.idleFor >= sustainDown && live > minReplicas {
 			// Retire the newest live replica: the oldest ones carry the
 			// consistent-hash ring's stable keys.
 			for i := len(svc.replicas) - 1; i >= 0; i-- {
@@ -190,7 +178,7 @@ func (a *Autoscaler) tick(now time.Duration) {
 					continue
 				}
 				a.fe.c.Stop(h)
-				svc.cooldownUntil = now + a.cfg.Cooldown
+				svc.cooldownUntil = now + scaleCooldown
 				svc.idleFor = 0
 				svc.scaleIns++
 				a.scaleIns++
@@ -205,7 +193,7 @@ func (a *Autoscaler) tick(now time.Duration) {
 
 	// Elastic training flexes against the serving tide: any pressure
 	// shrinks every registered job one vnode per interval toward min;
-	// SustainDown calm intervals grow them back one step toward max.
+	// sustainDown calm intervals grow them back one step toward max.
 	if pressure {
 		a.calmFor = 0
 	} else {
@@ -220,7 +208,7 @@ func (a *Autoscaler) tick(now time.Duration) {
 			if t.node.mgr.Resize(t.job, cur-1) == nil {
 				a.shrinks++
 			}
-		} else if a.calmFor >= a.cfg.SustainDown && cur < t.max {
+		} else if a.calmFor >= sustainDown && cur < t.max {
 			if t.node.mgr.Resize(t.job, cur+1) == nil {
 				a.grows++
 			}

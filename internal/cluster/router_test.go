@@ -137,8 +137,8 @@ func TestAutoscalerScalesOutOnShedAndInOnIdle(t *testing.T) {
 	c := New(Collocate{}, 1, device.ClassV100, device.ClassV100)
 	p := flatProfile(1, 20)
 	p.Spikes = []traffic.Spike{{
-		Start: time.Second, Ramp: 200 * time.Millisecond,
-		Hold: 2 * time.Second, Decay: 300 * time.Millisecond, Magnitude: 20,
+		Start: 2 * time.Second, Ramp: 400 * time.Millisecond,
+		Hold: 4 * time.Second, Decay: 600 * time.Millisecond, Magnitude: 20,
 	}}
 	gen, err := traffic.NewGenerator(p)
 	if err != nil {
@@ -155,14 +155,7 @@ func TestAutoscalerScalesOutOnShedAndInOnIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaler := fe.EnableAutoscaler(AutoscaleConfig{
-		Interval:    500 * time.Millisecond,
-		SustainUp:   2,
-		IdleRPS:     50,
-		SustainDown: 3,
-		MaxReplicas: 3,
-		Cooldown:    time.Second,
-	})
+	scaler := fe.EnableAutoscaler(AutoscaleConfig{IdleRPS: 50, MaxReplicas: 3})
 	train, err := c.nodes[0].mgr.AddJob(workload.Config{
 		Name: "train-bg", Model: spec(t, "ResNet50"), Batch: 32,
 		Kind: workload.KindTraining, Priority: 1,
@@ -175,7 +168,7 @@ func TestAutoscalerScalesOutOnShedAndInOnIdle(t *testing.T) {
 	scaler.RegisterElastic(c.nodes[0], train, 1, 2)
 
 	fe.Start(1)
-	c.RunUntil(9 * time.Second)
+	c.RunUntil(20 * time.Second)
 
 	if scaler.ScaleOuts() == 0 {
 		t.Fatal("flash crowd produced no scale-out")
@@ -215,14 +208,9 @@ func TestAutoscalerReplacesCrashedReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaler := fe.EnableAutoscaler(AutoscaleConfig{
-		Interval:    500 * time.Millisecond,
-		SustainUp:   2,
-		MaxReplicas: 2,
-		Cooldown:    time.Second,
-	})
+	scaler := fe.EnableAutoscaler(AutoscaleConfig{MaxReplicas: 2})
 	fe.Start(2)
-	c.RunUntil(2 * time.Second)
+	c.RunUntil(4 * time.Second)
 	svc := fe.Services()[0]
 	if scaler.ScaleOuts() != 0 || svc.hotFor < 2 {
 		t.Fatalf("want a sustained-hot tenant pinned at MaxReplicas: %d scale-outs, hot for %d intervals",
@@ -230,7 +218,7 @@ func TestAutoscalerReplacesCrashedReplica(t *testing.T) {
 	}
 
 	svc.replicas[0].Job.Crash(errors.New("injected crash"))
-	c.RunUntil(2600 * time.Millisecond)
+	c.RunUntil(5200 * time.Millisecond)
 	if scaler.ScaleOuts() != 1 {
 		t.Fatalf("%d scale-outs after a replica crashed at MaxReplicas, want 1", scaler.ScaleOuts())
 	}
@@ -257,10 +245,11 @@ func TestScaleInRacingFlashCrowdOnset(t *testing.T) {
 	c.Record(obs.KindScaleIn, obs.KindScaleOut)
 	p := flatProfile(1, 20)
 	// Ticks land on 5ms barrier strides: baseline at the first barrier,
-	// then every 500ms. With SustainDown=2 the scale-in fires on the
-	// second idle tick (~1.005s); the crowd starts right there.
+	// then every controlInterval (1s). The scale-in fires on the
+	// sustainDown-th (fifth) idle tick (~5.005s); the crowd starts right
+	// there.
 	p.Spikes = []traffic.Spike{{
-		Start: 1005 * time.Millisecond, Ramp: 100 * time.Millisecond,
+		Start: 5005 * time.Millisecond, Ramp: 100 * time.Millisecond,
 		Hold: 2500 * time.Millisecond, Decay: 300 * time.Millisecond, Magnitude: 20,
 	}}
 	gen, err := traffic.NewGenerator(p)
@@ -278,17 +267,9 @@ func TestScaleInRacingFlashCrowdOnset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cooldown := 2 * time.Second
-	scaler := fe.EnableAutoscaler(AutoscaleConfig{
-		Interval:    500 * time.Millisecond,
-		SustainUp:   2,
-		IdleRPS:     50,
-		SustainDown: 2,
-		MaxReplicas: 3,
-		Cooldown:    cooldown,
-	})
+	scaler := fe.EnableAutoscaler(AutoscaleConfig{IdleRPS: 50, MaxReplicas: 3})
 	fe.Start(2)
-	c.RunUntil(3500 * time.Millisecond)
+	c.RunUntil(7500 * time.Millisecond)
 
 	if scaler.ScaleIns() == 0 {
 		t.Fatal("sustained idle before the crowd produced no scale-in")
@@ -311,8 +292,8 @@ func TestScaleInRacingFlashCrowdOnset(t *testing.T) {
 	if inAt[0] >= p.Spikes[0].Start+p.Spikes[0].Ramp {
 		t.Fatalf("scale-in at %v did not race the crowd onset at %v", inAt[0], p.Spikes[0].Start)
 	}
-	if gap := outAt[0] - inAt[0]; gap < cooldown {
-		t.Fatalf("recovery scale-out at %v only %v after the scale-in at %v; cooldown %v not honored", outAt[0], gap, inAt[0], cooldown)
+	if gap := outAt[0] - inAt[0]; gap < scaleCooldown {
+		t.Fatalf("recovery scale-out at %v only %v after the scale-in at %v; cooldown %v not honored", outAt[0], gap, inAt[0], scaleCooldown)
 	}
 	if d := fe.Services()[0].desired(); d < 2 {
 		t.Fatalf("tenant holds %d replicas at the end of the crowd, want >= 2", d)
@@ -320,11 +301,12 @@ func TestScaleInRacingFlashCrowdOnset(t *testing.T) {
 }
 
 // TestCooldownBoundaryExactlyAtIntervalEdge pins the boundary semantics
-// of the cooldown gate: with Cooldown an exact multiple of Interval,
+// of the cooldown gate: with scaleCooldown an exact multiple of
+// controlInterval,
 // every cooldown expiry lands exactly on a tick, and the gate is strict
 // (`now < cooldownUntil`), so the tick AT the expiry instant may act.
 // Under permanent overload the controller must therefore emit scale-outs
-// spaced exactly Cooldown apart — an off-by-one (<=) would slip each
+// spaced exactly scaleCooldown apart — an off-by-one (<=) would slip each
 // action a full extra interval.
 func TestCooldownBoundaryExactlyAtIntervalEdge(t *testing.T) {
 	c := New(Collocate{}, 1, device.ClassV100, device.ClassV100,
@@ -343,16 +325,12 @@ func TestCooldownBoundaryExactlyAtIntervalEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cooldown := time.Second // exactly 2 control intervals
-	fe.EnableAutoscaler(AutoscaleConfig{
-		Interval:    500 * time.Millisecond,
-		SustainUp:   2,
-		SustainDown: 100, // never scale in
-		MaxReplicas: 4,
-		Cooldown:    cooldown,
-	})
+	if scaleCooldown != 2*controlInterval {
+		t.Fatalf("scaleCooldown %v is not 2 control intervals of %v", scaleCooldown, controlInterval)
+	}
+	fe.EnableAutoscaler(AutoscaleConfig{MaxReplicas: 4})
 	fe.Start(1)
-	c.RunUntil(3200 * time.Millisecond)
+	c.RunUntil(6400 * time.Millisecond)
 
 	var outAt []time.Duration
 	for _, e := range c.Events() {
@@ -361,11 +339,11 @@ func TestCooldownBoundaryExactlyAtIntervalEdge(t *testing.T) {
 		}
 	}
 	if len(outAt) < 3 {
-		t.Fatalf("sustained overload produced %d scale-outs in 3.2s, want >= 3", len(outAt))
+		t.Fatalf("sustained overload produced %d scale-outs in 6.4s, want >= 3", len(outAt))
 	}
 	for i := 1; i < len(outAt); i++ {
-		if gap := outAt[i] - outAt[i-1]; gap != cooldown {
-			t.Fatalf("scale-outs %d and %d are %v apart, want exactly the %v cooldown (tick at the expiry instant must act)", i-1, i, gap, cooldown)
+		if gap := outAt[i] - outAt[i-1]; gap != scaleCooldown {
+			t.Fatalf("scale-outs %d and %d are %v apart, want exactly the %v cooldown (tick at the expiry instant must act)", i-1, i, gap, scaleCooldown)
 		}
 	}
 }
@@ -386,14 +364,7 @@ func TestElasticFlexGrowsBackAfterDrainMidCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaler := fe.EnableAutoscaler(AutoscaleConfig{
-		Interval:    500 * time.Millisecond,
-		SustainUp:   2,
-		IdleRPS:     50,
-		SustainDown: 2,
-		MaxReplicas: 3,
-		Cooldown:    2 * time.Second,
-	})
+	scaler := fe.EnableAutoscaler(AutoscaleConfig{IdleRPS: 50, MaxReplicas: 3})
 	train, err := c.nodes[0].mgr.AddJob(workload.Config{
 		Name: "train-bg", Model: spec(t, "ResNet50"), Batch: 32,
 		Kind: workload.KindTraining, Priority: 1,
@@ -405,12 +376,12 @@ func TestElasticFlexGrowsBackAfterDrainMidCooldown(t *testing.T) {
 	}
 	scaler.RegisterElastic(c.nodes[0], train, 1, 2)
 
-	// 20 req/s over 2 replicas is idle; SustainDown=2 scales in on the
-	// second post-baseline tick (~1.005s) and starts the 2s cooldown.
+	// 20 req/s over 2 replicas is idle; sustainDown scales in on the
+	// fifth post-baseline tick (~5.005s) and starts the 2s cooldown.
 	fe.Start(2)
-	c.RunUntil(1200 * time.Millisecond)
+	c.RunUntil(5200 * time.Millisecond)
 	if scaler.ScaleIns() != 1 {
-		t.Fatalf("expected the idle scale-in by 1.2s, got %d", scaler.ScaleIns())
+		t.Fatalf("expected the idle scale-in by 5.2s, got %d", scaler.ScaleIns())
 	}
 	svc := fe.Services()[0]
 	if svc.cooldownUntil <= c.Now() {

@@ -203,6 +203,17 @@ func TestErrorPaths(t *testing.T) {
 	if doJSON(t, "GET", ts.URL+"/v1/status", nil, &st); st.NowMillis != 1 {
 		t.Errorf("refused advances moved the clock to %v ms, want 1", st.NowMillis)
 	}
+	// A gang wider than its batch or the machine is a spec error, with
+	// the status every spec error uses. The server must not build the
+	// 1<<40-entry replica set: running out of memory is fatal.
+	for _, batch := range []int{32, 1 << 40} {
+		out = nil
+		req := JobRequest{Name: "g", Model: "ResNet50", Batch: batch, Train: true, Gang: true, Replicas: 1 << 40}
+		if code := doJSON(t, "POST", ts.URL+"/v1/jobs", req, &out); code != http.StatusConflict || !strings.Contains(out["error"], "invalid job spec") {
+			t.Errorf("gang of 1<<40 replicas at batch %d: status %d, error %q; want %d invalid job spec",
+				batch, code, out["error"], http.StatusConflict)
+		}
+	}
 	var models []string
 	if code := doJSON(t, "GET", ts.URL+"/v1/models", nil, &models); code != 200 || len(models) != 12 {
 		t.Fatalf("models: %d %v", code, models)

@@ -163,7 +163,7 @@ func (m *Manager) shardDrained(victim *jobState, sh *shardState) {
 	sh.scratch = 0
 	if fallback, ok := m.pickFallback(victim); victim.plain() && ok {
 		if sh.run != nil {
-			sh.run.Discard()
+			sh.run.Abort()
 			sh.run = nil
 		}
 		m.abandonStep(victim)

@@ -376,7 +376,7 @@ func (m *Manager) restoreCheckpoint(js *jobState, sh *shardState) {
 func (m *Manager) discardStep(js *jobState, lost device.ID) {
 	for _, sh := range js.shards {
 		if sh.run != nil {
-			sh.run.Discard()
+			sh.run.Abort()
 			sh.run = nil
 		}
 		if sh.scratch > 0 {

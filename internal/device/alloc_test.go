@@ -146,7 +146,7 @@ func TestCopyEngineTransferTaggedAllocFree(t *testing.T) {
 	}
 	var want []time.Duration
 	for i := uint64(0); i < 4; i++ {
-		want = append(want, ce.TransferTagged(int64(1+i)<<20, 1, record, i))
+		want = append(want, ce.TransferTagged(int64(1+i)<<20, record, i))
 		ce.Transfer(1<<20, 1, func() {})
 	}
 	eng.Run()
@@ -154,9 +154,9 @@ func TestCopyEngineTransferTaggedAllocFree(t *testing.T) {
 		t.Fatalf("completions %v at %v, want [0 1 2 3] at %v", got, at, want)
 	}
 	var again func(uint64)
-	again = func(arg uint64) { ce.TransferTagged(1<<20, 1, again, arg+1) }
+	again = func(arg uint64) { ce.TransferTagged(1<<20, again, arg+1) }
 	for i := uint64(0); i < 3; i++ {
-		ce.TransferTagged(1<<20, 1, again, i)
+		ce.TransferTagged(1<<20, again, i)
 	}
 	steps := func() {
 		for i := 0; i < 100; i++ {

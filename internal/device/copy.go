@@ -66,11 +66,11 @@ func (c *CopyEngine) Transfer(n int64, tensors int, onDone func()) time.Duration
 	return done
 }
 
-// TransferTagged is Transfer with a completion that fires with arg. It is
-// the allocation-free form for callers that copy often: one callback
-// bound once, with the per-transfer state in arg.
-func (c *CopyEngine) TransferTagged(n int64, tensors int, fire func(arg uint64), arg uint64) time.Duration {
-	done := c.enqueue(n, tensors)
+// TransferTagged is Transfer of one tensor with a completion that fires
+// with arg. It is the allocation-free form for callers that copy often:
+// one callback bound once, with the per-transfer state in arg.
+func (c *CopyEngine) TransferTagged(n int64, fire func(arg uint64), arg uint64) time.Duration {
+	done := c.enqueue(n, 1)
 	c.inflight = append(c.inflight, taggedDone{fire: fire, arg: arg})
 	c.eng.Schedule(done, c.fireNextFn)
 	return done

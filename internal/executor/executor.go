@@ -207,41 +207,25 @@ func (r *Run) Resume() {
 }
 
 // Abort cancels the run terminally; it can never resume and onDone never
-// fires. onDrained follows Suspend's contract.
-func (r *Run) Abort(onDrained func()) {
+// fires. A run that is not suspended loses its queued pool and stream
+// work, as in Suspend; an in-flight kernel still runs to its end.
+func (r *Run) Abort() {
 	if r.aborted {
-		if onDrained != nil {
-			onDrained()
-		}
 		return
 	}
-	wasSuspended := r.suspended
 	r.aborted = true
-	r.suspended = true
-	if wasSuspended {
-		if onDrained != nil {
-			onDrained()
-		}
+	if r.suspended {
 		return
 	}
+	r.suspended = true
 	r.cfg.Pool.Abort(r)
 	if r.cfg.DataPool != nil {
 		r.cfg.DataPool.Abort(r)
 	}
 	if r.cfg.Stream != nil {
 		r.cfg.Stream.Abort()
-		if onDrained != nil {
-			r.cfg.Stream.Drain(onDrained)
-		}
-		return
-	}
-	if onDrained != nil {
-		onDrained()
 	}
 }
-
-// Discard is Abort without a drain callback, for runs already suspended.
-func (r *Run) Discard() { r.Abort(nil) }
 
 // dispatch hands node n to a worker. preferred/front implement the
 // expensive/inexpensive local-queue policy. The epoch packed into the
@@ -414,7 +398,7 @@ func (r *Run) startSend(n *graph.Node) {
 		r.complete(n)
 		return
 	}
-	engine.TransferTagged(n.OutputBytes, 1, r.sendDoneFn, r.arg(n))
+	engine.TransferTagged(n.OutputBytes, r.sendDoneFn, r.arg(n))
 }
 
 // sendDone is every Send transfer's callback; arg is from r.arg.

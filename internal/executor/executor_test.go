@@ -196,8 +196,10 @@ func TestRunFullModelInferencePipeline(t *testing.T) {
 	}
 }
 
-func TestRunAbortStopsQueuedWork(t *testing.T) {
-	f := newFixture(4)
+// startChain starts a run of ten dependent 0.5ms GPU kernels (about
+// 10ms end to end on f's V100); *completed turns true if it finishes.
+func startChain(t *testing.T, f *fixture) (run *Run, completed *bool) {
+	t.Helper()
 	g := graph.New("abort")
 	var prev *graph.Node
 	for i := 0; i < 10; i++ {
@@ -210,29 +212,29 @@ func TestRunAbortStopsQueuedWork(t *testing.T) {
 	}
 	subs, _ := graph.Partition(g)
 	stream := device.NewStream(f.machine.GPU(0))
-	completed := false
-	run, err := Start(f.eng, subs[0], f.gpuConfig(stream), func() { completed = true })
+	completed = new(bool)
+	run, err := Start(f.eng, subs[0], f.gpuConfig(stream), func() { *completed = true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	drained := false
-	f.eng.Schedule(2500*time.Microsecond, func() {
-		run.Abort(func() { drained = true })
-	})
+	return run, completed
+}
+
+func TestRunAbortStopsQueuedWork(t *testing.T) {
+	f := newFixture(4)
+	run, completed := startChain(t, f)
+	f.eng.Schedule(2500*time.Microsecond, run.Abort)
 	f.eng.Run()
-	if completed {
+	if *completed {
 		t.Fatal("aborted run reported completion")
-	}
-	if !drained {
-		t.Fatal("drain callback never fired")
 	}
 	if !run.aborted {
 		t.Fatal("run not marked aborted")
 	}
-	// The chain would take ~10ms; abort at 2.5ms waits only for the
-	// in-flight kernel (ends at ~3ms).
+	// The chain would take ~10ms; abort at 2.5ms leaves only the
+	// in-flight kernel (ends at ~3ms) for the engine to run.
 	if f.eng.Now() > 5*time.Millisecond {
-		t.Fatalf("abort drained at %v, want well before chain end (10ms)", f.eng.Now())
+		t.Fatalf("engine idled at %v after the abort, want well before chain end (10ms)", f.eng.Now())
 	}
 	done, total := run.done, run.total
 	if done >= total {
@@ -241,21 +243,38 @@ func TestRunAbortStopsQueuedWork(t *testing.T) {
 }
 
 func TestRunAbortIsIdempotent(t *testing.T) {
-	f := newFixture(2)
-	g := graph.New("a")
-	g.AddNode(&graph.Node{Name: "x", Op: graph.OpPreprocess,
-		Device: device.CPUID, CPUTime: 10 * time.Millisecond})
-	subs, _ := graph.Partition(g)
-	run, err := Start(f.eng, subs[0], f.cpuConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
+	// Two identical chains, one aborted once and one twice: the second
+	// Abort must change nothing, at the abort or after it.
+	type outcome struct {
+		aborted, suspended bool
+		epoch              uint32
+		done               int
+		now                time.Duration
+		fired              uint64
 	}
-	calls := 0
-	run.Abort(func() { calls++ })
-	run.Abort(func() { calls++ })
-	f.eng.Run()
-	if calls != 2 {
-		t.Fatalf("drain callbacks = %d, want 2 (idempotent abort still answers)", calls)
+	abort := func(times int) (at, end outcome) {
+		f := newFixture(4)
+		run, completed := startChain(t, f)
+		snap := func() outcome {
+			return outcome{run.aborted, run.suspended, run.epoch, run.done, f.eng.Now(), f.eng.Fired()}
+		}
+		f.eng.Schedule(2500*time.Microsecond, func() {
+			for i := 0; i < times; i++ {
+				run.Abort()
+			}
+			at = snap()
+		})
+		f.eng.Run()
+		if *completed {
+			t.Fatalf("run aborted %d times reported completion", times)
+		}
+		return at, snap()
+	}
+	onceAt, onceEnd := abort(1)
+	twiceAt, twiceEnd := abort(2)
+	if onceAt != twiceAt || onceEnd != twiceEnd {
+		t.Fatalf("second Abort changed the run: once %+v then %+v, twice %+v then %+v",
+			onceAt, onceEnd, twiceAt, twiceEnd)
 	}
 }
 

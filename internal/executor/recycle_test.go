@@ -163,7 +163,7 @@ func (w *recycleWorld) abort(s int) {
 		return
 	}
 	w.record("abort %d.%d", s, slot.life)
-	slot.run.Abort(nil)
+	slot.run.Abort()
 	slot.run = nil
 }
 
@@ -309,7 +309,7 @@ func TestRunRecycledOnlyAfterFinish(t *testing.T) {
 
 	aborted := start(nil)
 	w.eng.Step()
-	aborted.Abort(nil)
+	aborted.Abort()
 	w.eng.Run()
 	if next := start(nil); next == aborted {
 		t.Fatal("an aborted Run was reused")

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"switchflow/internal/core"
+	"switchflow/internal/device"
 	"switchflow/internal/harness"
 	"switchflow/internal/sim"
 	"switchflow/internal/workload"
@@ -86,7 +87,7 @@ func AblationMigration() []AblationMigrationRow {
 
 func ablationMigrationOne(name string, opts core.Options) AblationMigrationRow {
 	eng := sim.NewEngine()
-	machine := newTwoGPUMachine(eng)
+	machine := device.NewTwoGPUServer(eng)
 	m := core.NewManager(eng, machine, opts)
 	low, err := m.AddJob(workload.Config{
 		Name:      "low",

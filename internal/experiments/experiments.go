@@ -120,11 +120,6 @@ var (
 	fallbackToGPU0 = []device.ID{device.GPUID(0), device.CPUID}
 )
 
-// newTwoGPUMachine builds the GTX 1080 Ti + RTX 2080 Ti server.
-func newTwoGPUMachine(eng *sim.Engine) *device.Machine {
-	return device.NewTwoGPUServer(eng)
-}
-
 // trainConfig is a standard training-job config.
 func trainConfig(name, model string, batch, priority int) workload.Config {
 	return workload.Config{

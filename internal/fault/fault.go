@@ -1,7 +1,9 @@
 // Package fault provides deterministic, seed-driven fault injection for
 // the simulated substrate. A Plan is a list of virtual-clock events —
 // device loss, transient kernel/ECC errors, input-pipeline stalls — that
-// an Injector schedules on a sim.Engine. The injector applies the
+// an Injector schedules on a sim.Engine. Plans are built event by event,
+// or drawn by Random from a seed: a fixed mix of transient errors and
+// input stalls, with no device loss. The injector applies the
 // device-level effect (failing the GPU, degrading its clock) and then
 // notifies the attached schedulers, which decide what happens to the
 // jobs: SwitchFlow migrates victims through their configured fallbacks
@@ -122,49 +124,28 @@ func (p *Plan) Sorted() []Event {
 	return out
 }
 
-// RandomConfig tunes Random's event mix. Zero-valued rates disable that
-// kind.
-type RandomConfig struct {
-	// GPUs is the number of GPUs faults may target (indices 0..GPUs-1).
-	GPUs int
-	// MeanBetweenTransients is the mean gap between transient errors.
-	MeanBetweenTransients time.Duration
-	// MeanBetweenStalls and StallDuration shape input stalls.
-	MeanBetweenStalls time.Duration
-	StallDuration     time.Duration
-	// DeviceLossAt, when positive, schedules exactly one device loss at
-	// that time on a randomly chosen GPU.
-	DeviceLossAt time.Duration
-}
+// Random's fault mix, busy but survivable: exponential gaps between
+// transient errors and between input stalls.
+const (
+	meanBetweenTransients = 12 * time.Second
+	meanBetweenStalls     = 15 * time.Second
+	stallDuration         = 500 * time.Millisecond
+)
 
-// DefaultRandomConfig is a busy-but-survivable mix for chaos sweeps.
-func DefaultRandomConfig(gpus int) RandomConfig {
-	return RandomConfig{
-		GPUs:                  gpus,
-		MeanBetweenTransients: 12 * time.Second,
-		MeanBetweenStalls:     15 * time.Second,
-		StallDuration:         500 * time.Millisecond,
-	}
-}
-
-// Random draws a fault plan over [0, horizon) from the seed. Identical
-// (seed, horizon, cfg) triples produce identical plans — the chaos
-// experiment's determinism rests on this.
-func Random(seed int64, horizon time.Duration, cfg RandomConfig) Plan {
+// Random draws a fault plan over [0, horizon) from the seed: transient
+// errors on GPUs 0..gpus-1, then input stalls. Identical (seed, horizon,
+// gpus) triples produce identical plans — the chaos experiment's
+// determinism rests on this.
+func Random(seed int64, horizon time.Duration, gpus int) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	var p Plan
-	if cfg.GPUs > 0 && cfg.MeanBetweenTransients > 0 {
-		for at := expDraw(rng, cfg.MeanBetweenTransients); at < horizon; at += expDraw(rng, cfg.MeanBetweenTransients) {
-			p.Transient(at, rng.Intn(cfg.GPUs))
+	if gpus > 0 {
+		for at := expDraw(rng, meanBetweenTransients); at < horizon; at += expDraw(rng, meanBetweenTransients) {
+			p.Transient(at, rng.Intn(gpus))
 		}
 	}
-	if cfg.MeanBetweenStalls > 0 && cfg.StallDuration > 0 {
-		for at := expDraw(rng, cfg.MeanBetweenStalls); at < horizon; at += expDraw(rng, cfg.MeanBetweenStalls) {
-			p.StallInputs(at, cfg.StallDuration)
-		}
-	}
-	if cfg.GPUs > 0 && cfg.DeviceLossAt > 0 && cfg.DeviceLossAt < horizon {
-		p.LoseGPU(cfg.DeviceLossAt, rng.Intn(cfg.GPUs))
+	for at := expDraw(rng, meanBetweenStalls); at < horizon; at += expDraw(rng, meanBetweenStalls) {
+		p.StallInputs(at, stallDuration)
 	}
 	return p
 }

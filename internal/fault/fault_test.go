@@ -10,37 +10,17 @@ import (
 )
 
 func TestRandomIsDeterministic(t *testing.T) {
-	cfg := DefaultRandomConfig(2)
-	cfg.DeviceLossAt = 30 * time.Second
-	a := Random(7, time.Minute, cfg)
-	b := Random(7, time.Minute, cfg)
+	a := Random(7, time.Minute, 2)
+	b := Random(7, time.Minute, 2)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different plans")
 	}
 	if len(a.Events) == 0 {
-		t.Fatal("default config over a minute produced no events")
+		t.Fatal("the fault mix over a minute produced no events")
 	}
-	c := Random(8, time.Minute, cfg)
+	c := Random(8, time.Minute, 2)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical plans")
-	}
-}
-
-func TestRandomSchedulesRequestedDeviceLoss(t *testing.T) {
-	cfg := DefaultRandomConfig(1)
-	cfg.DeviceLossAt = 10 * time.Second
-	p := Random(1, time.Minute, cfg)
-	var losses int
-	for _, ev := range p.Events {
-		if ev.Kind == KindDeviceLost {
-			losses++
-			if ev.At != 10*time.Second {
-				t.Fatalf("device loss at %v, want 10s", ev.At)
-			}
-		}
-	}
-	if losses != 1 {
-		t.Fatalf("%d device losses, want exactly 1", losses)
 	}
 }
 

@@ -11,6 +11,8 @@ package occupancy
 import "fmt"
 
 // LaunchConfig is a kernel's per-block resource demand.
+//
+//swlint:allow testonly the independent §2.2 calculator that cost's footprint test checks against
 type LaunchConfig struct {
 	// ThreadsPerBlock is the block size.
 	ThreadsPerBlock int

@@ -111,11 +111,6 @@ type Config struct {
 	// Fuse applies static-graph elementwise fusion (mutually exclusive
 	// with Eager).
 	Fuse bool
-	// CheckpointEvery is the period of background checkpoints to host
-	// memory (fault recovery, TF's checkpoint-and-restart story). Zero
-	// disables checkpointing; recoveries then roll training back to the
-	// admission state.
-	CheckpointEvery time.Duration
 }
 
 // Version is one device placement of the job's graph: the replicated

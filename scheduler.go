@@ -185,11 +185,18 @@ func (s *Simulation) specConfig(spec JobSpec) (workload.Config, error) {
 	if err := spec.Validate(); err != nil {
 		return workload.Config{}, err
 	}
-	p := spec.placement()
+	p := spec.primary()
 	if p.Device >= s.GPUCount() {
 		return workload.Config{}, fmt.Errorf("%w: GPU index %d out of range (machine has %d GPUs)",
 			ErrInvalidJobSpec, p.Device, s.GPUCount())
 	}
+	if spec.implicitGang(p) && spec.Replicas > s.GPUCount()-p.Device {
+		// Bounded before placement builds the replica set: the first
+		// replica past the machine would sit on GPU GPUCount.
+		return workload.Config{}, fmt.Errorf("%w: virtual node GPU index %d out of range (machine has %d GPUs)",
+			ErrInvalidJobSpec, s.GPUCount(), s.GPUCount())
+	}
+	p = spec.placement()
 	for _, g := range p.Fallbacks {
 		if g >= s.GPUCount() {
 			return workload.Config{}, fmt.Errorf("%w: fallback GPU index %d out of range (machine has %d GPUs)",

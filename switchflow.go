@@ -198,11 +198,6 @@ type JobSpec struct {
 	// BatchWait bounds how long a sub-target micro-batch may hold the
 	// launch waiting for more requests. Requires MaxBatch > 1.
 	BatchWait time.Duration
-	// Eager runs the model in dynamic-graph mode (per-op dispatch, no
-	// graph optimization).
-	Eager bool
-	// Fuse applies static-graph elementwise fusion.
-	Fuse bool
 }
 
 // ErrInvalidJobSpec is wrapped by every JobSpec validation error; test
@@ -210,27 +205,35 @@ type JobSpec struct {
 var ErrInvalidJobSpec = errors.New("invalid job spec")
 
 // placement normalizes the spec's placement: VNodes[0] fills an unset
-// Device, and a gang's replica set is materialized.
+// Device, and a gang's replica set is materialized. The set holds one
+// index per replica, so call it only once specConfig has bounded the
+// gang by the machine.
 func (spec JobSpec) placement() Placement {
+	p := spec.primary()
+	if spec.implicitGang(p) {
+		p.VNodes = make([]int, spec.Replicas)
+		for i := range p.VNodes {
+			p.VNodes[i] = p.Device + i
+		}
+	}
+	return p
+}
+
+// primary is the spec's placement with VNodes[0] filling an unset
+// Device.
+func (spec JobSpec) primary() Placement {
 	p := spec.Placement
 	if len(p.VNodes) > 0 && p.Device == 0 {
 		p.Device = p.VNodes[0]
 	}
-	return spec.gangPlacement(p)
+	return p
 }
 
-// gangPlacement materializes a gang spec's replica set: when the spec
-// names no explicit VNodes, Replicas consecutive GPUs starting at the
-// primary device become the gang's virtual nodes.
-func (spec JobSpec) gangPlacement(p Placement) Placement {
-	if !spec.Gang || len(p.VNodes) > 0 || spec.Replicas < 1 || p.Device < 0 {
-		return p
-	}
-	p.VNodes = make([]int, spec.Replicas)
-	for i := range p.VNodes {
-		p.VNodes[i] = p.Device + i
-	}
-	return p
+// implicitGang reports whether p's gang names no explicit VNodes, so
+// Replicas consecutive GPUs starting at the primary device become its
+// virtual nodes.
+func (spec JobSpec) implicitGang(p Placement) bool {
+	return spec.Gang && len(p.VNodes) == 0 && spec.Replicas >= 1 && p.Device >= 0
 }
 
 // validatePlacement checks the normalized placement.
@@ -277,9 +280,11 @@ func (spec JobSpec) validatePlacement(p Placement) error {
 	return nil
 }
 
-// validateGang checks the gang surface against the materialized
-// placement: a gang is a training job with at least two replicas on
-// distinct GPUs, and Replicas must agree with any explicit VNodes.
+// validateGang checks the gang surface against the primary placement: a
+// gang is a training job with at least two replicas on distinct GPUs, no
+// more replicas than batch samples, and Replicas must agree with any
+// explicit VNodes. An implicit gang's width is checked arithmetically,
+// never by building its replica set.
 func (spec JobSpec) validateGang(p Placement) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidJobSpec, fmt.Sprintf(format, args...))
@@ -299,8 +304,15 @@ func (spec JobSpec) validateGang(p Placement) error {
 	if spec.Replicas > 0 && len(spec.Placement.VNodes) > 0 && spec.Replicas != len(spec.Placement.VNodes) {
 		return fail("gang job %q: Replicas %d conflicts with %d Placement.VNodes", spec.Name, spec.Replicas, len(spec.Placement.VNodes))
 	}
-	if len(p.VNodes) < 2 {
+	width := len(p.VNodes)
+	if spec.implicitGang(p) {
+		width = spec.Replicas
+	}
+	if width < 2 {
 		return fail("gang job %q needs at least two replicas (set Replicas or Placement.VNodes)", spec.Name)
+	}
+	if width > spec.Batch {
+		return fail("%d virtual nodes exceed batch %d (each needs >= 1 sample)", width, spec.Batch)
 	}
 	seen := map[int]bool{}
 	for _, g := range p.VNodes {
@@ -327,7 +339,7 @@ func (spec JobSpec) Validate() error {
 	if _, err := models.ByName(spec.Model); err != nil {
 		return fail("%v", err)
 	}
-	p := spec.placement()
+	p := spec.primary()
 	if err := spec.validatePlacement(p); err != nil {
 		return err
 	}
@@ -422,8 +434,6 @@ func (spec JobSpec) toConfig() (workload.Config, error) {
 		SLO:             spec.SLO,
 		MaxBatch:        spec.MaxBatch,
 		BatchWait:       spec.BatchWait,
-		Eager:           spec.Eager,
-		Fuse:            spec.Fuse,
 	}, nil
 }
 

@@ -170,26 +170,6 @@ func TestPublicAPIModelsList(t *testing.T) {
 	}
 }
 
-func TestPublicAPIEagerAndFused(t *testing.T) {
-	run := func(eager, fuse bool) int {
-		sim := switchflow.NewSimulation(switchflow.V100Server())
-		sched := newPolicy(t, sim, switchflow.PolicyThreadedTF)
-		job, err := sched.AddJob(switchflow.JobSpec{
-			Name: "t", Model: "DenseNet121", Batch: 32, Train: true,
-			Eager: eager, Fuse: fuse,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.RunFor(20 * time.Second)
-		return job.Iterations()
-	}
-	eager, static, fused := run(true, false), run(false, false), run(false, true)
-	if !(eager < static && static <= fused) {
-		t.Fatalf("iterations eager=%d static=%d fused=%d, want increasing", eager, static, fused)
-	}
-}
-
 func TestPublicAPIPoissonServing(t *testing.T) {
 	sim := switchflow.NewSimulation(switchflow.V100Server())
 	sched := newSwitchFlow(t, sim)
