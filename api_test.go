@@ -208,8 +208,7 @@ func TestPlacementValidation(t *testing.T) {
 }
 
 // TestElasticOpsRequireSupport pins the ErrNotElastic contract: baselines
-// reject elastic specs and operations; SwitchFlow rejects elastic ops on
-// legacy jobs.
+// reject elastic specs; SwitchFlow rejects elastic ops on legacy jobs.
 func TestElasticOpsRequireSupport(t *testing.T) {
 	elastic := switchflow.JobSpec{
 		Name: "e", Model: "ResNet50", Batch: 8, Train: true,
@@ -228,13 +227,10 @@ func TestElasticOpsRequireSupport(t *testing.T) {
 		if _, err := sched.AddJob(elastic); !errors.Is(err, switchflow.ErrNotElastic) {
 			t.Errorf("%s: elastic spec: %v, want ErrNotElastic", policy, err)
 		}
-		if err := sched.Drain(0); !errors.Is(err, switchflow.ErrNotElastic) {
-			t.Errorf("%s: Drain: %v, want ErrNotElastic", policy, err)
-		}
 	}
 
 	sim := switchflow.NewSimulation(switchflow.V100Server())
-	sched, err := sim.NewScheduler(switchflow.PolicySwitchFlow)
+	sched, err := sim.NewSwitchFlowScheduler()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,12 +103,14 @@ func TestBatchedServingSurvivesPreemption(t *testing.T) {
 	}
 }
 
-// TestDisableDynamicBatchingClampsToSingleRequests is the ablation arm:
-// with batching disabled every launch carries exactly one request even
-// though the job asks for MaxBatch 8.
-func TestDisableDynamicBatchingClampsToSingleRequests(t *testing.T) {
-	eng, _, m := newHarness(t, Options{DisableDynamicBatching: true}, device.ClassV100)
-	job, err := m.AddJob(batchedServeCfg(t, "serve", 1))
+// TestMaxBatchZeroLaunchesSingleRequests is the serving experiment's
+// unbatched arm: with MaxBatch 0 every launch carries exactly one request
+// even though requests queue.
+func TestMaxBatchZeroLaunchesSingleRequests(t *testing.T) {
+	eng, _, m := newHarness(t, Options{}, device.ClassV100)
+	cfg := batchedServeCfg(t, "serve", 1)
+	cfg.MaxBatch, cfg.BatchWait = 0, 0
+	job, err := m.AddJob(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestDisableDynamicBatchingClampsToSingleRequests(t *testing.T) {
 		t.Fatal("no requests served")
 	}
 	if job.ServingStats().Batches != job.ServingStats().Served {
-		t.Fatalf("Batches=%d Served=%d: batching ran despite DisableDynamicBatching",
+		t.Fatalf("Batches=%d Served=%d: batching ran with MaxBatch 0",
 			job.ServingStats().Batches, job.ServingStats().Served)
 	}
 }

@@ -135,9 +135,6 @@ func (m *Manager) restoreFromHost(js *jobState, faultAt time.Duration) {
 			return
 		}
 		js.weightsReady = true
-		if dev.Kind == device.KindGPU {
-			js.inTempPool = false
-		}
 		m.RecoveryLatencies.Add(m.eng.Now() - faultAt)
 		m.pump(js)
 	}

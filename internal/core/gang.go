@@ -126,9 +126,6 @@ func (m *Manager) preemptGang(gpu int, victim *jobState) {
 		Device: device.GPUID(gpu).String(),
 		Count:  len(victim.shards),
 	})
-	if !m.opts.DisableTempPoolIsolation {
-		victim.inTempPool = true
-	}
 	// The sweep below holds one reference, released by an event after it,
 	// so a synchronous Suspend cannot re-pump before every replica has
 	// been visited.

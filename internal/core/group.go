@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"switchflow/internal/device"
 	"switchflow/internal/executor"
 	"switchflow/internal/workload"
 )
@@ -97,7 +98,7 @@ func (g *Group) pumpInput() {
 		return
 	}
 	g.inputRunning = true
-	_, err = master.job.StartExec(v.Input, executor.Config{Pool: g.m.global}, func() {
+	_, err = master.job.StartExec(v.Input, executor.Config{Pool: g.m.poolFor(master)}, func() {
 		g.inputRunning = false
 		g.inputReady++
 		g.pump()
@@ -109,8 +110,10 @@ func (g *Group) pumpInput() {
 	}
 }
 
-// pumpTurn runs the next member's GPU executor on the cached batch.
-// A batch is consumed once every member has processed it.
+// pumpTurn runs the next member's executor on the cached batch. A batch
+// is consumed once every member has processed it. Only a GPU turn takes
+// the device's grant; a CPU member runs its turn directly, as pumpShard
+// does.
 func (g *Group) pumpTurn() {
 	if g.busy || g.inputReady == 0 {
 		return
@@ -122,6 +125,10 @@ func (g *Group) pumpTurn() {
 	}
 	g.busy = true
 	sh := js.shards[0]
+	if sh.dev.Kind != device.KindGPU {
+		g.runMember(js, sh)
+		return
+	}
 	js.acquiredAt = g.m.eng.Now()
 	g.m.acquire(sh.dev.Index, js, func() {
 		sh.holding = true
@@ -153,7 +160,7 @@ func (g *Group) runMember(js *jobState, sh *shardState) {
 		return
 	}
 	sh.scratch = n
-	cfg := executor.Config{Pool: g.m.global, Stream: js.job.Stream(sh.dev)}
+	cfg := executor.Config{Pool: g.m.poolFor(js), Stream: js.job.Stream(sh.dev)}
 	run, err := js.job.StartExec(v.Compute, cfg, func() {
 		sh.run = nil
 		js.job.FreeScratchBytes(sh.dev, sh.scratch)

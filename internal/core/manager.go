@@ -34,13 +34,6 @@ type Options struct {
 	// SyncStateTransfer makes migration state transfer block the
 	// preempting job (ablation of §3.3's async design).
 	SyncStateTransfer bool
-	// DisableTempPoolIsolation keeps preempted jobs on the global pool
-	// (ablation): their task dispatch interferes with the preempter.
-	DisableTempPoolIsolation bool
-	// DisableDynamicBatching clamps serving jobs to single-request compute
-	// launches regardless of their MaxBatch (the batching-off arm of the
-	// serving experiment). Admission control still applies.
-	DisableDynamicBatching bool
 	// CheckpointPreemption replaces SwitchFlow's abort-and-resume with
 	// Gandiva-style suspend-resume (§6): the victim finishes its current
 	// mini-batch, checkpoints its full state to host memory, and restores
@@ -94,7 +87,6 @@ type jobState struct {
 	m            *Manager
 	job          *workload.Job
 	weightsReady bool
-	inTempPool   bool
 	// preempting pauses a plain job's whole pipeline while its shard
 	// drains after a preemption (step.go).
 	preempting bool
@@ -189,10 +181,6 @@ func (m *Manager) FaultCounters() metrics.FaultCounters { return m.faults.Counte
 // OOM-freedom contract (§3.4). A failed replica unwinds the others.
 func (m *Manager) AddJob(cfg workload.Config) (*workload.Job, error) {
 	m.ctxSeq++
-	if m.opts.DisableDynamicBatching {
-		cfg.MaxBatch = 0
-		cfg.BatchWait = 0
-	}
 	job, err := workload.NewJob(m.eng, m.machine, m.ctxSeq, cfg)
 	if err != nil {
 		return nil, err
@@ -381,13 +369,9 @@ func (m *Manager) runCoupledSession(js *jobState, sh *shardState) {
 }
 
 // poolFor returns the inter-op pool a job's tasks go to: the temporary
-// pool while the job is being isolated after preemption or while it runs
-// on CPU.
+// pool while the job runs on CPU (§3.3), the global pool otherwise.
 func (m *Manager) poolFor(js *jobState) *threadpool.Pool {
-	if m.opts.DisableTempPoolIsolation {
-		return m.global
-	}
-	if js.inTempPool || js.current().Kind == device.KindCPU {
+	if js.current().Kind == device.KindCPU {
 		return m.temp
 	}
 	return m.global

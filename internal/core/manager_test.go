@@ -383,6 +383,47 @@ func TestPreemptedGroupMemberKeepsLockstep(t *testing.T) {
 	}
 }
 
+// TestCPUGroupLeavesGPUArbiterAlone: a shared group placed on the CPU
+// runs its turns without a GPU grant, so it never takes gpu:0's arbiter
+// (device.CPUID's Index is 0 too) and a trainer on gpu:0 makes as many
+// steps as it does alone.
+func TestCPUGroupLeavesGPUArbiterAlone(t *testing.T) {
+	const window = 6 * time.Second
+	trainer := trainCfg(t, "train", "ResNet50", 32, 2, device.GPUID(0))
+	soloEng, _, solo := newHarness(t, Options{}, device.ClassV100)
+	soloJob, err := solo.AddJob(trainer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloEng.RunUntil(window)
+
+	eng, _, m := newHarness(t, Options{}, device.ClassV100)
+	member := func(name string) workload.Config {
+		return workload.Config{
+			Name: name, Model: spec(t, "MobileNetV2"), Batch: 8,
+			Kind: workload.KindServing, Device: device.CPUID,
+		}
+	}
+	group, _, err := m.AddSharedGroup([]workload.Config{member("m0"), member("m1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := m.AddJob(trainer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(window)
+	if counts := iterations(group); counts[0] == 0 {
+		t.Fatal("CPU group made no progress")
+	}
+	if job.Iterations != soloJob.Iterations {
+		t.Fatalf("trainer made %d steps beside the CPU group, %d alone", job.Iterations, soloJob.Iterations)
+	}
+	if owner := m.arbs[0].owner; owner != nil && owner.group == group {
+		t.Fatalf("group member %s owns gpu:0's arbiter", owner.job.Cfg.Name)
+	}
+}
+
 func TestSharedGroupRejectsMismatchedMembers(t *testing.T) {
 	_, _, m := newHarness(t, Options{}, device.ClassV100, device.ClassV100)
 	a := workload.Config{Name: "a", Model: spec(t, "ResNet50"), Batch: 32,

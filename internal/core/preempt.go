@@ -131,9 +131,6 @@ func (m *Manager) preemptShard(gpu int, victim *jobState, sh *shardState) {
 	victim.preempting = victim.plain()
 	m.Preemptions++
 	m.emitPreempt(gpu, victim, "abort")
-	if !m.opts.DisableTempPoolIsolation {
-		victim.inTempPool = true
-	}
 	if sh.run != nil {
 		sh.run.Suspend(sh.drainedFn)
 		return
@@ -278,9 +275,6 @@ func (m *Manager) migrate(victim *jobState, from, to device.ID, reason string, o
 			return
 		}
 		victim.weightsReady = true
-		if to.Kind == device.KindGPU {
-			victim.inTempPool = false
-		}
 		m.pump(victim)
 		if onDone != nil {
 			onDone()

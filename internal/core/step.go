@@ -294,12 +294,10 @@ func (m *Manager) finishShard(js *jobState, sh *shardState) {
 	m.pump(js)
 }
 
-// commitStep completes the open step. Regaining a full step completes any
-// pending "stay" preemption recovery: back to the global pool.
+// commitStep completes the open step.
 func (m *Manager) commitStep(js *jobState) {
 	js.job.FinishCompute()
 	js.stepOpen = false
-	js.inTempPool = false
 }
 
 func (m *Manager) releaseShard(sh *shardState) {

@@ -28,18 +28,16 @@ type ablationVariant struct {
 	desc string
 }
 
-// ablationVariants are the four ablations plus the full design.
+// ablationVariants are the three ablations plus the full design.
 var ablationVariants = []ablationVariant{
 	{"full", core.Options{},
-		"both invariants, async transfer, temp-pool isolation"},
+		"both invariants, async transfer"},
 	{"no-gpu-exclusive", core.Options{DisableGPUExclusive: true},
 		"invariant 1 off: GPU executors co-run and contend"},
 	{"no-free-cpu", core.Options{DisableFreeCPUExecutors: true},
 		"invariant 2 off: input runs only under the GPU grant (time slicing)"},
 	{"sync-transfer", core.Options{SyncStateTransfer: true},
 		"migration state transfer on the preemption critical path"},
-	{"no-temp-pool", core.Options{DisableTempPoolIsolation: true},
-		"preempted jobs keep dispatching from the global pool"},
 }
 
 // Ablation runs the variants on the parallel harness, in declaration

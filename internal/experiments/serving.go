@@ -68,7 +68,13 @@ func ServingPoint(ratePerSec float64, window time.Duration) ServingRow {
 func servingOne(ratePerSec float64, window time.Duration, batched bool) ServingArm {
 	eng := sim.NewEngine()
 	machine := machineFor(eng, "V100")
-	m := core.NewManager(eng, machine, core.Options{DisableDynamicBatching: !batched})
+	m := core.NewManager(eng, machine, core.Options{})
+	// The unbatched arm launches one request per compute; admission
+	// control still applies.
+	maxBatch, batchWait := servingMaxBatch, servingBatchWait
+	if !batched {
+		maxBatch, batchWait = 0, 0
+	}
 	job, err := m.AddJob(workload.Config{
 		Name:            "serve",
 		Model:           mustSpec("ResNet50"),
@@ -81,8 +87,8 @@ func servingOne(ratePerSec float64, window time.Duration, batched bool) ServingA
 		ArrivalSeed:     11,
 		PerImageCPU:     10 * time.Millisecond,
 		SLO:             servingSLO,
-		MaxBatch:        servingMaxBatch,
-		BatchWait:       servingBatchWait,
+		MaxBatch:        maxBatch,
+		BatchWait:       batchWait,
 	})
 	if err != nil {
 		panic(err)

@@ -31,16 +31,7 @@ func (c InputSharingConfig) Models() int {
 // InputSharingFromEnv parses the Listing 1 environment variables from the
 // process environment.
 func InputSharingFromEnv() (InputSharingConfig, error) {
-	return inputSharingFrom(os.Getenv)
-}
-
-// InputSharingFromGetenv parses through a custom lookup (tests).
-func InputSharingFromGetenv(getenv func(string) string) (InputSharingConfig, error) {
-	return inputSharingFrom(getenv)
-}
-
-func inputSharingFrom(getenv func(string) string) (InputSharingConfig, error) {
-	cfg, err := launchcfg.FromEnv(getenv)
+	cfg, err := launchcfg.FromEnv(os.Getenv)
 	if err != nil {
 		return InputSharingConfig{}, err
 	}

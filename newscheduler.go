@@ -93,9 +93,10 @@ func WithCheckpointEvery(d time.Duration) Option {
 }
 
 // NewSwitchFlowScheduler builds the SwitchFlow policy with its concrete
-// type, for callers that need the extended surface (AddSharedGroup,
-// preemption and recovery stats). Equivalent to NewScheduler(
-// PolicySwitchFlow, opts...) plus the type assertion.
+// type, for callers that need the extended surface (AddSharedGroup, the
+// elastic operations Grow, Shrink, Rebind, Drain and Undrain, preemption
+// and recovery stats). Equivalent to NewScheduler(PolicySwitchFlow,
+// opts...) plus the type assertion.
 func (s *Simulation) NewSwitchFlowScheduler(opts ...Option) (*SwitchFlowScheduler, error) {
 	sched, err := s.NewScheduler(PolicySwitchFlow, opts...)
 	if err != nil {
@@ -106,7 +107,7 @@ func (s *Simulation) NewSwitchFlowScheduler(opts ...Option) (*SwitchFlowSchedule
 
 // NewScheduler is the one constructor for all four schedulers; a
 // SwitchFlow scheduler built here can be asserted to *SwitchFlowScheduler
-// for its extended stats surface. It rejects a fault plan whose events
+// for its extended surface. It rejects a fault plan whose events
 // target a GPU the machine lacks.
 func (s *Simulation) NewScheduler(policy Policy, opts ...Option) (Scheduler, error) {
 	var cfg schedulerConfig

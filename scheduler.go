@@ -11,10 +11,10 @@ import (
 	"switchflow/internal/workload"
 )
 
-// ErrNotElastic is returned by elastic operations (Grow, Shrink, Rebind,
-// Drain) on schedulers or jobs that do not support virtual-node
-// placement: every baseline, and jobs admitted without Placement.VNodes.
-// Test with errors.Is.
+// ErrNotElastic is returned when a baseline is asked to admit a job with
+// virtual-node placement (Placement.VNodes or a gang), and by
+// SwitchFlowScheduler's Grow, Shrink and Rebind on a job admitted without
+// Placement.VNodes. Test with errors.Is.
 var ErrNotElastic = errors.New("elastic placement not supported")
 
 // Scheduler is the common surface of SwitchFlow and the baselines.
@@ -29,20 +29,6 @@ type Scheduler interface {
 	// FaultStats reports fault-injection and recovery counters; all zero
 	// when the scheduler was built without WithFaultPlan.
 	FaultStats() FaultStats
-	// Grow raises an elastic job's virtual-node count to n at its next
-	// epoch-safe point, re-splitting the batch without a restart. Errors
-	// wrap ErrNotElastic on baselines and non-elastic jobs.
-	Grow(j *Job, n int) error
-	// Shrink lowers an elastic job's virtual-node count to n, dropping
-	// the highest-indexed vnodes and freeing replicas left unused.
-	Shrink(j *Job, n int) error
-	// Rebind moves virtual node vn of an elastic job onto GPU gpu at the
-	// job's next epoch-safe point.
-	Rebind(j *Job, vn, gpu int) error
-	// Drain marks GPU gpu as draining: new placements avoid it and every
-	// bound virtual node (or legacy job) is moved off it gracefully. Only
-	// SwitchFlow can drain; baselines wrap ErrNotElastic.
-	Drain(gpu int) error
 }
 
 // SwitchFlowScheduler is the preemptive multitasking scheduler (§3).
@@ -112,8 +98,10 @@ func (s *SwitchFlowScheduler) PreemptionP95() time.Duration {
 // FaultStats implements Scheduler.
 func (s *SwitchFlowScheduler) FaultStats() FaultStats { return faultStatsFrom(s.m.FaultCounters()) }
 
-// Grow implements Scheduler: the job's batch re-splits across n virtual
-// nodes without a restart, extending onto idle placeable GPUs first.
+// Grow raises an elastic job's virtual-node count to n at its next
+// epoch-safe point: the batch re-splits across n virtual nodes without a
+// restart, extending onto idle placeable GPUs first. It wraps
+// ErrNotElastic for a job admitted without Placement.VNodes.
 func (s *SwitchFlowScheduler) Grow(j *Job, n int) error {
 	if !j.inner.Elastic() {
 		return fmt.Errorf("switchflow: grow %q: %w (admit with Placement.VNodes)", j.Name(), ErrNotElastic)
@@ -124,7 +112,8 @@ func (s *SwitchFlowScheduler) Grow(j *Job, n int) error {
 	return s.m.Resize(j.inner, n)
 }
 
-// Shrink implements Scheduler.
+// Shrink lowers an elastic job's virtual-node count to n, dropping the
+// highest-indexed vnodes and freeing replicas left unused.
 func (s *SwitchFlowScheduler) Shrink(j *Job, n int) error {
 	if !j.inner.Elastic() {
 		return fmt.Errorf("switchflow: shrink %q: %w (admit with Placement.VNodes)", j.Name(), ErrNotElastic)
@@ -135,7 +124,8 @@ func (s *SwitchFlowScheduler) Shrink(j *Job, n int) error {
 	return s.m.Resize(j.inner, n)
 }
 
-// Rebind implements Scheduler.
+// Rebind moves virtual node vn of an elastic job onto GPU gpu at the
+// job's next epoch-safe point.
 func (s *SwitchFlowScheduler) Rebind(j *Job, vn, gpu int) error {
 	if !j.inner.Elastic() {
 		return fmt.Errorf("switchflow: rebind %q: %w (admit with Placement.VNodes)", j.Name(), ErrNotElastic)
@@ -143,7 +133,8 @@ func (s *SwitchFlowScheduler) Rebind(j *Job, vn, gpu int) error {
 	return s.m.RebindJob(j.inner, vn, device.GPUID(gpu))
 }
 
-// Drain implements Scheduler.
+// Drain marks GPU gpu as draining: new placements avoid it and every
+// bound virtual node (or legacy job) is moved off it gracefully.
 func (s *SwitchFlowScheduler) Drain(gpu int) error {
 	return s.m.DrainDevice(device.GPUID(gpu))
 }
@@ -242,23 +233,3 @@ func (b *baselineScheduler) AddJob(spec JobSpec) (*Job, error) {
 func (b *baselineScheduler) StopJob(j *Job) { b.rt.StopJob(j.inner) }
 
 func (b *baselineScheduler) FaultStats() FaultStats { return faultStatsFrom(b.rt.FaultStats()) }
-
-// Grow implements Scheduler; baselines have no elastic path.
-func (b *baselineScheduler) Grow(j *Job, n int) error {
-	return fmt.Errorf("%s: grow: %w", b.name, ErrNotElastic)
-}
-
-// Shrink implements Scheduler; baselines have no elastic path.
-func (b *baselineScheduler) Shrink(j *Job, n int) error {
-	return fmt.Errorf("%s: shrink: %w", b.name, ErrNotElastic)
-}
-
-// Rebind implements Scheduler; baselines have no elastic path.
-func (b *baselineScheduler) Rebind(j *Job, vn, gpu int) error {
-	return fmt.Errorf("%s: rebind: %w", b.name, ErrNotElastic)
-}
-
-// Drain implements Scheduler; baselines cannot move a running job.
-func (b *baselineScheduler) Drain(gpu int) error {
-	return fmt.Errorf("%s: drain: %w", b.name, ErrNotElastic)
-}
