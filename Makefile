@@ -12,7 +12,7 @@ SHELL := /bin/bash
 STATICCHECK_VERSION := 2024.1.1
 GOVULNCHECK_VERSION := v1.1.3
 
-.PHONY: all build vet lint test race bench identical results examples trace \
+.PHONY: all build vet lint test race bench identical results results-check examples trace \
 	install-lint-tools
 
 all: build vet lint test race
@@ -142,8 +142,15 @@ trace:
 	go run ./cmd/swbench -trace trace.json
 
 # Regenerate every table and figure of the paper (and the extensions).
+RESULTS_FLAGS := -exp all -iters 200 -requests 200
+
 results:
-	go run ./cmd/swbench -exp all -iters 200 -requests 200 | tee docs/results-full.txt
+	go run ./cmd/swbench $(RESULTS_FLAGS) | tee docs/results-full.txt
+
+# Fails when docs/results-full.txt is stale: reruns the results sweep and
+# diffs its stdout against the committed file.
+results-check:
+	go run ./cmd/swbench $(RESULTS_FLAGS) | diff docs/results-full.txt -
 
 examples:
 	go run ./examples/quickstart
