@@ -398,16 +398,7 @@ func TestCPUGroupLeavesGPUArbiterAlone(t *testing.T) {
 	soloEng.RunUntil(window)
 
 	eng, _, m := newHarness(t, Options{}, device.ClassV100)
-	member := func(name string) workload.Config {
-		return workload.Config{
-			Name: name, Model: spec(t, "MobileNetV2"), Batch: 8,
-			Kind: workload.KindServing, Device: device.CPUID,
-		}
-	}
-	group, _, err := m.AddSharedGroup([]workload.Config{member("m0"), member("m1")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	group := addCPUGroup(t, m)
 	job, err := m.AddJob(trainer)
 	if err != nil {
 		t.Fatal(err)
@@ -422,6 +413,23 @@ func TestCPUGroupLeavesGPUArbiterAlone(t *testing.T) {
 	if owner := m.arbs[0].owner; owner != nil && owner.group == group {
 		t.Fatalf("group member %s owns gpu:0's arbiter", owner.job.Cfg.Name)
 	}
+}
+
+// addCPUGroup admits a shared group of two saturated MobileNetV2 batch-8
+// servers placed on the CPU.
+func addCPUGroup(t *testing.T, m *Manager) *Group {
+	t.Helper()
+	member := func(name string) workload.Config {
+		return workload.Config{
+			Name: name, Model: spec(t, "MobileNetV2"), Batch: 8,
+			Kind: workload.KindServing, Device: device.CPUID,
+		}
+	}
+	group, _, err := m.AddSharedGroup([]workload.Config{member("m0"), member("m1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return group
 }
 
 func TestSharedGroupRejectsMismatchedMembers(t *testing.T) {

@@ -115,16 +115,7 @@ func probeCPUVictim(t *testing.T, m *Manager) []*threadpool.Pool {
 }
 
 func probeCPUGroup(t *testing.T, m *Manager) []*threadpool.Pool {
-	member := func(name string) workload.Config {
-		return workload.Config{
-			Name: name, Model: spec(t, "MobileNetV2"), Batch: 8,
-			Kind: workload.KindServing, Device: device.CPUID,
-		}
-	}
-	group, _, err := m.AddSharedGroup([]workload.Config{member("m0"), member("m1")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	group := addCPUGroup(t, m)
 	m.eng.RunUntil(time.Second)
 	var got []*threadpool.Pool
 	for _, js := range group.members {

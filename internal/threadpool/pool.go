@@ -1,11 +1,12 @@
 // Package threadpool models TF's executor worker pools in virtual time:
 // a fixed set of worker threads with per-worker local queues, work
 // stealing, and owner-tagged abort. SwitchFlow shares one global pool
-// among all sessions and keeps a temporary pool for preempted jobs (§3.2,
-// §3.3). The paper balances the two pools' active thread counts with
-// wakeup signals; here the split is static: core gives the temporary pool
-// 4 workers (half the cores on a machine with 4 or fewer) and the global
-// pool the remaining cores, and every worker of a pool may run.
+// among all sessions and keeps a temporary pool for jobs placed on the
+// CPU (§3.2, §3.3). The paper balances the two pools' active thread
+// counts with wakeup signals; here the split is static: core gives the
+// temporary pool 4 workers (half the cores on a machine with 4 or fewer)
+// and the global pool the remaining cores, and every worker of a pool
+// may run.
 package threadpool
 
 import (
