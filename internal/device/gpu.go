@@ -52,6 +52,9 @@ type Span struct {
 // dropped ones return to the GPU's free list.
 type kernelExec struct {
 	Kernel
+	// stream is the issuing stream, nil for a direct Submit: complete
+	// hands the kernel back to it.
+	stream *Stream
 
 	remaining float64 // seconds of solo work left
 	started   time.Duration
@@ -114,7 +117,10 @@ func (g *GPU) SetBus(b *obs.Bus) { g.bus = b }
 // are dropped and never complete, like launches against a lost CUDA
 // context; schedulers are expected to abort the owning executor runs when
 // they handle the device-lost fault.
-func (g *GPU) Submit(k Kernel) {
+func (g *GPU) Submit(k Kernel) { g.submit(&k, nil) }
+
+// submit queues a copy of *k issued by s (nil for a direct Submit).
+func (g *GPU) submit(k *Kernel, s *Stream) {
 	if g.failed {
 		g.dropped++
 		return
@@ -134,7 +140,8 @@ func (g *GPU) Submit(k Kernel) {
 	} else {
 		exec = new(kernelExec)
 	}
-	exec.Kernel = k
+	exec.Kernel = *k
+	exec.stream = s
 	exec.remaining = k.Work.Seconds()
 	exec.occ = occ
 	g.queue = append(g.queue, exec)
@@ -170,9 +177,11 @@ func (g *GPU) BusyTime() time.Duration {
 func (g *GPU) Failed() bool { return g.failed }
 
 // Fail takes the device off the bus: every in-flight and queued kernel is
-// discarded without completing (their OnDone callbacks never fire) and
+// discarded without completing (neither OnDone nor Done ever fires) and
 // the memory pool's contents are lost. It returns the number of kernels
-// dropped. Further Submits are dropped too, until Heal.
+// dropped. Further Submits are dropped too, until Heal. A stream whose
+// in-flight kernel is dropped stays in flight: its queue never issues
+// again and its Drain callbacks never fire.
 func (g *GPU) Fail() int {
 	if g.failed {
 		return 0
@@ -201,7 +210,10 @@ func (g *GPU) Fail() int {
 
 // Degrade slows kernel execution by factor (>= 1), modelling a device in
 // a throttled or error-retry state (e.g. after correctable ECC errors).
-// Degrading a failed device has no effect until it heals.
+// Degrading a failed device has no effect: Heal restores full speed. A
+// factor so large that a running kernel's finish lies past the end of
+// virtual time (+Inf included) stalls the device until Heal or a milder
+// Degrade.
 func (g *GPU) Degrade(factor float64) {
 	if factor < 1 {
 		factor = 1
@@ -251,14 +263,23 @@ func (g *GPU) recycle(e *kernelExec) {
 // contention rate, without completing any of them.
 func (g *GPU) advance() {
 	now := g.eng.Now()
-	elapsed := (now - g.lastUpdate).Seconds()
+	d := now - g.lastUpdate
 	g.lastUpdate = now
-	if elapsed <= 0 || len(g.running) == 0 {
+	if d <= 0 || len(g.running) == 0 {
 		return
 	}
-	rate := g.rate()
+	// Below a second d.Seconds() adds its fraction to a zero whole part,
+	// so the plain quotient is the same float.
+	var elapsed float64
+	if d < time.Second {
+		elapsed = float64(d) / 1e9
+	} else {
+		elapsed = d.Seconds()
+	}
+	// Every running kernel loses the same elapsed*rate.
+	elapsed *= g.rate()
 	for _, e := range g.running {
-		e.remaining -= elapsed * rate
+		e.remaining -= elapsed
 		if e.remaining < 0 {
 			e.remaining = 0
 		}
@@ -279,6 +300,10 @@ func (g *GPU) rate() float64 {
 	return rate
 }
 
+// maxDelay bounds a completion delay in nanoseconds (about 146 years), far
+// inside what a Duration holds.
+const maxDelay = 1 << 62
+
 // reschedule cancels any pending completion event and schedules one for
 // the earliest-finishing running kernel.
 func (g *GPU) reschedule() {
@@ -286,17 +311,26 @@ func (g *GPU) reschedule() {
 	if len(g.running) == 0 {
 		return
 	}
-	rate := g.rate()
-	minLeft := math.MaxFloat64
-	for _, e := range g.running {
-		if left := e.remaining / rate; left < minLeft {
-			minLeft = left
+	// Dividing by the positive rate is monotone under rounding, so the
+	// least remaining work divided once gives the least quotient; a lone
+	// kernel on a healthy device runs at rate exactly 1.
+	minLeft := g.running[0].remaining
+	for _, e := range g.running[1:] {
+		if e.remaining < minLeft {
+			minLeft = e.remaining
 		}
+	}
+	if rate := g.rate(); rate != 1 {
+		minLeft /= rate
 	}
 	// Round up to a whole nanosecond so a kernel with sub-nanosecond
 	// residue cannot reschedule a zero-delay completion forever.
-	delay := time.Duration(math.Ceil(minLeft * float64(time.Second)))
-	g.completion = g.eng.After(delay, g.completeFn)
+	ns := math.Ceil(minLeft * float64(time.Second))
+	if !(ns < maxDelay) {
+		// The rate is at or near zero: no completion until it changes.
+		return
+	}
+	g.completion = g.eng.After(time.Duration(ns), g.completeFn)
 }
 
 // complete retires every kernel whose work has drained, fires callbacks,
@@ -338,9 +372,13 @@ func (g *GPU) complete() {
 		}
 		// Copy the kernel out before recycling its slot: the callback may
 		// submit a new kernel that reuses it.
-		k := e.Kernel
+		k, s := e.Kernel, e.stream
 		g.recycle(e)
-		k.fire()
+		if s != nil {
+			s.kernelDone(&k)
+		} else {
+			k.fire()
+		}
 	}
 	g.done = done[:0]
 	// Callbacks may have submitted new kernels (Submit reschedules), but

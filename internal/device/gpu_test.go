@@ -342,3 +342,25 @@ func TestGPUFIFOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A degrade so deep that the running kernel's finish lies past the end of
+// virtual time schedules no completion (not a zero delay that fires at
+// the same instant forever); Heal brings the finish back.
+func TestGPUHugeDegradeStallsUntilHeal(t *testing.T) {
+	for _, factor := range []float64{1e12, 1e13, math.Inf(1)} {
+		eng, gpu := newTestGPU()
+		var done time.Duration = -1
+		gpu.Submit(Kernel{Name: "k", Work: 10 * time.Millisecond, Occupancy: 0.9,
+			OnDone: func() { done = eng.Now() }})
+		gpu.Degrade(factor)
+		eng.Schedule(3*time.Millisecond, gpu.Heal)
+		for i := 0; i < 1000 && eng.Step(); i++ {
+		}
+		if eng.Fired() > 10 {
+			t.Errorf("factor %g: %d events fired, clock at %v", factor, eng.Fired(), eng.Now())
+		}
+		if done != 13*time.Millisecond {
+			t.Errorf("factor %g: kernel finished at %v, want 13ms (stalled 3ms, then 10ms)", factor, done)
+		}
+	}
+}

@@ -6,6 +6,11 @@ package device
 // exactly the structure behind Figure 2: each TF session drives its own
 // stream, so one model's kernels serialize while two models' kernels
 // interleave and contend.
+//
+// A kernel is copied once from the stream into the GPU's execution slot,
+// which records the stream: at completion the GPU hands the kernel back
+// through kernelDone, which fires the kernel's own callback and issues the
+// next one. A kernel enqueued on an idle stream skips the queue.
 type Stream struct {
 	gpu      *GPU
 	queue    []Kernel
@@ -15,18 +20,10 @@ type Stream struct {
 	// the next round and neither buffer is reallocated.
 	drainFns   []func()
 	drainSpare []func()
-	// current is the in-flight kernel; the GPU sees kernelDoneFn
-	// (s.kernelDone, bound once) in place of its callbacks.
-	current      Kernel
-	kernelDoneFn func()
 }
 
 // NewStream creates a stream bound to gpu.
-func NewStream(gpu *GPU) *Stream {
-	s := &Stream{gpu: gpu}
-	s.kernelDoneFn = s.kernelDone
-	return s
-}
+func NewStream(gpu *GPU) *Stream { return &Stream{gpu: gpu} }
 
 // GPU returns the device the stream issues to.
 func (s *Stream) GPU() *GPU { return s.gpu }
@@ -34,6 +31,11 @@ func (s *Stream) GPU() *GPU { return s.gpu }
 // Enqueue appends k to the stream. It begins executing once all earlier
 // kernels on this stream have completed.
 func (s *Stream) Enqueue(k Kernel) {
+	if !s.inflight && len(s.queue) == 0 {
+		s.inflight = true
+		s.gpu.submit(&k, s)
+		return
+	}
 	s.queue = append(s.queue, k)
 	s.pump()
 }
@@ -42,7 +44,7 @@ func (s *Stream) Enqueue(k Kernel) {
 // kernel, if any, runs to completion — the paper's preemption lets
 // dispatched kernels finish because there is no mechanism to selectively
 // stop them (§3.3). Returns the number of kernels discarded. Aborted
-// kernels' OnDone callbacks never fire.
+// kernels' callbacks, OnDone or Done, never fire.
 func (s *Stream) Abort() int {
 	n := len(s.queue)
 	clear(s.queue)
@@ -64,21 +66,17 @@ func (s *Stream) pump() {
 	if s.inflight || len(s.queue) == 0 {
 		return
 	}
-	k := s.queue[0]
+	s.inflight = true
+	s.gpu.submit(&s.queue[0], s)
 	left := copy(s.queue, s.queue[1:])
 	s.queue[left] = Kernel{}
 	s.queue = s.queue[:left]
-	s.inflight = true
-	s.current = k
-	k.OnDone, k.Done = s.kernelDoneFn, nil
-	s.gpu.Submit(k)
 }
 
-// kernelDone is the GPU-side callback of every kernel the stream issues.
-func (s *Stream) kernelDone() {
+// kernelDone is called by the GPU when the stream's in-flight kernel k
+// completes.
+func (s *Stream) kernelDone(k *Kernel) {
 	s.inflight = false
-	k := s.current
-	s.current = Kernel{}
 	k.fire()
 	s.pump()
 	s.notifyDrained()

@@ -2,8 +2,11 @@ package device
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 	"time"
+
+	"switchflow/internal/sim"
 )
 
 func TestStreamSerializesKernels(t *testing.T) {
@@ -185,5 +188,84 @@ func TestStreamDrainNotFiredWhileBacklog(t *testing.T) {
 	eng.Run()
 	if at != 2*time.Millisecond {
 		t.Fatalf("drain fired at %v, want 2ms (after the backlog)", at)
+	}
+}
+
+// The stream hands each kernel to the GPU once and gets it back at
+// completion: the kernel's own callback fires from there, exactly once,
+// and the next kernel issues in FIFO order whichever way it arrived.
+func TestStreamHandOffContract(t *testing.T) {
+	type world struct {
+		eng *sim.Engine
+		gpu *GPU
+		s   *Stream
+		log func(string) func()
+	}
+	kernel := func(name string, onDone func()) Kernel {
+		return Kernel{Name: name, Work: time.Millisecond, Occupancy: 0.9, OnDone: onDone}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(w world)
+		want []string
+	}{{
+		name: "enqueue from a callback with an empty queue",
+		run: func(w world) {
+			w.s.Enqueue(kernel("a", func() {
+				w.log("a")()
+				w.s.Enqueue(kernel("c", w.log("c")))
+			}))
+		},
+		want: []string{"1ms a", "2ms c"},
+	}, {
+		name: "enqueue from a callback behind a queued kernel",
+		run: func(w world) {
+			w.s.Enqueue(kernel("a", func() {
+				w.log("a")()
+				w.s.Enqueue(kernel("c", w.log("c")))
+			}))
+			w.s.Enqueue(kernel("b", w.log("b")))
+		},
+		want: []string{"1ms a", "2ms b", "3ms c"},
+	}, {
+		name: "direct and stream kernels share the device",
+		run: func(w world) {
+			tagged := func(tag int32) { w.log("s" + strconv.Itoa(int(tag)))() }
+			light := func(k Kernel) Kernel { k.Occupancy = 0.4; return k }
+			w.gpu.Submit(light(kernel("d1", w.log("d1"))))
+			w.s.Enqueue(light(Kernel{Name: "s1", Work: time.Millisecond, Done: tagged, Tag: 1}))
+			w.s.Enqueue(light(Kernel{Name: "s2", Work: time.Millisecond, Done: tagged, Tag: 2}))
+			w.gpu.Submit(light(kernel("d2", w.log("d2"))))
+		},
+		// d1 and s1 co-run at the contended rate (1.06 ms, rounded up to
+		// the next nanosecond); d2 waits for room at the device, s2 for s1.
+		want: []string{"1.060001ms d1", "1.060001ms s1", "2.120002ms d2", "2.120002ms s2"},
+	}, {
+		name: "a failure leaves the stream in flight",
+		run: func(w world) {
+			w.s.Enqueue(kernel("a", w.log("a")))
+			w.s.Enqueue(kernel("b", w.log("b")))
+			w.s.Drain(w.log("drained"))
+			w.eng.Schedule(500*time.Microsecond, func() {
+				w.gpu.Fail()
+				w.gpu.Heal()
+				w.s.Enqueue(kernel("c", w.log("c")))
+				w.gpu.Submit(kernel("d", w.log("d")))
+			})
+		},
+		want: []string{"1.5ms d"},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, gpu := newTestGPU()
+			var got []string
+			w := world{eng: eng, gpu: gpu, s: NewStream(gpu), log: func(name string) func() {
+				return func() { got = append(got, eng.Now().String()+" "+name) }
+			}}
+			tc.run(w)
+			eng.Run()
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("callbacks %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
