@@ -7,8 +7,8 @@
 //	swbench -exp f6 -requests 100
 //	swbench -exp f8 -iters 200
 //
-// Experiments: f2, f3, f6, f7, f8, f9, f10, t1, preempt, gandiva, load,
-// serving, eager, fleet, ablation, chaos, elastic, gang, all.
+// swbench -h lists the experiment ids; -exp all runs every experiment in
+// that order.
 package main
 
 import (
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: f2,f3,f6,f7,f8,f9,f10,t1,preempt,gandiva,load,serving,eager,fleet,ablation,chaos,elastic,gang,all")
+		exp      = flag.String("exp", "all", "experiment id: "+strings.Join(ids(), ",")+",all")
 		iters    = flag.Int("iters", 200, "iterations per measurement (figures 3, 8, 9, 10)")
 		requests = flag.Int("requests", 200, "inference requests per cell (figure 6, preempt, ablation)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for experiment sweeps (1 = serial)")
@@ -43,44 +43,65 @@ func main() {
 		}
 		return
 	}
-	if err := run(*exp, *iters, *requests, *fleetWin, *clients); err != nil {
+	if err := run(*exp, params{*iters, *requests, *fleetWin, *clients}); err != nil {
 		fmt.Fprintln(os.Stderr, "swbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, iters, requests int, fleetWin time.Duration, clients int) error {
-	all := map[string]func(){
-		"t1":       func() { table1() },
-		"f2":       func() { figure2() },
-		"f3":       func() { figure3(iters) },
-		"f6":       func() { figure6(requests) },
-		"f7":       func() { figure7() },
-		"f8":       func() { figure8(iters) },
-		"f9":       func() { figure9(iters) },
-		"f10":      func() { figure10(iters) },
-		"preempt":  func() { preempt(requests) },
-		"ablation": func() { ablation(requests) },
-		"gandiva":  func() { gandiva(requests) },
-		"load":     func() { load(requests) },
-		"serving":  func() { serving() },
-		"eager":    func() { eager() },
-		"fleet":    func() { fleet(fleetWin, clients) },
-		"chaos":    func() { chaos() },
-		"elastic":  func() { elastic() },
-		"gang":     func() { gang() },
+// params are the sweep sizes the flags set.
+type params struct {
+	iters, requests int
+	fleetWin        time.Duration
+	clients         int
+}
+
+// sweep is every experiment, in the order -exp all runs them.
+var sweep = []struct {
+	id  string
+	run func(params)
+}{
+	{"t1", func(params) { table1() }},
+	{"f2", func(params) { figure2() }},
+	{"f3", func(p params) { figure3(p.iters) }},
+	{"f6", func(p params) { figure6(p.requests) }},
+	{"f7", func(params) { figure7() }},
+	{"f8", func(p params) { figure8(p.iters) }},
+	{"f9", func(p params) { figure9(p.iters) }},
+	{"f10", func(p params) { figure10(p.iters) }},
+	{"preempt", func(p params) { preempt(p.requests) }},
+	{"gandiva", func(p params) { gandiva(p.requests) }},
+	{"load", func(p params) { load(p.requests) }},
+	{"serving", func(params) { serving() }},
+	{"eager", func(params) { eager() }},
+	{"fleet", func(p params) { fleet(p.fleetWin, p.clients) }},
+	{"ablation", func(p params) { ablation(p.requests) }},
+	{"chaos", func(params) { chaos() }},
+	{"elastic", func(params) { elastic() }},
+	{"gang", func(params) { gang() }},
+}
+
+// ids lists the experiment ids in sweep order.
+func ids() []string {
+	out := make([]string, len(sweep))
+	for i, e := range sweep {
+		out[i] = e.id
 	}
-	if exp == "all" {
-		for _, id := range []string{"t1", "f2", "f3", "f6", "f7", "f8", "f9", "f10", "preempt", "gandiva", "load", "serving", "eager", "fleet", "ablation", "chaos", "elastic", "gang"} {
-			timed(id, all[id])
+	return out
+}
+
+// run runs the experiment named exp, or every experiment for "all".
+func run(exp string, p params) error {
+	ran := false
+	for _, e := range sweep {
+		if exp == "all" || exp == e.id {
+			timed(e.id, func() { e.run(p) })
+			ran = true
 		}
-		return nil
 	}
-	fn, ok := all[exp]
-	if !ok {
+	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	timed(exp, fn)
 	return nil
 }
 

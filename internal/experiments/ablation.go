@@ -6,7 +6,6 @@ import (
 	"switchflow/internal/core"
 	"switchflow/internal/device"
 	"switchflow/internal/harness"
-	"switchflow/internal/sim"
 	"switchflow/internal/workload"
 )
 
@@ -49,21 +48,19 @@ func Ablation(requests int) []AblationRow {
 }
 
 func ablationOne(name, desc string, opts core.Options, requests int) AblationRow {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
-	m := core.NewManager(eng, machine, opts)
-	run := collocate(eng, m.AddJob, trainConfig("train", "VGG16", 32, 1),
+	w := onGPU("V100", scheduler{switchFlow: true, opts: opts})
+	run := collocate(w, trainConfig("train", "VGG16", 32, 1),
 		serveConfig("serve", "ResNet50", 1, 2), requests, time.Hour)
 	return AblationRow{
 		Variant:     name,
 		Description: desc,
 		ServeP95MS:  run.serve.Latencies.Percentile(95).Seconds() * 1e3,
 		TrainImgPS:  run.trainRate(32),
-		PreemptP95:  m.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
+		PreemptP95:  w.sf.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
 	}
 }
 
-// AblationMigration compares async vs sync state transfer in the
+// AblationMigrationRow compares async vs sync state transfer in the
 // two-GPU migration scenario of Figure 7(e), reporting how long the
 // high-priority job waits for its first iteration.
 type AblationMigrationRow struct {
@@ -84,10 +81,8 @@ func AblationMigration() []AblationMigrationRow {
 }
 
 func ablationMigrationOne(name string, opts core.Options) AblationMigrationRow {
-	eng := sim.NewEngine()
-	machine := device.NewTwoGPUServer(eng)
-	m := core.NewManager(eng, machine, opts)
-	low, err := m.AddJob(workload.Config{
+	w := newWorld(scheduler{switchFlow: true, opts: opts}, device.ClassXeonDual, twoGPU()...)
+	low := must(w.add(workload.Config{
 		Name:      "low",
 		Model:     mustSpec("VGG16"),
 		Batch:     32,
@@ -95,26 +90,20 @@ func ablationMigrationOne(name string, opts core.Options) AblationMigrationRow {
 		Priority:  1,
 		Device:    gpu1,
 		Fallbacks: fallbackToGPU0,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(5 * time.Second)
+	}))
+	w.eng.RunUntil(5 * time.Second)
 	highCfg := trainConfig("high", "ResNet50", 32, 2)
 	highCfg.Device = gpu1
-	high, err := m.AddJob(highCfg)
-	if err != nil {
-		panic(err)
-	}
-	arrival := eng.Now()
+	high := must(w.add(highCfg))
+	arrival := w.eng.Now()
 	lowIters := low.Iterations
 	var highFirst, lowFirst time.Duration
-	runUntil(eng, time.Hour, func() bool {
+	w.runUntil(time.Hour, func() bool {
 		if highFirst == 0 && high.Iterations > 0 {
-			highFirst = eng.Now() - arrival
+			highFirst = w.eng.Now() - arrival
 		}
 		if lowFirst == 0 && low.Iterations > lowIters {
-			lowFirst = eng.Now() - arrival
+			lowFirst = w.eng.Now() - arrival
 		}
 		return highFirst > 0 && lowFirst > 0
 	})

@@ -66,32 +66,23 @@ func Chaos(seeds []int64) []ChaosRow {
 }
 
 func chaosCell(policy switchflow.Policy, seed int64) ChaosRow {
-	sim := switchflow.NewSimulation(switchflow.TwoGPUServer())
+	sim := newSimulation(switchflow.TwoGPUServer())
 	// Seeded mix of transients and input stalls, plus a guaranteed loss of
 	// gpu:0 at a fixed time so every row exercises the migrate-or-die path.
 	plan := switchflow.RandomFaultPlan(seed, chaosHorizon, sim.GPUCount()).
 		LoseGPU(chaosLossAt, 0)
-	sched, err := sim.NewScheduler(policy,
+	sched := must(sim.NewScheduler(policy,
 		switchflow.WithFaultPlan(plan),
-		switchflow.WithCheckpointEvery(chaosCkpt))
-	if err != nil {
-		panic(err)
-	}
-	serve, err := sched.AddJob(switchflow.JobSpec{
+		switchflow.WithCheckpointEvery(chaosCkpt)))
+	serve := must(sched.AddJob(switchflow.JobSpec{
 		Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2,
 		Placement:  switchflow.Placement{Fallbacks: []int{1}, AllowCPU: true},
 		ServeEvery: 100 * time.Millisecond,
-	})
-	if err != nil {
-		panic(err)
-	}
-	train, err := sched.AddJob(switchflow.JobSpec{
+	}))
+	train := must(sched.AddJob(switchflow.JobSpec{
 		Name: "train", Model: "ResNet50", Batch: 16, Train: true,
 		Priority: 1, Placement: switchflow.Placement{Device: 1},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	sim.RunUntil(chaosHorizon)
 
 	st := sched.FaultStats()

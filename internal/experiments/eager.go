@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"switchflow/internal/baseline"
-	"switchflow/internal/sim"
 )
 
 // EagerRow compares execution modes for one model (§1's static-vs-dynamic
@@ -52,25 +51,9 @@ func EagerCell(model string, batch int) EagerRow {
 }
 
 func eagerOne(model string, batch int, eager, fuse bool) float64 {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
-	sched := baseline.New(eng, machine, baseline.ThreadedTF)
+	w := onGPU("V100", scheduler{policy: baseline.ThreadedTF})
 	cfg := trainConfig("solo", model, batch, 1)
 	cfg.Eager = eager
 	cfg.Fuse = fuse
-	job, err := sched.AddJob(cfg)
-	if err != nil {
-		panic(err)
-	}
-	const (
-		warm    = 3 * time.Second
-		measure = 20 * time.Second
-	)
-	eng.RunUntil(warm)
-	start := job.Iterations
-	eng.RunUntil(warm + measure)
-	if job.Crashed() {
-		return 0
-	}
-	return float64((job.Iterations-start)*batch) / measure.Seconds()
+	return w.imgPerSec(3*time.Second, 20*time.Second, must(w.add(cfg)))[0]
 }

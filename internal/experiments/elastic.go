@@ -59,11 +59,11 @@ func elasticCell(mode string) ElasticRow {
 	case "elastic":
 		return elasticArm()
 	case "restart":
-		return restartArm()
+		return lossArm(mode, switchflow.PolicySwitchFlow)
 	case "threaded":
-		return baselineArm(mode, switchflow.PolicyThreadedTF)
+		return lossArm(mode, switchflow.PolicyThreadedTF)
 	case "timeslice":
-		return baselineArm(mode, switchflow.PolicyTimeSlice)
+		return lossArm(mode, switchflow.PolicyTimeSlice)
 	default:
 		panic("unknown elastic mode " + mode)
 	}
@@ -72,21 +72,15 @@ func elasticCell(mode string) ElasticRow {
 // elasticArm: grow 1→2 virtual nodes, then drain gpu:0. The rebind
 // reuses the replica already resident on gpu:1, so recovery is free.
 func elasticArm() ElasticRow {
-	sim := switchflow.NewSimulation(switchflow.TwoGPUServer())
+	sim := newSimulation(switchflow.TwoGPUServer())
 	rec := obs.NewRecorder(0)
 	sim.EventBus().Subscribe(rec, obs.KindRebind, obs.KindResize)
-	sched, err := sim.NewSwitchFlowScheduler()
-	if err != nil {
-		panic(err)
-	}
-	train, err := sched.AddJob(switchflow.JobSpec{
+	sched := must(sim.NewSwitchFlowScheduler())
+	train := must(sched.AddJob(switchflow.JobSpec{
 		Name: "train", Model: "ResNet50", Batch: 16, Train: true,
 		Priority:  1,
 		Placement: switchflow.Placement{Device: 0, VNodes: []int{0}},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	sim.RunUntil(elasticGrowAt)
 	if err := sched.Grow(train, 2); err != nil {
 		panic(err)
@@ -116,60 +110,32 @@ func elasticArm() ElasticRow {
 	return row
 }
 
-// restartArm: the PR-2 recovery path. gpu:0 dies, the job migrates to
-// its fallback and restarts from the last host checkpoint, paying
-// rollback in lost iterations.
-func restartArm() ElasticRow {
-	sim := switchflow.NewSimulation(switchflow.TwoGPUServer())
+// lossArm loses gpu:0 to a fault at the half mark. Under SwitchFlow
+// this is the PR-2 recovery path: the job migrates to its fallback and
+// restarts from the last host checkpoint, paying rollback in lost
+// iterations. The process-model baselines cannot move a job, so losing
+// its device loses the job.
+func lossArm(mode string, policy switchflow.Policy) ElasticRow {
+	sim := newSimulation(switchflow.TwoGPUServer())
 	plan := switchflow.NewFaultPlan().LoseGPU(elasticLossAt, 0)
-	sched, err := sim.NewSwitchFlowScheduler(
-		switchflow.WithFaultPlan(plan),
-		switchflow.WithCheckpointEvery(elasticCkpt))
-	if err != nil {
-		panic(err)
+	opts := []switchflow.Option{switchflow.WithFaultPlan(plan)}
+	placement := switchflow.Placement{Device: 0}
+	if policy == switchflow.PolicySwitchFlow {
+		opts = append(opts, switchflow.WithCheckpointEvery(elasticCkpt))
+		placement.Fallbacks = []int{1}
 	}
-	train, err := sched.AddJob(switchflow.JobSpec{
+	sched := must(sim.NewScheduler(policy, opts...))
+	train := must(sched.AddJob(switchflow.JobSpec{
 		Name: "train", Model: "ResNet50", Batch: 16, Train: true,
-		Priority:  1,
-		Placement: switchflow.Placement{Device: 0, Fallbacks: []int{1}},
-	})
-	if err != nil {
-		panic(err)
-	}
+		Priority: 1, Placement: placement,
+	}))
 	sim.RunUntil(elasticHorizon)
-	st := sched.FaultStats()
 	return ElasticRow{
-		Mode:           "restart",
+		Mode:           mode,
 		Scheduler:      sched.Name(),
 		Iterations:     train.Iterations(),
 		Alive:          !train.Crashed(),
 		Restarts:       train.Restarts(),
-		IterationsLost: st.IterationsLost,
-	}
-}
-
-// baselineArm: the process-model baselines cannot move a job, so losing
-// its device loses the job.
-func baselineArm(mode string, policy switchflow.Policy) ElasticRow {
-	sim := switchflow.NewSimulation(switchflow.TwoGPUServer())
-	plan := switchflow.NewFaultPlan().LoseGPU(elasticLossAt, 0)
-	sched, err := sim.NewScheduler(policy, switchflow.WithFaultPlan(plan))
-	if err != nil {
-		panic(err)
-	}
-	train, err := sched.AddJob(switchflow.JobSpec{
-		Name: "train", Model: "ResNet50", Batch: 16, Train: true,
-		Priority: 1, Placement: switchflow.Placement{Device: 0},
-	})
-	if err != nil {
-		panic(err)
-	}
-	sim.RunUntil(elasticHorizon)
-	return ElasticRow{
-		Mode:       mode,
-		Scheduler:  sched.Name(),
-		Iterations: train.Iterations(),
-		Alive:      !train.Crashed(),
-		Restarts:   train.Restarts(),
+		IterationsLost: sched.FaultStats().IterationsLost,
 	}
 }

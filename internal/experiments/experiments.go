@@ -3,38 +3,23 @@
 // returns the rows/series the paper plots; cmd/swbench prints them and
 // bench_test.go wraps them as benchmarks. Iteration counts are
 // parameterised so benchmarks can run reduced versions.
+//
+// Every simulated world is built in world.go, the package's one seam:
+// newWorld (or onGPU) for a single machine under one scheduler,
+// newSimulation for a world on the public facade, and newCluster for a
+// fleet. Each hands the world's event buses to the observe hook before
+// the world's first job exists, so a sink attached there sees every
+// event of every world in the sweep. Table1 builds only a copy engine
+// and runs nothing, so it has no world.
 package experiments
 
 import (
 	"time"
 
-	"switchflow/internal/baseline"
-	"switchflow/internal/core"
 	"switchflow/internal/device"
 	"switchflow/internal/models"
-	"switchflow/internal/sim"
 	"switchflow/internal/workload"
 )
-
-// runUntil steps the engine until cond returns true or the virtual horizon
-// passes; it reports whether cond was met.
-func runUntil(eng *sim.Engine, horizon time.Duration, cond func() bool) bool {
-	for {
-		if cond != nil && cond() {
-			return true
-		}
-		if eng.Now() >= horizon {
-			return false
-		}
-		if !eng.Step() {
-			if cond != nil && cond() {
-				return true
-			}
-			eng.RunUntil(horizon)
-			return cond != nil && cond()
-		}
-	}
-}
 
 // collocation is the outcome of one collocate run. The window spans from
 // the serving job's arrival to the end of the run.
@@ -54,48 +39,25 @@ func (c collocation) trainRate(perIter int) float64 {
 }
 
 // collocate runs the serving-vs-training collocation the single-GPU
-// experiments share: add the training job, let it run alone for 2s, add
-// the serving job, then run until the serving job has completed requests
-// requests or the virtual horizon passes. add is the scheduler's AddJob,
-// passed as a method value.
-func collocate(eng *sim.Engine, add func(workload.Config) (*workload.Job, error),
-	train, serve workload.Config, requests int, horizon time.Duration) collocation {
-	trainJob, err := add(train)
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(2 * time.Second)
-	serveJob, err := add(serve)
-	if err != nil {
-		panic(err)
-	}
-	start, startIters := eng.Now(), trainJob.Iterations
-	runUntil(eng, horizon, func() bool { return serveJob.Latencies.Count() >= requests })
+// experiments share on w: add the training job, let it run alone for 2s,
+// add the serving job, then run until the serving job has completed
+// requests requests or the virtual horizon passes.
+func collocate(w *world, train, serve workload.Config, requests int, horizon time.Duration) collocation {
+	trainJob := must(w.add(train))
+	w.eng.RunUntil(2 * time.Second)
+	serveJob := must(w.add(serve))
+	start, startIters := w.eng.Now(), trainJob.Iterations
+	w.runUntil(horizon, func() bool { return serveJob.Latencies.Count() >= requests })
 	return collocation{
 		serve:      serveJob,
 		trainIters: trainJob.Iterations - startIters,
-		window:     eng.Now() - start,
+		window:     w.eng.Now() - start,
 	}
-}
-
-// tfOrSwitchFlow builds the one scheduler a TF-vs-SwitchFlow arm runs on
-// machine, multi-threaded TF or SwitchFlow, and returns its AddJob.
-func tfOrSwitchFlow(eng *sim.Engine, machine *device.Machine, switchFlow bool) func(workload.Config) (*workload.Job, error) {
-	if switchFlow {
-		return core.NewManager(eng, machine, core.Options{}).AddJob
-	}
-	return baseline.New(eng, machine, baseline.ThreadedTF).AddJob
 }
 
 // mustSpec resolves a model name; experiment tables only reference models
 // in the zoo, so failure is a programming error.
-func mustSpec(name string) *models.Spec {
-	spec, err := models.ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return spec
-}
+func mustSpec(name string) *models.Spec { return must(models.ByName(name)) }
 
 // paperGPU is device.PaperGPU for the names the experiments hard-code.
 func paperGPU(name string) (device.GPUClass, device.CPUClass) {
@@ -104,13 +66,6 @@ func paperGPU(name string) (device.GPUClass, device.CPUClass) {
 		panic("unknown GPU " + name)
 	}
 	return gpu, cpu
-}
-
-// machineFor builds a single-GPU machine with the CPU that accompanies the
-// GPU in the paper's testbeds.
-func machineFor(eng *sim.Engine, gpu string) *device.Machine {
-	class, cpu := paperGPU(gpu)
-	return device.NewMachine(eng, cpu, class)
 }
 
 // Common placements on the two-GPU server (GTX 1080 Ti = gpu:0,

@@ -58,29 +58,21 @@ func Figure10(iters int) []Figure10Row {
 }
 
 // Figure10Cell runs one cell: model (inference BS=128) co-run with the
-// partner under time slicing vs SwitchFlow (independent jobs).
+// partner under time slicing vs SwitchFlow (independent jobs). A cell in
+// which any job crashed is a zero row.
 func Figure10Cell(sub, partner string, partnerTrains bool, model string, iters int) Figure10Row {
 	const batch = 128
 	cfgs := []workload.Config{
 		saturatedConfig("measured", model, batch),
 		collocatedConfig("partner", partner, partnerTrains, batch),
 	}
-	base := measureTimeSlice("V100", cfgs, iters)
-	sf := measureSwitchFlowIndependent("V100", cfgs, iters)
 	mode := "inference"
 	if partnerTrains {
 		mode = "training"
 	}
-	row := Figure10Row{
-		Subfigure:   sub,
-		Partner:     partner,
-		PartnerMode: mode,
-		Model:       model,
-		BaselineSec: base.Seconds(),
-		SFSec:       sf.Seconds(),
-	}
-	if base > 0 {
-		row.ImprovePct = (1 - sf.Seconds()/base.Seconds()) * 100
+	row := Figure10Row{Subfigure: sub, Partner: partner, PartnerMode: mode, Model: model}
+	if base, sf, gain, ok := versusTimeSlice("V100", cfgs, iters, false); ok {
+		row.BaselineSec, row.SFSec, row.ImprovePct = base, sf, gain
 	}
 	return row
 }

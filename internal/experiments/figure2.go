@@ -6,7 +6,6 @@ import (
 	"switchflow/internal/baseline"
 	"switchflow/internal/device"
 	"switchflow/internal/obs"
-	"switchflow/internal/sim"
 	"switchflow/internal/trace"
 )
 
@@ -32,37 +31,20 @@ func Figure2(window time.Duration) Figure2Result {
 	const batch = 16
 
 	// Solo run.
-	soloEng := sim.NewEngine()
-	soloMachine := machineFor(soloEng, "V100")
-	solo := baseline.New(soloEng, soloMachine, baseline.ThreadedTF)
-	soloJob, err := solo.AddJob(trainConfig("solo", "ResNet50", batch, 1))
-	if err != nil {
-		panic(err)
-	}
-	soloEng.RunUntil(window)
-	result := Figure2Result{
-		SoloImgPerSec: float64(soloJob.Iterations*batch) / window.Seconds(),
-	}
+	tf := scheduler{policy: baseline.ThreadedTF}
+	solo := onGPU("V100", tf)
+	soloJob := must(solo.add(trainConfig("solo", "ResNet50", batch, 1)))
+	result := Figure2Result{SoloImgPerSec: solo.imgPerSec(0, window, soloJob)[0]}
 
 	// Co-run with its kernel spans recorded.
-	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
+	w := onGPU("V100", tf)
 	rec := obs.NewRecorder(0)
-	machine.Bus().Subscribe(rec, obs.KindKernelSpan)
-	sched := baseline.New(eng, machine, baseline.ThreadedTF)
-	a, err := sched.AddJob(trainConfig("resnet50-a", "ResNet50", batch, 1))
-	if err != nil {
-		panic(err)
-	}
-	b, err := sched.AddJob(trainConfig("resnet50-b", "ResNet50", batch, 1))
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(window)
+	w.machine.Bus().Subscribe(rec, obs.KindKernelSpan)
+	a := must(w.add(trainConfig("resnet50-a", "ResNet50", batch, 1)))
+	b := must(w.add(trainConfig("resnet50-b", "ResNet50", batch, 1)))
+	result.CoRunImgPerSec = [2]float64(w.imgPerSec(0, window, a, b))
 	spans := trace.Spans(rec.Events())
 	result.Spans = spans
-	result.CoRunImgPerSec[0] = float64(a.Iterations*batch) / window.Seconds()
-	result.CoRunImgPerSec[1] = float64(b.Iterations*batch) / window.Seconds()
 	ctxs := trace.Contexts(spans)
 	if len(ctxs) >= 2 {
 		busy := trace.BusyTime(spans, ctxs[0])

@@ -5,7 +5,6 @@ import (
 
 	"switchflow/internal/baseline"
 	"switchflow/internal/harness"
-	"switchflow/internal/sim"
 	"switchflow/internal/workload"
 )
 
@@ -64,10 +63,7 @@ func Figure3(iters int) []Figure3Row {
 }
 
 func figure3One(gpu, model string, training bool, batch, iters int) Figure3Row {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, gpu)
-	sched := baseline.New(eng, machine, baseline.ThreadedTF)
-
+	w := onGPU(gpu, scheduler{policy: baseline.ThreadedTF})
 	var cfg workload.Config
 	mode := "inference"
 	if training {
@@ -76,22 +72,19 @@ func figure3One(gpu, model string, training bool, batch, iters int) Figure3Row {
 	} else {
 		cfg = saturatedConfig("solo", model, batch)
 	}
-	job, err := sched.AddJob(cfg)
-	if err != nil {
-		panic(err)
-	}
+	job := must(w.add(cfg))
 
 	const warmup = 3
 	horizon := 24 * time.Hour // the condition, not the horizon, terminates
-	runUntil(eng, horizon, func() bool { return job.Iterations >= warmup || job.Crashed() })
+	w.runUntil(horizon, func() bool { return job.Iterations >= warmup || job.Crashed() })
 	if job.Crashed() {
 		return Figure3Row{GPU: gpu, Mode: mode, Model: model, Batch: batch}
 	}
-	startTime := eng.Now()
-	startBusy := machine.GPU(0).BusyTime()
-	runUntil(eng, horizon, func() bool { return job.Iterations >= warmup+iters || job.Crashed() })
-	span := eng.Now() - startTime
-	busy := machine.GPU(0).BusyTime() - startBusy
+	startTime := w.eng.Now()
+	startBusy := w.machine.GPU(0).BusyTime()
+	w.runUntil(horizon, func() bool { return job.Iterations >= warmup+iters || job.Crashed() })
+	span := w.eng.Now() - startTime
+	busy := w.machine.GPU(0).BusyTime() - startBusy
 	n := job.Iterations - warmup
 	if n <= 0 {
 		return Figure3Row{GPU: gpu, Mode: mode, Model: model, Batch: batch}

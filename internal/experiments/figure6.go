@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
+	"switchflow/internal/baseline"
 	"switchflow/internal/harness"
-	"switchflow/internal/sim"
 )
 
 // Figure6Row is one bar pair of Figure 6: the 95th-percentile latency of a
@@ -72,9 +72,8 @@ func Figure6Cell(trainModel, inferModel string, requests int) Figure6Row {
 // figure6P95 collocates the pair under threaded TF or SwitchFlow and
 // returns the inference stream's p95 latency in ms.
 func figure6P95(trainModel, inferModel string, requests int, switchFlow bool) float64 {
-	eng := sim.NewEngine()
-	add := tfOrSwitchFlow(eng, machineFor(eng, "V100"), switchFlow)
-	run := collocate(eng, add, trainConfig("train", trainModel, 32, 1),
+	w := onGPU("V100", scheduler{switchFlow: switchFlow, policy: baseline.ThreadedTF})
+	run := collocate(w, trainConfig("train", trainModel, 32, 1),
 		serveConfig("serve", inferModel, 1, 2), requests, 30*time.Minute)
 	return run.serve.Latencies.Percentile(95).Seconds() * 1e3
 }

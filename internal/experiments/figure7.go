@@ -4,9 +4,8 @@ import (
 	"time"
 
 	"switchflow/internal/baseline"
-	"switchflow/internal/core"
 	"switchflow/internal/device"
-	"switchflow/internal/sim"
+	"switchflow/internal/harness"
 	"switchflow/internal/workload"
 )
 
@@ -41,28 +40,29 @@ const (
 	figure7Warm    = 5 * time.Second
 )
 
-// Figure7 regenerates all six subfigures.
+// Figure7 regenerates all six subfigures. Cells run on the parallel
+// harness in the serial sweep order (subfigure-major).
 func Figure7() []Figure7Row {
-	var rows []Figure7Row
-	for _, model := range figure7Models {
-		rows = append(rows, Figure7Baseline(baseline.ThreadedTF, "a", "GTX 1080 Ti", "ResNet50", model))
+	tf, mps := baseline.ThreadedTF, baseline.MPS
+	subfigures := []func(model string) Figure7Row{
+		func(m string) Figure7Row { return Figure7Baseline(tf, "a", "GTX 1080 Ti", "ResNet50", m) },
+		func(m string) Figure7Row { return Figure7Baseline(tf, "b", "RTX 2080 Ti", "VGG16", m) },
+		func(m string) Figure7Row { return Figure7Baseline(mps, "c", "V100", "ResNet50", m) },
+		func(m string) Figure7Row { return Figure7SwitchFlow("d", nil, "ResNet50", m) },
+		func(m string) Figure7Row { return Figure7SwitchFlow("e", twoGPU(), "ResNet50", m) },
+		func(m string) Figure7Row { return Figure7SwitchFlow("f", twoGPU(), "VGG16", m) },
 	}
-	for _, model := range figure7Models {
-		rows = append(rows, Figure7Baseline(baseline.ThreadedTF, "b", "RTX 2080 Ti", "VGG16", model))
+	type cell struct {
+		subfigure func(model string) Figure7Row
+		model     string
 	}
-	for _, model := range figure7Models {
-		rows = append(rows, Figure7Baseline(baseline.MPS, "c", "V100", "ResNet50", model))
+	var cells []cell
+	for _, sub := range subfigures {
+		for _, model := range figure7Models {
+			cells = append(cells, cell{sub, model})
+		}
 	}
-	for _, model := range figure7Models {
-		rows = append(rows, Figure7SwitchFlow("d", nil, "ResNet50", model))
-	}
-	for _, model := range figure7Models {
-		rows = append(rows, Figure7SwitchFlow("e", twoGPU(), "ResNet50", model))
-	}
-	for _, model := range figure7Models {
-		rows = append(rows, Figure7SwitchFlow("f", twoGPU(), "VGG16", model))
-	}
-	return rows
+	return harness.Map(cells, func(c cell) Figure7Row { return c.subfigure(c.model) })
 }
 
 // twoGPU describes the 1080 Ti + 2080 Ti server: the high-priority job
@@ -74,22 +74,10 @@ func twoGPU() []device.GPUClass {
 
 // soloThroughput measures one training job alone on the machine layout.
 func soloThroughput(gpus []device.GPUClass, gpu device.ID, model string) float64 {
-	eng := sim.NewEngine()
-	machine := device.NewMachine(eng, device.ClassXeonDual, gpus...)
-	sched := baseline.New(eng, machine, baseline.ThreadedTF)
+	w := newWorld(scheduler{policy: baseline.ThreadedTF}, device.ClassXeonDual, gpus...)
 	cfg := trainConfig("solo", model, figure7Batch, 1)
 	cfg.Device = gpu
-	job, err := sched.AddJob(cfg)
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(figure7Warm)
-	start := job.Iterations
-	eng.RunUntil(figure7Warm + figure7Measure)
-	if job.Crashed() {
-		return 0
-	}
-	return float64((job.Iterations-start)*figure7Batch) / figure7Measure.Seconds()
+	return w.imgPerSec(figure7Warm, figure7Measure, must(w.add(cfg)))[0]
 }
 
 // Figure7Baseline runs one co-run cell of a baseline policy (threaded TF
@@ -105,27 +93,12 @@ func Figure7Baseline(policy baseline.Policy, sub, gpu, background, model string)
 		BackgroundSolo: soloThroughput(gpus, device.GPUID(0), background),
 		ModelSolo:      soloThroughput(gpus, device.GPUID(0), model),
 	}
-	eng := sim.NewEngine()
-	machine := device.NewMachine(eng, device.ClassXeonDual, gpus...)
-	sched := baseline.New(eng, machine, policy)
-	bg, err := sched.AddJob(trainConfig("bg", background, figure7Batch, 1))
-	if err != nil {
-		panic(err)
-	}
-	other, err := sched.AddJob(trainConfig("model", model, figure7Batch, 1))
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(figure7Warm)
-	bgStart, otherStart := bg.Iterations, other.Iterations
-	eng.RunUntil(figure7Warm + figure7Measure)
+	w := newWorld(scheduler{policy: policy}, device.ClassXeonDual, gpus...)
+	bg := must(w.add(trainConfig("bg", background, figure7Batch, 1)))
+	other := must(w.add(trainConfig("model", model, figure7Batch, 1)))
+	rates := w.imgPerSec(figure7Warm, figure7Measure, bg, other)
 	row.OOM = bg.Crashed() || other.Crashed()
-	if !bg.Crashed() {
-		row.BackgroundCoRun = float64((bg.Iterations-bgStart)*figure7Batch) / figure7Measure.Seconds()
-	}
-	if !other.Crashed() {
-		row.ModelCoRun = float64((other.Iterations-otherStart)*figure7Batch) / figure7Measure.Seconds()
-	}
+	row.BackgroundCoRun, row.ModelCoRun = rates[0], rates[1]
 	return row
 }
 
@@ -154,10 +127,8 @@ func Figure7SwitchFlow(sub string, gpus []device.GPUClass, background, model str
 		BackgroundSolo: soloThroughput(gpus, highDev, background),
 		ModelSolo:      soloThroughput(gpus, highDev, model),
 	}
-	eng := sim.NewEngine()
-	machine := device.NewMachine(eng, device.ClassXeonDual, gpus...)
-	m := core.NewManager(eng, machine, core.Options{})
-	lowCfg := workload.Config{
+	w := newWorld(scheduler{switchFlow: true}, device.ClassXeonDual, gpus...)
+	low := must(w.add(workload.Config{
 		Name:      "low",
 		Model:     mustSpec(background),
 		Batch:     figure7Batch,
@@ -165,25 +136,15 @@ func Figure7SwitchFlow(sub string, gpus []device.GPUClass, background, model str
 		Priority:  1,
 		Device:    highDev,
 		Fallbacks: fallbacks,
-	}
-	low, err := m.AddJob(lowCfg)
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(figure7Warm)
+	}))
+	w.eng.RunUntil(figure7Warm)
 	highCfg := trainConfig("high", model, figure7Batch, 2)
 	highCfg.Device = highDev
-	high, err := m.AddJob(highCfg)
-	if err != nil {
-		panic(err)
-	}
+	high := must(w.add(highCfg))
 	// Let the preemption and migration settle before measuring.
-	eng.RunUntil(figure7Warm + 5*time.Second)
-	lowStart, highStart := low.Iterations, high.Iterations
-	eng.RunUntil(figure7Warm + 5*time.Second + figure7Measure)
+	rates := w.imgPerSec(figure7Warm+5*time.Second, figure7Measure, low, high)
 	row.OOM = low.Crashed() || high.Crashed()
-	row.BackgroundCoRun = float64((low.Iterations-lowStart)*figure7Batch) / figure7Measure.Seconds()
-	row.ModelCoRun = float64((high.Iterations-highStart)*figure7Batch) / figure7Measure.Seconds()
-	row.LowDevice = m.JobDevice(low).String()
+	row.BackgroundCoRun, row.ModelCoRun = rates[0], rates[1]
+	row.LowDevice = w.sf.JobDevice(low).String()
 	return row
 }

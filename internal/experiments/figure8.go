@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"switchflow/internal/baseline"
-	"switchflow/internal/core"
 	"switchflow/internal/harness"
-	"switchflow/internal/sim"
 	"switchflow/internal/workload"
 )
 
@@ -65,6 +64,7 @@ func Figure8(iters int) []Figure8Row {
 }
 
 // Figure8Cell runs one (gpu, model, mode) cell with two identical models.
+// A cell in which any job crashed is a zero row.
 func Figure8Cell(gpu, model string, training bool, batch, iters int) Figure8Row {
 	mode := "inference"
 	if training {
@@ -74,18 +74,9 @@ func Figure8Cell(gpu, model string, training bool, batch, iters int) Figure8Row 
 		collocatedConfig("m0", model, training, batch),
 		collocatedConfig("m1", model, training, batch),
 	}
-	base := measureTimeSlice(gpu, cfgs, iters)
-	reuse := measureSharedGroup(gpu, cfgs, iters)
-	row := Figure8Row{
-		GPU:         gpu,
-		Mode:        mode,
-		Batch:       batch,
-		Model:       model,
-		BaselineSec: base.Seconds(),
-		ReuseSec:    reuse.Seconds(),
-	}
-	if base > 0 {
-		row.ImprovePct = (1 - reuse.Seconds()/base.Seconds()) * 100
+	row := Figure8Row{GPU: gpu, Mode: mode, Batch: batch, Model: model}
+	if base, reuse, gain, ok := versusTimeSlice(gpu, cfgs, iters, true); ok {
+		row.BaselineSec, row.ReuseSec, row.ImprovePct = base, reuse, gain
 	}
 	return row
 }
@@ -102,64 +93,42 @@ func collocatedConfig(name, model string, training bool, batch int) workload.Con
 // measurementHorizon bounds one measurement run.
 const measurementHorizon = 6 * time.Hour
 
-// measureTimeSlice returns the virtual time for every job to complete
-// iters sessions under session-based time slicing.
-func measureTimeSlice(gpu string, cfgs []workload.Config, iters int) time.Duration {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, gpu)
-	sched := baseline.New(eng, machine, baseline.TimeSlice)
-	jobs := make([]*workload.Job, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		job, err := sched.AddJob(cfg)
-		if err != nil {
+// versusTimeSlice measures cfgs on gpu under session-based time slicing
+// and then under SwitchFlow, as one shared-input group when shared, else
+// as independent jobs. It returns both times in seconds and SwitchFlow's
+// gain over time slicing in percent; ok is false when a job crashed in
+// either arm.
+func versusTimeSlice(gpu string, cfgs []workload.Config, iters int, shared bool) (baseSec, sfSec, gainPct float64, ok bool) {
+	base, baseOK := measure(gpu, scheduler{policy: baseline.TimeSlice}, false, cfgs, iters)
+	sf, sfOK := measure(gpu, scheduler{switchFlow: true}, shared, cfgs, iters)
+	if !baseOK || !sfOK {
+		return 0, 0, 0, false
+	}
+	if base > 0 {
+		gainPct = (1 - sf.Seconds()/base.Seconds()) * 100
+	}
+	return base.Seconds(), sf.Seconds(), gainPct, true
+}
+
+// measure returns the virtual time for every job of cfgs to complete
+// iters sessions under s on gpu, the jobs added one by one or, when
+// shared, as one SwitchFlow shared-input group. The run stops at the
+// first crash, and ok is false if a job crashed.
+func measure(gpu string, s scheduler, shared bool, cfgs []workload.Config, iters int) (d time.Duration, ok bool) {
+	w := onGPU(gpu, s)
+	var jobs []*workload.Job
+	if shared {
+		var err error
+		if _, jobs, err = w.sf.AddSharedGroup(cfgs); err != nil {
 			panic(err)
 		}
-		jobs = append(jobs, job)
-	}
-	runUntil(eng, measurementHorizon, func() bool { return allDone(jobs, iters) })
-	return eng.Now()
-}
-
-// measureSharedGroup returns the time for a SwitchFlow shared-input group
-// to complete iters sessions per member.
-func measureSharedGroup(gpu string, cfgs []workload.Config, iters int) time.Duration {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, gpu)
-	m := core.NewManager(eng, machine, core.Options{})
-	_, jobs, err := m.AddSharedGroup(cfgs)
-	if err != nil {
-		panic(err)
-	}
-	runUntil(eng, measurementHorizon, func() bool { return allDone(jobs, iters) })
-	return eng.Now()
-}
-
-// measureSwitchFlowIndependent returns the time for independent SwitchFlow
-// jobs (no input sharing, invariants only) to complete iters sessions.
-func measureSwitchFlowIndependent(gpu string, cfgs []workload.Config, iters int) time.Duration {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, gpu)
-	m := core.NewManager(eng, machine, core.Options{})
-	jobs := make([]*workload.Job, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		job, err := m.AddJob(cfg)
-		if err != nil {
-			panic(err)
-		}
-		jobs = append(jobs, job)
-	}
-	runUntil(eng, measurementHorizon, func() bool { return allDone(jobs, iters) })
-	return eng.Now()
-}
-
-func allDone(jobs []*workload.Job, iters int) bool {
-	for _, j := range jobs {
-		if j.Crashed() {
-			continue
-		}
-		if j.Iterations < iters {
-			return false
+	} else {
+		for _, cfg := range cfgs {
+			jobs = append(jobs, must(w.add(cfg)))
 		}
 	}
-	return true
+	crashed := func() bool { return slices.ContainsFunc(jobs, (*workload.Job).Crashed) }
+	running := func(j *workload.Job) bool { return j.Iterations < iters }
+	w.runUntil(measurementHorizon, func() bool { return crashed() || !slices.ContainsFunc(jobs, running) })
+	return w.eng.Now(), !crashed()
 }

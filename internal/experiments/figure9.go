@@ -50,22 +50,16 @@ func Figure9(iters int) []Figure9Row {
 	})
 }
 
-// Figure9Cell runs one (model set, batch) cell.
+// Figure9Cell runs one (model set, batch) cell. A cell in which any job
+// crashed is a zero row.
 func Figure9Cell(set []string, batch, iters int) Figure9Row {
 	cfgs := make([]workload.Config, len(set))
 	for i, model := range set {
 		cfgs[i] = saturatedConfig(model, model, batch)
 	}
-	base := measureTimeSlice("V100", cfgs, iters)
-	reuse := measureSharedGroup("V100", cfgs, iters)
-	row := Figure9Row{
-		Models:      append([]string(nil), set...),
-		Batch:       batch,
-		BaselineSec: base.Seconds(),
-		ReuseSec:    reuse.Seconds(),
-	}
-	if base > 0 {
-		row.ImprovePct = (1 - reuse.Seconds()/base.Seconds()) * 100
+	row := Figure9Row{Models: append([]string(nil), set...), Batch: batch}
+	if base, reuse, gain, ok := versusTimeSlice("V100", cfgs, iters, true); ok {
+		row.BaselineSec, row.ReuseSec, row.ImprovePct = base, reuse, gain
 	}
 	return row
 }

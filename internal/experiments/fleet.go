@@ -119,17 +119,9 @@ func Fleet(window time.Duration, clients int) []FleetRow {
 
 // fleetOne runs one routing arm end to end.
 func fleetOne(arm fleetArm, window time.Duration, clients int) FleetRow {
-	gpus := []device.GPUClass{device.ClassV100, device.ClassV100}
-	c := cluster.New(cluster.Collocate{}, fleetNodes, gpus...)
-
-	gen, err := traffic.NewGenerator(FleetProfile(window, clients))
-	if err != nil {
-		panic(err)
-	}
-	fe, err := cluster.NewFrontend(c, gen, arm.strategy, nil)
-	if err != nil {
-		panic(err)
-	}
+	c := newCluster(fleetNodes, 0, device.ClassV100, device.ClassV100)
+	gen := must(traffic.NewGenerator(FleetProfile(window, clients)))
+	fe := must(cluster.NewFrontend(c, gen, arm.strategy, nil))
 
 	// Background elastic training on the tail nodes, spanning both GPUs.
 	// Added through the node managers directly (virtual-node placements
@@ -151,7 +143,7 @@ func fleetOne(arm fleetArm, window time.Duration, clients int) FleetRow {
 	var elastics []*workload.Job
 	for i, model := range trainModels {
 		n := nodes[len(nodes)-1-i]
-		job, err := n.Manager().AddJob(workload.Config{
+		job := must(n.Manager().AddJob(workload.Config{
 			Name:     fmt.Sprintf("train-%s", model),
 			Model:    mustSpec(model),
 			Batch:    32,
@@ -159,10 +151,7 @@ func fleetOne(arm fleetArm, window time.Duration, clients int) FleetRow {
 			Priority: 1,
 			Device:   device.GPUID(0),
 			VNodes:   []device.ID{device.GPUID(0), device.GPUID(1)},
-		})
-		if err != nil {
-			panic(err)
-		}
+		}))
 		elastics = append(elastics, job)
 		if scaler != nil {
 			scaler.RegisterElastic(n, job, 1, 2)

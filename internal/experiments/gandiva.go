@@ -5,7 +5,6 @@ import (
 
 	"switchflow/internal/core"
 	"switchflow/internal/harness"
-	"switchflow/internal/sim"
 )
 
 // GandivaRow compares preemption mechanisms (§6): SwitchFlow's
@@ -50,12 +49,10 @@ func GandivaCell(trainModel string, requests int) GandivaRow {
 }
 
 func gandivaOne(trainModel string, requests int, opts core.Options) (p95, grantP95, trainPS float64) {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
-	m := core.NewManager(eng, machine, opts)
-	run := collocate(eng, m.AddJob, trainConfig("train", trainModel, 32, 1),
+	w := onGPU("V100", scheduler{switchFlow: true, opts: opts})
+	run := collocate(w, trainConfig("train", trainModel, 32, 1),
 		serveConfig("serve", "ResNet50", 1, 2), requests, time.Hour)
 	return run.serve.Latencies.Percentile(95).Seconds() * 1e3,
-		m.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
+		w.sf.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
 		run.trainRate(1)
 }

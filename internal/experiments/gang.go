@@ -7,7 +7,6 @@ import (
 	"switchflow/internal/cluster"
 	"switchflow/internal/device"
 	"switchflow/internal/harness"
-	"switchflow/internal/models"
 	"switchflow/internal/obs"
 	"switchflow/internal/workload"
 )
@@ -81,21 +80,15 @@ func gangCell(mode string) GangRow {
 // gangFabricArm pins a two-replica VGG16 gang to the given GPU pair and
 // measures how the fabric under the ring prices every step.
 func gangFabricArm(mode string, gpus []int) GangRow {
-	sim := switchflow.NewSimulation(switchflow.NVLinkV100Server())
+	sim := newSimulation(switchflow.NVLinkV100Server())
 	rec := obs.NewRecorder(0)
 	sim.EventBus().Subscribe(rec, obs.KindAllReduce)
-	sched, err := sim.NewSwitchFlowScheduler()
-	if err != nil {
-		panic(err)
-	}
-	train, err := sched.AddJob(switchflow.JobSpec{
+	sched := must(sim.NewSwitchFlowScheduler())
+	train := must(sched.AddJob(switchflow.JobSpec{
 		Name: "ddp", Model: "VGG16", Batch: 32, Train: true, Priority: 1,
 		Gang:      true,
 		Placement: switchflow.Placement{Device: gpus[0], VNodes: gpus},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	sim.RunUntil(gangHorizon)
 	row := GangRow{Mode: mode, Iterations: train.Iterations()}
 	row.AllReduces, row.MeanSyncMillis = syncStats(rec.Events())
@@ -105,12 +98,8 @@ func gangFabricArm(mode string, gpus []int) GangRow {
 // gangContentionArm submits three two-replica ResNet50 gangs — or the
 // same six replicas as independent trainers — to one 4-GPU NVLink node.
 func gangContentionArm(gang bool) GangRow {
-	resnet, err := models.ByName("ResNet50")
-	if err != nil {
-		panic(err)
-	}
-	c := cluster.NewNVLink(cluster.Collocate{}, 1, 2,
-		device.ClassV100, device.ClassV100, device.ClassV100, device.ClassV100)
+	resnet := mustSpec("ResNet50")
+	c := newCluster(1, 2, device.ClassV100, device.ClassV100, device.ClassV100, device.ClassV100)
 	c.Record()
 	var handles []*cluster.JobHandle
 	if gang {
@@ -164,30 +153,22 @@ func gangContentionArm(gang bool) GangRow {
 // and checks the gang suspends and resumes as a unit, never a lone
 // replica.
 func gangPreemptArm() GangRow {
-	sim := switchflow.NewSimulation(switchflow.NVLinkV100Server())
+	sim := newSimulation(switchflow.NVLinkV100Server())
 	rec := obs.NewRecorder(0)
 	sim.EventBus().Subscribe(rec,
 		obs.KindAllReduce, obs.KindGangPreempt, obs.KindGangResume, obs.KindResume)
-	sched, err := sim.NewSwitchFlowScheduler()
-	if err != nil {
-		panic(err)
-	}
-	train, err := sched.AddJob(switchflow.JobSpec{
+	sched := must(sim.NewSwitchFlowScheduler())
+	train := must(sched.AddJob(switchflow.JobSpec{
 		Name: "ddp", Model: "ResNet50", Batch: 32, Train: true, Priority: 1,
 		Gang:      true,
 		Placement: switchflow.Placement{Device: 0, VNodes: []int{0, 1}},
-	})
-	if err != nil {
-		panic(err)
-	}
+	}))
 	sim.RunUntil(5 * time.Second)
-	if _, err := sched.AddJob(switchflow.JobSpec{
+	must(sched.AddJob(switchflow.JobSpec{
 		Name: "serve", Model: "MobileNetV2", Batch: 1, Priority: 9,
 		ClosedLoop: true,
 		Placement:  switchflow.Placement{Device: 0},
-	}); err != nil {
-		panic(err)
-	}
+	}))
 	sim.RunUntil(gangHorizon)
 
 	row := GangRow{Mode: "preempt", Iterations: train.Iterations()}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
+	"switchflow/internal/baseline"
 	"switchflow/internal/harness"
-	"switchflow/internal/sim"
 )
 
 // LoadRow is one point of the open-loop load sweep: a Poisson stream of
@@ -45,9 +45,6 @@ func LoadPoint(ratePerSec float64, requests int) LoadRow {
 }
 
 func loadOne(ratePerSec float64, requests int, switchFlow bool) (p95, p99 float64) {
-	eng := sim.NewEngine()
-	add := tfOrSwitchFlow(eng, machineFor(eng, "V100"), switchFlow)
-
 	serveCfg := serveConfig("serve", "ResNet50", 1, 2)
 	serveCfg.ClosedLoop = false
 	serveCfg.PoissonArrivals = true
@@ -56,7 +53,8 @@ func loadOne(ratePerSec float64, requests int, switchFlow bool) (p95, p99 float6
 	// A deep prefetch window lets queued requests pipeline.
 	serveCfg.PrefetchDepth = 4
 
-	serve := collocate(eng, add, trainConfig("train", "VGG16", 32, 1), serveCfg, requests, 30*time.Minute).serve
+	w := onGPU("V100", scheduler{switchFlow: switchFlow, policy: baseline.ThreadedTF})
+	serve := collocate(w, trainConfig("train", "VGG16", 32, 1), serveCfg, requests, 30*time.Minute).serve
 	return serve.Latencies.Percentile(95).Seconds() * 1e3,
 		serve.Latencies.Percentile(99).Seconds() * 1e3
 }

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"time"
-
-	"switchflow/internal/core"
-	"switchflow/internal/sim"
-)
+import "time"
 
 // PreemptionResult reproduces the §5.2.3 analysis: the latency from a
 // high-priority arrival to GPU grant (bounded by the in-flight kernel) and
@@ -25,20 +20,18 @@ type PreemptionResult struct {
 // training job on one V100 and reports preemption-grant latencies over the
 // given number of requests.
 func PreemptionOverhead(trainModel string, requests int) PreemptionResult {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
-	m := core.NewManager(eng, machine, core.Options{})
-	run := collocate(eng, m.AddJob, trainConfig("train", trainModel, 32, 1),
+	w := onGPU("V100", scheduler{switchFlow: true})
+	run := collocate(w, trainConfig("train", trainModel, 32, 1),
 		serveConfig("serve", "ResNet50", 1, 2), requests, time.Hour)
 
 	spec := mustSpec(trainModel)
-	peerMS := machine.Peer().TransferTime(spec.StatefulBytes(), spec.WeightVars())
+	peerMS := w.machine.Peer().TransferTime(spec.StatefulBytes(), spec.WeightVars())
 	return PreemptionResult{
 		TrainModel:  trainModel,
-		Preemptions: m.Preemptions,
-		MeanGrantMS: m.PreemptionLatencies.Mean().Seconds() * 1e3,
-		P95GrantMS:  m.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
-		MaxGrantMS:  m.PreemptionLatencies.Max().Seconds() * 1e3,
+		Preemptions: w.sf.Preemptions,
+		MeanGrantMS: w.sf.PreemptionLatencies.Mean().Seconds() * 1e3,
+		P95GrantMS:  w.sf.PreemptionLatencies.Percentile(95).Seconds() * 1e3,
+		MaxGrantMS:  w.sf.PreemptionLatencies.Max().Seconds() * 1e3,
 		StateMB:     float64(spec.StatefulBytes()) / (1 << 20),
 		TransferMS:  peerMS.Seconds() * 1e3,
 		ServedP95MS: run.serve.Latencies.Percentile(95).Seconds() * 1e3,

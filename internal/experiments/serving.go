@@ -3,10 +3,8 @@ package experiments
 import (
 	"time"
 
-	"switchflow/internal/core"
 	"switchflow/internal/device"
 	"switchflow/internal/harness"
-	"switchflow/internal/sim"
 	"switchflow/internal/workload"
 )
 
@@ -66,16 +64,14 @@ func ServingPoint(ratePerSec float64, window time.Duration) ServingRow {
 }
 
 func servingOne(ratePerSec float64, window time.Duration, batched bool) ServingArm {
-	eng := sim.NewEngine()
-	machine := machineFor(eng, "V100")
-	m := core.NewManager(eng, machine, core.Options{})
+	w := onGPU("V100", scheduler{switchFlow: true})
 	// The unbatched arm launches one request per compute; admission
 	// control still applies.
 	maxBatch, batchWait := servingMaxBatch, servingBatchWait
 	if !batched {
 		maxBatch, batchWait = 0, 0
 	}
-	job, err := m.AddJob(workload.Config{
+	job := must(w.add(workload.Config{
 		Name:            "serve",
 		Model:           mustSpec("ResNet50"),
 		Batch:           1,
@@ -89,15 +85,12 @@ func servingOne(ratePerSec float64, window time.Duration, batched bool) ServingA
 		SLO:             servingSLO,
 		MaxBatch:        maxBatch,
 		BatchWait:       batchWait,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.RunUntil(window)
+	}))
+	w.eng.RunUntil(window)
 	// Stop the stream and drain, so every admitted request resolves and
 	// the accounting closes: Served + Shed == Offered.
 	job.StopArrivals()
-	eng.Run()
+	w.eng.Run()
 	if job.Crashed() {
 		panic(job.CrashErr)
 	}
