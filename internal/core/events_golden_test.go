@@ -78,6 +78,18 @@ func preemptMigrate(t *testing.T, eng *sim.Engine, m *Manager) []*workload.Job {
 	return []*workload.Job{a, b}
 }
 
+// preemptMigrateCPU: the same preemption with the host as the only
+// fallback, so the victim's weights move device-to-host.
+func preemptMigrateCPU(t *testing.T, eng *sim.Engine, m *Manager) []*workload.Job {
+	low := trainCfg(t, "vgg16", "VGG16", 32, 1, device.GPUID(0))
+	low.Fallbacks = []device.ID{device.CPUID}
+	a := mustAdd(t, m, low)
+	eng.RunUntil(700 * time.Millisecond)
+	b := mustAdd(t, m, trainCfg(t, "resnet50", "ResNet50", 32, 2, device.GPUID(0)))
+	eng.RunUntil(3 * time.Second)
+	return []*workload.Job{a, b}
+}
+
 func servingCfg(t *testing.T, name, model string, prio int, every time.Duration) workload.Config {
 	return workload.Config{
 		Name: name, Model: spec(t, model), Batch: 1, Kind: workload.KindServing,
@@ -102,6 +114,17 @@ var goldenScenarios = []goldenScenario{
 		opts: Options{DisableFreeCPUExecutors: true},
 		gpus: []device.GPUClass{device.ClassV100, device.ClassRTX2080Ti},
 		run:  preemptMigrate,
+	},
+	{
+		name: "plain-sync-transfer",
+		opts: Options{SyncStateTransfer: true},
+		gpus: []device.GPUClass{device.ClassV100, device.ClassRTX2080Ti},
+		run:  preemptMigrate,
+	},
+	{
+		name: "plain-preempt-migrate-cpu",
+		gpus: []device.GPUClass{device.ClassV100},
+		run:  preemptMigrateCPU,
 	},
 	{
 		name: "batched-serving-preempts-training",
@@ -158,6 +181,21 @@ var goldenScenarios = []goldenScenario{
 			arm(eng, m, p)
 			eng.RunUntil(4500 * time.Millisecond)
 			return []*workload.Job{a, b}
+		},
+	},
+	{
+		name: "fault-restores-plain-onto-cpu",
+		opts: Options{CheckpointEvery: 700 * time.Millisecond},
+		gpus: []device.GPUClass{device.ClassV100},
+		run: func(t *testing.T, eng *sim.Engine, m *Manager) []*workload.Job {
+			cfg := trainCfg(t, "plain", "ResNet50", 16, 1, device.GPUID(0))
+			cfg.Fallbacks = []device.ID{device.CPUID}
+			job := mustAdd(t, m, cfg)
+			var p fault.Plan
+			p.LoseGPU(1500*time.Millisecond, 0)
+			arm(eng, m, p)
+			eng.RunUntil(3 * time.Second)
+			return []*workload.Job{job}
 		},
 	},
 	{
