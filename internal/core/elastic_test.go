@@ -352,3 +352,38 @@ func TestElasticRejectsGroupMembership(t *testing.T) {
 		t.Fatal("shared group accepted an elastic member")
 	}
 }
+
+// A fault that strikes while a rebind's replica copy is in flight makes
+// the copy stale; the replica the rebind dropped must still be freed when
+// the copy lands, or the job holds memory on a device it no longer binds.
+func TestFaultDuringRebindFreesDroppedReplica(t *testing.T) {
+	for _, kind := range []fault.Kind{fault.KindTransient, fault.KindDeviceLost} {
+		t.Run(kind.String(), func(t *testing.T) {
+			eng, machine, m := newHarness(t, Options{},
+				device.ClassV100, device.ClassV100, device.ClassV100)
+			job := mustAdd(t, m, elasticCfg(t, "train", "ResNet50", 32, 1, device.GPUID(0), device.GPUID(1)))
+			m.bus.Subscribe(obs.SinkFunc(func(obs.Event) {
+				var p fault.Plan
+				if kind == fault.KindTransient {
+					p.Transient(eng.Now()+time.Microsecond, 0)
+				} else {
+					p.LoseGPU(eng.Now()+time.Microsecond, 0)
+				}
+				arm(eng, m, p)
+			}), obs.KindRebind)
+			at(t, eng, time.Second, func() error { return m.RebindJob(job, 1, device.GPUID(2)) })
+			eng.RunUntil(10 * time.Second)
+			if job.Crashed() {
+				t.Fatalf("job crashed: %v", job.CrashErr)
+			}
+			gpu1 := device.GPUID(1)
+			if job.Binding().Uses(gpu1) {
+				t.Fatalf("binding %v still uses %v", job.Binding(), gpu1)
+			}
+			if job.WeightsOn(gpu1) || machine.GPU(1).Mem.Used() != 0 {
+				t.Fatalf("%v still holds %d B (weights resident: %v) after the rebind left it",
+					gpu1, machine.GPU(1).Mem.Used(), job.WeightsOn(gpu1))
+			}
+		})
+	}
+}
