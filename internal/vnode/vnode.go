@@ -162,19 +162,15 @@ func (b Binding) Devices() []device.ID {
 	return out
 }
 
-// On returns the indices of the vnodes bound to dev, in index order.
-func (b Binding) On(dev device.ID) []int {
-	var out []int
+// Uses reports whether any vnode is bound to dev.
+func (b Binding) Uses(dev device.ID) bool {
 	for _, n := range b.nodes {
 		if n.Device == dev {
-			out = append(out, n.Index)
+			return true
 		}
 	}
-	return out
+	return false
 }
-
-// Uses reports whether any vnode is bound to dev.
-func (b Binding) Uses(dev device.ID) bool { return len(b.On(dev)) > 0 }
 
 // DeviceList returns the per-vnode device assignment in index order —
 // the input Split needs to re-split the same topology.

@@ -126,8 +126,8 @@ func TestSplitRepeatedDevice(t *testing.T) {
 	if got := b.Devices(); len(got) != 1 || got[0] != device.GPUID(0) {
 		t.Fatalf("Devices() = %v, want one distinct device", got)
 	}
-	if on := b.On(device.GPUID(0)); len(on) != 2 || on[0] != 0 || on[1] != 1 {
-		t.Fatalf("On() = %v, want [0 1]", on)
+	if !b.Uses(device.GPUID(0)) || b.Uses(device.GPUID(1)) {
+		t.Fatalf("Uses() disagrees with binding %v", b)
 	}
 }
 

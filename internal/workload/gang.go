@@ -87,7 +87,7 @@ func (j *Job) SyncCost() time.Duration {
 // jobs price compute alone, exactly as before.
 func (j *Job) PricerFor(devs []device.ID) vnode.Pricer {
 	if !j.Cfg.Gang {
-		return j.StepPrice
+		return j.stepPriceFn
 	}
 	sync := j.SyncCostFor(devs)
 	return func(dev device.ID, samples int) (time.Duration, error) {

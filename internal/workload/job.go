@@ -195,8 +195,10 @@ type Job struct {
 	weightHome   map[device.ID]int64 // allocated weight bytes
 	intermediate map[device.ID]int64
 
-	// Virtual-node state: the runtime binding (vnode.go in this package).
-	binding vnode.Binding
+	// Virtual-node state: the runtime binding (vnode.go in this package)
+	// and StepPrice bound once, the pricer non-gang splits use.
+	binding     vnode.Binding
+	stepPriceFn vnode.Pricer
 
 	// Checkpoint/restart recovery state (see recovery.go).
 	checkpointIters int
@@ -245,7 +247,7 @@ func NewJob(eng *sim.Engine, machine *device.Machine, ctx int, cfg Config) (*Job
 		weightHome:   make(map[device.ID]int64),
 		intermediate: make(map[device.ID]int64),
 	}
-	j.batchWakeFn, j.closedArrivalFn = j.batchWake, j.closedArrival
+	j.batchWakeFn, j.closedArrivalFn, j.stepPriceFn = j.batchWake, j.closedArrival, j.StepPrice
 	devices := append([]device.ID{cfg.Device}, cfg.Fallbacks...)
 	devices = append(devices, cfg.VNodes...)
 	for _, dev := range devices {
