@@ -137,7 +137,7 @@ func TestScenarioFaults(t *testing.T) {
 
 // TestScenarioFixture runs the checked-in faults and ops example.
 func TestScenarioFixture(t *testing.T) {
-	f, err := os.Open("testdata/faults-ops.json")
+	f, err := os.Open("../../docs/scenarios/faults-ops.json")
 	if err != nil {
 		t.Fatal(err)
 	}
