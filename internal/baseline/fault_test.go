@@ -2,11 +2,14 @@ package baseline
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"switchflow/internal/device"
 	"switchflow/internal/fault"
+	"switchflow/internal/metrics"
+	"switchflow/internal/obs"
 	"switchflow/internal/sim"
 	"switchflow/internal/workload"
 )
@@ -97,6 +100,48 @@ func TestFaults(t *testing.T) {
 					t.Fatalf("fault stats = %+v", st)
 				}
 			})
+		})
+	}
+}
+
+// Every baseline's faults appear on the machine's bus: the injector emits
+// each FaultInject and the scheduler a JobLost per job it kills, and
+// FaultStats is the aggregate of exactly those events.
+func TestFaultsOnTheBus(t *testing.T) {
+	for _, policy := range []Policy{ThreadedTF, TimeSlice, MPS} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var p fault.Plan
+			p.StallInputs(time.Second, time.Second)
+			p.LoseGPU(3*time.Second, 0)
+			p.Transient(4*time.Second, 1)
+			eng, machine, s, victim, bystander := faultRig(t, policy, p)
+			var rec obs.Recorder
+			machine.Bus().Subscribe(&rec, metrics.FaultSinkKinds...)
+			eng.RunUntil(10 * time.Second)
+
+			var got []string
+			var sink metrics.FaultSink
+			for _, e := range rec.Events() {
+				got = append(got, e.Kind.String()+" "+e.Job+" "+e.Device+" "+e.Name)
+				sink.Observe(e)
+			}
+			want := []string{
+				"FaultInject   input-stall",
+				"FaultInject  gpu:0 device-lost",
+				"JobLost " + victim.Cfg.Name + " gpu:0 device lost",
+				"FaultInject  gpu:1 transient",
+				"JobLost " + bystander.Cfg.Name + " gpu:1 transient",
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("fault events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			st := s.FaultStats()
+			if st != sink.Counters() {
+				t.Fatalf("FaultStats = %+v, the bus aggregates to %+v", st, sink.Counters())
+			}
+			if st.Injected != 3 || st.DeviceLost != 1 || st.Transients != 1 || st.InputStalls != 1 || st.JobsLost != 2 {
+				t.Fatalf("fault stats = %+v", st)
+			}
 		})
 	}
 }

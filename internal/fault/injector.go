@@ -2,6 +2,7 @@ package fault
 
 import (
 	"switchflow/internal/device"
+	"switchflow/internal/obs"
 	"switchflow/internal/sim"
 )
 
@@ -15,8 +16,10 @@ type Handler interface {
 
 // Injector schedules a Plan's events on the engine. For each event it
 // first applies the hardware effect (GPU.Fail, GPU.Degrade/Heal — input
-// stalls have none), then notifies handlers in attach order, so a
-// handler always observes the post-fault hardware state.
+// stalls have none), then emits one KindFaultInject on the machine's bus,
+// then notifies handlers in attach order, so a handler always observes
+// the post-fault hardware state and every scheduler's fault appears on
+// the bus the same way.
 type Injector struct {
 	eng      *sim.Engine
 	machine  *device.Machine
@@ -72,6 +75,16 @@ func (in *Injector) fire(ev Event) {
 	case KindTransient, KindInputStall:
 		// No hardware effect; the schedulers decide what breaks.
 	}
+	dev := ""
+	if ev.Device != (device.ID{}) {
+		dev = ev.Device.String()
+	}
+	in.machine.Bus().Emit(obs.Event{
+		Kind:   obs.KindFaultInject,
+		Ctx:    -1,
+		Device: dev,
+		Name:   ev.Kind.String(),
+	})
 	for _, h := range in.handlers {
 		h.HandleFault(ev)
 	}

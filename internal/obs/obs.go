@@ -39,7 +39,8 @@ const (
 	// KindResume is a previously suspended job re-entering execution.
 	KindResume
 	// KindMigrate is a job's GPU state moving between devices; Name says
-	// why ("preempt" or "fault"), From/Device give source and destination.
+	// why ("preempt", "drain" or "fault"), From/Device give source and
+	// destination.
 	KindMigrate
 	// KindBatchFuse is a micro-batch of requests executing as one fused
 	// step; Count is the batch size.
@@ -52,10 +53,11 @@ const (
 	// KindServe is a request completing; Dur is its latency, Count is 1
 	// when the latency met the job's SLO.
 	KindServe
-	// KindFaultInject is a fault delivered to the scheduler; Name is the
-	// fault kind ("device-lost", "transient", ...).
+	// KindFaultInject is a fault striking the machine, emitted by the fault
+	// injector after the hardware effect and before any scheduler handles
+	// it; Name is the fault kind ("device-lost", "transient", ...).
 	KindFaultInject
-	// KindJobLost is a job dying with no recovery path.
+	// KindJobLost is a job dying with no recovery path; Name says why.
 	KindJobLost
 	// KindCheckpoint is a state snapshot taken (periodic background
 	// checkpoints, or Name="preempt" for checkpoint-based preemption).
