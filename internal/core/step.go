@@ -22,14 +22,14 @@ import (
 //   - Plain (one implicit vnode): the step consumes its input when the
 //     shard launches under the grant, so a serving micro-batch forms at
 //     grant time. A preempted job pauses its whole pipeline while the
-//     shard drains, then migrates to the first fallback with room — vnode
-//     0 is rebound and the weights move off the critical path — or stays
-//     and waits. Options.CheckpointPreemption replaces the abort with a
-//     Gandiva-style checkpoint out to host memory; a lost device restores
-//     the job from the host checkpoint on a fallback; a transient fault
-//     restarts it with backoff; a drain applies between launches.
-//     Options.DisableFreeCPUExecutors couples its input stage to the GPU
-//     grant (pumpCoupled).
+//     shard drains, then migrates to the first fallback with room —
+//     relocate (relocate.go) rebinds vnode 0 and the weights move off the
+//     critical path — or stays and waits. Options.CheckpointPreemption
+//     replaces the abort with a Gandiva-style checkpoint out to host
+//     memory; a lost device restores the job from the host checkpoint on
+//     a fallback; a transient fault restarts it with backoff; a drain
+//     applies between launches. Options.DisableFreeCPUExecutors couples
+//     its input stage to the GPU grant (pumpCoupled).
 //   - Elastic (Config.VNodes): the step consumes its input as it opens,
 //     and every shard computes a slice of that batch. Only the shard on
 //     the contended GPU is preempted; it stays and waits for a re-grant
@@ -40,6 +40,11 @@ import (
 //     (gang.go).
 //   - Shared-group members (group.go) run their shard in the group's
 //     lockstep turn; a preempted member stays and resumes in its turn.
+//
+// Every binding change of a plain or elastic job — migration, drain,
+// device-loss restore, resize, rebind, heal — is one relocate call: it
+// seeds a replica on each newly bound device, and when the copies land
+// frees every device the job's current binding no longer uses.
 
 // shardState is the scheduler-side state of one virtual node.
 type shardState struct {
