@@ -307,6 +307,25 @@ func TestScenarioMillisOutOfRange(t *testing.T) {
 	}
 }
 
+// TestScenarioLargestBatchWait runs a serving job whose batch-wait window
+// is the largest a millisecond field accepts. Its timer is due past the
+// end of virtual time; it used to wrap into the past and panic on the
+// first window it opened.
+func TestScenarioLargestBatchWait(t *testing.T) {
+	sc := Scenario{Machine: "v100", DurationMillis: 1000, Jobs: []JobRequest{{
+		Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2,
+		ServeEveryMS: 10, SLOMillis: 10, MaxBatch: 4, BatchWaitMillis: 9223372036854,
+	}}}
+	res, err := RunScenario(sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := res.Jobs[0]
+	if job.Crashed || job.Served == 0 {
+		t.Errorf("served %d (crashed=%v), want a live job serving", job.Served, job.Crashed)
+	}
+}
+
 // A recorder attached through RunScenario's hook sees the run from its
 // first event: an elastic job's admission-time Bind, emitted before the
 // clock moves.

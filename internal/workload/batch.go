@@ -181,7 +181,7 @@ func (j *Job) noteInputReady() {
 // timer that re-pumps the scheduler when the window closes, so a held
 // sub-target batch always launches by the deadline.
 func (j *Job) openBatchWindow() {
-	j.batchDeadline = j.eng.Now() + j.Cfg.BatchWait
+	j.batchDeadline = j.eng.Due(j.Cfg.BatchWait)
 	j.batchTimer.Cancel()
 	j.batchTimer = j.eng.After(j.Cfg.BatchWait, j.batchWakeFn)
 }
