@@ -144,27 +144,42 @@ func BenchmarkEngineRescheduleStorm(b *testing.B) {
 // BenchmarkEngineChain times the pattern the kernel path runs and the
 // other benchmarks miss: a firing event's callback schedules the next
 // event of its chain, which is usually the new minimum. One chain steps a
-// few µs at a time over 64 long-lived background events, the data pools'
-// shape, and each background event reschedules itself one ms ahead when
-// it fires. One op is one fired event.
+// few µs at a time over 64 long-lived background events, and each
+// background event reschedules itself one ms ahead when it fires. In the
+// heap variant the background events sit in the heap, as every event did
+// before lanes; in the lane variant they go through one Lane, the data
+// pools' shape, so the heap holds two entries. One op is one fired event.
 func BenchmarkEngineChain(b *testing.B) {
-	const background = 64
-	e := NewEngine()
-	steps := [...]time.Duration{3 * time.Microsecond, 5 * time.Microsecond, 2 * time.Microsecond, 7 * time.Microsecond}
-	n := 0
-	var chain, idle func()
-	chain = func() {
-		n++
-		e.After(steps[n%len(steps)], chain)
-	}
-	idle = func() { e.After(time.Millisecond, idle) }
-	for i := 0; i < background; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond/background, idle)
-	}
-	e.Schedule(0, chain)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
+	for _, lane := range []bool{false, true} {
+		name := "heap"
+		if lane {
+			name = "lane"
+		}
+		b.Run(name, func(b *testing.B) {
+			const background = 64
+			e := NewEngine()
+			l := e.NewLane(background)
+			steps := [...]time.Duration{3 * time.Microsecond, 5 * time.Microsecond, 2 * time.Microsecond, 7 * time.Microsecond}
+			n := 0
+			var chain, idle func()
+			chain = func() {
+				n++
+				e.After(steps[n%len(steps)], chain)
+			}
+			after := func(d time.Duration, fn func()) { e.After(d, fn) }
+			if lane {
+				after = l.After
+			}
+			idle = func() { after(time.Millisecond, idle) }
+			for i := 0; i < background; i++ {
+				after(time.Duration(i)*time.Millisecond/background, idle)
+			}
+			e.Schedule(0, chain)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

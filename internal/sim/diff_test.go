@@ -15,6 +15,9 @@ import (
 // carries an action its callback performs in whichever engine fires it:
 // schedule a child, cancel a handle or its own, or fire re-entrantly with
 // Step or RunUntil. That is where fire-in-place differs from a plain pop.
+// Some events go through one of diffLanes lanes on the Engine; the
+// reference schedules each of those as a plain event, and neither side
+// gets a handle that could cancel it.
 //
 // Scripts are generated from a handrolled xorshift generator (never
 // math/rand — the detrand analyzer bans it) so a failing seed reproduces
@@ -115,6 +118,10 @@ func (e *refEngine) schedule(at time.Duration, fn func()) diffHandle {
 	return e.Schedule(at, fn)
 }
 
+func (e *refEngine) laneAfter(_ int, d time.Duration, fn func()) {
+	e.Schedule(e.now+d, fn)
+}
+
 func (e *refEngine) RunUntil(t time.Duration) {
 	for {
 		i := e.min()
@@ -152,6 +159,8 @@ type diffEngine interface {
 	Run()
 	RunUntil(t time.Duration)
 	schedule(at time.Duration, fn func()) diffHandle
+	// laneAfter is After through lane number lane, with no handle.
+	laneAfter(lane int, d time.Duration, fn func())
 	pending() int
 }
 
@@ -161,20 +170,54 @@ type diffHandle interface {
 	Scheduled() bool
 }
 
-// engSide adapts the Engine to diffEngine.
-type engSide struct{ *Engine }
+// noHandle stands in for a lane item's missing handle on both sides: it
+// cancels nothing and reports nothing scheduled.
+type noHandle struct{}
+
+func (noHandle) Cancel()         {}
+func (noHandle) Scheduled() bool { return false }
+
+// diffLanes is the number of lanes a script can schedule through.
+const diffLanes = 3
+
+// engSide adapts the Engine and its lanes to diffEngine.
+type engSide struct {
+	*Engine
+	lanes []*Lane
+}
+
+// newEngSide returns an engine with diffLanes lanes, each sized so that
+// scripts also make it grow.
+func newEngSide() engSide {
+	s := engSide{Engine: NewEngine()}
+	for i := 0; i < diffLanes; i++ {
+		s.lanes = append(s.lanes, s.NewLane(2))
+	}
+	return s
+}
 
 func (s engSide) schedule(at time.Duration, fn func()) diffHandle {
 	return s.Schedule(at, fn)
 }
 
+func (s engSide) laneAfter(lane int, d time.Duration, fn func()) {
+	s.lanes[lane].After(d, fn)
+}
+
 // pending counts the events still to fire: the heap, less the spent root
-// while a callback runs.
+// while a callback runs, plus the lane items not yet in the heap.
 func (s engSide) pending() int {
+	n := len(s.heap)
 	if s.spent {
-		return len(s.heap) - 1
+		n--
 	}
-	return len(s.heap)
+	for _, l := range s.lanes {
+		n += l.n
+		if l.armed != nil {
+			n--
+		}
+	}
+	return n
 }
 
 // firing records one event execution: what the callback saw on entry (the
@@ -195,22 +238,26 @@ type firing struct {
 // diffAction is what an event's callback does besides logging. kind picks
 // one of: 0 nothing, 1-3 schedule a child at a near, mid or far delay, 4
 // cancel the handle with id arg mod issued, 5 cancel its own handle, 6
-// Step, 7 RunUntil arg ns ahead. depth counts the callback-scheduled
-// ancestors; children stop at diffMaxDepth so every script drains.
+// Step, 7 RunUntil arg ns ahead, 8 schedule a child through a lane at a
+// near delay. depth counts the callback-scheduled ancestors; children stop
+// at diffMaxDepth so every script drains.
 type diffAction struct {
 	kind  uint8
 	arg   uint32
 	depth uint8
 }
 
-const diffMaxDepth = 3
+const (
+	diffKinds    = 9
+	diffMaxDepth = 3
+)
 
 // childAction derives the action of the event scheduled by id's callback.
 // It depends on id alone, so both engines give a child the same action.
 func childAction(id int, depth uint8) diffAction {
 	r := diffRNG(uint64(id+1) * 0x9e3779b97f4a7c15)
 	v := r.next()
-	return diffAction{kind: uint8(v % 8), arg: uint32(v >> 32), depth: depth}
+	return diffAction{kind: uint8(v % diffKinds), arg: uint32(v >> 32), depth: depth}
 }
 
 // diffSide is one engine under a script: the handles it issued, indexed
@@ -225,6 +272,13 @@ type diffSide struct {
 func (s *diffSide) add(at time.Duration, act diffAction) {
 	id := len(s.evs)
 	s.evs = append(s.evs, s.eng.schedule(at, func() { s.fire(id, act) }))
+}
+
+// addLane schedules the event with the next id d from now through lane.
+func (s *diffSide) addLane(lane int, d time.Duration, act diffAction) {
+	id := len(s.evs)
+	s.evs = append(s.evs, noHandle{})
+	s.eng.laneAfter(lane, d, func() { s.fire(id, act) })
 }
 
 // fire is event id's callback: it logs, then performs act.
@@ -255,6 +309,11 @@ func (s *diffSide) fire(id int, act diffAction) {
 		result = e.Step()
 	case 7:
 		e.RunUntil(e.Now() + time.Duration(act.arg%(1<<12)))
+	case 8:
+		if act.depth < diffMaxDepth {
+			d := time.Duration(act.arg >> 8 % 256)
+			s.addLane(int(act.arg%diffLanes), d, childAction(len(s.evs), act.depth+1))
+		}
 	}
 	s.log[i].after, s.log[i].afterPending, s.log[i].result = e.Now(), e.pending(), result
 }
@@ -263,20 +322,26 @@ func (s *diffSide) fire(id int, act diffAction) {
 // script over both engines and fails t on any observable divergence.
 func diffScript(t *testing.T, data []byte) bool {
 	t.Helper()
-	eng := &diffSide{eng: engSide{NewEngine()}}
+	eng := &diffSide{eng: newEngSide()}
 	ref := &diffSide{eng: &refEngine{}}
 	sides := []*diffSide{eng, ref}
 
 	schedule := func(d time.Duration, a uint64) {
-		act := diffAction{kind: uint8(a % 8), arg: uint32(a >> 3)}
+		act := diffAction{kind: uint8(a % diffKinds), arg: uint32(a >> 4)}
 		for _, s := range sides {
 			s.add(s.eng.Now()+d, act)
+		}
+	}
+	scheduleLane := func(lane uint64, d time.Duration, a uint64) {
+		act := diffAction{kind: uint8(a % diffKinds), arg: uint32(a >> 4)}
+		for _, s := range sides {
+			s.addLane(int(lane%diffLanes), d, act)
 		}
 	}
 
 	rng := diffRNG(0xdeadbeefcafe)
 	for i := 0; i < len(data); i++ {
-		op := data[i] % 8
+		op := data[i] % 10
 		arg := func(n int) uint64 {
 			v := uint64(0)
 			for ; n > 0 && i+1 < len(data); n-- {
@@ -322,6 +387,10 @@ func diffScript(t *testing.T, data []byte) bool {
 				}
 				schedule(time.Duration(rng.next()%4096), rng.next())
 			}
+		case 8: // lane schedule, near horizon: ties within and across lanes
+			scheduleLane(arg(1), time.Duration(arg(1)%16), arg(2))
+		case 9: // lane schedule, mid horizon: out of order within a lane
+			scheduleLane(arg(1), time.Duration(arg(2))<<4, arg(2))
 		}
 		if eng.eng.Now() != ref.eng.Now() {
 			t.Fatalf("op %d: clock diverges: engine=%v ref=%v", i, eng.eng.Now(), ref.eng.Now())
@@ -377,8 +446,9 @@ func scriptFromSeed(seed uint64, n int) []byte {
 
 // TestEngineMatchesReferenceProperty checks the equivalence contract over
 // generated scripts: ties, cancels of live and stale handles, bounded
-// advances, cancel-and-replace storms, and callbacks that schedule, cancel
-// and fire re-entrantly.
+// advances, cancel-and-replace storms, schedules through lanes, and
+// callbacks that schedule (into the heap or a lane), cancel and fire
+// re-entrantly.
 func TestEngineMatchesReferenceProperty(t *testing.T) {
 	prop := func(seed uint64, size uint16) bool {
 		n := 64 + int(size)%4096
@@ -393,7 +463,7 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 // TestEngineMatchesReferenceDeepHorizon pins down a deep queue whose delays
 // span 1 ns to ~18 minutes, fired in (at, seq) order.
 func TestEngineMatchesReferenceDeepHorizon(t *testing.T) {
-	eng := &diffSide{eng: engSide{NewEngine()}}
+	eng := &diffSide{eng: newEngSide()}
 	ref := &diffSide{eng: &refEngine{}}
 	rng := diffRNG(42)
 	for i := 0; i < 2000; i++ {
@@ -417,6 +487,10 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 10, 5, 5, 5})
 	f.Add(scriptFromSeed(1, 256))
 	f.Add(scriptFromSeed(0xfeed, 1024))
+	// Lane items A at 5 and B at 10, then a plain event X at 10; A's
+	// callback steps re-entrantly. B must be armed when A's callback runs,
+	// and at its own sequence number, which orders it before X.
+	f.Add([]byte{8, 0, 5, 0, 6, 8, 0, 10, 0, 0, 0, 10, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			data = data[:1<<14]

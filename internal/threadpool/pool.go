@@ -38,7 +38,10 @@ type Pool struct {
 	// Name labels the pool ("global", "temporary").
 	Name string
 
-	eng     *sim.Engine
+	eng *sim.Engine
+	// lane, when set, carries the workers' finishes instead of the
+	// engine's heap (see NewData).
+	lane    *sim.Lane
 	workers []*worker
 	busy    int
 	// queued is the number of tasks across all local queues, so a worker
@@ -63,6 +66,17 @@ func New(eng *sim.Engine, name string, n int) *Pool {
 		w.finish = func() { p.finish(w) }
 		p.workers = append(p.workers, w)
 	}
+	return p
+}
+
+// NewData creates a pool of n tf.data workers. Their finishes go through
+// one sim.Lane sized to n, so the engine's heap holds one entry for the
+// whole pool however many workers are busy; the firing order is the one
+// New's pool gives. Executor pools stay on New: their finishes rarely
+// overlap, and there a lane costs more than it saves.
+func NewData(eng *sim.Engine, name string, n int) *Pool {
+	p := New(eng, name, n)
+	p.lane = eng.NewLane(n)
 	return p
 }
 
@@ -149,7 +163,11 @@ func (p *Pool) start(w *worker, t Task) {
 	w.busy = true
 	w.task = t
 	p.busy++
-	p.eng.After(t.Duration, w.finish)
+	if p.lane != nil {
+		p.lane.After(t.Duration, w.finish)
+	} else {
+		p.eng.After(t.Duration, w.finish)
+	}
 }
 
 // finish completes w's running task, still "on" the worker, then lets w

@@ -242,7 +242,7 @@ func NewJob(eng *sim.Engine, machine *device.Machine, ctx int, cfg Config) (*Job
 		serving:      metrics.ServingSink{Ctx: ctx},
 		versions:     make(map[versionKey]*Version),
 		streams:      make(map[device.ID]*device.Stream),
-		dataPool:     threadpool.New(eng, "data:"+cfg.Name, dataWorkers),
+		dataPool:     threadpool.NewData(eng, "data:"+cfg.Name, dataWorkers),
 		batchEst:     make(map[int]time.Duration),
 		weightHome:   make(map[device.ID]int64),
 		intermediate: make(map[device.ID]int64),
