@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"testing"
@@ -26,6 +27,9 @@ type refExec struct {
 	remaining float64 // seconds of solo work left
 	occ       float64
 }
+
+// fire runs k's completion callback, the tagged form first.
+func (k *Kernel) fire() { fire(k.OnDone, k.Done, k.Tag) }
 
 // refGPU mirrors GPU's advance/rate/reschedule/complete arithmetic.
 type refGPU struct {
@@ -272,8 +276,11 @@ func (s *gpuSide) record(what string) {
 }
 
 // kernel builds the next kernel. Its callback logs it and, by its id
-// alone so both sides agree, may launch a child: on the same stream
-// (stream >= 0) or directly on the GPU. Odd ids use the Done/Tag form.
+// alone so both sides agree, may act on the device: re-enter the engine
+// with Step after launching two 1 ns kernels, so the step retires them
+// while this completion is still delivering its batch; degrade, heal or
+// fail the GPU; and launch a child, on the same stream (stream >= 0) or
+// directly on the GPU. Odd ids use the Done/Tag form.
 func (s *gpuSide) kernel(stream int, work time.Duration, occ float64, depth int) Kernel {
 	id := s.ids
 	s.ids++
@@ -281,6 +288,20 @@ func (s *gpuSide) kernel(stream int, work time.Duration, occ float64, depth int)
 	k := Kernel{Name: name, Work: work, Occupancy: occ, Ctx: stream}
 	done := func() {
 		s.record(name)
+		switch id % 23 {
+		case 4:
+			if depth < 3 {
+				s.gpu.Submit(s.kernel(-1, 1, 0, 3))
+				s.gpu.Submit(s.kernel(-1, 1, 0, 3))
+				s.record("step " + strconv.FormatBool(s.eng.Step()))
+			}
+		case 9:
+			s.gpu.Degrade(float64(2 + id%5))
+		case 14:
+			s.gpu.Heal()
+		case 19:
+			s.record("fail " + strconv.Itoa(s.gpu.Fail()))
+		}
 		if depth >= 3 || id%3 != 0 {
 			return
 		}
@@ -325,11 +346,13 @@ func gpuScript(t *testing.T, data []byte) {
 			if op > 2 {
 				stream = int(arg(1)) % n
 			}
-			// Work from 0 ns to 2.54 s, across Seconds' 1 s split;
-			// occupancy from 0 to 1.275, across both clamps.
+			// Work from 0 ns to 2.54 s, across Seconds' 1 s split, and
+			// from 999,000 s to 1,001,621 s, across the lone-kernel bound
+			// (1e6 s at v = 25,000); occupancy from 0 to 1.275, across
+			// both clamps.
 			v := arg(2)
 			var work time.Duration
-			switch arg(1) % 4 {
+			switch sel := arg(1); sel % 4 {
 			case 0:
 				work = time.Duration(v % 1000)
 			case 1:
@@ -338,6 +361,9 @@ func gpuScript(t *testing.T, data []byte) {
 				work = time.Duration(v) * 16 * time.Microsecond
 			case 3:
 				work = 900*time.Millisecond + time.Duration(v)*25*time.Microsecond
+				if sel >= 0xc0 {
+					work = 999_000*time.Second + time.Duration(v)*40*time.Millisecond
+				}
 			}
 			occ := float64(arg(1)) / 200
 			for _, s := range sides {
@@ -441,6 +467,23 @@ func FuzzGPUMatchesReference(f *testing.F) {
 	// A submit 1.299998941 s after the last update, where Seconds' whole
 	// and fractional parts round differently from one quotient.
 	f.Add([]byte{0, 0, 3, 231, 0, 60, 0, 255, 255, 3, 60, 9, 203, 32, 99, 0, 3, 232, 1, 60})
+	// Kernels k4 and k5 retire together, and k4's callback launches two
+	// 1 ns kernels and steps the engine, which retires them in a nested
+	// completion while the outer one is still delivering k5.
+	f.Add([]byte{0, 0, 3, 232, 1, 60, 0, 3, 232, 1, 60, 9, 78, 32, 0,
+		0, 0, 10, 1, 60, 0, 3, 232, 1, 60, 0, 3, 232, 1, 60, 9, 78, 32, 0,
+		0, 3, 232, 1, 60, 0, 3, 232, 1, 60})
+	// A chain of 1 ms kernels on one stream beside a light direct one:
+	// k9's callback degrades the GPU, k14's heals it, k19's fails it.
+	for _, n := range []int{10, 15, 20} {
+		f.Add(append([]byte{0, 0, 3, 232, 1, 10}, bytes.Repeat([]byte{3, 0, 3, 232, 1, 180}, n)...))
+	}
+	// Lone kernels with 1e6 s of solo work less 40 ms, exactly, and plus
+	// 40 ms, one after another; then the same on a device degraded by 2
+	// beside a light kernel.
+	lone := []byte{0, 97, 167, 0xc3, 180, 0, 97, 168, 0xc3, 180, 0, 97, 169, 0xc3, 180}
+	f.Add(append([]byte{0}, lone...))
+	f.Add(append([]byte{0, 12, 32, 0, 3, 232, 1, 10}, lone...))
 	for seed := uint64(1); seed <= 24; seed++ {
 		f.Add(gpuScriptFromSeed(seed*0x9e3779b97f4a7c15, 64+int(seed)*24))
 	}

@@ -73,11 +73,11 @@ func (s *Stream) pump() {
 	s.queue = s.queue[:left]
 }
 
-// kernelDone is called by the GPU when the stream's in-flight kernel k
-// completes.
-func (s *Stream) kernelDone(k *Kernel) {
+// kernelDone is called by the GPU when the stream's in-flight kernel
+// completes, with that kernel's callback.
+func (s *Stream) kernelDone(onDone func(), done func(tag int32), tag int32) {
 	s.inflight = false
-	k.fire()
+	fire(onDone, done, tag)
 	s.pump()
 	s.notifyDrained()
 }

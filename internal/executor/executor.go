@@ -89,6 +89,10 @@ type Run struct {
 	// kern is the subgraph's cost table on this run's GPU class (the zero
 	// class on CPU subgraphs), indexed by Node.ID.
 	kern *graph.KernelTable
+	// nodes is the graph's node slice, indexed by Node.ID, and poolSize
+	// is cfg.Pool's worker count; Start caches both for the callbacks.
+	nodes    []*graph.Node
+	poolSize int
 	// Worker tasks, kernels and Send transfers carry a node ID (tasks and
 	// transfers also the epoch) to callbacks bound once per Run, so
 	// dispatch allocates no closures.
@@ -114,6 +118,7 @@ func Start(eng *sim.Engine, sub *graph.Subgraph, cfg Config, onDone func()) (*Ru
 	r := newRun(sub)
 	r.cfg, r.eng, r.onDone = cfg, eng, onDone
 	r.kern = cost.Table(sub, class)
+	r.nodes, r.poolSize = sub.Graph.Nodes(), cfg.Pool.Size()
 	copy(r.pending, r.plan.Deps)
 	if r.total == 0 {
 		eng.After(0, r.finish)
@@ -273,12 +278,12 @@ func (r *Run) arg(n *graph.Node) uint64 { return uint64(r.epoch)<<32 | uint64(ui
 // runTask is every dispatched task's callback; arg is from r.arg.
 func (r *Run) runTask(arg uint64) {
 	if uint32(arg>>32) == r.epoch {
-		r.process(r.sub.Graph.Nodes()[uint32(arg)])
+		r.process(r.nodes[uint32(arg)])
 	}
 }
 
 // kernelDone is every launched kernel's callback; tag is the node ID.
-func (r *Run) kernelDone(tag int32) { r.complete(r.sub.Graph.Nodes()[tag]) }
+func (r *Run) kernelDone(tag int32) { r.complete(r.nodes[tag]) }
 
 // dispatchSharded fans a heavy CPU op over several worker threads with
 // MKL-style imperfect scaling; the node completes when every shard does.
@@ -404,7 +409,7 @@ func (r *Run) startSend(n *graph.Node) {
 // sendDone is every Send transfer's callback; arg is from r.arg.
 func (r *Run) sendDone(arg uint64) {
 	if uint32(arg>>32) == r.epoch && !r.aborted && !r.suspended {
-		r.complete(r.sub.Graph.Nodes()[uint32(arg)])
+		r.complete(r.nodes[uint32(arg)])
 	}
 }
 
@@ -431,7 +436,7 @@ func (r *Run) complete(n *graph.Node) {
 			r.dispatch(succ, -1, false)
 		} else {
 			// Inexpensive nodes ride the parent's queue.
-			r.dispatch(succ, n.ID%r.cfg.Pool.Size(), true)
+			r.dispatch(succ, n.ID%r.poolSize, true)
 		}
 	}
 	if r.done == r.total && !r.suspended {

@@ -38,7 +38,7 @@ func (f *fixture) cpuConfig() Config {
 }
 
 // buildSubgraphs builds and partitions a model graph.
-func buildSubgraphs(t *testing.T, spec *models.Spec, cfg models.BuildConfig) []*graph.Subgraph {
+func buildSubgraphs(t testing.TB, spec *models.Spec, cfg models.BuildConfig) []*graph.Subgraph {
 	t.Helper()
 	g, err := spec.Build(cfg)
 	if err != nil {

@@ -87,28 +87,27 @@ func (p *Pool) Size() int { return len(p.workers) }
 // preferred selects the worker whose local queue should hold the task (the
 // parent op's worker for inexpensive successors, §2.1); pass -1 for no
 // affinity. front pushes to the head of the local queue (inexpensive ops
-// ride immediately after their parent).
+// ride immediately after their parent). The task is copied once, straight
+// into the worker that runs it or into a queue.
 func (p *Pool) Submit(t *Task, preferred int, front bool) {
-	task := *t
-	if task.Duration < 0 {
-		task.Duration = 0
-	}
 	w := p.pickWorker(preferred)
 	if !w.busy {
-		p.start(w, task)
+		p.start(w, t)
 		return
 	}
 	// The preferred worker is busy; an idle worker steals the task right
 	// away (work stealing keeps queues short).
 	if idle := p.idleWorker(); idle != nil {
-		p.start(idle, task)
+		p.start(idle, t)
 		return
 	}
-	w.queue = append(w.queue, task)
 	p.queued++
 	if front {
+		w.queue = append(w.queue, Task{})
 		copy(w.queue[1:], w.queue)
-		w.queue[0] = task
+		w.queue[0] = *t
+	} else {
+		w.queue = append(w.queue, *t)
 	}
 }
 
@@ -159,9 +158,11 @@ func (p *Pool) idleWorker() *worker {
 	return nil
 }
 
-func (p *Pool) start(w *worker, t Task) {
+// start copies *t into w's slot and runs it there. A negative duration
+// runs as zero, as After and Lane.After take it.
+func (p *Pool) start(w *worker, t *Task) {
 	w.busy = true
-	w.task = t
+	w.task = *t
 	p.busy++
 	if p.lane != nil {
 		p.lane.After(t.Duration, w.finish)
@@ -171,31 +172,32 @@ func (p *Pool) start(w *worker, t Task) {
 }
 
 // finish completes w's running task, still "on" the worker, then lets w
-// pick its next one.
+// pick its next one. The callback runs from w's slot, which nothing can
+// overwrite while w is busy; afterwards the slot drops its references.
 func (p *Pool) finish(w *worker) {
-	t := w.task
-	w.task = Task{}
+	t := &w.task
 	if t.Fire != nil {
 		t.Fire(t.Arg)
 	} else if t.Run != nil {
 		t.Run()
 	}
+	t.Name, t.Owner, t.Run, t.Fire = "", nil, nil, nil
 	w.busy = false
 	p.busy--
 	p.next(w)
 }
 
 // next lets worker w pick its next task: own queue first, then steal from
-// the longest peer queue, else go idle. Queues are popped by copying down,
-// not reslicing, so they keep their capacity.
+// the longest peer queue, else go idle. The task starts from its queue
+// slot; queues are then popped by copying down, not reslicing, so they
+// keep their capacity.
 func (p *Pool) next(w *worker) {
 	if len(w.queue) > 0 {
-		t := w.queue[0]
+		p.queued--
+		p.start(w, &w.queue[0])
 		left := copy(w.queue, w.queue[1:])
 		w.queue[left] = Task{}
 		w.queue = w.queue[:left]
-		p.queued--
-		p.start(w, t)
 		return
 	}
 	if p.queued == 0 {
@@ -203,11 +205,10 @@ func (p *Pool) next(w *worker) {
 	}
 	victim := p.longestQueue()
 	last := len(victim.queue) - 1
-	t := victim.queue[last] // steal from the tail
+	p.queued--
+	p.start(w, &victim.queue[last]) // steal from the tail
 	victim.queue[last] = Task{}
 	victim.queue = victim.queue[:last]
-	p.queued--
-	p.start(w, t)
 }
 
 // longestQueue returns the worker with the longest local queue, the lowest
