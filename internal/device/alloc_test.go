@@ -168,3 +168,27 @@ func TestCopyEngineTransferTaggedAllocFree(t *testing.T) {
 		t.Errorf("%v allocations per 100 tagged transfers, want 0", allocs)
 	}
 }
+
+// A one-stream chain in which each completion enqueues the next kernel
+// needs one kernel slot: the GPU recycles a finished kernel's slot before
+// its callback fires, so the callback's launch reuses it. Recycling after
+// the callback would keep a second slot per GPU.
+func TestGPUFreeListHighWater(t *testing.T) {
+	eng, gpu := newTestGPU()
+	s := NewStream(gpu)
+	n := 0
+	var k Kernel
+	k = Kernel{Name: "k", Work: 40 * time.Microsecond, Occupancy: 0.9, OnDone: func() {
+		if n++; n < 1000 {
+			s.Enqueue(k)
+		}
+	}}
+	s.Enqueue(k)
+	eng.Run()
+	if n != 1000 {
+		t.Fatalf("%d kernels completed, want 1000", n)
+	}
+	if slots := len(gpu.free) + len(gpu.running) + len(gpu.queue); slots != 1 {
+		t.Fatalf("%d kernel slots allocated, want 1", slots)
+	}
+}
