@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -448,6 +449,28 @@ func TestSharedGroupRejectsMismatchedMembers(t *testing.T) {
 	}
 	if _, _, err := m.AddSharedGroup([]workload.Config{a}); err == nil {
 		t.Fatal("singleton group accepted")
+	}
+}
+
+// TestFailedSharedGroupFreesAdmittedWeights: a group whose admission
+// fails part-way hands back the weights of the members admitted before
+// the failing one, so the device is as free as before the call.
+func TestFailedSharedGroupFreesAdmittedWeights(t *testing.T) {
+	_, machine, m := newHarness(t, Options{}, device.ClassJetsonTX2)
+	mem := machine.GPU(0).Mem
+	before := mem.Used()
+	var cfgs []workload.Config
+	for i := 0; i < 40; i++ {
+		cfgs = append(cfgs, trainCfg(t, fmt.Sprintf("m%d", i), "VGG16", 8, 1, device.GPUID(0)))
+	}
+	if _, _, err := m.AddSharedGroup(cfgs); err == nil {
+		t.Fatal("40 VGG16 trainers admitted on one Jetson TX2")
+	}
+	if got := mem.Used(); got != before {
+		t.Fatalf("failed group left %d B allocated, want %d", got, before)
+	}
+	if _, err := m.AddJob(trainCfg(t, "solo", "VGG16", 8, 1, device.GPUID(0))); err != nil {
+		t.Fatalf("solo trainer refused after the failed group: %v", err)
 	}
 }
 
