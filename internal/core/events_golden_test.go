@@ -97,6 +97,16 @@ func servingCfg(t *testing.T, name, model string, prio int, every time.Duration)
 	}
 }
 
+// addGroup admits a shared group, failing the test on error.
+func addGroup(t *testing.T, m *Manager, cfgs ...workload.Config) []*workload.Job {
+	t.Helper()
+	_, jobs, err := m.AddSharedGroup(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
 var goldenScenarios = []goldenScenario{
 	{
 		name: "plain-preempt-migrate",
@@ -218,6 +228,36 @@ var goldenScenarios = []goldenScenario{
 			at(t, eng, time.Second, func() error { return m.DrainDevice(device.GPUID(0)) })
 			eng.RunUntil(2500 * time.Millisecond)
 			return []*workload.Job{train, serve}
+		},
+	},
+	{
+		name: "group-lockstep-preempted",
+		gpus: []device.GPUClass{device.ClassV100},
+		run: func(t *testing.T, eng *sim.Engine, m *Manager) []*workload.Job {
+			jobs := addGroup(t, m,
+				trainCfg(t, "m0", "MobileNetV2", 16, 1, device.GPUID(0)),
+				trainCfg(t, "m1", "MobileNetV2", 16, 1, device.GPUID(0)))
+			serve := mustAdd(t, m, servingCfg(t, "serve", "ResNet50", 2, 30*time.Millisecond))
+			eng.RunUntil(3 * time.Second)
+			return append(jobs, serve)
+		},
+	},
+	{
+		name: "group-loss-and-drain",
+		gpus: []device.GPUClass{device.ClassV100, device.ClassV100},
+		run: func(t *testing.T, eng *sim.Engine, m *Manager) []*workload.Job {
+			member := func(name string) workload.Config {
+				cfg := trainCfg(t, name, "ResNet50", 32, 1, device.GPUID(0))
+				cfg.Fallbacks = []device.ID{device.GPUID(1)}
+				return cfg
+			}
+			jobs := addGroup(t, m, member("m0"), member("m1"))
+			at(t, eng, 3*time.Second, func() error { return m.DrainDevice(device.GPUID(0)) })
+			var p fault.Plan
+			p.LoseGPU(8*time.Second, 1)
+			arm(eng, m, p)
+			eng.RunUntil(10 * time.Second)
+			return jobs
 		},
 	},
 }
