@@ -160,6 +160,40 @@ func TestGroupSubmission(t *testing.T) {
 	}
 }
 
+// TestStopGroupMember: DELETE on one member of a /v1/groups submission
+// stops that member's iterations, and the other member keeps iterating.
+func TestStopGroupMember(t *testing.T) {
+	ts := newTestServer(t)
+	reqs := []JobRequest{
+		{Name: "m0", Model: "ResNet50", Batch: 32, Train: true},
+		{Name: "m1", Model: "ResNet50", Batch: 32, Train: true},
+	}
+	var infos []JobInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/groups", reqs, &infos); code != http.StatusCreated {
+		t.Fatalf("group status = %d", code)
+	}
+	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 2000}, nil)
+	url := func(i int) string { return fmt.Sprintf("%s/v1/jobs/%d", ts.URL, infos[i].ID) }
+	if code := doJSON(t, "DELETE", url(0), nil, nil); code != http.StatusOK {
+		t.Fatalf("stop status = %d", code)
+	}
+	var before [2]JobInfo
+	for i := range before {
+		doJSON(t, "GET", url(i), nil, &before[i])
+	}
+	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 5000}, nil)
+	var after [2]JobInfo
+	for i := range after {
+		doJSON(t, "GET", url(i), nil, &after[i])
+	}
+	if after[0].Iterations > before[0].Iterations+1 {
+		t.Errorf("stopped member advanced %d -> %d", before[0].Iterations, after[0].Iterations)
+	}
+	if after[1].Iterations <= before[1].Iterations+10 {
+		t.Errorf("the other member stalled: %d -> %d in 5 s", before[1].Iterations, after[1].Iterations)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	ts := newTestServer(t)
 	var out map[string]string

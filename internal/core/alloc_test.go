@@ -154,6 +154,20 @@ func TestStepAllocFree(t *testing.T) {
 	}
 }
 
+// A shared-group member step (the member's turn on the cached batch,
+// grant, compute run, release, and the shared input stage every second
+// step) allocates nothing once warm, as a plain step does.
+func TestGroupStepAllocFree(t *testing.T) {
+	eng, _, m := newHarness(t, Options{}, device.ClassV100)
+	members := addGroup(t, m,
+		trainCfg(t, "m0", "ResNet50", 32, 1, device.GPUID(0)),
+		trainCfg(t, "m1", "ResNet50", 32, 1, device.GPUID(0)))
+	step := until(t, eng, func() int { return members[0].Iterations + members[1].Iterations })
+	if got := allocsPerUnit(20, 200, step); got > allocFree {
+		t.Errorf("%v allocations per member step, want at most %v", got, allocFree)
+	}
+}
+
 // migrateAllocs bounds a migrating preemption. Migration is the rare path
 // that rebinds: the discarded compute run is not recycled (its in-flight
 // kernel still completes into it), so its replacement is built (the Run

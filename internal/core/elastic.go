@@ -229,13 +229,12 @@ func (m *Manager) rebindAway(js *jobState, dev device.ID) ([]device.ID, bool) {
 func (m *Manager) healElastic(js *jobState, lost device.ID) {
 	devs, ok := m.rebindAway(js, lost)
 	if !ok {
-		js.job.Crash(fmt.Errorf("core: %s: device %v lost with no healthy rebind target", js.job.Cfg.Name, lost))
-		m.emitJobLost(js, lost, "no healthy rebind target")
+		m.loseJob(js, lost, fmt.Errorf("core: %s: device %v lost with no healthy rebind target", js.job.Cfg.Name, lost),
+			"no healthy rebind target")
 		return
 	}
 	if err := m.relocate(js, devs, "fault", nil); err != nil {
-		js.job.Crash(fmt.Errorf("core: %s: heal after losing %v: %w", js.job.Cfg.Name, lost, err))
-		m.emitJobLost(js, lost, "rebind failed")
+		m.loseJob(js, lost, fmt.Errorf("core: %s: heal after losing %v: %w", js.job.Cfg.Name, lost, err), "rebind failed")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"switchflow/internal/device"
@@ -39,8 +40,10 @@ func (m *Manager) HandleFault(ev fault.Event) {
 // policy: an elastic job heals onto a re-split binding from its surviving
 // replicas; a plain job migrates to a healthy fallback, restoring weights
 // from the host checkpoint (the device copy is gone, so the cheap peer
-// path of §3.3 is unavailable). Jobs with nowhere to go crash — even
-// SwitchFlow cannot run a job with nowhere to put it.
+// path of §3.3 is unavailable). A shared group's live members on the
+// device move as one: all to the first fallback with room for all of
+// them, or all lost. Jobs with nowhere to go crash — even SwitchFlow
+// cannot run a job with nowhere to put it.
 func (m *Manager) handleDeviceLost(dev device.ID) {
 	if dev.Kind != device.KindGPU || dev.Index >= len(m.machine.GPUs) {
 		return
@@ -54,12 +57,22 @@ func (m *Manager) handleDeviceLost(dev device.ID) {
 		// migration source not yet freed); the pool was invalidated
 		// wholesale, so drop the accounting rather than double-freeing.
 		js.job.ForgetDevice(dev)
+	}
+	for _, js := range m.jobs {
 		if js.stopped || js.job.Crashed() || !js.job.Binding().Uses(dev) {
 			continue
 		}
-		js.epoch++
-		m.discardStep(js, dev)
-		js.restarting, js.restoring, js.checkpointRequested = false, false, false
+		movers := []*jobState{js}
+		if js.group != nil {
+			movers = slices.DeleteFunc(slices.Clone(js.group.members), func(mb *jobState) bool {
+				return !mb.live() || !mb.job.Binding().Uses(dev)
+			})
+		}
+		for _, mv := range movers {
+			mv.epoch++
+			m.discardStep(mv, dev)
+			mv.restarting, mv.restoring, mv.checkpointRequested = false, false, false
+		}
 		if js.job.Elastic() {
 			m.healElastic(js, dev)
 			continue
@@ -67,15 +80,15 @@ func (m *Manager) handleDeviceLost(dev device.ID) {
 		// Unlike preemption's pickFallback, recovery ignores who owns the
 		// target — surviving beats avoiding contention.
 		to, ok := m.fallbackWithRoom(js, dev, m.machine.Healthy)
-		if !ok {
-			js.job.Crash(fmt.Errorf("core: %s: %w (%v, no healthy fallback)",
-				js.job.Cfg.Name, fault.ErrDeviceLost, dev))
-			m.emitJobLost(js, dev, "no healthy fallback")
-			continue
-		}
-		if err := m.relocate(js, []device.ID{to}, "fault", nil); err != nil {
-			js.job.Crash(fmt.Errorf("core: restore %s: %w", js.job.Cfg.Name, err))
-			m.emitJobLost(js, to, "restore allocation failed")
+		for _, mv := range movers {
+			if !ok {
+				m.loseJob(mv, dev, fmt.Errorf("core: %s: %w (%v, no healthy fallback)",
+					mv.job.Cfg.Name, fault.ErrDeviceLost, dev), "no healthy fallback")
+				continue
+			}
+			if err := m.relocate(mv, []device.ID{to}, "fault", nil); err != nil {
+				m.loseJob(mv, to, fmt.Errorf("core: restore %s: %w", mv.job.Cfg.Name, err), "restore allocation failed")
+			}
 		}
 	}
 }
@@ -208,8 +221,10 @@ func (m *Manager) takeCheckpoint(js *jobState) {
 	})
 }
 
-// emitJobLost publishes a job death (a fault with no recovery path).
-func (m *Manager) emitJobLost(js *jobState, dev device.ID, why string) {
+// loseJob kills the job over err and publishes its death (a fault with no
+// recovery path).
+func (m *Manager) loseJob(js *jobState, dev device.ID, err error, why string) {
+	js.job.Crash(err)
 	m.bus.Emit(obs.Event{
 		Kind:   obs.KindJobLost,
 		Ctx:    js.job.Ctx,

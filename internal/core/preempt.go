@@ -215,11 +215,22 @@ func (m *Manager) fallbackWithRoom(js *jobState, skip device.ID, usable func(dev
 }
 
 // hasRoom reports whether dev can take the job's weights; host memory is
-// not modelled, so the CPU always can.
+// not modelled, so the CPU always can. A shared-group member needs room
+// for every live member not yet on dev, so that the members, which move
+// one at a time, all pick the same device.
 func (m *Manager) hasRoom(js *jobState, dev device.ID) bool {
 	if dev.Kind != device.KindGPU {
 		return true
 	}
+	need := js.job.WeightBytes()
+	if js.group != nil {
+		need = 0
+		for _, mb := range js.group.members {
+			if mb.live() && !mb.job.WeightsOn(dev) {
+				need += mb.job.WeightBytes()
+			}
+		}
+	}
 	gpu := m.machine.GPU(dev.Index)
-	return gpu != nil && gpu.Mem.Available() >= js.job.WeightBytes()
+	return gpu != nil && gpu.Mem.Available() >= need
 }

@@ -116,8 +116,7 @@ func (m *Manager) relocate(js *jobState, devs []device.ID, reason string, landed
 		if err := job.AllocWeights(d); err != nil {
 			// Pre-flight said it fits; failing here means the device model
 			// changed underneath the move — fatal for the job.
-			job.Crash(fmt.Errorf("core: %s: replica alloc on %v: %w", job.Cfg.Name, d, err))
-			m.emitJobLost(js, d, "replica allocation failed")
+			m.loseJob(js, d, fmt.Errorf("core: %s: replica alloc on %v: %w", job.Cfg.Name, d, err), "replica allocation failed")
 			return nil
 		}
 		js.weightsReady = false

@@ -38,13 +38,15 @@ import (
 //   - Gang (Config.Gang): grants are acquired in ascending GPU order and
 //     the whole gang is preempted, resumed and committed as one unit
 //     (gang.go).
-//   - Shared-group members (group.go) run their shard in the group's
-//     lockstep turn; a preempted member stays and resumes in its turn.
+//   - Shared-group members (group.go) are plain jobs whose step opens
+//     only in the member's turn, on the group's cached batch; the commit
+//     passes the turn on. A preempted member stays and resumes in its
+//     turn. Drain and device loss move every member to one device.
 //
-// Every binding change of a plain or elastic job — migration, drain,
-// device-loss restore, resize, rebind, heal — is one relocate call: it
-// seeds a replica on each newly bound device, and when the copies land
-// frees every device the job's current binding no longer uses.
+// Every binding change — migration, drain, device-loss restore, resize,
+// rebind, heal — is one relocate call: it seeds a replica on each newly
+// bound device, and when the copies land frees every device the job's
+// current binding no longer uses.
 
 // shardState is the scheduler-side state of one virtual node.
 type shardState struct {
@@ -255,11 +257,11 @@ func (m *Manager) allocScratch(js *jobState, sh *shardState) bool {
 }
 
 // shardFailed kills the job over an unrecoverable shard error and hands
-// the shard's grant back.
+// the shard's grant back; the pump gives a group member's turn on.
 func (m *Manager) shardFailed(js *jobState, sh *shardState, err error, why string) {
-	js.job.Crash(err)
-	m.emitJobLost(js, sh.dev, why)
+	m.loseJob(js, sh.dev, err, why)
 	m.releaseShard(sh)
+	m.pump(js)
 }
 
 // finishShard retires one shard; the last one home completes the step.
@@ -299,10 +301,14 @@ func (m *Manager) finishShard(js *jobState, sh *shardState) {
 	m.pump(js)
 }
 
-// commitStep completes the open step.
+// commitStep completes the open step; a shared-group member's commit
+// passes the group's turn on.
 func (m *Manager) commitStep(js *jobState) {
 	js.job.FinishCompute()
 	js.stepOpen = false
+	if js.group != nil {
+		js.group.advance()
+	}
 }
 
 func (m *Manager) releaseShard(sh *shardState) {

@@ -72,7 +72,7 @@ func (s *SwitchFlowScheduler) AddSharedGroup(specs []JobSpec) (*SharedGroup, err
 		}
 		cfgs[i] = cfg
 	}
-	group, inners, err := s.m.AddSharedGroup(cfgs)
+	_, inners, err := s.m.AddSharedGroup(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func (s *SwitchFlowScheduler) AddSharedGroup(specs []JobSpec) (*SharedGroup, err
 	for i, inner := range inners {
 		jobs[i] = &Job{inner: inner}
 	}
-	return &SharedGroup{group: group, jobs: jobs}, nil
+	return &SharedGroup{sched: s, jobs: jobs}, nil
 }
 
 // Preemptions returns the number of preemption events so far.
@@ -159,16 +159,22 @@ func (s *SwitchFlowScheduler) JobDeviceName(j *Job) string {
 }
 
 // SharedGroup is a set of jobs sharing the data preprocessing stage.
+// Each member is an ordinary job: StopJob stops one member, and the
+// others keep their turns.
 type SharedGroup struct {
-	group *core.Group
+	sched *SwitchFlowScheduler
 	jobs  []*Job
 }
 
 // Jobs returns the member handles.
 func (g *SharedGroup) Jobs() []*Job { return g.jobs }
 
-// Stop halts the group.
-func (g *SharedGroup) Stop() { g.group.Stop() }
+// Stop halts the group: StopJob on every member.
+func (g *SharedGroup) Stop() {
+	for _, j := range g.jobs {
+		g.sched.StopJob(j)
+	}
+}
 
 // specConfig validates a spec against this simulation's machine and
 // lowers it to a workload config.
