@@ -325,3 +325,21 @@ func TestPoissonArrivalsVaryWithSeed(t *testing.T) {
 		t.Fatal("different seeds produced identical arrival processes")
 	}
 }
+
+// TestPoissonArrivalsSaturateLongGaps: a mean gap of 9e12 ms (about 285
+// years) makes most exponential draws overflow a Duration. The gap must
+// saturate at the end of virtual time, not wrap to a negative delay that
+// the engine clamps to "now", so no request arrives in the first 2 s.
+func TestPoissonArrivalsSaturateLongGaps(t *testing.T) {
+	eng, job := testJob(t, Config{
+		Name: "s", Kind: KindServing, Batch: 1,
+		ArrivalEvery:    9e12 * time.Millisecond,
+		PoissonArrivals: true, ArrivalSeed: 3,
+	})
+	arrivals := 0
+	job.StartArrivals(func() { arrivals++ })
+	eng.RunUntil(2 * time.Second)
+	if arrivals != 0 {
+		t.Fatalf("arrivals = %d in 2 s at a 285-year mean gap, want 0", arrivals)
+	}
+}
