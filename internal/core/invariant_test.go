@@ -49,31 +49,6 @@ func TestInvariant1NoGPUCoRun(t *testing.T) {
 	}
 }
 
-// TestInvariant1ViolatedWhenDisabled checks that the ablation really does
-// let GPU executors co-run — the overlap instrument is not vacuous.
-func TestInvariant1ViolatedWhenDisabled(t *testing.T) {
-	eng, machine, m := newHarness(t, Options{DisableGPUExclusive: true}, device.ClassV100)
-	rec := obs.NewRecorder(0)
-	machine.Bus().Subscribe(rec, obs.KindKernelSpan)
-	if _, err := m.AddJob(trainCfg(t, "t1", "MobileNetV2", 16, 1, device.GPUID(0))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddJob(trainCfg(t, "t2", "MobileNetV2", 16, 1, device.GPUID(0))); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(5 * time.Second)
-	spans := trace.Spans(rec.Events())
-	ctxs := trace.Contexts(spans)
-	if len(ctxs) != 2 {
-		t.Fatalf("contexts = %v", ctxs)
-	}
-	// Light kernels from two streams admit together once exclusivity is
-	// off; some overlap must appear.
-	if overlap := trace.OverlapTime(spans, ctxs[0], ctxs[1]) + trace.OverlapTime(spans, ctxs[1], ctxs[0]); overlap == 0 {
-		t.Error("no overlap even with exclusivity disabled")
-	}
-}
-
 // scenarioOutcome captures everything observable about a run.
 type scenarioOutcome struct {
 	trainIters  int

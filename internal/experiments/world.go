@@ -8,6 +8,7 @@ import (
 	"switchflow/internal/cluster"
 	"switchflow/internal/core"
 	"switchflow/internal/device"
+	"switchflow/internal/fault"
 	"switchflow/internal/obs"
 	"switchflow/internal/sim"
 	"switchflow/internal/workload"
@@ -29,12 +30,13 @@ type scheduler struct {
 }
 
 // world is one single-machine simulation: its engine, its machine, and
-// the AddJob of the one scheduler it runs. sf is that scheduler under
-// SwitchFlow and nil under a baseline policy.
+// the AddJob and fault handler of the one scheduler it runs. sf is that
+// scheduler under SwitchFlow and nil under a baseline policy.
 type world struct {
 	eng     *sim.Engine
 	machine *device.Machine
 	add     func(workload.Config) (*workload.Job, error)
+	faults  fault.Handler
 	sf      *core.Manager
 }
 
@@ -48,9 +50,10 @@ func newWorld(s scheduler, cpu device.CPUClass, gpus ...device.GPUClass) *world 
 	}
 	if s.switchFlow {
 		w.sf = core.NewManager(eng, w.machine, s.opts)
-		w.add = w.sf.AddJob
+		w.add, w.faults = w.sf.AddJob, w.sf
 	} else {
-		w.add = baseline.New(eng, w.machine, s.policy).AddJob
+		b := baseline.New(eng, w.machine, s.policy)
+		w.add, w.faults = b.AddJob, b
 	}
 	return w
 }
