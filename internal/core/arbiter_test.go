@@ -32,7 +32,7 @@ func arbiterHarness(t *testing.T, prios ...int) (*Manager, []*jobState) {
 func TestArbiterGrantsImmediatelyWhenFree(t *testing.T) {
 	m, js := arbiterHarness(t, 1)
 	granted := false
-	m.acquire(0, js[0], func() { granted = true })
+	m.acquire(js[0], js[0].shards[0], func() { granted = true })
 	if !granted {
 		t.Fatal("free GPU not granted inline")
 	}
@@ -41,9 +41,9 @@ func TestArbiterGrantsImmediatelyWhenFree(t *testing.T) {
 func TestArbiterFIFOWithinPriorityClass(t *testing.T) {
 	m, js := arbiterHarness(t, 1, 1, 1)
 	var order []int
-	m.acquire(0, js[0], func() {})
-	m.acquire(0, js[1], func() { order = append(order, 1) })
-	m.acquire(0, js[2], func() { order = append(order, 2) })
+	m.acquire(js[0], js[0].shards[0], func() {})
+	m.acquire(js[1], js[1].shards[0], func() { order = append(order, 1) })
+	m.acquire(js[2], js[2].shards[0], func() { order = append(order, 2) })
 	m.release(0)
 	m.release(0)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
@@ -53,10 +53,10 @@ func TestArbiterFIFOWithinPriorityClass(t *testing.T) {
 
 func TestArbiterPriorityJumpsQueue(t *testing.T) {
 	m, js := arbiterHarness(t, 1, 1, 2)
-	m.acquire(0, js[0], func() {})
+	m.acquire(js[0], js[0].shards[0], func() {})
 	var order []string
-	m.acquire(0, js[1], func() { order = append(order, "low") })
-	m.acquire(0, js[2], func() { order = append(order, "high") })
+	m.acquire(js[1], js[1].shards[0], func() { order = append(order, "low") })
+	m.acquire(js[2], js[2].shards[0], func() { order = append(order, "high") })
 	// The owner has no compute run, so preemption completes via the
 	// deferred finish; run the engine to let it fire.
 	m.eng.RunUntil(time.Second)
@@ -71,9 +71,9 @@ func TestArbiterPriorityJumpsQueue(t *testing.T) {
 
 func TestArbiterPreemptsOnlyLowerPriority(t *testing.T) {
 	m, js := arbiterHarness(t, 2, 2)
-	m.acquire(0, js[0], func() {})
+	m.acquire(js[0], js[0].shards[0], func() {})
 	granted := false
-	m.acquire(0, js[1], func() { granted = true })
+	m.acquire(js[1], js[1].shards[0], func() { granted = true })
 	m.eng.RunUntil(time.Second)
 	if m.Preemptions != 0 {
 		t.Fatalf("equal-priority acquire caused %d preemptions", m.Preemptions)

@@ -18,18 +18,23 @@ type arbiter struct {
 
 type grantReq struct {
 	js      *jobState
+	sh      *shardState
 	onGrant func()
 }
 
-// acquire requests exclusive use of GPU gpu for js. onGrant fires when the
-// device is granted. A higher-priority request preempts the current owner
-// (§3.3); equal or lower priority waits FIFO within its priority class.
-func (m *Manager) acquire(gpu int, js *jobState, onGrant func()) {
-	arb := m.arbs[gpu]
+// acquire requests exclusive use of sh's GPU for js, unless sh already
+// waits for it. The grant marks sh holding, then fires onGrant. A
+// higher-priority request preempts the current owner (§3.3); equal or
+// lower priority waits FIFO within its priority class.
+func (m *Manager) acquire(js *jobState, sh *shardState, onGrant func()) {
+	if sh.waiting {
+		return
+	}
+	sh.waiting = true
+	js.acquiredAt = m.eng.Now()
+	req, arb := grantReq{js: js, sh: sh, onGrant: onGrant}, m.arbs[sh.dev.Index]
 	if arb.owner == nil {
-		arb.owner = js
-		m.recordGrant(js)
-		onGrant()
+		m.grant(arb, req)
 		return
 	}
 	// The newest request goes after the last one of its priority or
@@ -39,9 +44,9 @@ func (m *Manager) acquire(gpu int, js *jobState, onGrant func()) {
 	for i > 0 && arb.queue[i-1].js.job.Cfg.Priority < prio {
 		i--
 	}
-	arb.queue = slices.Insert(arb.queue, i, grantReq{js: js, onGrant: onGrant})
+	arb.queue = slices.Insert(arb.queue, i, req)
 	if prio > arb.owner.job.Cfg.Priority {
-		m.preempt(gpu, arb.owner)
+		m.preempt(sh.dev.Index, arb.owner)
 	}
 }
 
@@ -61,13 +66,16 @@ func (m *Manager) grantNext(gpu int) {
 	left := copy(arb.queue, arb.queue[1:])
 	arb.queue[left] = grantReq{}
 	arb.queue = arb.queue[:left]
-	arb.owner = req.js
-	m.recordGrant(req.js)
-	req.onGrant()
+	m.grant(arb, req)
 }
 
-func (m *Manager) recordGrant(js *jobState) {
-	m.PreemptionLatencies.Add(m.eng.Now() - js.acquiredAt)
+// grant hands the GPU to req's job, records the grant latency and marks
+// the shard holding before onGrant fires.
+func (m *Manager) grant(arb *arbiter, req grantReq) {
+	arb.owner = req.js
+	m.PreemptionLatencies.Add(m.eng.Now() - req.js.acquiredAt)
+	req.sh.waiting, req.sh.holding = false, true
+	req.onGrant()
 }
 
 // emitPreempt publishes a preemption decision: the victim, the device it
