@@ -190,3 +190,22 @@ func TestExponentialBackoffUnderRepeatedTransients(t *testing.T) {
 		t.Fatal("job made no progress across four restarts")
 	}
 }
+
+// TestLostJobFreesItsWeights: DenseNet121 training at batch 64 does not
+// fit a GTX 1080 Ti beside its weights, so the job is lost at its first
+// step. Like an exiting process, it must give its weights back: a job
+// admitted after it would otherwise run out of memory on a leak.
+func TestLostJobFreesItsWeights(t *testing.T) {
+	eng, machine, m := newHarness(t, Options{}, device.ClassGTX1080Ti)
+	job, err := m.AddJob(trainCfg(t, "big", "DenseNet121", 64, 1, device.GPUID(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(2 * time.Second)
+	if !job.Crashed() {
+		t.Fatal("DenseNet121 at batch 64 fit a GTX 1080 Ti")
+	}
+	if used := machine.GPU(0).Mem.Used(); used != 0 || job.WeightsOn(device.GPUID(0)) {
+		t.Fatalf("lost job left %d B on gpu:0 (weights tracked: %v)", used, job.WeightsOn(device.GPUID(0)))
+	}
+}
