@@ -7,6 +7,14 @@
 // SwitchFlow, so differences in outcomes come from scheduling policy
 // alone.
 //
+// Threaded TF is SwitchFlow with invariant 1 off, stream for stream, so
+// core has no such option. Time slicing is invariant 2 off; it stays
+// beside core's coupled path, which preempts, because it loses jobs on
+// faults. internal/experiments' FuzzTimeSliceMatchesCoupledCore holds the
+// two to one bus stream for jobs of one priority, and its exception table
+// pins where they part: unequal priorities, higher-priority open-loop
+// serving and fault plans.
+//
 // All three follow TF's process model: jobs share one runtime, and
 // nothing migrates or restarts. A lost device kills every process on it,
 // and a transient kernel/ECC error kills the process whose kernel or
