@@ -86,3 +86,35 @@ func TestArbiterPreemptsOnlyLowerPriority(t *testing.T) {
 		t.Fatal("waiter not granted after release")
 	}
 }
+
+// TestGrantLatencyIsPerRequest: a sibling shard's later request must not
+// shorten the recorded wait of a shard that queued first. An elastic job's
+// gpu:0 shard queues at 0 s, its gpu:1 shard at 1 s, and gpu:0 frees at
+// 2 s, so the grant waited 2 s.
+func TestGrantLatencyIsPerRequest(t *testing.T) {
+	_, _, m := newHarness(t, Options{}, device.ClassV100, device.ClassV100)
+	state := func(cfg workload.Config, id int) *jobState {
+		job, err := workload.NewJob(m.eng, m.machine, id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newJobState(m, job)
+	}
+	owner0 := state(trainCfg(t, "owner0", "MobileNetV2", 1, 1, device.GPUID(0)), 1)
+	owner1 := state(trainCfg(t, "owner1", "MobileNetV2", 1, 1, device.GPUID(1)), 2)
+	elastic := state(elasticCfg(t, "elastic", "MobileNetV2", 2, 1, device.GPUID(0), device.GPUID(1)), 3)
+	m.acquire(owner0, owner0.shards[0], func() {})
+	m.acquire(owner1, owner1.shards[0], func() {})
+	m.acquire(elastic, elastic.shards[0], func() {})
+	m.eng.RunUntil(time.Second)
+	m.acquire(elastic, elastic.shards[1], func() {})
+	m.eng.RunUntil(2 * time.Second)
+	before := m.PreemptionLatencies.Count()
+	m.release(0)
+	if m.PreemptionLatencies.Count() != before+1 {
+		t.Fatalf("release recorded %d grants, want 1", m.PreemptionLatencies.Count()-before)
+	}
+	if got := m.PreemptionLatencies.Max(); got != 2*time.Second {
+		t.Errorf("recorded wait %v, want 2s", got)
+	}
+}

@@ -87,7 +87,6 @@ type jobState struct {
 	// drains after a preemption (step.go).
 	preempting bool
 	stopped    bool
-	acquiredAt time.Duration
 
 	// Checkpoint-preemption state (Options.CheckpointPreemption).
 	checkpointRequested bool

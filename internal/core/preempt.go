@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"time"
 
 	"switchflow/internal/device"
 	"switchflow/internal/obs"
@@ -16,10 +17,12 @@ type arbiter struct {
 	queue []grantReq
 }
 
+// grantReq is one shard's request for its GPU, made at at.
 type grantReq struct {
 	js      *jobState
 	sh      *shardState
 	onGrant func()
+	at      time.Duration
 }
 
 // acquire requests exclusive use of sh's GPU for js, unless sh already
@@ -31,8 +34,7 @@ func (m *Manager) acquire(js *jobState, sh *shardState, onGrant func()) {
 		return
 	}
 	sh.waiting = true
-	js.acquiredAt = m.eng.Now()
-	req, arb := grantReq{js: js, sh: sh, onGrant: onGrant}, m.arbs[sh.dev.Index]
+	req, arb := grantReq{js: js, sh: sh, onGrant: onGrant, at: m.eng.Now()}, m.arbs[sh.dev.Index]
 	if arb.owner == nil {
 		m.grant(arb, req)
 		return
@@ -73,7 +75,7 @@ func (m *Manager) grantNext(gpu int) {
 // the shard holding before onGrant fires.
 func (m *Manager) grant(arb *arbiter, req grantReq) {
 	arb.owner = req.js
-	m.PreemptionLatencies.Add(m.eng.Now() - req.js.acquiredAt)
+	m.PreemptionLatencies.Add(m.eng.Now() - req.at)
 	req.sh.waiting, req.sh.holding = false, true
 	req.onGrant()
 }
