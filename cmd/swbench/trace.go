@@ -5,9 +5,9 @@ import (
 	"os"
 	"time"
 
-	"switchflow/internal/control"
 	"switchflow/internal/harness"
 	"switchflow/internal/obs"
+	"switchflow/internal/scenario"
 	"switchflow/internal/trace"
 )
 
@@ -28,19 +28,19 @@ type traceCell struct {
 // training jobs co-running on GPU 0 of the V100 server, once under
 // multi-threaded TF and once under SwitchFlow with a priority ladder (job
 // 1 outranks job 0, so every iteration of the high-priority job preempts
-// the other). Each cell is a control.Scenario recorded through
-// RunScenario's bus hook, as swtrace records its runs. The cells run
+// the other). Each cell is a scenario.Scenario recorded through
+// scenario.Run's bus hook, as swtrace records its runs. The cells run
 // through the parallel harness; each owns its engine and bus, so the
 // recorded streams are identical in serial and parallel runs.
 func chromeTrace(window time.Duration) []traceCell {
 	return harness.Map([]string{"threaded", "switchflow"}, func(sched string) traceCell {
-		sc := control.Scenario{Machine: "V100", Scheduler: sched, DurationMillis: control.Millis(window),
-			Jobs: []control.JobRequest{
+		sc := scenario.Scenario{Machine: "V100", Scheduler: sched, DurationMillis: scenario.Millis(window),
+			Jobs: []scenario.JobRequest{
 				{Name: "resnet50-a", Model: "ResNet50", Batch: 16, Train: true, Priority: 0},
 				{Name: "resnet50-b", Model: "ResNet50", Batch: 16, Train: true, Priority: 1},
 			}}
 		rec := obs.NewRecorder(0)
-		if _, err := control.RunScenario(sc, func(bus *obs.Bus) { bus.Subscribe(rec, trace.Kinds...) }); err != nil {
+		if _, err := scenario.Run(sc, func(bus *obs.Bus) { bus.Subscribe(rec, trace.Kinds...) }); err != nil {
 			panic(err)
 		}
 		cell := traceCell{Sched: sched, Events: rec.Events()}

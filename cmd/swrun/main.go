@@ -1,8 +1,8 @@
 // Command swrun runs one collocation scenario and reports per-job
-// outcomes. A scenario is a control.Scenario: either read from a JSON file
+// outcomes. A scenario is a scenario.Scenario: either read from a JSON file
 // with -scenario (the results print as JSON), or described by the flags
 // below, which are shorthand for one. swrun lowers the flags into a
-// Scenario, runs it with control.RunScenario, and prints a text report;
+// Scenario, runs it with scenario.Run, and prints a text report;
 // it holds no simulation code of its own. Lowering writes swrun's own
 // policies out as job fields (see place and serve).
 //
@@ -60,7 +60,7 @@ import (
 	"time"
 
 	"switchflow"
-	"switchflow/internal/control"
+	"switchflow/internal/scenario"
 )
 
 func main() {
@@ -80,7 +80,7 @@ type options struct {
 	faultSeed, arrivalSeed                                                     int64
 	maxBatch, gang                                                             int
 	poisson                                                                    bool
-	traffic                                                                    control.TrafficRequest
+	traffic                                                                    scenario.TrafficRequest
 }
 
 func registerFlags(fs *flag.FlagSet) *options {
@@ -118,7 +118,7 @@ func (o *options) run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := control.RunScenario(sc, nil)
+	res, err := scenario.Run(sc, nil)
 	if err != nil {
 		return err
 	}
@@ -131,51 +131,51 @@ func (o *options) run(w io.Writer) error {
 	return enc.Encode(res)
 }
 
-func (o *options) scenario() (control.Scenario, error) {
+func (o *options) scenario() (scenario.Scenario, error) {
 	if o.file == "" {
 		return o.lower()
 	}
 	f, err := os.Open(o.file)
 	if err != nil {
-		return control.Scenario{}, err
+		return scenario.Scenario{}, err
 	}
 	defer f.Close()
-	return control.ParseScenario(f)
+	return scenario.Parse(f)
 }
 
 // lower turns the flags into the Scenario they are shorthand for.
-func (o *options) lower() (control.Scenario, error) {
+func (o *options) lower() (scenario.Scenario, error) {
 	traffic := o.traffic.RPS > 0
 	if traffic && o.serveEvery > 0 {
-		return control.Scenario{}, fmt.Errorf("-traffic and -serve-every are mutually exclusive")
+		return scenario.Scenario{}, fmt.Errorf("-traffic and -serve-every are mutually exclusive")
 	}
-	gpus, err := control.GPUCount(o.machine)
+	gpus, err := scenario.GPUCount(o.machine)
 	if err != nil {
-		return control.Scenario{}, err
+		return scenario.Scenario{}, err
 	}
-	sc := control.Scenario{Machine: o.machine, Scheduler: o.sched, DurationMillis: control.Millis(o.window)}
+	sc := scenario.Scenario{Machine: o.machine, Scheduler: o.sched, DurationMillis: scenario.Millis(o.window)}
 	if sc.Faults, err = o.faults(); err != nil {
-		return control.Scenario{}, err
+		return scenario.Scenario{}, err
 	}
 	vnodes, err := parseVNodes(o.vnodes)
 	if err != nil {
-		return control.Scenario{}, err
+		return scenario.Scenario{}, err
 	}
 	for _, one := range strings.Split(o.jobs, ",") {
 		req, err := parseJob(strings.TrimSpace(one))
 		if err != nil {
-			return control.Scenario{}, err
+			return scenario.Scenario{}, err
 		}
 		o.serve(&req, traffic)
 		o.place(&req, vnodes, gpus, sc.Faults != nil)
 		sc.Jobs = append(sc.Jobs, req)
 	}
 	if sc.Ops, err = o.ops(); err != nil {
-		return control.Scenario{}, err
+		return scenario.Scenario{}, err
 	}
 	if traffic {
 		if err := o.shapeTraffic(); err != nil {
-			return control.Scenario{}, err
+			return scenario.Scenario{}, err
 		}
 		sc.Traffic = &o.traffic
 	}
@@ -185,13 +185,13 @@ func (o *options) lower() (control.Scenario, error) {
 // serve applies the serving flags to a serve job; train and infer jobs
 // pass through. -serve-every makes the job open-loop; under -traffic the
 // trace owns the clock, but the job keeps the batching policy.
-func (o *options) serve(req *control.JobRequest, traffic bool) {
+func (o *options) serve(req *scenario.JobRequest, traffic bool) {
 	if req.Train || req.Saturated {
 		return
 	}
 	if o.serveEvery > 0 {
 		req.ClosedLoop = false
-		req.ServeEveryMS = control.Millis(o.serveEvery)
+		req.ServeEveryMS = scenario.Millis(o.serveEvery)
 		req.PoissonArrivals = o.poisson
 		if o.poisson {
 			req.ArrivalSeed = o.arrivalSeed
@@ -199,9 +199,9 @@ func (o *options) serve(req *control.JobRequest, traffic bool) {
 	}
 	if o.serveEvery > 0 || traffic {
 		req.MaxBatch = o.maxBatch
-		req.BatchWaitMillis = control.Millis(o.batchWait)
+		req.BatchWaitMillis = scenario.Millis(o.batchWait)
 	}
-	req.SLOMillis = control.Millis(o.slo)
+	req.SLOMillis = scenario.Millis(o.slo)
 }
 
 // place applies the placement flags. -vnodes replaces a training job's
@@ -210,7 +210,7 @@ func (o *options) serve(req *control.JobRequest, traffic bool) {
 // fall back to every other GPU in index order, then the CPU; under fault
 // injection serve jobs get the same GPU fallbacks, so SwitchFlow can
 // migrate them off a lost device.
-func (o *options) place(req *control.JobRequest, vnodes []int, gpus int, faults bool) {
+func (o *options) place(req *scenario.JobRequest, vnodes []int, gpus int, faults bool) {
 	switch {
 	case req.Train && len(vnodes) > 0:
 		req.GPU, req.VNodes, req.FallbackCPU = vnodes[0], vnodes, false
@@ -229,33 +229,33 @@ func (o *options) place(req *control.JobRequest, vnodes []int, gpus int, faults 
 // faults lowers -fault-seed, -lose-gpu and -checkpoint-every into the
 // faults block; nil when no fault was asked for, and then
 // -checkpoint-every has nothing to act on.
-func (o *options) faults() (*control.FaultsRequest, error) {
+func (o *options) faults() (*scenario.FaultsRequest, error) {
 	if o.faultSeed == 0 && o.loseGPU == "" {
 		return nil, nil
 	}
-	f := &control.FaultsRequest{Seed: o.faultSeed, CheckpointEveryMillis: control.Millis(max(o.ckptEvery, 0))}
+	f := &scenario.FaultsRequest{Seed: o.faultSeed, CheckpointEveryMillis: scenario.Millis(max(o.ckptEvery, 0))}
 	if o.loseGPU != "" {
 		gpuStr, at, ok := parseAt(o.loseGPU)
 		gpu, err := strconv.Atoi(gpuStr)
 		if !ok || err != nil {
 			return nil, fmt.Errorf("-lose-gpu %q: want gpu@time, e.g. 0@10s", o.loseGPU)
 		}
-		f.LoseGPUs = []control.LoseGPURequest{{GPU: gpu, AtMillis: control.Millis(at)}}
+		f.LoseGPUs = []scenario.LoseGPURequest{{GPU: gpu, AtMillis: scenario.Millis(at)}}
 	}
 	return f, nil
 }
 
 // ops lowers -drain ("gpu@time,...") and -resize ("job=vnodes@time,...")
 // into timed ops, drains first.
-func (o *options) ops() ([]control.OpRequest, error) {
-	var ops []control.OpRequest
+func (o *options) ops() ([]scenario.OpRequest, error) {
+	var ops []scenario.OpRequest
 	for _, one := range list(o.drain) {
 		gpuStr, at, ok := parseAt(strings.TrimSpace(one))
 		gpu, err := strconv.Atoi(gpuStr)
 		if !ok || err != nil {
 			return nil, fmt.Errorf("-drain %q: want gpu@time, e.g. 0@20s", one)
 		}
-		ops = append(ops, control.OpRequest{AtMillis: control.Millis(at), Op: "drain", GPU: gpu})
+		ops = append(ops, scenario.OpRequest{AtMillis: scenario.Millis(at), Op: "drain", GPU: gpu})
 	}
 	for _, one := range list(o.resize) {
 		what, at, ok := parseAt(strings.TrimSpace(one))
@@ -264,7 +264,7 @@ func (o *options) ops() ([]control.OpRequest, error) {
 		if !ok || err != nil {
 			return nil, fmt.Errorf("-resize %q: want job=vnodes@time, e.g. train-ResNet50=2@10s", one)
 		}
-		ops = append(ops, control.OpRequest{AtMillis: control.Millis(at), Op: "resize", Job: name, VNodes: n})
+		ops = append(ops, scenario.OpRequest{AtMillis: scenario.Millis(at), Op: "resize", Job: name, VNodes: n})
 	}
 	return ops, nil
 }
@@ -279,13 +279,13 @@ func (o *options) shapeTraffic() error {
 		if err != nil || minErr != nil {
 			return fmt.Errorf("-diurnal %q: want period/minFraction, e.g. 60s/0.35", o.diurnal)
 		}
-		t.DiurnalMillis, t.DiurnalMin = control.Millis(period), minFrac
+		t.DiurnalMillis, t.DiurnalMin = scenario.Millis(period), minFrac
 	}
 	for _, one := range strings.Split(o.spike, ",") {
 		if one = strings.TrimSpace(one); one == "" {
 			continue
 		}
-		var sp control.SpikeRequest
+		var sp scenario.SpikeRequest
 		ms := []*float64{&sp.StartMillis, &sp.RampMillis, &sp.HoldMillis, &sp.DecayMillis}
 		magStr, rest, _ := strings.Cut(one, "@")
 		parts := strings.Split(rest, "/")
@@ -298,7 +298,7 @@ func (o *options) shapeTraffic() error {
 			if err != nil {
 				return fmt.Errorf("-spike %q: bad duration %q: %v", one, p, err)
 			}
-			*ms[i] = control.Millis(d)
+			*ms[i] = scenario.Millis(d)
 		}
 		t.Spikes = append(t.Spikes, sp)
 	}
@@ -335,8 +335,8 @@ func parseVNodes(s string) ([]int, error) {
 
 // parseJob parses kind:model:batch[:prio][@gpu]. Train jobs may fall back
 // to the CPU; serve jobs are closed loop and infer jobs saturated.
-func parseJob(s string) (control.JobRequest, error) {
-	var req control.JobRequest
+func parseJob(s string) (scenario.JobRequest, error) {
+	var req scenario.JobRequest
 	var err error
 	spec, gpu, hasGPU := strings.Cut(s, "@")
 	if hasGPU {
@@ -373,7 +373,7 @@ func parseJob(s string) (control.JobRequest, error) {
 // report prints the text report of a flag-described run. sc is the
 // lowered scenario: its jobs line up with res.Jobs, and its traffic block
 // carries the flag values the traffic line echoes.
-func report(w io.Writer, sc control.Scenario, res control.ScenarioResult) {
+func report(w io.Writer, sc scenario.Scenario, res scenario.Result) {
 	fmt.Fprintf(w, "machine=%s scheduler=%s window=%s\n", res.Machine, res.Scheduler, res.Window)
 	if t := sc.Traffic; t != nil {
 		fmt.Fprintf(w, "  traffic: rps=%g clients=%d offered=%d admitted=%d shed-at-admission=%d\n",

@@ -9,11 +9,11 @@ import (
 	"strings"
 	"testing"
 
-	"switchflow/internal/control"
+	"switchflow/internal/scenario"
 )
 
 // lowerArgs parses swrun's command line and lowers it into a Scenario.
-func lowerArgs(t *testing.T, args ...string) (control.Scenario, error) {
+func lowerArgs(t *testing.T, args ...string) (scenario.Scenario, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("swrun", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -76,61 +76,61 @@ func TestParseJobErrors(t *testing.T) {
 // placement, serving and traffic policies become explicit JobRequest
 // fields, and -drain/-resize/-lose-gpu become the ops and faults blocks.
 func TestLowerFlags(t *testing.T) {
-	trainer := control.JobRequest{Name: "train-ResNet50", Model: "ResNet50", Batch: 16, Train: true, Priority: 1}
-	server := control.JobRequest{Name: "serve-ResNet50", Model: "ResNet50", Batch: 1, Priority: 2, ClosedLoop: true}
-	with := func(req control.JobRequest, edit func(*control.JobRequest)) control.JobRequest {
+	trainer := scenario.JobRequest{Name: "train-ResNet50", Model: "ResNet50", Batch: 16, Train: true, Priority: 1}
+	server := scenario.JobRequest{Name: "serve-ResNet50", Model: "ResNet50", Batch: 1, Priority: 2, ClosedLoop: true}
+	with := func(req scenario.JobRequest, edit func(*scenario.JobRequest)) scenario.JobRequest {
 		edit(&req)
 		return req
 	}
 	tests := []struct {
 		name string
 		args []string
-		want control.Scenario
+		want scenario.Scenario
 	}{{
 		name: "training falls back to every other GPU, then the CPU",
 		args: []string{"-jobs", "train:ResNet50:16:1@1"},
-		want: control.Scenario{Machine: "v100", Scheduler: "switchflow", DurationMillis: 30000,
-			Jobs: []control.JobRequest{with(trainer, func(r *control.JobRequest) {
+		want: scenario.Scenario{Machine: "v100", Scheduler: "switchflow", DurationMillis: 30000,
+			Jobs: []scenario.JobRequest{with(trainer, func(r *scenario.JobRequest) {
 				r.GPU, r.FallbackGPUs, r.FallbackCPU = 1, []int{0, 2, 3}, true
 			})}},
 	}, {
 		name: "serving gets no fallbacks without faults",
 		args: []string{"-machine", "2gpu", "-jobs", "serve:ResNet50:1:2@1", "-for", "5s"},
-		want: control.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 5000,
-			Jobs: []control.JobRequest{with(server, func(r *control.JobRequest) { r.GPU = 1 })}},
+		want: scenario.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 5000,
+			Jobs: []scenario.JobRequest{with(server, func(r *scenario.JobRequest) { r.GPU = 1 })}},
 	}, {
 		name: "serving gets GPU fallbacks under faults",
 		args: []string{"-machine", "2gpu", "-jobs", "serve:ResNet50:1:2@1", "-for", "5s",
 			"-fault-seed", "7", "-lose-gpu", "1@2500us", "-checkpoint-every", "2s"},
-		want: control.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 5000,
-			Jobs: []control.JobRequest{with(server, func(r *control.JobRequest) { r.GPU, r.FallbackGPUs = 1, []int{0} })},
-			Faults: &control.FaultsRequest{Seed: 7, CheckpointEveryMillis: 2000,
-				LoseGPUs: []control.LoseGPURequest{{GPU: 1, AtMillis: 2.5}}}},
+		want: scenario.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 5000,
+			Jobs: []scenario.JobRequest{with(server, func(r *scenario.JobRequest) { r.GPU, r.FallbackGPUs = 1, []int{0} })},
+			Faults: &scenario.FaultsRequest{Seed: 7, CheckpointEveryMillis: 2000,
+				LoseGPUs: []scenario.LoseGPURequest{{GPU: 1, AtMillis: 2.5}}}},
 	}, {
 		name: "-checkpoint-every alone asks for no faults",
 		args: []string{"-machine", "tx2", "-jobs", "serve:ResNet50:1:2", "-checkpoint-every", "2s"},
-		want: control.Scenario{Machine: "tx2", Scheduler: "switchflow", DurationMillis: 30000,
-			Jobs: []control.JobRequest{server}},
+		want: scenario.Scenario{Machine: "tx2", Scheduler: "switchflow", DurationMillis: 30000,
+			Jobs: []scenario.JobRequest{server}},
 	}, {
 		name: "-vnodes replaces @gpu and the fallbacks",
 		args: []string{"-machine", "2gpu", "-jobs", "train:ResNet50:16:1@1,serve:ResNet50:1:2", "-vnodes", "0,1", "-gang", "2"},
-		want: control.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 30000,
-			Jobs: []control.JobRequest{
-				with(trainer, func(r *control.JobRequest) { r.VNodes, r.Gang = []int{0, 1}, true }),
+		want: scenario.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 30000,
+			Jobs: []scenario.JobRequest{
+				with(trainer, func(r *scenario.JobRequest) { r.VNodes, r.Gang = []int{0, 1}, true }),
 				server,
 			}},
 	}, {
 		name: "-gang N works without -vnodes",
 		args: []string{"-machine", "nvlink", "-jobs", "train:ResNet50:16:1@2", "-gang", "2"},
-		want: control.Scenario{Machine: "nvlink", Scheduler: "switchflow", DurationMillis: 30000,
-			Jobs: []control.JobRequest{with(trainer, func(r *control.JobRequest) { r.GPU, r.Gang, r.Replicas = 2, true, 2 })}},
+		want: scenario.Scenario{Machine: "nvlink", Scheduler: "switchflow", DurationMillis: 30000,
+			Jobs: []scenario.JobRequest{with(trainer, func(r *scenario.JobRequest) { r.GPU, r.Gang, r.Replicas = 2, true, 2 })}},
 	}, {
 		name: "-serve-every makes serve jobs open-loop, exactly",
 		args: []string{"-machine", "tx2", "-jobs", "serve:ResNet50:1:2,infer:MobileNetV2:8", "-serve-every", "2500us",
 			"-poisson", "-arrival-seed", "3", "-slo", "200ms", "-max-batch", "4", "-batch-wait", "1001us"},
-		want: control.Scenario{Machine: "tx2", Scheduler: "switchflow", DurationMillis: 30000,
-			Jobs: []control.JobRequest{
-				with(server, func(r *control.JobRequest) {
+		want: scenario.Scenario{Machine: "tx2", Scheduler: "switchflow", DurationMillis: 30000,
+			Jobs: []scenario.JobRequest{
+				with(server, func(r *scenario.JobRequest) {
 					r.ClosedLoop, r.ServeEveryMS, r.PoissonArrivals, r.ArrivalSeed = false, 2.5, true, 3
 					r.SLOMillis, r.MaxBatch, r.BatchWaitMillis = 200, 4, 1.001
 				}),
@@ -140,19 +140,19 @@ func TestLowerFlags(t *testing.T) {
 		name: "traffic tenants keep -max-batch and -batch-wait",
 		args: []string{"-machine", "tx2", "-jobs", "serve:ResNet50:1:2", "-traffic", "200", "-clients", "5000",
 			"-diurnal", "60s/0.35", "-spike", "6@20s/3s/8s/4s", "-slo", "200ms", "-max-batch", "4", "-batch-wait", "2ms"},
-		want: control.Scenario{Machine: "tx2", Scheduler: "switchflow", DurationMillis: 30000,
-			Jobs: []control.JobRequest{with(server, func(r *control.JobRequest) {
+		want: scenario.Scenario{Machine: "tx2", Scheduler: "switchflow", DurationMillis: 30000,
+			Jobs: []scenario.JobRequest{with(server, func(r *scenario.JobRequest) {
 				r.SLOMillis, r.MaxBatch, r.BatchWaitMillis = 200, 4, 2
 			})},
-			Traffic: &control.TrafficRequest{RPS: 200, Clients: 5000, Seed: 1, DiurnalMillis: 60000, DiurnalMin: 0.35,
-				Spikes: []control.SpikeRequest{{StartMillis: 20000, RampMillis: 3000, HoldMillis: 8000, DecayMillis: 4000, Magnitude: 6}}}},
+			Traffic: &scenario.TrafficRequest{RPS: 200, Clients: 5000, Seed: 1, DiurnalMillis: 60000, DiurnalMin: 0.35,
+				Spikes: []scenario.SpikeRequest{{StartMillis: 20000, RampMillis: 3000, HoldMillis: 8000, DecayMillis: 4000, Magnitude: 6}}}},
 	}, {
 		name: "-drain and -resize become ops, drains first",
 		args: []string{"-machine", "2gpu", "-jobs", "train:ResNet50:16:1", "-vnodes", "0",
 			"-resize", "train-ResNet50=2@10s", "-drain", "0@20s,1@5s"},
-		want: control.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 30000,
-			Jobs: []control.JobRequest{with(trainer, func(r *control.JobRequest) { r.VNodes = []int{0} })},
-			Ops: []control.OpRequest{
+		want: scenario.Scenario{Machine: "2gpu", Scheduler: "switchflow", DurationMillis: 30000,
+			Jobs: []scenario.JobRequest{with(trainer, func(r *scenario.JobRequest) { r.VNodes = []int{0} })},
+			Ops: []scenario.OpRequest{
 				{AtMillis: 20000, Op: "drain", GPU: 0},
 				{AtMillis: 5000, Op: "drain", GPU: 1},
 				{AtMillis: 10000, Op: "resize", Job: "train-ResNet50", VNodes: 2},
@@ -194,7 +194,7 @@ func TestLowerFlagsErrors(t *testing.T) {
 }
 
 // TestLoweredScenarioRoundTrips proves a lowered Scenario is fully
-// serializable: written to JSON and read back with ParseScenario, it is
+// serializable: written to JSON and read back with scenario.Parse, it is
 // the same value and runs to the same result. The flag sets are the
 // README's, plus sub-millisecond serving durations.
 func TestLoweredScenarioRoundTrips(t *testing.T) {
@@ -217,18 +217,18 @@ func TestLoweredScenarioRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parsed, err := control.ParseScenario(bytes.NewReader(raw))
+			parsed, err := scenario.Parse(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(parsed, sc) {
 				t.Fatalf("JSON round trip changed the scenario:\n%s", raw)
 			}
-			direct, err := control.RunScenario(sc, nil)
+			direct, err := scenario.Run(sc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaJSON, err := control.RunScenario(parsed, nil)
+			viaJSON, err := scenario.Run(parsed, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,11 +242,11 @@ func TestLoweredScenarioRoundTrips(t *testing.T) {
 func TestMachineSpecNames(t *testing.T) {
 	// The -machine flag's names, as documented in its usage.
 	for _, name := range []string{"v100", "nvlink", "2gpu", "tx2", "V100", "GTX 1080 Ti", ""} {
-		if _, err := control.MachineSpec(name); err != nil {
+		if _, err := scenario.MachineSpec(name); err != nil {
 			t.Errorf("MachineSpec(%q): %v", name, err)
 		}
 	}
-	if _, err := control.MachineSpec("abacus"); err == nil {
+	if _, err := scenario.MachineSpec("abacus"); err == nil {
 		t.Error("MachineSpec(abacus) accepted")
 	}
 }

@@ -1,7 +1,7 @@
 // Command swtrace emits a Figure 2 style kernel timeline: models
 // co-running on one GPU under a chosen scheduler, as ASCII art, JSON, an
 // nvprof-style profile, or a Chrome trace-event file for Perfetto. Its
-// flags lower into a control.Scenario; the run is recorded once, and every
+// flags lower into a scenario.Scenario; the run is recorded once, and every
 // format renders from that one event stream.
 //
 // Usage:
@@ -20,8 +20,8 @@ import (
 	"strings"
 	"time"
 
-	"switchflow/internal/control"
 	"switchflow/internal/obs"
+	"switchflow/internal/scenario"
 	"switchflow/internal/trace"
 )
 
@@ -48,12 +48,12 @@ func run(modelList, gpuName, sched, format, prios, outPath string, window time.D
 	if err := checkFlags(sched, format, window, width); err != nil {
 		return err
 	}
-	sc, err := scenario(modelList, gpuName, sched, prios, window, batch)
+	sc, err := lower(modelList, gpuName, sched, prios, window, batch)
 	if err != nil {
 		return err
 	}
 	rec := obs.NewRecorder(0)
-	if _, err := control.RunScenario(sc, func(bus *obs.Bus) { bus.Subscribe(rec, trace.Kinds...) }); err != nil {
+	if _, err := scenario.Run(sc, func(bus *obs.Bus) { bus.Subscribe(rec, trace.Kinds...) }); err != nil {
 		return err
 	}
 	events := rec.Events()
@@ -85,18 +85,18 @@ func run(modelList, gpuName, sched, format, prios, outPath string, window time.D
 	}
 }
 
-// scenario lowers the flags into a scenario: one training job per model,
+// lower turns the flags into a scenario: one training job per model,
 // named <Model>-<i>, on GPU 0 of the -gpu machine.
-func scenario(modelList, gpuName, sched, prios string, window time.Duration, batch int) (control.Scenario, error) {
+func lower(modelList, gpuName, sched, prios string, window time.Duration, batch int) (scenario.Scenario, error) {
 	names := strings.Split(modelList, ",")
 	priorities, err := parsePriorities(prios, len(names))
 	if err != nil {
-		return control.Scenario{}, err
+		return scenario.Scenario{}, err
 	}
-	sc := control.Scenario{Machine: gpuName, Scheduler: sched, DurationMillis: control.Millis(window)}
+	sc := scenario.Scenario{Machine: gpuName, Scheduler: sched, DurationMillis: scenario.Millis(window)}
 	for i, name := range names {
 		model := strings.TrimSpace(name)
-		sc.Jobs = append(sc.Jobs, control.JobRequest{
+		sc.Jobs = append(sc.Jobs, scenario.JobRequest{
 			Name:     fmt.Sprintf("%s-%d", model, i),
 			Model:    model,
 			Batch:    batch,

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"switchflow/internal/scenario"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -50,8 +52,8 @@ func doJSON(t *testing.T, method, url string, body, out any) int {
 func TestSubmitAdvanceAndQuery(t *testing.T) {
 	ts := newTestServer(t)
 
-	var created JobInfo
-	code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var created scenario.JobInfo
+	code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1,
 	}, &created)
 	if code != http.StatusCreated {
@@ -69,7 +71,7 @@ func TestSubmitAdvanceAndQuery(t *testing.T) {
 		t.Fatalf("NowMillis = %v, want 5000", adv.NowMillis)
 	}
 
-	var info JobInfo
+	var info scenario.JobInfo
 	if code := doJSON(t, "GET", fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID), nil, &info); code != 200 {
 		t.Fatalf("get status = %d", code)
 	}
@@ -91,12 +93,12 @@ func TestSubmitAdvanceAndQuery(t *testing.T) {
 
 func TestPreemptionVisibleOverHTTP(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "train", Model: "VGG16", Batch: 32, Train: true, Priority: 1,
 	}, nil)
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 2000}, nil)
-	var serve JobInfo
-	doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var serve scenario.JobInfo
+	doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2, ClosedLoop: true,
 	}, &serve)
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 10000}, nil)
@@ -106,7 +108,7 @@ func TestPreemptionVisibleOverHTTP(t *testing.T) {
 	if status.Preemptions == 0 {
 		t.Fatal("no preemptions visible")
 	}
-	var info JobInfo
+	var info scenario.JobInfo
 	doJSON(t, "GET", fmt.Sprintf("%s/v1/jobs/%d", ts.URL, serve.ID), nil, &info)
 	if info.Requests == 0 || info.P95Millis == 0 {
 		t.Fatalf("serving stats empty: %+v", info)
@@ -118,18 +120,18 @@ func TestPreemptionVisibleOverHTTP(t *testing.T) {
 
 func TestStopJob(t *testing.T) {
 	ts := newTestServer(t)
-	var created JobInfo
-	doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var created scenario.JobInfo
+	doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "train", Model: "MobileNetV2", Batch: 16, Train: true,
 	}, &created)
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 2000}, nil)
 	if code := doJSON(t, "DELETE", fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID), nil, nil); code != 200 {
 		t.Fatalf("stop status = %d", code)
 	}
-	var before JobInfo
+	var before scenario.JobInfo
 	doJSON(t, "GET", fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID), nil, &before)
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 5000}, nil)
-	var after JobInfo
+	var after scenario.JobInfo
 	doJSON(t, "GET", fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID), nil, &after)
 	if after.Iterations > before.Iterations+2 {
 		t.Fatalf("stopped job advanced %d -> %d", before.Iterations, after.Iterations)
@@ -138,11 +140,11 @@ func TestStopJob(t *testing.T) {
 
 func TestGroupSubmission(t *testing.T) {
 	ts := newTestServer(t)
-	reqs := []JobRequest{
+	reqs := []scenario.JobRequest{
 		{Name: "m0", Model: "ResNet50", Batch: 32, Saturated: true},
 		{Name: "m1", Model: "ResNet50", Batch: 32, Saturated: true},
 	}
-	var infos []JobInfo
+	var infos []scenario.JobInfo
 	if code := doJSON(t, "POST", ts.URL+"/v1/groups", reqs, &infos); code != http.StatusCreated {
 		t.Fatalf("group status = %d", code)
 	}
@@ -150,7 +152,7 @@ func TestGroupSubmission(t *testing.T) {
 		t.Fatalf("group created %d jobs", len(infos))
 	}
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 10000}, nil)
-	var listed []JobInfo
+	var listed []scenario.JobInfo
 	doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &listed)
 	if len(listed) != 2 || listed[0].Iterations == 0 {
 		t.Fatalf("group jobs: %+v", listed)
@@ -164,11 +166,11 @@ func TestGroupSubmission(t *testing.T) {
 // stops that member's iterations, and the other member keeps iterating.
 func TestStopGroupMember(t *testing.T) {
 	ts := newTestServer(t)
-	reqs := []JobRequest{
+	reqs := []scenario.JobRequest{
 		{Name: "m0", Model: "ResNet50", Batch: 32, Train: true},
 		{Name: "m1", Model: "ResNet50", Batch: 32, Train: true},
 	}
-	var infos []JobInfo
+	var infos []scenario.JobInfo
 	if code := doJSON(t, "POST", ts.URL+"/v1/groups", reqs, &infos); code != http.StatusCreated {
 		t.Fatalf("group status = %d", code)
 	}
@@ -177,12 +179,12 @@ func TestStopGroupMember(t *testing.T) {
 	if code := doJSON(t, "DELETE", url(0), nil, nil); code != http.StatusOK {
 		t.Fatalf("stop status = %d", code)
 	}
-	var before [2]JobInfo
+	var before [2]scenario.JobInfo
 	for i := range before {
 		doJSON(t, "GET", url(i), nil, &before[i])
 	}
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 5000}, nil)
-	var after [2]JobInfo
+	var after [2]scenario.JobInfo
 	for i := range after {
 		doJSON(t, "GET", url(i), nil, &after[i])
 	}
@@ -198,7 +200,7 @@ func TestErrorPaths(t *testing.T) {
 	ts := newTestServer(t)
 	var out map[string]string
 
-	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{Name: "x", Model: "NoNet", Batch: 8}, &out); code != http.StatusConflict {
+	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{Name: "x", Model: "NoNet", Batch: 8}, &out); code != http.StatusConflict {
 		t.Fatalf("unknown model status = %d", code)
 	}
 	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/99", nil, &out); code != http.StatusNotFound {
@@ -216,10 +218,10 @@ func TestErrorPaths(t *testing.T) {
 		body       any
 	}{
 		{"advance forMillis", "/v1/advance", AdvanceRequest{ForMillis: huge}},
-		{"job serveEveryMillis", "/v1/jobs", JobRequest{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: huge}},
-		{"job sloMillis", "/v1/jobs", JobRequest{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: 10, SLOMillis: huge}},
-		{"job batchWaitMillis", "/v1/jobs", JobRequest{Name: "s", Model: "ResNet50", Batch: 1, MaxBatch: 4, BatchWaitMillis: -huge}},
-		{"group sloMillis", "/v1/groups", []JobRequest{{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: 10, SLOMillis: huge}}},
+		{"job serveEveryMillis", "/v1/jobs", scenario.JobRequest{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: huge}},
+		{"job sloMillis", "/v1/jobs", scenario.JobRequest{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: 10, SLOMillis: huge}},
+		{"job batchWaitMillis", "/v1/jobs", scenario.JobRequest{Name: "s", Model: "ResNet50", Batch: 1, MaxBatch: 4, BatchWaitMillis: -huge}},
+		{"group sloMillis", "/v1/groups", []scenario.JobRequest{{Name: "s", Model: "ResNet50", Batch: 1, ServeEveryMS: 10, SLOMillis: huge}}},
 	} {
 		out = nil
 		if code := doJSON(t, "POST", ts.URL+tt.path, tt.body, &out); code != http.StatusBadRequest || !strings.Contains(out["error"], "out of range") {
@@ -242,7 +244,7 @@ func TestErrorPaths(t *testing.T) {
 	// 1<<40-entry replica set: running out of memory is fatal.
 	for _, batch := range []int{32, 1 << 40} {
 		out = nil
-		req := JobRequest{Name: "g", Model: "ResNet50", Batch: batch, Train: true, Gang: true, Replicas: 1 << 40}
+		req := scenario.JobRequest{Name: "g", Model: "ResNet50", Batch: batch, Train: true, Gang: true, Replicas: 1 << 40}
 		if code := doJSON(t, "POST", ts.URL+"/v1/jobs", req, &out); code != http.StatusConflict || !strings.Contains(out["error"], "invalid job spec") {
 			t.Errorf("gang of 1<<40 replicas at batch %d: status %d, error %q; want %d invalid job spec",
 				batch, code, out["error"], http.StatusConflict)
@@ -258,7 +260,7 @@ func TestErrorPaths(t *testing.T) {
 // placement, rejected at the door with the status every spec error uses.
 func TestBadFallbacksRejected(t *testing.T) {
 	ts := newTestServer(t)
-	for _, req := range []JobRequest{
+	for _, req := range []scenario.JobRequest{
 		{Name: "dup", Model: "ResNet50", Batch: 8, Train: true, FallbackGPUs: []int{1, 1}},
 		{Name: "self", Model: "ResNet50", Batch: 8, Train: true, GPU: 1, FallbackGPUs: []int{2, 1}},
 	} {
@@ -270,7 +272,7 @@ func TestBadFallbacksRejected(t *testing.T) {
 			t.Errorf("%s: error = %q, want an invalid job spec", req.Name, out["error"])
 		}
 	}
-	var listed []JobInfo
+	var listed []scenario.JobInfo
 	doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &listed)
 	if len(listed) != 0 {
 		t.Fatalf("rejected requests admitted jobs: %+v", listed)
@@ -279,8 +281,8 @@ func TestBadFallbacksRejected(t *testing.T) {
 
 func TestBatchedServingOverHTTP(t *testing.T) {
 	ts := newTestServer(t)
-	var created JobInfo
-	code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var created scenario.JobInfo
+	code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "serve", Model: "ResNet50", Batch: 1, Priority: 1,
 		ServeEveryMS: 10, SLOMillis: 500, MaxBatch: 8, BatchWaitMillis: 20,
 	}, &created)
@@ -289,7 +291,7 @@ func TestBatchedServingOverHTTP(t *testing.T) {
 	}
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 5000}, nil)
 
-	var info JobInfo
+	var info scenario.JobInfo
 	doJSON(t, "GET", fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID), nil, &info)
 	if info.Offered == 0 || info.Served == 0 || info.Batches == 0 {
 		t.Fatalf("serving counters empty: %+v", info)
@@ -313,13 +315,13 @@ func TestBatchedServingOverHTTP(t *testing.T) {
 
 func TestPoissonArrivalsOverHTTP(t *testing.T) {
 	ts := newTestServer(t)
-	var created JobInfo
-	doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var created scenario.JobInfo
+	doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "serve", Model: "MobileNetV2", Batch: 1, Priority: 1,
 		ServeEveryMS: 10, PoissonArrivals: true, ArrivalSeed: 7,
 	}, &created)
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 2000}, nil)
-	var info JobInfo
+	var info scenario.JobInfo
 	doJSON(t, "GET", fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID), nil, &info)
 	if info.Offered < 120 || info.Offered > 300 {
 		t.Fatalf("Poisson stream offered %d in 2s at mean 100/s", info.Offered)
@@ -361,7 +363,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 	}
 	// A spec the facade rejects (batch wait without batching) surfaces as
 	// a conflict, not a silent accept.
-	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "bad", Model: "ResNet50", Batch: 1, ServeEveryMS: 100, BatchWaitMillis: 5,
 	}, nil); code != http.StatusConflict {
 		t.Errorf("invalid batching spec status = %d", code)
@@ -380,7 +382,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 5; k++ {
-				doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+				doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 					Name: fmt.Sprintf("serve-%d-%d", i, k), Model: "MobileNetV2",
 					Batch: 1, Priority: 1, ServeEveryMS: 50, MaxBatch: 4, BatchWaitMillis: 10,
 				}, nil)
@@ -391,7 +393,7 @@ func TestConcurrentClients(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var listed []JobInfo
+	var listed []scenario.JobInfo
 	doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &listed)
 	if len(listed) != 40 {
 		t.Fatalf("listed %d jobs after 40 submissions", len(listed))
@@ -424,11 +426,11 @@ func TestScenarioRoundTrip(t *testing.T) {
 			{"name": "serve", "model": "MobileNetV2", "batch": 1, "priority": 2, "closedLoop": true}
 		]
 	}`
-	sc, err := ParseScenario(bytes.NewBufferString(raw))
+	sc, err := scenario.Parse(bytes.NewBufferString(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc, nil)
+	res, err := scenario.Run(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,11 +457,11 @@ func TestScenarioWithGroup(t *testing.T) {
 			{"name": "m1", "model": "ResNet50", "batch": 32, "saturated": true}
 		]]
 	}`
-	sc, err := ParseScenario(bytes.NewBufferString(raw))
+	sc, err := scenario.Parse(bytes.NewBufferString(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc, nil)
+	res, err := scenario.Run(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,20 +474,20 @@ func TestScenarioWithGroup(t *testing.T) {
 }
 
 func TestScenarioValidation(t *testing.T) {
-	if _, err := ParseScenario(bytes.NewBufferString(`{"durationMillis": 0, "jobs": []}`)); err == nil {
+	if _, err := scenario.Parse(bytes.NewBufferString(`{"durationMillis": 0, "jobs": []}`)); err == nil {
 		t.Fatal("empty scenario accepted")
 	}
-	if _, err := ParseScenario(bytes.NewBufferString(`{"bogus": 1}`)); err == nil {
+	if _, err := scenario.Parse(bytes.NewBufferString(`{"bogus": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	sc := Scenario{Machine: "v100", Scheduler: "timeslice", DurationMillis: 100,
-		Groups: [][]JobRequest{{{Name: "a", Model: "ResNet50", Batch: 8}}}}
-	if _, err := RunScenario(sc, nil); err == nil {
+	sc := scenario.Scenario{Machine: "v100", Scheduler: "timeslice", DurationMillis: 100,
+		Groups: [][]scenario.JobRequest{{{Name: "a", Model: "ResNet50", Batch: 8}}}}
+	if _, err := scenario.Run(sc, nil); err == nil {
 		t.Fatal("group under non-switchflow scheduler accepted")
 	}
-	sc = Scenario{Scheduler: "fifo", DurationMillis: 100,
-		Jobs: []JobRequest{{Name: "a", Model: "ResNet50", Batch: 8}}}
-	if _, err := RunScenario(sc, nil); err == nil || err.Error() != `control: unknown scheduler "fifo"` {
+	sc = scenario.Scenario{Scheduler: "fifo", DurationMillis: 100,
+		Jobs: []scenario.JobRequest{{Name: "a", Model: "ResNet50", Batch: 8}}}
+	if _, err := scenario.Run(sc, nil); err == nil || err.Error() != `scenario: unknown scheduler "fifo"` {
 		t.Fatalf("unknown scheduler: err = %v", err)
 	}
 }
@@ -496,8 +498,8 @@ func TestTraceAndMetricsEndpoints(t *testing.T) {
 	// Two training jobs with a priority gap: the higher one preempts, so
 	// the spine records decisions alongside kernel spans.
 	for i, prio := range []int{0, 1} {
-		var created JobInfo
-		code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+		var created scenario.JobInfo
+		code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 			Name: fmt.Sprintf("train-%d", i), Model: "ResNet50", Batch: 16,
 			Train: true, Priority: prio,
 		}, &created)
@@ -557,8 +559,8 @@ func TestTraceAndMetricsEndpoints(t *testing.T) {
 func TestElasticLifecycleOverHTTP(t *testing.T) {
 	ts := newTestServer(t)
 
-	var created JobInfo
-	code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var created scenario.JobInfo
+	code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1,
 		VNodes: []int{0},
 	}, &created)
@@ -571,7 +573,7 @@ func TestElasticLifecycleOverHTTP(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 2000}, nil)
 
 	// Grow to two virtual nodes.
-	var info JobInfo
+	var info scenario.JobInfo
 	url := fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID)
 	if code := doJSON(t, "POST", url+"/resize", ResizeRequest{VNodes: 2}, &info); code != 200 {
 		t.Fatalf("resize status = %d", code)
@@ -621,8 +623,8 @@ func TestElasticLifecycleOverHTTP(t *testing.T) {
 	}
 
 	// Error paths: resizing a legacy job and draining a bogus GPU.
-	var legacy JobInfo
-	doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var legacy scenario.JobInfo
+	doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "legacy", Model: "ResNet50", Batch: 16, Train: true, Priority: 1, GPU: 1,
 	}, &legacy)
 	legacyURL := fmt.Sprintf("%s/v1/jobs/%d", ts.URL, legacy.ID)
@@ -645,8 +647,8 @@ func TestGangJobOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	var created JobInfo
-	code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	var created scenario.JobInfo
+	code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "ddp", Model: "ResNet50", Batch: 16, Train: true, Priority: 1,
 		Gang: true, Replicas: 2,
 	}, &created)
@@ -658,7 +660,7 @@ func TestGangJobOverHTTP(t *testing.T) {
 	}
 	doJSON(t, "POST", ts.URL+"/v1/advance", AdvanceRequest{ForMillis: 2000}, nil)
 
-	var info JobInfo
+	var info scenario.JobInfo
 	url := fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID)
 	if code := doJSON(t, "GET", url, nil, &info); code != 200 {
 		t.Fatalf("get status = %d", code)
@@ -669,7 +671,7 @@ func TestGangJobOverHTTP(t *testing.T) {
 
 	// A one-replica gang is an invalid spec, rejected at the door with
 	// the same status the other spec errors use.
-	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", JobRequest{
+	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", scenario.JobRequest{
 		Name: "thin", Model: "ResNet50", Batch: 16, Train: true, Gang: true, Replicas: 1,
 	}, nil); code != http.StatusConflict {
 		t.Fatalf("one-replica gang status = %d, want %d", code, http.StatusConflict)

@@ -9,39 +9,43 @@ import (
 	"time"
 
 	"switchflow/internal/obs"
+	"switchflow/internal/scenario"
 )
+
+// The runner lives in package scenario; these tests drive it through its
+// exported API, the same wire types the server decodes.
 
 // elasticScenario is one ResNet50 training job with one virtual node on
 // GPU 0 of the two-GPU server, plus the given ops.
-func elasticScenario(ops ...OpRequest) Scenario {
-	return Scenario{Machine: "2gpu", DurationMillis: 10000,
-		Jobs: []JobRequest{{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1, VNodes: []int{0}}},
+func elasticScenario(ops ...scenario.OpRequest) scenario.Scenario {
+	return scenario.Scenario{Machine: "2gpu", DurationMillis: 10000,
+		Jobs: []scenario.JobRequest{{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1, VNodes: []int{0}}},
 		Ops:  ops}
 }
 
 // TestScenarioOps checks each op through the binding it leaves behind.
 func TestScenarioOps(t *testing.T) {
-	resize := OpRequest{AtMillis: 2000, Op: "resize", Job: "train", VNodes: 2}
-	drain := OpRequest{AtMillis: 4000, Op: "drain", GPU: 0}
-	undrain := OpRequest{AtMillis: 6000, Op: "undrain", GPU: 0}
-	rebind := OpRequest{AtMillis: 8000, Op: "rebind", Job: "train", VNode: 1, GPU: 0}
+	resize := scenario.OpRequest{AtMillis: 2000, Op: "resize", Job: "train", VNodes: 2}
+	drain := scenario.OpRequest{AtMillis: 4000, Op: "drain", GPU: 0}
+	undrain := scenario.OpRequest{AtMillis: 6000, Op: "undrain", GPU: 0}
+	rebind := scenario.OpRequest{AtMillis: 8000, Op: "rebind", Job: "train", VNode: 1, GPU: 0}
 	tests := []struct {
 		name        string
-		ops         []OpRequest
+		ops         []scenario.OpRequest
 		wantBinding string
 	}{
 		{name: "none", wantBinding: "gpu:0(16)"},
-		{name: "resize", ops: []OpRequest{resize}, wantBinding: "gpu:0(7)+gpu:1(9)"},
-		{name: "resize then drain", ops: []OpRequest{resize, drain}, wantBinding: "gpu:1(8)+gpu:1(8)"},
-		{name: "undrain then rebind", ops: []OpRequest{resize, drain, undrain, rebind}, wantBinding: "gpu:1(9)+gpu:0(7)"},
+		{name: "resize", ops: []scenario.OpRequest{resize}, wantBinding: "gpu:0(7)+gpu:1(9)"},
+		{name: "resize then drain", ops: []scenario.OpRequest{resize, drain}, wantBinding: "gpu:1(8)+gpu:1(8)"},
+		{name: "undrain then rebind", ops: []scenario.OpRequest{resize, drain, undrain, rebind}, wantBinding: "gpu:1(9)+gpu:0(7)"},
 		// Listed out of order: ops run in time order.
-		{name: "time order", ops: []OpRequest{rebind, undrain, drain, resize}, wantBinding: "gpu:1(9)+gpu:0(7)"},
-		{name: "resize to current count", ops: []OpRequest{{AtMillis: 1000, Op: "resize", Job: "train", VNodes: 1}},
+		{name: "time order", ops: []scenario.OpRequest{rebind, undrain, drain, resize}, wantBinding: "gpu:1(9)+gpu:0(7)"},
+		{name: "resize to current count", ops: []scenario.OpRequest{{AtMillis: 1000, Op: "resize", Job: "train", VNodes: 1}},
 			wantBinding: "gpu:0(16)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := RunScenario(elasticScenario(tt.ops...), nil)
+			res, err := scenario.Run(elasticScenario(tt.ops...), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,37 +56,37 @@ func TestScenarioOps(t *testing.T) {
 	}
 
 	// Without the undrain, GPU 0 is still draining and the rebind fails.
-	_, err := RunScenario(elasticScenario(resize, drain, rebind), nil)
+	_, err := scenario.Run(elasticScenario(resize, drain, rebind), nil)
 	if err == nil || !strings.Contains(err.Error(), "not placeable") {
 		t.Errorf("rebind onto a drained GPU: err = %v", err)
 	}
 }
 
 func TestScenarioOpErrors(t *testing.T) {
-	resize := OpRequest{AtMillis: 2000, Op: "resize", Job: "train", VNodes: 2}
+	resize := scenario.OpRequest{AtMillis: 2000, Op: "resize", Job: "train", VNodes: 2}
 	twoTrainers := elasticScenario(resize)
 	twoTrainers.Jobs = append(twoTrainers.Jobs, twoTrainers.Jobs[0])
-	threaded := elasticScenario(OpRequest{AtMillis: 2000, Op: "drain", GPU: 0})
+	threaded := elasticScenario(scenario.OpRequest{AtMillis: 2000, Op: "drain", GPU: 0})
 	threaded.Scheduler = "threaded"
 	threaded.Jobs[0].VNodes = nil
 	withTraffic := elasticScenario(resize)
-	withTraffic.Jobs = append(withTraffic.Jobs, JobRequest{Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2})
-	withTraffic.Traffic = &TrafficRequest{RPS: 10}
+	withTraffic.Jobs = append(withTraffic.Jobs, scenario.JobRequest{Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2})
+	withTraffic.Traffic = &scenario.TrafficRequest{RPS: 10}
 	tests := []struct {
 		name    string
-		sc      Scenario
+		sc      scenario.Scenario
 		wantErr string
 	}{
 		{"ambiguous job", twoTrainers, `resize names job "train", carried by 2 jobs`},
-		{"unknown job", elasticScenario(OpRequest{Op: "rebind", Job: "nope"}), `rebind names job "nope", carried by 0 jobs`},
-		{"unknown op", elasticScenario(OpRequest{Op: "reboot"}), `unknown op "reboot"`},
-		{"past the window", elasticScenario(OpRequest{AtMillis: 10001, Op: "drain"}), "drain at 10.001s is past the 10s window"},
+		{"unknown job", elasticScenario(scenario.OpRequest{Op: "rebind", Job: "nope"}), `rebind names job "nope", carried by 0 jobs`},
+		{"unknown op", elasticScenario(scenario.OpRequest{Op: "reboot"}), `unknown op "reboot"`},
+		{"past the window", elasticScenario(scenario.OpRequest{AtMillis: 10001, Op: "drain"}), "drain at 10.001s is past the 10s window"},
 		{"baseline scheduler", threaded, "ops need the switchflow scheduler, not threaded-tf"},
 		{"traffic", withTraffic, "ops cannot be combined with traffic"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := RunScenario(tt.sc, nil)
+			_, err := scenario.Run(tt.sc, nil)
 			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
 				t.Fatalf("err = %v, want one containing %q", err, tt.wantErr)
 			}
@@ -92,9 +96,9 @@ func TestScenarioOpErrors(t *testing.T) {
 
 // TestScenarioFaults checks the faults block through its FaultStats.
 func TestScenarioFaults(t *testing.T) {
-	sc := Scenario{Machine: "2gpu", DurationMillis: 10000,
-		Jobs: []JobRequest{{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1, FallbackGPUs: []int{1}}}}
-	res, err := RunScenario(sc, nil)
+	sc := scenario.Scenario{Machine: "2gpu", DurationMillis: 10000,
+		Jobs: []scenario.JobRequest{{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1, FallbackGPUs: []int{1}}}}
+	res, err := scenario.Run(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +106,8 @@ func TestScenarioFaults(t *testing.T) {
 		t.Fatalf("no faults block, yet Faults = %+v", *res.Faults)
 	}
 
-	sc.Faults = &FaultsRequest{LoseGPUs: []LoseGPURequest{{GPU: 0, AtMillis: 3000}}, CheckpointEveryMillis: 1000}
-	if res, err = RunScenario(sc, nil); err != nil {
+	sc.Faults = &scenario.FaultsRequest{LoseGPUs: []scenario.LoseGPURequest{{GPU: 0, AtMillis: 3000}}, CheckpointEveryMillis: 1000}
+	if res, err = scenario.Run(sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := res.Faults
@@ -118,9 +122,9 @@ func TestScenarioFaults(t *testing.T) {
 		t.Errorf("job after the loss: %+v", job)
 	}
 
-	sc.Faults = &FaultsRequest{Seed: 7}
+	sc.Faults = &scenario.FaultsRequest{Seed: 7}
 	sc.DurationMillis = 20000
-	if res, err = RunScenario(sc, nil); err != nil {
+	if res, err = scenario.Run(sc, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res.Faults.Injected == 0 || res.Faults.DeviceLost != 0 {
@@ -128,8 +132,8 @@ func TestScenarioFaults(t *testing.T) {
 	}
 
 	for _, gpu := range []int{-1, 2} {
-		sc.Faults = &FaultsRequest{LoseGPUs: []LoseGPURequest{{GPU: gpu, AtMillis: 1000}}}
-		if _, err := RunScenario(sc, nil); err == nil || !strings.Contains(err.Error(), "machine has 2 GPUs") {
+		sc.Faults = &scenario.FaultsRequest{LoseGPUs: []scenario.LoseGPURequest{{GPU: gpu, AtMillis: 1000}}}
+		if _, err := scenario.Run(sc, nil); err == nil || !strings.Contains(err.Error(), "machine has 2 GPUs") {
 			t.Errorf("loss of gpu %d: err = %v", gpu, err)
 		}
 	}
@@ -142,11 +146,11 @@ func TestScenarioFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sc, err := ParseScenario(f)
+	sc, err := scenario.Parse(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc, nil)
+	res, err := scenario.Run(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +170,12 @@ func TestScenarioFixture(t *testing.T) {
 // job has no arrival clock to replace, so it keeps running flat out and
 // every arrival goes to the request-driven serve job.
 func TestScenarioSaturatedUnderTraffic(t *testing.T) {
-	res, err := RunScenario(Scenario{Machine: "v100", DurationMillis: 5000,
-		Jobs: []JobRequest{
+	res, err := scenario.Run(scenario.Scenario{Machine: "v100", DurationMillis: 5000,
+		Jobs: []scenario.JobRequest{
 			{Name: "infer-MobileNetV2", Model: "MobileNetV2", Batch: 8, Saturated: true},
 			{Name: "serve-ResNet50", Model: "ResNet50", Batch: 1, Priority: 2, ClosedLoop: true},
 		},
-		Traffic: &TrafficRequest{RPS: 100}}, nil)
+		Traffic: &scenario.TrafficRequest{RPS: 100}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +188,17 @@ func TestScenarioSaturatedUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestRunScenarioValidates holds a Scenario built in Go to the same rules
-// ParseScenario applies.
+// TestRunScenarioValidates holds a Scenario built in Go to the same
+// rules scenario.Parse applies.
 func TestRunScenarioValidates(t *testing.T) {
-	jobs := []JobRequest{{Name: "a", Model: "ResNet50", Batch: 8, Train: true}}
+	jobs := []scenario.JobRequest{{Name: "a", Model: "ResNet50", Batch: 8, Train: true}}
 	for _, ms := range []float64{0, -3000} {
-		_, err := RunScenario(Scenario{DurationMillis: ms, Jobs: jobs}, nil)
+		_, err := scenario.Run(scenario.Scenario{DurationMillis: ms, Jobs: jobs}, nil)
 		if err == nil || !strings.Contains(err.Error(), "durationMillis must be positive") {
 			t.Errorf("durationMillis %v: err = %v", ms, err)
 		}
 	}
-	if _, err := RunScenario(Scenario{DurationMillis: 1000}, nil); err == nil {
+	if _, err := scenario.Run(scenario.Scenario{DurationMillis: 1000}, nil); err == nil {
 		t.Error("scenario without jobs accepted")
 	}
 }
@@ -204,8 +208,8 @@ func TestRunScenarioValidates(t *testing.T) {
 func TestMillisRoundTrip(t *testing.T) {
 	check := func(d time.Duration) {
 		t.Helper()
-		if got, err := fromMillis("f", Millis(d)); got != d || err != nil {
-			t.Fatalf("fromMillis(Millis(%d ns)) = %d ns, %v", d, got, err)
+		if got, err := scenario.FromMillis("f", scenario.Millis(d)); got != d || err != nil {
+			t.Fatalf("scenario.FromMillis(scenario.Millis(%d ns)) = %d ns, %v", d, got, err)
 		}
 	}
 	for d := time.Duration(0); d <= 10*time.Second; d += time.Microsecond {
@@ -233,17 +237,17 @@ func TestFromMillisRange(t *testing.T) {
 		{math.NaN(), false},
 	}
 	for _, tt := range tests {
-		got, err := fromMillis("durationMillis", tt.ms)
+		got, err := scenario.FromMillis("durationMillis", tt.ms)
 		if !tt.ok {
 			if err == nil || got != 0 || !strings.Contains(err.Error(), "durationMillis") {
-				t.Errorf("fromMillis(%v) = %v, %v; want an error naming the field", tt.ms, got, err)
+				t.Errorf("scenario.FromMillis(%v) = %v, %v; want an error naming the field", tt.ms, got, err)
 			}
 			continue
 		}
 		// The largest valid values are off by float rounding only.
 		want := time.Duration(tt.ms) * time.Millisecond
 		if err != nil || got-want < -time.Microsecond || got-want > time.Microsecond {
-			t.Errorf("fromMillis(%v) = %v, %v; want %v", tt.ms, got, err, want)
+			t.Errorf("scenario.FromMillis(%v) = %v, %v; want %v", tt.ms, got, err, want)
 		}
 	}
 }
@@ -253,48 +257,48 @@ func TestFromMillisRange(t *testing.T) {
 // the field, where it used to wrap and run.
 func TestScenarioMillisOutOfRange(t *testing.T) {
 	const huge = 9223372036855 // ms: just past the largest duration
-	train := JobRequest{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1}
-	serve := JobRequest{Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2, ServeEveryMS: 100}
-	base := func() Scenario {
-		return Scenario{Machine: "2gpu", DurationMillis: 1000, Jobs: []JobRequest{train, serve}}
+	train := scenario.JobRequest{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1}
+	serve := scenario.JobRequest{Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2, ServeEveryMS: 100}
+	base := func() scenario.Scenario {
+		return scenario.Scenario{Machine: "2gpu", DurationMillis: 1000, Jobs: []scenario.JobRequest{train, serve}}
 	}
 	tests := []struct {
 		field string
-		edit  func(*Scenario)
+		edit  func(*scenario.Scenario)
 	}{
-		{"durationMillis", func(sc *Scenario) { sc.DurationMillis = huge }},
-		{"atMillis", func(sc *Scenario) { sc.Ops = []OpRequest{{AtMillis: huge, Op: "drain"}} }},
-		{"loseGpus atMillis", func(sc *Scenario) {
-			sc.Faults = &FaultsRequest{LoseGPUs: []LoseGPURequest{{GPU: 1, AtMillis: huge}}}
+		{"durationMillis", func(sc *scenario.Scenario) { sc.DurationMillis = huge }},
+		{"atMillis", func(sc *scenario.Scenario) { sc.Ops = []scenario.OpRequest{{AtMillis: huge, Op: "drain"}} }},
+		{"loseGpus atMillis", func(sc *scenario.Scenario) {
+			sc.Faults = &scenario.FaultsRequest{LoseGPUs: []scenario.LoseGPURequest{{GPU: 1, AtMillis: huge}}}
 		}},
-		{"checkpointEveryMillis", func(sc *Scenario) { sc.Faults = &FaultsRequest{CheckpointEveryMillis: huge} }},
-		{"serveEveryMillis", func(sc *Scenario) { sc.Jobs[1].ServeEveryMS = huge }},
-		{"sloMillis", func(sc *Scenario) { sc.Jobs[1].SLOMillis = -huge }},
-		{"batchWaitMillis", func(sc *Scenario) { sc.Jobs[1].BatchWaitMillis = huge }},
-		{"batchWaitMillis", func(sc *Scenario) {
+		{"checkpointEveryMillis", func(sc *scenario.Scenario) { sc.Faults = &scenario.FaultsRequest{CheckpointEveryMillis: huge} }},
+		{"serveEveryMillis", func(sc *scenario.Scenario) { sc.Jobs[1].ServeEveryMS = huge }},
+		{"sloMillis", func(sc *scenario.Scenario) { sc.Jobs[1].SLOMillis = -huge }},
+		{"batchWaitMillis", func(sc *scenario.Scenario) { sc.Jobs[1].BatchWaitMillis = huge }},
+		{"batchWaitMillis", func(sc *scenario.Scenario) {
 			bad := serve
 			bad.BatchWaitMillis = huge
-			sc.Groups = [][]JobRequest{{bad}}
+			sc.Groups = [][]scenario.JobRequest{{bad}}
 		}},
-		{"diurnalMillis", func(sc *Scenario) { sc.Traffic = &TrafficRequest{RPS: 10, DiurnalMillis: huge} }},
-		{"startMillis", func(sc *Scenario) {
-			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{StartMillis: huge, Magnitude: 2}}}
+		{"diurnalMillis", func(sc *scenario.Scenario) { sc.Traffic = &scenario.TrafficRequest{RPS: 10, DiurnalMillis: huge} }},
+		{"startMillis", func(sc *scenario.Scenario) {
+			sc.Traffic = &scenario.TrafficRequest{RPS: 10, Spikes: []scenario.SpikeRequest{{StartMillis: huge, Magnitude: 2}}}
 		}},
-		{"rampMillis", func(sc *Scenario) {
-			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{RampMillis: huge, Magnitude: 2}}}
+		{"rampMillis", func(sc *scenario.Scenario) {
+			sc.Traffic = &scenario.TrafficRequest{RPS: 10, Spikes: []scenario.SpikeRequest{{RampMillis: huge, Magnitude: 2}}}
 		}},
-		{"holdMillis", func(sc *Scenario) {
-			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{HoldMillis: huge, Magnitude: 2}}}
+		{"holdMillis", func(sc *scenario.Scenario) {
+			sc.Traffic = &scenario.TrafficRequest{RPS: 10, Spikes: []scenario.SpikeRequest{{HoldMillis: huge, Magnitude: 2}}}
 		}},
-		{"decayMillis", func(sc *Scenario) {
-			sc.Traffic = &TrafficRequest{RPS: 10, Spikes: []SpikeRequest{{DecayMillis: huge, Magnitude: 2}}}
+		{"decayMillis", func(sc *scenario.Scenario) {
+			sc.Traffic = &scenario.TrafficRequest{RPS: 10, Spikes: []scenario.SpikeRequest{{DecayMillis: huge, Magnitude: 2}}}
 		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.field, func(t *testing.T) {
 			sc := base()
 			tt.edit(&sc)
-			_, err := RunScenario(sc, nil)
+			_, err := scenario.Run(sc, nil)
 			if err == nil || !strings.Contains(err.Error(), tt.field+" ") || !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("err = %v, want %s out of range", err, tt.field)
 			}
@@ -302,8 +306,8 @@ func TestScenarioMillisOutOfRange(t *testing.T) {
 	}
 
 	doc := `{"machine":"2gpu","durationMillis":9223372036855,"jobs":[{"name":"a","model":"ResNet50","batch":8,"train":true}]}`
-	if _, err := ParseScenario(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("ParseScenario: err = %v, want durationMillis out of range", err)
+	if _, err := scenario.Parse(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("Parse: err = %v, want durationMillis out of range", err)
 	}
 }
 
@@ -312,11 +316,11 @@ func TestScenarioMillisOutOfRange(t *testing.T) {
 // end of virtual time; it used to wrap into the past and panic on the
 // first window it opened.
 func TestScenarioLargestBatchWait(t *testing.T) {
-	sc := Scenario{Machine: "v100", DurationMillis: 1000, Jobs: []JobRequest{{
+	sc := scenario.Scenario{Machine: "v100", DurationMillis: 1000, Jobs: []scenario.JobRequest{{
 		Name: "serve", Model: "ResNet50", Batch: 1, Priority: 2,
 		ServeEveryMS: 10, SLOMillis: 10, MaxBatch: 4, BatchWaitMillis: 9223372036854,
 	}}}
-	res, err := RunScenario(sc, nil)
+	res, err := scenario.Run(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,12 +330,12 @@ func TestScenarioLargestBatchWait(t *testing.T) {
 	}
 }
 
-// A recorder attached through RunScenario's hook sees the run from its
+// A recorder attached through scenario.Run's hook sees the run from its
 // first event: an elastic job's admission-time Bind, emitted before the
 // clock moves.
 func TestRunScenarioObserveSeesAdmission(t *testing.T) {
 	rec := obs.NewRecorder(0)
-	if _, err := RunScenario(elasticScenario(), func(bus *obs.Bus) { bus.Subscribe(rec) }); err != nil {
+	if _, err := scenario.Run(elasticScenario(), func(bus *obs.Bus) { bus.Subscribe(rec) }); err != nil {
 		t.Fatal(err)
 	}
 	events := rec.Events()

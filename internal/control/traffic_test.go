@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"switchflow/internal/scenario"
 )
+
+// The runner lives in package scenario; these tests drive it through its
+// exported API, the same wire types the server decodes.
 
 // TestScenarioWithTraffic drives a scenario's serve jobs from the traffic
 // block instead of their own clocks and checks the trace is delivered
@@ -32,11 +37,11 @@ func TestScenarioWithTraffic(t *testing.T) {
 			"seed": 3
 		}
 	}`
-	sc, err := ParseScenario(bytes.NewBufferString(raw))
+	sc, err := scenario.Parse(bytes.NewBufferString(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(sc, nil)
+	res, err := scenario.Run(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +69,7 @@ func TestScenarioWithTraffic(t *testing.T) {
 	}
 
 	// Same scenario, same seed: byte-identical outcome.
-	again, err := RunScenario(sc, nil)
+	again, err := scenario.Run(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +81,14 @@ func TestScenarioWithTraffic(t *testing.T) {
 
 // TestTrafficRequestValidation covers the profile builder's error paths.
 func TestTrafficRequestValidation(t *testing.T) {
-	if _, err := (TrafficRequest{RPS: 0}).Profile([]string{"a"}); err == nil {
+	if _, err := (scenario.TrafficRequest{RPS: 0}).Profile([]string{"a"}); err == nil {
 		t.Fatal("zero rps accepted")
 	}
-	if _, err := (TrafficRequest{RPS: 10}).Profile(nil); err == nil {
+	if _, err := (scenario.TrafficRequest{RPS: 10}).Profile(nil); err == nil {
 		t.Fatal("traffic with no serve jobs accepted")
 	}
-	p, err := TrafficRequest{RPS: 10, DiurnalMillis: 1000, DiurnalMin: 0.5,
-		Spikes: []SpikeRequest{{StartMillis: 100, RampMillis: 10, HoldMillis: 10, DecayMillis: 10, Magnitude: 3}},
+	p, err := scenario.TrafficRequest{RPS: 10, DiurnalMillis: 1000, DiurnalMin: 0.5,
+		Spikes: []scenario.SpikeRequest{{StartMillis: 100, RampMillis: 10, HoldMillis: 10, DecayMillis: 10, Magnitude: 3}},
 	}.Profile([]string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
