@@ -3,9 +3,9 @@ package experiments
 import (
 	"time"
 
-	"switchflow"
 	"switchflow/internal/harness"
 	"switchflow/internal/obs"
+	"switchflow/internal/scenario"
 )
 
 // ElasticRow is one arm of the elastic-recovery comparison: a training
@@ -59,45 +59,40 @@ func elasticCell(mode string) ElasticRow {
 	case "elastic":
 		return elasticArm()
 	case "restart":
-		return lossArm(mode, switchflow.PolicySwitchFlow)
-	case "threaded":
-		return lossArm(mode, switchflow.PolicyThreadedTF)
-	case "timeslice":
-		return lossArm(mode, switchflow.PolicyTimeSlice)
+		return lossArm(mode, "switchflow")
+	case "threaded", "timeslice":
+		return lossArm(mode, mode)
 	default:
 		panic("unknown elastic mode " + mode)
 	}
 }
 
+// elasticTrainer is the arms' one training job, on gpu:0.
+var elasticTrainer = scenario.JobRequest{Name: "train", Model: "ResNet50", Batch: 16, Train: true, Priority: 1}
+
 // elasticArm: grow 1→2 virtual nodes, then drain gpu:0. The rebind
 // reuses the replica already resident on gpu:1, so recovery is free.
 func elasticArm() ElasticRow {
-	sim := newSimulation(switchflow.TwoGPUServer())
+	train := elasticTrainer
+	train.VNodes = []int{0}
 	rec := obs.NewRecorder(0)
-	sim.EventBus().Subscribe(rec, obs.KindRebind, obs.KindResize)
-	sched := must(sim.NewSwitchFlowScheduler())
-	train := must(sched.AddJob(switchflow.JobSpec{
-		Name: "train", Model: "ResNet50", Batch: 16, Train: true,
-		Priority:  1,
-		Placement: switchflow.Placement{Device: 0, VNodes: []int{0}},
-	}))
-	sim.RunUntil(elasticGrowAt)
-	if err := sched.Grow(train, 2); err != nil {
-		panic(err)
-	}
-	sim.RunUntil(elasticLossAt)
-	if err := sched.Drain(0); err != nil {
-		panic(err)
-	}
-	sim.RunUntil(elasticHorizon)
+	res := runScenario(scenario.Scenario{
+		Machine: "2gpu", DurationMillis: scenario.Millis(elasticHorizon),
+		Jobs: []scenario.JobRequest{train},
+		Ops: []scenario.OpRequest{
+			{AtMillis: scenario.Millis(elasticGrowAt), Op: "resize", Job: train.Name, VNodes: 2},
+			{AtMillis: scenario.Millis(elasticLossAt), Op: "drain", GPU: 0},
+		},
+	}, rec, obs.KindRebind, obs.KindResize)
 
+	job := res.Jobs[0]
 	row := ElasticRow{
 		Mode:       "elastic",
-		Scheduler:  sched.Name(),
-		Iterations: train.Iterations(),
-		Alive:      !train.Crashed(),
-		Restarts:   train.Restarts(),
-		Binding:    train.Binding(),
+		Scheduler:  res.Scheduler,
+		Iterations: job.Iterations,
+		Alive:      !job.Crashed,
+		Restarts:   job.Restarts,
+		Binding:    job.Binding,
 	}
 	for _, e := range rec.Events() {
 		switch {
@@ -114,28 +109,27 @@ func elasticArm() ElasticRow {
 // this is the PR-2 recovery path: the job migrates to its fallback and
 // restarts from the last host checkpoint, paying rollback in lost
 // iterations. The process-model baselines cannot move a job, so losing
-// its device loses the job.
-func lossArm(mode string, policy switchflow.Policy) ElasticRow {
-	sim := newSimulation(switchflow.TwoGPUServer())
-	plan := switchflow.NewFaultPlan().LoseGPU(elasticLossAt, 0)
-	opts := []switchflow.Option{switchflow.WithFaultPlan(plan)}
-	placement := switchflow.Placement{Device: 0}
-	if policy == switchflow.PolicySwitchFlow {
-		opts = append(opts, switchflow.WithCheckpointEvery(elasticCkpt))
-		placement.Fallbacks = []int{1}
+// its device loses the job. The arm has one job, so the fault counters
+// are its own.
+func lossArm(mode, sched string) ElasticRow {
+	train := elasticTrainer
+	faults := &scenario.FaultsRequest{
+		LoseGPUs: []scenario.LoseGPURequest{{GPU: 0, AtMillis: scenario.Millis(elasticLossAt)}},
 	}
-	sched := must(sim.NewScheduler(policy, opts...))
-	train := must(sched.AddJob(switchflow.JobSpec{
-		Name: "train", Model: "ResNet50", Batch: 16, Train: true,
-		Priority: 1, Placement: placement,
-	}))
-	sim.RunUntil(elasticHorizon)
+	if sched == "switchflow" {
+		faults.CheckpointEveryMillis = scenario.Millis(elasticCkpt)
+		train.FallbackGPUs = []int{1}
+	}
+	res := runScenario(scenario.Scenario{
+		Machine: "2gpu", Scheduler: sched, DurationMillis: scenario.Millis(elasticHorizon),
+		Jobs: []scenario.JobRequest{train}, Faults: faults,
+	}, nil)
 	return ElasticRow{
 		Mode:           mode,
-		Scheduler:      sched.Name(),
-		Iterations:     train.Iterations(),
-		Alive:          !train.Crashed(),
-		Restarts:       train.Restarts(),
-		IterationsLost: sched.FaultStats().IterationsLost,
+		Scheduler:      res.Scheduler,
+		Iterations:     res.Jobs[0].Iterations,
+		Alive:          !res.Jobs[0].Crashed,
+		Restarts:       res.Faults.Restarts,
+		IterationsLost: res.Faults.IterationsLost,
 	}
 }

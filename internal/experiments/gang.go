@@ -8,6 +8,7 @@ import (
 	"switchflow/internal/device"
 	"switchflow/internal/harness"
 	"switchflow/internal/obs"
+	"switchflow/internal/scenario"
 	"switchflow/internal/workload"
 )
 
@@ -80,17 +81,13 @@ func gangCell(mode string) GangRow {
 // gangFabricArm pins a two-replica VGG16 gang to the given GPU pair and
 // measures how the fabric under the ring prices every step.
 func gangFabricArm(mode string, gpus []int) GangRow {
-	sim := newSimulation(switchflow.NVLinkV100Server())
 	rec := obs.NewRecorder(0)
-	sim.EventBus().Subscribe(rec, obs.KindAllReduce)
-	sched := must(sim.NewSwitchFlowScheduler())
-	train := must(sched.AddJob(switchflow.JobSpec{
-		Name: "ddp", Model: "VGG16", Batch: 32, Train: true, Priority: 1,
-		Gang:      true,
-		Placement: switchflow.Placement{Device: gpus[0], VNodes: gpus},
-	}))
-	sim.RunUntil(gangHorizon)
-	row := GangRow{Mode: mode, Iterations: train.Iterations()}
+	res := runScenario(scenario.Scenario{
+		Machine: "nvlink", DurationMillis: scenario.Millis(gangHorizon),
+		Jobs: []scenario.JobRequest{{Name: "ddp", Model: "VGG16", Batch: 32, Train: true, Priority: 1,
+			Gang: true, VNodes: gpus}},
+	}, rec, obs.KindAllReduce)
+	row := GangRow{Mode: mode, Iterations: res.Jobs[0].Iterations}
 	row.AllReduces, row.MeanSyncMillis = syncStats(rec.Events())
 	return row
 }

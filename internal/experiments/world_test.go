@@ -16,15 +16,17 @@ import (
 )
 
 // TestWorldsAreBuiltThroughTheSeam fails when a non-test file other than
-// world.go builds an engine, a machine, a facade simulation or a cluster
-// itself, so the world it builds would bypass the observe hook. Table1's
-// copy engine runs nothing and is the one exception.
+// world.go builds an engine, a machine, a facade simulation, a scenario
+// run or a cluster itself, so the world it builds would bypass the
+// observe hook. Table1's copy engine runs nothing and is the one
+// exception.
 func TestWorldsAreBuiltThroughTheSeam(t *testing.T) {
 	builders := map[string][]string{ // import path -> world-building functions
-		"switchflow/internal/sim":     {"NewEngine"},
-		"switchflow/internal/device":  {"NewMachine", "NewTwoGPUServer"},
-		"switchflow":                  {"NewSimulation"},
-		"switchflow/internal/cluster": {"New", "NewNVLink"},
+		"switchflow/internal/sim":      {"NewEngine"},
+		"switchflow/internal/device":   {"NewMachine", "NewTwoGPUServer"},
+		"switchflow":                   {"NewSimulation"},
+		"switchflow/internal/cluster":  {"New", "NewNVLink"},
+		"switchflow/internal/scenario": {"Run"},
 	}
 	allowed := map[string]bool{"table1.go sim.NewEngine": true}
 
@@ -62,7 +64,7 @@ func TestWorldsAreBuiltThroughTheSeam(t *testing.T) {
 			for _, fn := range builders[imports[pkg.Name]] {
 				use := pkg.Name + "." + fn
 				if sel.Sel.Name == fn && !allowed[name+" "+use] {
-					t.Errorf("%s: %s builds a world outside world.go; use newWorld, newSimulation or newCluster",
+					t.Errorf("%s: %s builds a world outside world.go; use newWorld, runScenario, newSimulation or newCluster",
 						fset.Position(sel.Pos()), use)
 				}
 			}
