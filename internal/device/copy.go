@@ -52,7 +52,7 @@ func (c *CopyEngine) TransferTime(n int64, tensors int) time.Duration {
 	if tensors < 1 {
 		tensors = 1
 	}
-	bulk := time.Duration(float64(n) / (c.bandwidthGBps * 1e9) * float64(time.Second))
+	bulk := sim.Nanos(float64(n) / (c.bandwidthGBps * 1e9) * float64(time.Second))
 	return baseCopyLatency + bulk + time.Duration(tensors)*PerTensorOverhead
 }
 

@@ -336,7 +336,7 @@ func (g *GPU) reschedule() {
 		// The rate is at or near zero: no completion until it changes.
 		return
 	}
-	g.completion = g.eng.After(time.Duration(ns), g.completeFn)
+	g.completion = g.eng.After(sim.Nanos(ns), g.completeFn)
 }
 
 // loneWork bounds the solo work left, in seconds, of a lone running kernel

@@ -293,7 +293,7 @@ func (r *Run) dispatchSharded(n *graph.Node, pool *threadpool.Pool, total time.D
 	}
 	r.shardsLeft[n.ID] = shards
 	epoch := r.epoch
-	per := time.Duration(float64(total) / (float64(shards) * mklScalingEfficiency))
+	per := sim.Nanos(float64(total) / (float64(shards) * mklScalingEfficiency))
 	for i := 0; i < shards; i++ {
 		pool.Submit(&threadpool.Task{
 			Name:     n.Name + "/shard",

@@ -5,6 +5,7 @@ import (
 
 	"switchflow/internal/baseline"
 	"switchflow/internal/harness"
+	"switchflow/internal/sim"
 )
 
 // LoadRow is one point of the open-loop load sweep: a Poisson stream of
@@ -49,7 +50,7 @@ func loadOne(ratePerSec float64, requests int, switchFlow bool) (p95, p99 float6
 	serveCfg.ClosedLoop = false
 	serveCfg.PoissonArrivals = true
 	serveCfg.ArrivalSeed = 7
-	serveCfg.ArrivalEvery = time.Duration(float64(time.Second) / ratePerSec)
+	serveCfg.ArrivalEvery = sim.Nanos(float64(time.Second) / ratePerSec)
 	// A deep prefetch window lets queued requests pipeline.
 	serveCfg.PrefetchDepth = 4
 

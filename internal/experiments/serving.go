@@ -5,6 +5,7 @@ import (
 
 	"switchflow/internal/device"
 	"switchflow/internal/harness"
+	"switchflow/internal/sim"
 	"switchflow/internal/workload"
 )
 
@@ -78,7 +79,7 @@ func servingOne(ratePerSec float64, window time.Duration, batched bool) ServingA
 		Kind:            workload.KindServing,
 		Priority:        2,
 		Device:          device.GPUID(0),
-		ArrivalEvery:    time.Duration(float64(time.Second) / ratePerSec),
+		ArrivalEvery:    sim.Nanos(float64(time.Second) / ratePerSec),
 		PoissonArrivals: true,
 		ArrivalSeed:     11,
 		PerImageCPU:     10 * time.Millisecond,

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"switchflow/internal/device"
+	"switchflow/internal/sim"
 )
 
 // Kind discriminates fault types.
@@ -151,5 +152,5 @@ func Random(seed int64, horizon time.Duration, gpus int) Plan {
 }
 
 func expDraw(rng *rand.Rand, mean time.Duration) time.Duration {
-	return time.Duration(rng.ExpFloat64() * float64(mean))
+	return sim.Nanos(rng.ExpFloat64() * float64(mean))
 }

@@ -6,6 +6,7 @@ import (
 
 	"switchflow/internal/device"
 	"switchflow/internal/graph"
+	"switchflow/internal/sim"
 )
 
 // BuildConfig controls graph construction from a Spec.
@@ -37,7 +38,7 @@ type BuildConfig struct {
 func DefaultPerImageCPU(h, w int) time.Duration {
 	const base = 100 * time.Millisecond // 224x224 pipeline
 	scale := float64(h*w) / float64(224*224)
-	return time.Duration(float64(base) * scale)
+	return sim.Nanos(float64(base) * scale)
 }
 
 // trainIntermediateFactor scales per-image activation bytes into the
@@ -110,7 +111,7 @@ func (s *Spec) Build(cfg BuildConfig) (*graph.Graph, error) {
 			Name:        fmt.Sprintf("preprocess_%d", i),
 			Op:          graph.OpPreprocess,
 			Device:      device.CPUID,
-			CPUTime:     time.Duration(images) * cfg.PerImageCPU,
+			CPUTime:     sim.Nanos(float64(images) * float64(cfg.PerImageCPU)),
 			OutputBytes: s.InputBytes() * int64(images),
 		}))
 	}

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -134,6 +135,25 @@ func TestBuildShardCPUTimeCoversBatch(t *testing.T) {
 	}
 	if want := 100 * perImage; total != want {
 		t.Fatalf("total shard CPU time = %v, want %v", total, want)
+	}
+}
+
+// TestBuildShardCPUTimeSaturates: a shard whose batch times its per-image
+// cost passes the largest duration costs the largest duration, where the
+// integer product used to wrap.
+func TestBuildShardCPUTimeSaturates(t *testing.T) {
+	spec, _ := ByName("ResNet50")
+	g, err := spec.Build(BuildConfig{
+		Batch: 1 << 40, PreprocShards: 1, PerImageCPU: 100 * time.Millisecond,
+		Device: device.GPUID(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range g.Nodes() {
+		if n.Op == graph.OpPreprocess && n.CPUTime != math.MaxInt64 {
+			t.Errorf("shard CPU time = %d, want the largest duration", n.CPUTime)
+		}
 	}
 }
 

@@ -467,3 +467,31 @@ func TestRunUntilBoundaryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNanos(t *testing.T) {
+	tests := []struct {
+		ns   float64
+		want time.Duration
+	}{
+		{0, 0},
+		{1.9, 1},
+		{-1.9, -1},
+		{1.5e9, 1500 * time.Millisecond},
+		{1 << 62, 1 << 62},
+		// The largest float64 below 2^63 converts exactly.
+		{math.Nextafter(1<<63, 0), 1<<63 - 1024},
+		{-math.Nextafter(1<<63, 0), -(1<<63 - 1024)},
+		{1 << 63, math.MaxInt64},
+		{-(1 << 63), -math.MaxInt64},
+		{1.1 * 9e18, math.MaxInt64},
+		{-1e300, -math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+		{math.Inf(-1), -math.MaxInt64},
+		{math.NaN(), 0},
+	}
+	for _, tt := range tests {
+		if got := Nanos(tt.ns); got != tt.want {
+			t.Errorf("Nanos(%v) = %d, want %d", tt.ns, got, tt.want)
+		}
+	}
+}

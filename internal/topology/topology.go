@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"switchflow/internal/sim"
 )
 
 // LinkKind classifies the interconnect joining a GPU pair.
@@ -168,7 +170,7 @@ func (f *Fabric) RingAllReduceTime(ring []int, bytes int64) (time.Duration, erro
 		}
 	}
 	chunk := float64(bytes) / float64(n)
-	perStep := f.hop + time.Duration(chunk/(minGBps*1e9)*float64(time.Second))
+	perStep := f.hop + sim.Nanos(chunk/(minGBps*1e9)*float64(time.Second))
 	return time.Duration(2*(n-1)) * perStep, nil
 }
 

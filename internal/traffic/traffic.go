@@ -28,6 +28,8 @@ import (
 	"math/rand"
 	"slices"
 	"time"
+
+	"switchflow/internal/sim"
 )
 
 // Tier is a tenant's SLO class. Higher tiers buy tighter latency
@@ -275,7 +277,7 @@ func (g *Generator) Batch(from, to time.Duration) []Arrival {
 		for k := 0; k < n; k++ {
 			// to - u*dt lands in (from, to]: strictly after the barrier that
 			// schedules the batch, at or before the next one.
-			at := to - time.Duration(rng.Float64()*float64(dt))
+			at := to - sim.Nanos(rng.Float64()*float64(dt))
 			out = append(out, Arrival{Tenant: i, Client: rng.Uint64(), At: at})
 		}
 	}

@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -462,12 +461,7 @@ func (j *Job) StartArrivals(onNew func()) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		interval = func() time.Duration {
-			// Saturate: amd64 converts an out-of-range float to MinInt64.
-			gap := rng.ExpFloat64() * float64(j.Cfg.ArrivalEvery)
-			if gap >= math.MaxInt64 {
-				return math.MaxInt64
-			}
-			return time.Duration(gap)
+			return sim.Nanos(rng.ExpFloat64() * float64(j.Cfg.ArrivalEvery))
 		}
 	}
 	var tick func()
