@@ -7,6 +7,7 @@ import (
 	"switchflow/internal/analysis"
 	"switchflow/internal/analysis/counterflow"
 	"switchflow/internal/analysis/detrand"
+	"switchflow/internal/analysis/durconv"
 	"switchflow/internal/analysis/epochsafe"
 	"switchflow/internal/analysis/locksafe"
 	"switchflow/internal/analysis/maporder"
@@ -21,6 +22,7 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		counterflow.Analyzer,
 		detrand.Analyzer,
+		durconv.Analyzer,
 		epochsafe.Analyzer,
 		locksafe.Analyzer,
 		maporder.Analyzer,
