@@ -50,7 +50,7 @@ func soloWork(gpu string, s scheduler, model string, training bool) int {
 
 // Why each solo exception differs from SwitchFlow.
 const (
-	soloTimeSlicePenalty = "time slicing's solo training penalty (ROADMAP item 15): a session runs its input, then its compute, so a job alone never prefetches its next batch. " +
+	soloTimeSlicePenalty = "time slicing's solo training penalty (EXPERIMENTS.md deviation 7): a session runs its input, then its compute, so a job alone never prefetches its next batch. " +
 		"It is exactly invariant 2 off: no-free-cpu does the same work, and solo ResNet50 training on a V100 gives the same stream event for event under both (FuzzTimeSliceMatchesCoupledCore's first seed)"
 	soloMPSReservation = "an MPS process reserves its intermediates plus allocator headroom at launch, beyond what the Jetson TX2's 8 GiB holds beside its weights, so it dies at launch"
 )
