@@ -271,7 +271,8 @@ func (b *Bus) Emit(e Event) {
 
 // Recorder is a sink that retains events in emission order. With a
 // positive cap it keeps only the most recent cap events (a ring), so a
-// long-running server can expose a bounded trace window.
+// long-running server, such as internal/control's, can expose a bounded
+// trace window.
 type Recorder struct {
 	cap     int
 	events  []Event
